@@ -26,7 +26,7 @@ config = df.EngineConfig(
     checkpoint_times=df.geometric_checkpoints(HORIZON, 40))
 
 print("running %d replications to T = %g ..." % (N_REPS, HORIZON))
-reps = stats.run_replications(config, N_REPS, SEED, parallelism=2)
+reps = stats.run_replications(config, N_REPS, SEED)
 
 sample = stats.rescaled_sample(reps, float(reps.times[-1]))
 pred = df.sigma_bar_eigen(np.array([[0.5]]), np.array([[0.5]]), 4.0)

@@ -31,7 +31,7 @@ for c_alpha in (4.0, 0.8):
     print("C_alpha = %.1f  (C C_alpha = %.2f, %s; predicted slope %.2f)"
           % (c_alpha, regime.cc_alpha, regime.regime,
              regime.predicted_l2_slope))
-    reps = stats.run_replications(config, N_REPS, SEED, parallelism=2)
+    reps = stats.run_replications(config, N_REPS, SEED)
     t, m2 = stats.moment_curve(reps, 2.0)
     est = stats.loglog_slope(t, m2, (10.0, HORIZON))
     print("   measured slope %.3f +/- %.3f over t in [10, %g]"

@@ -2,6 +2,14 @@
 estimation, with analytic covariance predictors and a Monte Carlo
 verification harness."""
 
+import os
+
+# Matrices here are k x k for k drift parameters, yet OpenBLAS hands the small
+# LU solve inside every scipy.linalg.expm to a worker thread, and while that
+# worker shares the caller's CPU each call waits a scheduler tick.  Must run
+# before numpy and scipy load their BLAS; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .models import (AnalyticInfo, DriftModelSpec, NoiseSpec, averaged_objective,
                      bounded_link, growth_check, linear_system, mean_reversion,
                      pointwise_objective, scalar_ou)

@@ -21,7 +21,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--parallelism", type=int, default=None)
     return parser
 
 
@@ -30,8 +29,6 @@ def main(argv=None) -> int:
     overrides = {"experiment": args.experiment}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.parallelism is not None:
-        overrides["parallelism"] = args.parallelism
     try:
         if args.config is not None:
             cfg = parse_config(args.config, overrides=overrides)

@@ -39,8 +39,9 @@ _SCHEMA: Dict[str, tuple] = {
     "theta0.lo": (_float_list, None, None),
     "theta0.hi": (_float_list, None, None),
     "horizon": (float, 2000.0, lambda v: v > 1),
-    "n_reps": (int, 100, lambda v: v >= 1),
+    "n_reps": (int, 100, lambda v: v >= 2),
     "master_seed": (int, 0, lambda v: 0 <= v < 2 ** 64),
+    # no effect: kept so existing configs parse and reports keep their bytes
     "parallelism": (int, 1, lambda v: v >= 1),
     "checkpoints.n": (int, 60, lambda v: v >= 2),
     "t_eval": (float, None, lambda v: v >= 1),

@@ -16,6 +16,8 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 THETA_BOUND_DEFAULT = 1e6
+NOISE_BUFFER_BYTES = 8 * 2 ** 20  # standard normals drawn ahead, all replications
+CHECK_EVERY = 256                 # steps between divergence screenings
 
 
 class BlowupError(RuntimeError):
@@ -74,6 +76,10 @@ class EngineConfig:
             raise ValueError("theta0 box must satisfy lo <= hi componentwise")
         object.__setattr__(self, "theta0_lo", lo)
         object.__setattr__(self, "theta0_hi", hi)
+        steps = (self.horizon - 1.0) / self.integrator.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError("(horizon - 1) / dt = %r is not a whole number of "
+                             "steps; the final checkpoint would be dropped" % steps)
         cps = np.sort(np.asarray(self.checkpoint_times, dtype=float).reshape(-1))
         if cps.size and (cps[0] < 1.0 - 1e-9 or cps[-1] > self.horizon + 1e-9):
             raise ValueError("checkpoint times must lie in [1, horizon]")
@@ -138,8 +144,7 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     return out
 
 
-def run_batch(config: EngineConfig, seeds: Sequence[int],
-              check_every: int = 256, noise_chunk: int = 4096) -> BatchResult:
+def run_batch(config: EngineConfig, seeds: Sequence[int]) -> BatchResult:
     """Advance n = len(seeds) independent replications in lock-step.
 
     Replication i consumes exactly the stream of Generator(PCG64(seeds[i])):
@@ -194,6 +199,8 @@ def run_batch(config: EngineConfig, seeds: Sequence[int],
 
     total = integ.burn_in_steps + n_main
     step = 0
+    # never larger than the run itself, so n = 1 runs allocate only what they use
+    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * n * m)))
     xi = np.empty((noise_chunk, n, m))
     # diverging replications may overflow between screenings; they are
     # zeroed out at the next _screen call, so suppress the transient warnings
@@ -221,7 +228,7 @@ def run_batch(config: EngineConfig, seeds: Sequence[int],
                         rec_x[cp_ptr] = x
                         cp_ptr += 1
                 step += 1
-                if step % check_every == 0:
+                if step % CHECK_EVERY == 0:
                     _screen(step)
     _screen(step)
     for i in failed:

@@ -133,8 +133,7 @@ def _write_sigma_csv(path, eigen_pred, quad_pred):
 def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
-    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"],
-                                     cfg["master_seed"], cfg["parallelism"])
+    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
     t_eval = cfg.get("t_eval", float(rep_set.times[-1]))
     idx = int(np.argmin(np.abs(rep_set.times - t_eval)))
     t_eval = float(rep_set.times[idx])
@@ -169,8 +168,7 @@ def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
 def _run_verify_rate(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
-    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"],
-                                     cfg["master_seed"], cfg["parallelism"])
+    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
     t2, m2 = stats.moment_curve(rep_set, 2.0)
     t4, m4 = stats.moment_curve(rep_set, 4.0)
     _write_moments_csv(out_dir / "moments.csv", [(2, t2, m2), (4, t4, m4)])
@@ -217,8 +215,7 @@ def _run_regime_sweep(cfg, out_dir, artifacts) -> List[Verdict]:
     hessian, _ = covariance_inputs(model, noise)
     c_min = float(np.linalg.eigvalsh(hessian).min())
     regime = regime_check(engine_cfg.schedule, c_min)
-    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"],
-                                     cfg["master_seed"], cfg["parallelism"])
+    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
     t2, m2 = stats.moment_curve(rep_set, 2.0)
     _write_moments_csv(out_dir / "moments.csv", [(2, t2, m2)])
     artifacts.append(str(out_dir / "moments.csv"))

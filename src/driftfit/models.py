@@ -64,10 +64,11 @@ class NoiseSpec:
 class AnalyticInfo:
     """Closed-form stationary data for a built-in model.
 
-    stationary_second_moment holds E[x_i^2] under the invariant measure,
-    one entry per state coordinate.
+    stationary_mean and stationary_second_moment hold E[x_i] and E[x_i^2]
+    under the invariant measure, one entry per state coordinate.
     """
 
+    stationary_mean: np.ndarray
     stationary_second_moment: np.ndarray
     gbar_fn: Callable[[np.ndarray], float]
     gbar_grad_fn: Callable[[np.ndarray], np.ndarray]
@@ -210,6 +211,7 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
         return -ts * x
 
     analytic = AnalyticInfo(
+        stationary_mean=np.zeros(1),
         stationary_second_moment=np.array([m2]),
         gbar_fn=lambda th: 0.5 * m2 / sig2 * (th[0] - ts) ** 2,
         gbar_grad_fn=lambda th: np.array([m2 / sig2 * (th[0] - ts)]),
@@ -263,7 +265,7 @@ def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
         d = eta(th[0]) - eta_star
         return np.array([[m2 / sig2 * (etap(th[0]) ** 2 + d * etapp(th[0]))]])
 
-    analytic = AnalyticInfo(np.array([m2]), gbar, gbar_grad, gbar_hess)
+    analytic = AnalyticInfo(np.zeros(1), np.array([m2]), gbar, gbar_grad, gbar_hess)
     model = DriftModelSpec("bounded_link", k=1, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([ts]), analytic=analytic)
@@ -318,7 +320,8 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
         h[1, 0] += mw[0]
         return h / sig2
 
-    analytic = AnalyticInfo(np.array([var + mu * mu]), gbar, gbar_grad, gbar_hess)
+    analytic = AnalyticInfo(np.array([mu]), np.array([var + mu * mu]),
+                            gbar, gbar_grad, gbar_hess)
     model = DriftModelSpec("mean_reversion", k=2, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([a_star, b_star]),
@@ -372,7 +375,8 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
         # H[(ij),(kl)] = a_inv[i,k] s_cov[j,l]
         return np.kron(a_inv, s_cov)
 
-    analytic = AnalyticInfo(np.diag(s_cov).copy(), gbar, gbar_grad, gbar_hess)
+    analytic = AnalyticInfo(np.zeros(d), np.diag(s_cov).copy(),
+                            gbar, gbar_grad, gbar_hess)
     model = DriftModelSpec("linear_system", k=d * d, m=d, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=th_star.reshape(d * d).copy(),

@@ -54,14 +54,11 @@ def default_grid(model: DriftModelSpec, noise: NoiseSpec, n: int = 4001) -> Grid
     """[-6 sd, 6 sd] around the stationary mean; Gaussian-tailed mass
     outside six standard deviations is below 1e-8."""
     if model.analytic is not None:
+        mean = float(model.analytic.stationary_mean[0])
         m2 = float(model.analytic.stationary_second_moment[0])
     else:
-        m2 = float(noise.a[0, 0])
-    sd = np.sqrt(m2)
-    mean = 0.0
-    if model.name == "mean_reversion" and model.true_theta is not None:
-        mean = float(model.true_theta[1])
-        sd = np.sqrt(max(m2 - mean * mean, 1e-12))
+        mean, m2 = 0.0, float(noise.a[0, 0])
+    sd = np.sqrt(max(m2 - mean * mean, 1e-12))
     return Grid1D(mean - 6.0 * sd, mean + 6.0 * sd, n)
 
 

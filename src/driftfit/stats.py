@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -62,45 +61,20 @@ class CltReport:
     n_samples: int
 
 
-def run_replications(config: EngineConfig, n_reps: int, master_seed: int,
-                     parallelism: int = 1, block: int = 256) -> ReplicationSet:
-    """Replication i consumes seed_split(master_seed, i); aggregation is by
-    replication index so the result is independent of the parallelism level."""
+def run_replications(config: EngineConfig, n_reps: int,
+                     master_seed: int) -> ReplicationSet:
+    """Replication i consumes seed_split(master_seed, i) and nothing else; all
+    replications advance as one vectorised batch."""
     if n_reps < 2:
         raise ReplicationError("n_reps must be >= 2")
-    seeds = [seed_split(master_seed, i) for i in range(n_reps)]
-    blocks = [(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
-
-    def _one(span):
-        lo, hi = span
-        return lo, run_batch(config, seeds[lo:hi])
-
-    if parallelism > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_one, blocks))
-    else:
-        results = [_one(b) for b in blocks]
-    results.sort(key=lambda r: r[0])
-
-    times = results[0][1].times
-    k = config.model.k
-    m = config.model.m
-    thetas = np.empty((len(times), n_reps, k))
-    xs = np.empty((len(times), n_reps, m))
-    failed: Dict[int, int] = {}
-    for lo, res in results:
-        hi = lo + res.thetas.shape[1]
-        thetas[:, lo:hi] = res.thetas
-        xs[:, lo:hi] = res.xs
-        for pos, step in res.failed.items():
-            failed[lo + pos] = step
-    if len(failed) > 0.01 * n_reps:
+    res = run_batch(config, [seed_split(master_seed, i) for i in range(n_reps)])
+    if len(res.failed) > 0.01 * n_reps:
         raise ReplicationError(
             "%d of %d replications diverged (indices %s)"
-            % (len(failed), n_reps, sorted(failed)[:10]))
+            % (len(res.failed), n_reps, sorted(res.failed)[:10]))
     return ReplicationSet(n_reps=n_reps, master_seed=int(master_seed),
-                          times=times, theta_star=config.model.true_theta,
-                          thetas=thetas, xs=xs, failed=failed)
+                          times=res.times, theta_star=config.model.true_theta,
+                          thetas=res.thetas, xs=res.xs, failed=res.failed)
 
 
 def moment_curve(rep_set: ReplicationSet, p: float) -> Tuple[np.ndarray, np.ndarray]:

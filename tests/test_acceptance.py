@@ -46,7 +46,7 @@ def slice_reps(reps, n):
 @pytest.fixture(scope="module")
 def ou_reps_4000():
     cfg = ou_engine_config()
-    return stats.run_replications(cfg, 4000, MASTER_SEED, parallelism=2)
+    return stats.run_replications(cfg, 4000, MASTER_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def test_nonconvex_clt_variance():
         horizon=2000.0,
         checkpoint_times=df.geometric_checkpoints(2000.0, 60),
         theta0_lo=np.array([-2.0]), theta0_hi=np.array([3.0]))
-    reps = stats.run_replications(cfg, 2000, MASTER_SEED, parallelism=2)
+    reps = stats.run_replications(cfg, 2000, MASTER_SEED)
     sample = stats.rescaled_sample(reps, float(reps.times[-1]))
     # curvature at the minimum: m2 * eta'(1)^2 with m2 = 1 / (2 eta(1))
     c = model.analytic.gbar_hessian_fn(model.true_theta)[0, 0]
@@ -157,7 +157,7 @@ def test_moment_ode_oracle_consistency(ou_reps):
 
 def test_subcritical_rate_degradation():
     cfg = ou_engine_config(c_alpha=0.8)  # C C_alpha = 0.4
-    reps = stats.run_replications(cfg, 1000, MASTER_SEED, parallelism=2)
+    reps = stats.run_replications(cfg, 1000, MASTER_SEED)
     t, m2 = stats.moment_curve(reps, 2.0)
     slope = stats.loglog_slope(t, m2, (20.0, 2000.0)).slope
     assert -0.95 <= slope <= -0.65, "subcritical slope %.4f" % slope

@@ -54,6 +54,13 @@ def test_parse_config_rejects_bad_values(tmp_path):
         parse_config(write_config(tmp_path, "experiment simulate\n", "c.cfg"))
 
 
+def test_n_reps_below_two_is_a_config_error():
+    # run_replications needs two replications; reject one at parse time
+    with pytest.raises(ConfigError, match="n_reps"):
+        from_dict({"experiment": "verify-clt", "n_reps": "1"})
+    assert from_dict({"experiment": "verify-clt", "n_reps": "2"})["n_reps"] == 2
+
+
 def test_float_list_values():
     cfg = from_dict({"experiment": "simulate", "theta0.lo": "0.5, 1.5",
                      "theta0.hi": "1.0, 2.0"})
@@ -148,6 +155,22 @@ schedule.c_alpha = 0.5
     assert status == 2
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "RegimeError"
+
+
+def test_cli_verify_clt_rejects_horizon_off_the_dt_grid(tmp_path):
+    # off the dt grid the CLT would be evaluated at t = 9.62, not at 10.002
+    cfg = write_config(tmp_path, """
+experiment = verify-clt
+horizon = 10.002
+integrator.burn_in_steps = 100
+n_reps = 100
+""")
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ValueError"
+    assert "not a whole number" in report["error"]["message"]
+    assert report["verdicts"] == []
 
 
 def test_report_deterministic_modulo_wall_clock(tmp_path):

@@ -157,6 +157,15 @@ def test_engine_config_validation():
                      theta0_lo=np.array([2.0]), theta0_hi=np.array([1.0]))
 
 
+def test_engine_config_rejects_horizon_off_the_dt_grid():
+    # (10.002 - 1) / 0.005 = 1800.4 steps: the engine would stop at 9.62 and
+    # record 59 of the 60 checkpoints
+    with pytest.raises(ValueError, match="not a whole number"):
+        make_config(horizon=10.002, dt=0.005, n_cp=60)
+    make_config(horizon=10.0, dt=0.005, n_cp=60)
+    make_config(horizon=1.0 + 0.1 * 3, dt=0.1)  # 3.0000000000000004 steps: round-off
+
+
 def test_trajectory_csv(tmp_path):
     cfg = make_config()
     traj = run(cfg, seed=2)

@@ -1,9 +1,14 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftfit import engine
 from driftfit.covariance import CovariancePrediction
-from driftfit.engine import EngineConfig, geometric_checkpoints
+from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
 from driftfit.models import scalar_ou
 from driftfit.schedule import ScheduleSpec
 from driftfit.sde import IntegratorConfig
@@ -31,18 +36,57 @@ def hand_set():
                           xs=np.zeros((2, 3, 1)), failed={})
 
 
-def test_run_replications_deterministic_across_parallelism():
-    cfg = small_config()
-    a = run_replications(cfg, n_reps=300, master_seed=77, parallelism=1, block=64)
-    b = run_replications(cfg, n_reps=300, master_seed=77, parallelism=4, block=64)
-    assert a.digest() == b.digest()
-    npt.assert_array_equal(a.thetas, b.thetas)
-    c = run_replications(cfg, n_reps=300, master_seed=78, parallelism=1, block=64)
-    assert a.digest() != c.digest()
+# One replication of PARTITION_SEED's 100 exceeds the theta bound at step 256
+# (mid-run), so the property also covers `failed`, inside the 1 % that
+# run_replications tolerates.
+PARTITION_REPS, PARTITION_SEED = 100, 5
+
+
+@functools.lru_cache(maxsize=None)
+def partition_case():
+    model, noise = scalar_ou(1.0, 1.0)
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=0.02, burn_in_steps=50),
+                       horizon=11.0, checkpoint_times=geometric_checkpoints(11.0, 8),
+                       theta0_lo=np.array([-1.0]), theta0_hi=np.array([3.0]),
+                       theta_bound=3.2)
+    seeds = [seed_split(PARTITION_SEED, i) for i in range(PARTITION_REPS)]
+    return cfg, seeds, run_batch(cfg, seeds)
+
+
+@settings(max_examples=15, deadline=None)
+@given(order=st.permutations(range(PARTITION_REPS)),
+       cuts=st.sets(st.integers(1, PARTITION_REPS - 1), max_size=4),
+       buffer_bytes=st.integers(0, 8 * PARTITION_REPS * 600))
+def test_results_independent_of_grouping_and_noise_buffer(order, cuts, buffer_bytes):
+    cfg, seeds, whole = partition_case()
+    assert whole.failed
+    thetas, xs = np.empty_like(whole.thetas), np.empty_like(whole.xs)
+    failed = {}
+    bounds = [0, *sorted(cuts), PARTITION_REPS]
+    with pytest.MonkeyPatch.context() as mp:
+        # down to one step per refill when buffer_bytes < 8 * len(part)
+        mp.setattr(engine, "NOISE_BUFFER_BYTES", buffer_bytes)
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = order[lo:hi]
+            res = run_batch(cfg, [seeds[i] for i in part])
+            npt.assert_array_equal(res.times, whole.times)
+            thetas[:, part], xs[:, part] = res.thetas, res.xs
+            failed.update({part[pos]: step for pos, step in res.failed.items()})
+        reps = run_replications(cfg, PARTITION_REPS, PARTITION_SEED)
+    npt.assert_array_equal(thetas, whole.thetas)
+    npt.assert_array_equal(xs, whole.xs)
+    assert failed == whole.failed
+    expected = ReplicationSet(PARTITION_REPS, PARTITION_SEED, whole.times,
+                              cfg.model.true_theta, whole.thetas, whole.xs,
+                              whole.failed)
+    assert reps.digest() == expected.digest()
 
 
 def test_run_replications_validation():
     cfg = small_config()
+    assert (run_replications(cfg, n_reps=2, master_seed=77).digest()
+            != run_replications(cfg, n_reps=2, master_seed=78).digest())
     with pytest.raises(ReplicationError):
         run_replications(cfg, n_reps=1, master_seed=0)
 
