@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
+from .models import BUILTIN_MODELS
+
 EXPERIMENTS = ("simulate", "estimate", "predict-covariance", "poisson-solve",
                "verify-rate", "verify-clt", "regime-sweep")
 
@@ -93,7 +95,34 @@ def from_dict(raw: Dict[str, str], source: str = "<dict>") -> ExperimentConfig:
     for key in _REQUIRED:
         if values.get(key) is None:
             raise ConfigError("%s: missing required key %r" % (source, key))
+    _check_combinations(values, source)
     return ExperimentConfig(values)
+
+
+def _check_combinations(values: Dict[str, Any], source: str) -> None:
+    """Reject keys that are each valid but together would be ignored or
+    cut a run short."""
+    name = values["model.name"]
+    if name not in BUILTIN_MODELS:
+        raise ConfigError("%s: unknown model %r (available: %s)"
+                          % (source, name, ", ".join(sorted(BUILTIN_MODELS))))
+    reads = BUILTIN_MODELS[name].keys
+    for key, val in values.items():
+        # an unread key may hold only its default, which echo() writes for it
+        if (key.startswith("model.") and key not in ("model.name", "model.theta_eval")
+                and key[len("model."):] not in reads and val != _SCHEMA[key][1]):
+            raise ConfigError("%s: key %r is not read by model %r, which reads %s"
+                              % (source, key, name,
+                                 ", ".join("model." + k for k in reads)))
+    if (values["grid.lo"] is None) != (values["grid.hi"] is None):
+        raise ConfigError("%s: keys 'grid.lo' and 'grid.hi' must be given together"
+                          % source)
+    if values["experiment"] == "simulate" and values["data.path_csv"] is None:
+        steps = round((values["horizon"] - 1.0) / values["integrator.dt"])
+        if steps % values["output.stride"]:
+            raise ConfigError("%s: output.stride %d does not divide the %d steps "
+                              "of (horizon - 1) / dt; path.csv would end early"
+                              % (source, values["output.stride"], steps))
 
 
 def parse_config(path, overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:

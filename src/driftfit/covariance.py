@@ -8,6 +8,13 @@ route integrates C_alpha^2 exp(-s(C_alpha H - I/2)) hbar exp(-s(C_alpha H^T - I/
 so that both routes agree; the two printed forms of this object differ by
 whether the identity shift is split across the exponents, and the
 eigen-expansion is taken as authoritative.
+
+The eigen route keeps its own Jacobi solver rather than LAPACK's `eigh`:
+its matrices are k x k (k <= 4 in the catalog), so speed cannot matter,
+but `eigh` moves predict-covariance's route agreement on linear_system
+from 9.700573677662305e-15 to 9.658940314238862e-15, and report.json
+bytes are pinned in bench/reference.json.  The quadrature route uses
+`expm`, so the two routes stay independent either way.
 """
 from __future__ import annotations
 

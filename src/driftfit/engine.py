@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -118,11 +118,31 @@ class Trajectory:
 
 
 @dataclasses.dataclass
-class BatchResult:
-    times: np.ndarray       # (n_cp,) actual grid times recorded
-    thetas: np.ndarray      # (n_cp, n_reps, k); NaN rows for failed reps
-    xs: np.ndarray          # (n_cp, n_reps, m)
-    failed: dict            # replication position in this batch -> step index
+class ReplicationSet:
+    """Replications advanced in lock-step by `run_batch`, one column each."""
+
+    times: np.ndarray               # (n_cp,) actual grid times recorded
+    thetas: np.ndarray              # (n_cp, n_reps, k); NaN rows for failed reps
+    xs: np.ndarray                  # (n_cp, n_reps, m)
+    failed: Dict[int, int]          # replication position -> failing step
+    theta_star: Optional[np.ndarray]
+
+    @property
+    def n_reps(self) -> int:
+        return self.thetas.shape[1]
+
+    def digest(self) -> str:
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(self.times).tobytes())
+        h.update(np.ascontiguousarray(self.thetas).tobytes())
+        h.update(repr(sorted(self.failed.items())).encode())
+        return h.hexdigest()
+
+    def ok_mask(self) -> np.ndarray:
+        mask = np.ones(self.n_reps, dtype=bool)
+        for i in self.failed:
+            mask[i] = False
+        return mask
 
 
 def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
@@ -144,7 +164,7 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     return out
 
 
-def run_batch(config: EngineConfig, seeds: Sequence[int]) -> BatchResult:
+def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     """Advance n = len(seeds) independent replications in lock-step.
 
     Replication i consumes exactly the stream of Generator(PCG64(seeds[i])):
@@ -234,7 +254,8 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> BatchResult:
     for i in failed:
         rec_theta[:, i, :] = np.nan
         rec_x[:, i, :] = np.nan
-    return BatchResult(rec_t[:cp_ptr], rec_theta[:cp_ptr], rec_x[:cp_ptr], failed)
+    return ReplicationSet(rec_t[:cp_ptr], rec_theta[:cp_ptr], rec_x[:cp_ptr], failed,
+                          model.true_theta)
 
 
 def run(config: EngineConfig, seed: int) -> Trajectory:

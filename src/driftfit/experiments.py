@@ -37,20 +37,9 @@ class Verdict:
 
 
 def build_model(cfg: ExperimentConfig):
-    name = cfg["model.name"]
-    if name not in models.BUILTIN_MODELS:
-        raise ConfigError("unknown model %r (available: %s)"
-                          % (name, sorted(models.BUILTIN_MODELS)))
-    sigma = cfg["model.sigma"]
-    if name == "scalar_ou":
-        return models.scalar_ou(cfg["model.theta_star"], sigma)
-    if name == "bounded_link":
-        return models.bounded_link(cfg["model.theta_star"], sigma)
-    if name == "mean_reversion":
-        return models.mean_reversion(cfg["model.rate_star"],
-                                     cfg["model.level_star"], sigma)
-    return models.linear_system(dim=cfg["model.dim"],
-                                sigma=sigma * np.eye(cfg["model.dim"]))
+    """(model, noise) of the catalog entry `model.name` names."""
+    entry = models.BUILTIN_MODELS[cfg["model.name"]]
+    return entry.factory(**{k: cfg["model." + k] for k in entry.keys})
 
 
 def build_engine_config(cfg: ExperimentConfig, model, noise) -> EngineConfig:
@@ -245,7 +234,7 @@ def _run_predict_covariance(cfg, out_dir, artifacts) -> List[Verdict]:
 
 def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
-    if cfg.get("grid.lo") is not None and cfg.get("grid.hi") is not None:
+    if cfg.get("grid.lo") is not None:  # config admits grid.lo only with grid.hi
         grid = poisson.Grid1D(cfg["grid.lo"], cfg["grid.hi"], cfg["grid.n"])
     else:
         grid = poisson.default_grid(model, noise, cfg["grid.n"])
@@ -294,6 +283,9 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
     replay = cfg.get("data.path_csv")
     if replay is not None:
         times, xs = load_path_csv(replay)
+        if xs.shape[1] != model.m:
+            raise ConfigError("%s has %d state columns, but model %r has %d"
+                              % (replay, xs.shape[1], model.name, model.m))
         traj = _replay_csv(engine_cfg, times, xs,
                            seed_split(cfg["master_seed"], 0))
         traj_path = out_dir / "trajectory.csv"

@@ -9,7 +9,7 @@ leading dimensions and return (..., m) drifts and (..., k, m) gradients.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_lyapunov
@@ -384,9 +384,21 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     return model, noise
 
 
+class ModelEntry(NamedTuple):
+    """A catalog model: its factory and the `model.<key>` config values it
+    takes, passed as keyword arguments of the same names."""
+
+    factory: Callable[..., Tuple[DriftModelSpec, NoiseSpec]]
+    keys: Tuple[str, ...]
+
+
 BUILTIN_MODELS = {
-    "scalar_ou": scalar_ou,
-    "bounded_link": bounded_link,
-    "mean_reversion": mean_reversion,
-    "linear_system": linear_system,
+    "scalar_ou": ModelEntry(scalar_ou, ("theta_star", "sigma")),
+    "bounded_link": ModelEntry(bounded_link, ("theta_star", "sigma")),
+    "mean_reversion": ModelEntry(mean_reversion,
+                                 ("rate_star", "level_star", "sigma")),
+    # the config's scalar sigma is the noise level on every coordinate
+    "linear_system": ModelEntry(
+        lambda dim, sigma: linear_system(dim=dim, sigma=sigma * np.eye(dim)),
+        ("dim", "sigma")),
 }

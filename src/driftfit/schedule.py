@@ -15,11 +15,8 @@ class ScheduleError(ValueError):
 class ScheduleSpec:
     c_alpha: float
     c0: float = 0.0
-    kind: str = "polynomial"
 
     def __post_init__(self):
-        if self.kind != "polynomial":
-            raise ScheduleError("only the polynomial schedule is instantiable")
         if not self.c_alpha > 0:
             raise ScheduleError("c_alpha must be positive, got %r" % (self.c_alpha,))
         if self.c0 < 0:

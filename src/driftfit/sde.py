@@ -87,22 +87,10 @@ def stationary_moment(model: DriftModelSpec, noise: NoiseSpec, power: int,
         return 1.0
     if config is None:
         config = IntegratorConfig()
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    dt = config.dt
-    x = config.initial_state(model.m)
-    for _ in range(config.burn_in_steps):
-        x = euler_step(model, noise, x, dt, rng.standard_normal(model.m))
-    n_steps = int(round(horizon / dt))
+    n_steps = int(round(horizon / config.dt))
     total = 0.0
-    chunk = 8192
-    done = 0
-    while done < n_steps:
-        s = min(chunk, n_steps - done)
-        xi = rng.standard_normal((s, model.m))
-        for j in range(s):
-            x = euler_step(model, noise, x, dt, xi[j])
-            total += float(np.linalg.norm(x)) ** power
-        done += s
+    for _, x in simulate_path(model, noise, config, seed, n_steps):
+        total += float(np.linalg.norm(x)) ** power
     return total / n_steps
 
 

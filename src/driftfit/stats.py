@@ -2,44 +2,19 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import stats as spstats
 
 from .covariance import CovariancePrediction
-from .engine import EngineConfig, run_batch, seed_split
+from .engine import EngineConfig, ReplicationSet, run_batch, seed_split
 
 KS_CRITICAL_1PCT = 1.628  # one-sample KS, 1% level: reject if D > 1.628 / sqrt(N)
 
 
 class ReplicationError(RuntimeError):
     pass
-
-
-@dataclasses.dataclass
-class ReplicationSet:
-    n_reps: int
-    master_seed: int
-    times: np.ndarray              # (n_cp,)
-    theta_star: Optional[np.ndarray]
-    thetas: np.ndarray             # (n_cp, n_reps, k), NaN for failed reps
-    xs: np.ndarray                 # (n_cp, n_reps, m)
-    failed: Dict[int, int]         # replication index -> failing step
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.times).tobytes())
-        h.update(np.ascontiguousarray(self.thetas).tobytes())
-        h.update(repr(sorted(self.failed.items())).encode())
-        return h.hexdigest()
-
-    def ok_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_reps, dtype=bool)
-        for i in self.failed:
-            mask[i] = False
-        return mask
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,14 +42,12 @@ def run_replications(config: EngineConfig, n_reps: int,
     replications advance as one vectorised batch."""
     if n_reps < 2:
         raise ReplicationError("n_reps must be >= 2")
-    res = run_batch(config, [seed_split(master_seed, i) for i in range(n_reps)])
-    if len(res.failed) > 0.01 * n_reps:
+    reps = run_batch(config, [seed_split(master_seed, i) for i in range(n_reps)])
+    if len(reps.failed) > 0.01 * n_reps:
         raise ReplicationError(
             "%d of %d replications diverged (indices %s)"
-            % (len(res.failed), n_reps, sorted(res.failed)[:10]))
-    return ReplicationSet(n_reps=n_reps, master_seed=int(master_seed),
-                          times=res.times, theta_star=config.model.true_theta,
-                          thetas=res.thetas, xs=res.xs, failed=res.failed)
+            % (len(reps.failed), n_reps, sorted(reps.failed)[:10]))
+    return reps
 
 
 def moment_curve(rep_set: ReplicationSet, p: float) -> Tuple[np.ndarray, np.ndarray]:

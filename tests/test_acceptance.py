@@ -37,10 +37,9 @@ def ou_engine_config(c_alpha=4.0):
 
 def slice_reps(reps, n):
     return stats.ReplicationSet(
-        n_reps=n, master_seed=reps.master_seed, times=reps.times,
-        theta_star=reps.theta_star, thetas=reps.thetas[:, :n, :],
-        xs=reps.xs[:, :n, :],
-        failed={i: s for i, s in reps.failed.items() if i < n})
+        times=reps.times, thetas=reps.thetas[:, :n, :], xs=reps.xs[:, :n, :],
+        failed={i: s for i, s in reps.failed.items() if i < n},
+        theta_star=reps.theta_star)
 
 
 @pytest.fixture(scope="module")

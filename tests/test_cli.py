@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from driftfit.cli import main
-from driftfit.config import ConfigError, from_dict, parse_config
+from driftfit.config import EXPERIMENTS, ConfigError, from_dict, parse_config
+from driftfit.models import BUILTIN_MODELS
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -59,6 +63,86 @@ def test_n_reps_below_two_is_a_config_error():
     with pytest.raises(ConfigError, match="n_reps"):
         from_dict({"experiment": "verify-clt", "n_reps": "1"})
     assert from_dict({"experiment": "verify-clt", "n_reps": "2"})["n_reps"] == 2
+
+
+def test_parse_config_checks_the_model_and_its_keys(tmp_path):
+    p = write_config(tmp_path, "experiment = estimate\nmodel.name = scalar_uo\n")
+    with pytest.raises(ConfigError, match="unknown model 'scalar_uo'"):
+        parse_config(p)
+    p = write_config(tmp_path, "experiment = estimate\nmodel.name = scalar_ou\n"
+                               "model.rate_star = 2.0\n", "b.cfg")
+    with pytest.raises(ConfigError, match="'model.rate_star' is not read"):
+        parse_config(p)
+    with pytest.raises(ConfigError, match="'model.theta_star' is not read"):
+        from_dict({"experiment": "estimate", "model.name": "linear_system",
+                   "model.theta_star": "3"})
+    # each model's own keys, and theta_eval everywhere, are accepted
+    cfg = from_dict({"experiment": "poisson-solve", "model.name": "mean_reversion",
+                     "model.rate_star": "2", "model.level_star": "0",
+                     "model.sigma": "0.5", "model.theta_eval": "2, 0"})
+    assert cfg["model.rate_star"] == 2.0
+    assert cfg["model.theta_eval"] == [2.0, 0.0]
+
+
+def test_grid_bounds_must_come_together():
+    # grid.lo alone used to be ignored in favour of the default grid
+    with pytest.raises(ConfigError, match="grid.lo"):
+        from_dict({"experiment": "poisson-solve", "grid.lo": "-3"})
+    with pytest.raises(ConfigError, match="grid.lo"):
+        from_dict({"experiment": "poisson-solve", "grid.hi": "3"})
+    cfg = from_dict({"experiment": "poisson-solve", "grid.lo": "-3", "grid.hi": "3"})
+    assert (cfg["grid.lo"], cfg["grid.hi"]) == (-3.0, 3.0)
+
+
+_ECHO_TEXT = {list: lambda v: ", ".join(repr(x) for x in v), float: repr}
+
+
+@st.composite
+def raw_configs(draw):
+    name = draw(st.sampled_from(sorted(BUILTIN_MODELS)))
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.25]))
+    stride = draw(st.integers(1, 20))
+    steps = stride * draw(st.integers(1, 500))
+    finite = st.floats(-1e3, 1e3)
+    positive = st.floats(0.01, 10.0)
+    lists = st.lists(finite, max_size=4).map(lambda v: ", ".join(map(repr, v)))
+    raw = {"experiment": draw(st.sampled_from(EXPERIMENTS)), "model.name": name,
+           "integrator.dt": repr(dt), "horizon": repr(1.0 + steps * dt),
+           "output.stride": str(stride)}
+    own = {"theta_star": finite.map(repr), "rate_star": positive.map(repr),
+           "level_star": finite.map(repr), "dim": st.integers(1, 4).map(str),
+           "sigma": positive.map(repr)}
+    for key in BUILTIN_MODELS[name].keys:
+        if draw(st.booleans()):
+            raw["model." + key] = draw(own[key])
+    optional = {"model.theta_eval": lists, "integrator.x0": lists,
+                "theta0.lo": lists, "theta0.hi": lists,
+                "schedule.c_alpha": positive.map(repr),
+                "n_reps": st.integers(2, 10 ** 6).map(str),
+                "master_seed": st.integers(0, 2 ** 64 - 1).map(str),
+                "t_eval": st.floats(1.0, 1e4).map(repr),
+                "data.path_csv": st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True)}
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
+    if draw(st.booleans()):
+        lo = draw(st.floats(-10.0, 0.0))
+        raw["grid.lo"], raw["grid.hi"] = repr(lo), repr(lo + draw(positive))
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_configs())
+def test_parse_config_roundtrips_echo(tmp_path_factory, raw):
+    # the config section of report.json parses back to the same values
+    cfg = from_dict(raw)
+    text = "".join("%s = %s\n" % (k, _ECHO_TEXT.get(type(v), str)(v))
+                   for k, v in cfg.echo().items())
+    path = tmp_path_factory.mktemp("echo") / "echo.cfg"
+    path.write_text(text)
+    again = parse_config(path)
+    assert again.echo() == cfg.echo()
+    assert again.values == cfg.values
 
 
 def test_float_list_values():
@@ -136,6 +220,38 @@ data.path_csv = %s
     lines = (out2 / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,theta_1,x_1"
     assert len(lines) > 100
+
+
+def test_cli_replay_rejects_a_csv_with_the_wrong_state_dimension(tmp_path):
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1,x_2\n1.01,0.1,0.2\n1.02,0.15,0.1\n1.03,0.2,0.0\n")
+    cfg = write_config(tmp_path, """
+experiment = simulate
+model.name = scalar_ou
+horizon = 20
+data.path_csv = %s
+""" % path_csv)
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert "2 state columns" in report["error"]["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_simulate_rejects_a_stride_that_does_not_divide_the_steps(tmp_path, capsys):
+    # 1900 steps in strides of 7 would end path.csv at t = 19.97
+    cfg = write_config(tmp_path, """
+experiment = simulate
+horizon = 20
+integrator.dt = 0.01
+integrator.burn_in_steps = 100
+output.stride = 7
+""")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "output.stride 7" in capsys.readouterr().err
+    assert not (out / "path.csv").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

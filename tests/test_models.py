@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from driftfit import models
+from driftfit.config import from_dict
+from driftfit.experiments import build_model
 from driftfit.models import (AnalyticUnavailableError, DriftModelSpec,
                              ModelError, NoiseSpec, averaged_objective,
                              bounded_link, check_drift_gradient, growth_check,
@@ -187,3 +189,10 @@ def test_model_constructor_validation():
 def test_builtin_registry():
     assert set(models.BUILTIN_MODELS) == {"scalar_ou", "bounded_link",
                                           "mean_reversion", "linear_system"}
+    # every entry builds from its config keys; sigma is scalar in the config
+    for name in models.BUILTIN_MODELS:
+        model, noise = build_model(from_dict({"experiment": "estimate",
+                                              "model.name": name,
+                                              "model.sigma": "0.5"}))
+        assert model.name == name
+        npt.assert_array_equal(noise.sigma, 0.5 * np.eye(model.m))

@@ -19,8 +19,6 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         ScheduleSpec(c_alpha=1.0, c0=-1.0)
     with pytest.raises(ScheduleError):
-        ScheduleSpec(c_alpha=1.0, kind="exponential")
-    with pytest.raises(ScheduleError):
         alpha(ScheduleSpec(c_alpha=1.0, c0=0.0), 0.0)
 
 

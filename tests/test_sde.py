@@ -77,6 +77,16 @@ def test_stationary_moment_ou_second():
     assert m2 == pytest.approx(0.5, rel=0.08)
 
 
+def test_stationary_moment_averages_the_simulated_path():
+    # one stream and one step loop: the average runs over simulate_path itself
+    model, noise = linear_system(dim=2)
+    cfg = IntegratorConfig(dt=0.5, burn_in_steps=20)
+    path = [x for _, x in simulate_path(model, noise, cfg, seed=3, n_steps=2000)]
+    expected = sum(float(np.linalg.norm(x)) ** 4 for x in path) / 2000
+    assert stationary_moment(model, noise, 4, horizon=1000.0, seed=3,
+                             config=cfg) == expected
+
+
 def test_stationary_moment_validation():
     model, noise = scalar_ou()
     with pytest.raises(ValueError):

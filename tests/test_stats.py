@@ -31,9 +31,8 @@ def hand_set():
     thetas = np.zeros((2, 3, 1))
     thetas[0, :, 0] = [2.0, 0.0, 1.0]   # errors 1, -1, 0 at t=1
     thetas[1, :, 0] = [1.5, 1.5, 0.5]   # errors 0.5, 0.5, -0.5 at t=4
-    return ReplicationSet(n_reps=3, master_seed=0, times=times,
-                          theta_star=np.array([1.0]), thetas=thetas,
-                          xs=np.zeros((2, 3, 1)), failed={})
+    return ReplicationSet(times=times, thetas=thetas, xs=np.zeros((2, 3, 1)),
+                          failed={}, theta_star=np.array([1.0]))
 
 
 # One replication of PARTITION_SEED's 100 exceeds the theta bound at step 256
@@ -77,10 +76,10 @@ def test_results_independent_of_grouping_and_noise_buffer(order, cuts, buffer_by
     npt.assert_array_equal(thetas, whole.thetas)
     npt.assert_array_equal(xs, whole.xs)
     assert failed == whole.failed
-    expected = ReplicationSet(PARTITION_REPS, PARTITION_SEED, whole.times,
-                              cfg.model.true_theta, whole.thetas, whole.xs,
-                              whole.failed)
-    assert reps.digest() == expected.digest()
+    # run_replications returns run_batch's own result
+    assert reps.digest() == whole.digest()
+    assert reps.n_reps == PARTITION_REPS
+    npt.assert_array_equal(reps.theta_star, cfg.model.true_theta)
 
 
 def test_run_replications_validation():
