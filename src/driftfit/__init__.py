@@ -17,8 +17,8 @@ from .sde import DivergenceError, IntegratorConfig, euler_step, simulate_path, \
     stationary_moment
 from .schedule import RegimeReport, ScheduleSpec, alpha, bracket_limit, \
     regime_check
-from .engine import (EngineConfig, Trajectory, geometric_checkpoints, run,
-                     run_batch, seed_split, sgdct_step, splitmix64)
+from .engine import (EngineConfig, geometric_checkpoints, run_batch, seed_split,
+                     sgdct_step, splitmix64)
 from .poisson import Grid1D, PoissonSolution, default_grid, hbar, solve, \
     stationary_density
 from .covariance import (CovariancePrediction, EigenDecomposition,

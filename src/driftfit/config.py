@@ -117,12 +117,27 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
     if (values["grid.lo"] is None) != (values["grid.hi"] is None):
         raise ConfigError("%s: keys 'grid.lo' and 'grid.hi' must be given together"
                           % source)
+    if values["t_eval"] is not None and values["t_eval"] > values["horizon"]:
+        raise ConfigError("%s: t_eval %r is past the horizon %r"
+                          % (source, values["t_eval"], values["horizon"]))
+    lo, hi = slope_window(values)
+    if lo >= hi:
+        raise ConfigError("%s: slope window [%r, %r] is empty (slope.window_lo "
+                          "defaults to horizon / 100, slope.window_hi to the horizon)"
+                          % (source, lo, hi))
     if values["experiment"] == "simulate" and values["data.path_csv"] is None:
         steps = round((values["horizon"] - 1.0) / values["integrator.dt"])
         if steps % values["output.stride"]:
             raise ConfigError("%s: output.stride %d does not divide the %d steps "
                               "of (horizon - 1) / dt; path.csv would end early"
                               % (source, values["output.stride"], steps))
+
+
+def slope_window(values: Dict[str, Any]) -> tuple:
+    """(lo, hi) times of the log-log slope fit; default (horizon / 100, horizon)."""
+    horizon = values["horizon"]
+    lo, hi = values["slope.window_lo"], values["slope.window_hi"]
+    return (horizon / 100.0 if lo is None else lo, horizon if hi is None else hi)
 
 
 def parse_config(path, overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:

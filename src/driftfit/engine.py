@@ -85,37 +85,6 @@ class EngineConfig:
             raise ValueError("checkpoint times must lie in [1, horizon]")
         object.__setattr__(self, "checkpoint_times", cps)
 
-    def digest(self) -> str:
-        payload = "|".join([
-            self.model.name, repr(self.model.true_theta),
-            repr(self.noise.sigma.tolist()),
-            "%r,%r" % (self.schedule.c_alpha, self.schedule.c0),
-            "%r,%r,%r" % (self.integrator.dt, self.integrator.burn_in_steps,
-                          None if self.integrator.x0 is None
-                          else self.integrator.x0.tolist()),
-            repr(self.horizon), repr(self.checkpoint_times.tolist()),
-            repr(self.theta0_lo.tolist()), repr(self.theta0_hi.tolist()),
-        ])
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclasses.dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray       # (n_cp,)
-    thetas: np.ndarray      # (n_cp, k)
-    xs: np.ndarray          # (n_cp, m)
-    seed: int
-    config_digest: str
-
-    def dump_csv(self, path) -> None:
-        k, m = self.thetas.shape[1], self.xs.shape[1]
-        header = ("t,"
-                  + ",".join("theta_%d" % (i + 1) for i in range(k)) + ","
-                  + ",".join("x_%d" % (i + 1) for i in range(m)))
-        data = np.column_stack([self.times, self.thetas, self.xs])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.12g")
-
 
 @dataclasses.dataclass
 class ReplicationSet:
@@ -138,6 +107,16 @@ class ReplicationSet:
         h.update(repr(sorted(self.failed.items())).encode())
         return h.hexdigest()
 
+    def dump_csv(self, path) -> None:
+        """Replication 0 as rows t,theta_1..theta_k,x_1..x_m."""
+        k, m = self.thetas.shape[2], self.xs.shape[2]
+        header = ("t,"
+                  + ",".join("theta_%d" % (i + 1) for i in range(k)) + ","
+                  + ",".join("x_%d" % (i + 1) for i in range(m)))
+        data = np.column_stack([self.times, self.thetas[:, 0], self.xs[:, 0]])
+        np.savetxt(path, data, delimiter=",", header=header, comments="",
+                   fmt="%.12g")
+
     def ok_mask(self) -> np.ndarray:
         mask = np.ones(self.n_reps, dtype=bool)
         for i in self.failed:
@@ -151,6 +130,8 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     """theta + alpha_t grad_theta f (sigma sigma^T)^-1 (delta_x - f dt).
 
     delta_x must be the same observed increment that advanced the state.
+    Leading axes of x, theta and delta_x are replications.  A diverging
+    update is returned as it is; callers screen for non-finite values.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -158,10 +139,7 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     a_t = schedule.c_alpha / (schedule.c0 + t)
     resid = delta_x - model.drift_fn(x, theta) * dt
     grad = model.drift_grad_fn(x, theta)
-    out = theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
-    if not np.all(np.isfinite(out)):
-        raise BlowupError("non-finite parameter update", t=t, theta=theta)
-    return out
+    return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
 
 
 def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
@@ -179,7 +157,6 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     dt = integ.dt
     sqdt = np.sqrt(dt)
     sigma_t = noise.sigma.T.copy()
-    a_inv = noise.a_inv
 
     gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
     theta = np.empty((n, k))
@@ -230,24 +207,20 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
             for i, g in enumerate(gens):
                 xi[:span, i, :] = g.standard_normal((span, m))
             for j in range(span):
-                if step < integ.burn_in_steps:
-                    x += model.true_drift_fn(x) * dt + sqdt * xi[j] @ sigma_t
-                else:
-                    nmain = step - integ.burn_in_steps  # completed main steps
-                    t = 1.0 + nmain * dt
-                    dx = model.true_drift_fn(x) * dt + sqdt * xi[j] @ sigma_t
-                    resid = dx - model.drift_fn(x, theta) * dt
-                    grad = model.drift_grad_fn(x, theta)
-                    a_t = sched.c_alpha / (sched.c0 + t)
-                    theta += a_t * np.einsum("nkm,mp,np->nk", grad, a_inv, resid)
-                    x += dx
-                    t_next = 1.0 + (nmain + 1) * dt
-                    while cp_ptr < n_cp and cps[cp_ptr] <= t_next + 1e-12:
-                        rec_t[cp_ptr] = t_next
-                        rec_theta[cp_ptr] = theta
-                        rec_x[cp_ptr] = x
-                        cp_ptr += 1
+                dx = model.true_drift_fn(x) * dt + sqdt * xi[j] @ sigma_t
+                nmain = step - integ.burn_in_steps  # completed main steps
+                if nmain >= 0:  # in place: _screen and the checkpoints read theta
+                    theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
+                                          x, theta, dx, dt)
+                x += dx
                 step += 1
+                # burn-in ends at t = 1, whose checkpoints are already recorded
+                t_next = 1.0 + (nmain + 1) * dt
+                while cp_ptr < n_cp and cps[cp_ptr] <= t_next + 1e-12:
+                    rec_t[cp_ptr] = t_next
+                    rec_theta[cp_ptr] = theta
+                    rec_x[cp_ptr] = x
+                    cp_ptr += 1
                 if step % CHECK_EVERY == 0:
                     _screen(step)
     _screen(step)
@@ -257,15 +230,3 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     return ReplicationSet(rec_t[:cp_ptr], rec_theta[:cp_ptr], rec_x[:cp_ptr], failed,
                           model.true_theta)
 
-
-def run(config: EngineConfig, seed: int) -> Trajectory:
-    """One replication; deterministic given (config, seed)."""
-    res = run_batch(config, [int(seed)])
-    if res.failed:
-        raise BlowupError("replication diverged at step %d" % res.failed[0],
-                          step=res.failed[0])
-    return Trajectory(times=res.times.copy(),
-                      thetas=res.thetas[:, 0, :].copy(),
-                      xs=res.xs[:, 0, :].copy(),
-                      seed=int(seed),
-                      config_digest=config.digest())

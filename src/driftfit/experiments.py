@@ -11,9 +11,9 @@ from typing import List
 
 import numpy as np
 
-from . import covariance, models, poisson, stats
-from .config import ConfigError, ExperimentConfig
-from .engine import (EngineConfig, Trajectory, geometric_checkpoints, run,
+from . import covariance, engine, models, poisson, stats
+from .config import ConfigError, ExperimentConfig, slope_window
+from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
                      seed_split, sgdct_step)
 from .sde import IntegratorConfig, dump_path_csv, load_path_csv, simulate_path
 from .schedule import ScheduleSpec, regime_check
@@ -89,13 +89,6 @@ def theta0_second_moment(config: EngineConfig) -> float:
     return float(out)
 
 
-def _slope_window(cfg: ExperimentConfig):
-    horizon = cfg["horizon"]
-    lo = cfg.get("slope.window_lo", horizon / 100.0)
-    hi = cfg.get("slope.window_hi", horizon)
-    return lo, hi
-
-
 def _write_moments_csv(path, curves):
     """curves: list of (p, times, values) -> CSV with columns t,p,value."""
     rows = []
@@ -166,7 +159,7 @@ def _run_verify_rate(cfg, out_dir, artifacts) -> List[Verdict]:
     hessian, hb = covariance_inputs(model, noise)
     c_min = float(np.linalg.eigvalsh(hessian).min())
     regime = regime_check(engine_cfg.schedule, c_min)
-    window = _slope_window(cfg)
+    window = slope_window(cfg.values)
     s2 = stats.loglog_slope(t2, m2, window)
     s4 = stats.loglog_slope(t4, m4, window)
     if regime.regime == "supercritical":
@@ -208,7 +201,7 @@ def _run_regime_sweep(cfg, out_dir, artifacts) -> List[Verdict]:
     t2, m2 = stats.moment_curve(rep_set, 2.0)
     _write_moments_csv(out_dir / "moments.csv", [(2, t2, m2)])
     artifacts.append(str(out_dir / "moments.csv"))
-    s2 = stats.loglog_slope(t2, m2, _slope_window(cfg))
+    s2 = stats.loglog_slope(t2, m2, slope_window(cfg.values))
     band = (regime.predicted_l2_slope - SLOPE_BAND_HALFWIDTH,
             regime.predicted_l2_slope + SLOPE_BAND_HALFWIDTH)
     return [
@@ -239,6 +232,9 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
     else:
         grid = poisson.default_grid(model, noise, cfg["grid.n"])
     theta_eval = cfg.get("model.theta_eval")
+    if theta_eval is not None and len(theta_eval) != model.k:
+        raise ConfigError("model.theta_eval has %d entries, but model %r has %d "
+                          "parameters" % (len(theta_eval), model.name, model.k))
     theta = (model.true_theta if theta_eval is None
              else np.asarray(theta_eval, dtype=float))
     nodes = grid.nodes
@@ -257,24 +253,23 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
                     sol.residual_sup < 1e-4)]
 
 
-def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> Trajectory:
+def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
     """Drive the parameter update with externally observed increments."""
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     theta = rng.uniform(engine_cfg.theta0_lo, engine_cfg.theta0_hi)
     model, noise, sched = engine_cfg.model, engine_cfg.noise, engine_cfg.schedule
-    rec_t, rec_theta, rec_x = [], [], []
+    thetas = np.empty((len(times) - 1, 1, model.k))
     for i in range(len(times) - 1):
         dt = times[i + 1] - times[i]
         if dt <= 0:
             raise ConfigError("replay CSV times must be strictly increasing")
-        theta = sgdct_step(model, noise, sched, times[i], xs[i], theta,
-                           xs[i + 1] - xs[i], dt)
-        rec_t.append(times[i + 1])
-        rec_theta.append(theta.copy())
-        rec_x.append(xs[i + 1].copy())
-    return Trajectory(times=np.asarray(rec_t), thetas=np.asarray(rec_theta),
-                      xs=np.asarray(rec_x), seed=int(seed),
-                      config_digest=engine_cfg.digest())
+        stepped = sgdct_step(model, noise, sched, times[i], xs[i], theta,
+                             xs[i + 1] - xs[i], dt)
+        if not np.all(np.isfinite(stepped)):
+            raise BlowupError("non-finite parameter update", step=i, t=times[i],
+                              theta=theta)
+        theta = thetas[i, 0] = stepped
+    return ReplicationSet(times[1:], thetas, xs[1:, None, :], {}, model.true_theta)
 
 
 def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
@@ -286,10 +281,12 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
         if xs.shape[1] != model.m:
             raise ConfigError("%s has %d state columns, but model %r has %d"
                               % (replay, xs.shape[1], model.name, model.m))
-        traj = _replay_csv(engine_cfg, times, xs,
-                           seed_split(cfg["master_seed"], 0))
+        if len(times) < 2:
+            raise ConfigError("%s has %d row; a replay needs an increment"
+                              % (replay, len(times)))
+        replayed = _replay_csv(engine_cfg, times, xs, seed_split(cfg["master_seed"], 0))
         traj_path = out_dir / "trajectory.csv"
-        traj.dump_csv(traj_path)
+        replayed.dump_csv(traj_path)
         artifacts.append(str(traj_path))
         return []
     n_steps = int(round((cfg["horizon"] - 1.0) / cfg["integrator.dt"]))
@@ -310,13 +307,17 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
 def _run_estimate(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
-    traj = run(engine_cfg, seed_split(cfg["master_seed"], 0))
+    # called through the module, so a wrapper set on engine.run_batch sees it
+    rep = engine.run_batch(engine_cfg, [seed_split(cfg["master_seed"], 0)])
+    if rep.failed:
+        raise BlowupError("replication diverged at step %d" % rep.failed[0],
+                          step=rep.failed[0])
     traj_path = out_dir / "rep_0.csv"
-    traj.dump_csv(traj_path)
+    rep.dump_csv(traj_path)
     artifacts.append(str(traj_path))
     verdicts = []
     if model.true_theta is not None:
-        err = float(np.linalg.norm(traj.thetas[-1] - model.true_theta))
+        err = float(np.linalg.norm(rep.thetas[-1, 0] - model.true_theta))
         verdicts.append(Verdict("final_theta_error", err, (0.0, np.inf), True))
     return verdicts
 

@@ -103,11 +103,12 @@ def raw_configs(draw):
     dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.25]))
     stride = draw(st.integers(1, 20))
     steps = stride * draw(st.integers(1, 500))
+    horizon = 1.0 + steps * dt
     finite = st.floats(-1e3, 1e3)
     positive = st.floats(0.01, 10.0)
     lists = st.lists(finite, max_size=4).map(lambda v: ", ".join(map(repr, v)))
     raw = {"experiment": draw(st.sampled_from(EXPERIMENTS)), "model.name": name,
-           "integrator.dt": repr(dt), "horizon": repr(1.0 + steps * dt),
+           "integrator.dt": repr(dt), "horizon": repr(horizon),
            "output.stride": str(stride)}
     own = {"theta_star": finite.map(repr), "rate_star": positive.map(repr),
            "level_star": finite.map(repr), "dim": st.integers(1, 4).map(str),
@@ -120,7 +121,7 @@ def raw_configs(draw):
                 "schedule.c_alpha": positive.map(repr),
                 "n_reps": st.integers(2, 10 ** 6).map(str),
                 "master_seed": st.integers(0, 2 ** 64 - 1).map(str),
-                "t_eval": st.floats(1.0, 1e4).map(repr),
+                "t_eval": st.floats(1.0, horizon).map(repr),
                 "data.path_csv": st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True)}
     for key, values in optional.items():
         if draw(st.booleans()):
@@ -197,6 +198,27 @@ integrator.burn_in_steps = 100
     assert report["config"]["master_seed"] == 5
 
 
+def test_cli_estimate_reports_a_diverging_replication(tmp_path):
+    # an explosive schedule on a far-off start: the replication is screened
+    # out at step 256, and estimate has no trajectory to write
+    cfg = write_config(tmp_path, """
+experiment = estimate
+horizon = 500
+integrator.dt = 0.5
+integrator.burn_in_steps = 0
+schedule.c_alpha = 1e9
+schedule.c0 = 0
+theta0.lo = -600
+theta0.hi = -500
+""")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "BlowupError"
+    assert "diverged at step 256" in report["error"]["message"]
+    assert not (out / "rep_0.csv").exists()
+
+
 def test_cli_simulate_and_replay(tmp_path):
     cfg = write_config(tmp_path, """
 experiment = simulate
@@ -236,6 +258,37 @@ data.path_csv = %s
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "ConfigError"
     assert "2 state columns" in report["error"]["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_replay_reports_a_non_finite_update(tmp_path):
+    # |x| ~ 1e200 makes grad * residual overflow: theta turns infinite
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1\n1.0,0.5\n1.01,1e200\n1.02,-1e200\n1.03,0.0\n")
+    cfg = write_config(tmp_path, """
+experiment = simulate
+horizon = 20
+data.path_csv = %s
+""" % path_csv)
+    out = tmp_path / "replay"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "BlowupError"
+    assert "non-finite parameter update" in report["error"]["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_replay_rejects_a_csv_of_one_row(tmp_path):
+    # one state and no increment: nothing to replay
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1\n1.0,0.5\n")
+    cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert "has 1 row" in report["error"]["message"]
     assert not (out / "trajectory.csv").exists()
 
 
@@ -287,6 +340,55 @@ n_reps = 100
     assert report["error"]["type"] == "ValueError"
     assert "not a whole number" in report["error"]["message"]
     assert report["verdicts"] == []
+
+
+def test_cli_poisson_solve_rejects_theta_eval_of_the_wrong_length(tmp_path):
+    # mean_reversion has two parameters; one value used to be broadcast to both
+    cfg = write_config(tmp_path, """
+experiment = poisson-solve
+model.name = mean_reversion
+model.theta_eval = 1.5
+""")
+    out = tmp_path / "out"
+    assert main(["poisson-solve", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert "model.theta_eval has 1 entries" in report["error"]["message"]
+    assert not (out / "poisson_solution.csv").exists()
+
+
+def test_cli_verify_clt_rejects_t_eval_past_the_horizon(tmp_path, capsys):
+    # the CLT used to be evaluated at the last checkpoint, t = 11, instead
+    cfg = write_config(tmp_path, """
+experiment = verify-clt
+horizon = 11
+t_eval = 5000
+n_reps = 10
+""")
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "t_eval 5000.0 is past the horizon 11.0" in capsys.readouterr().err
+    assert not out.exists()
+    from_dict({"experiment": "verify-clt", "horizon": "11", "t_eval": "11"})
+
+
+def test_cli_verify_rate_rejects_an_empty_slope_window(tmp_path, capsys):
+    # slope.window_hi defaults to the horizon, 11; the slope fit used to fail
+    # only after every replication had run, leaving moments.csv behind
+    cfg = write_config(tmp_path, """
+experiment = verify-rate
+horizon = 11
+slope.window_lo = 500
+n_reps = 10
+""")
+    out = tmp_path / "out"
+    assert main(["verify-rate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "slope window [500.0, 11.0] is empty" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="slope window"):
+        from_dict({"experiment": "regime-sweep", "slope.window_lo": "5",
+                   "slope.window_hi": "5"})
+    from_dict({"experiment": "verify-rate", "horizon": "11", "slope.window_lo": "5"})
 
 
 def test_report_deterministic_modulo_wall_clock(tmp_path):

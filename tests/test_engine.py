@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from driftfit.engine import (EngineConfig, geometric_checkpoints, run,
-                             run_batch, seed_split, sgdct_step, splitmix64)
-from driftfit.models import linear_system, objective_grad, scalar_ou
+from driftfit.engine import (EngineConfig, geometric_checkpoints, run_batch,
+                             seed_split, sgdct_step, splitmix64)
+from driftfit.experiments import _replay_csv
+from driftfit.models import linear_system, mean_reversion, objective_grad, scalar_ou
 from driftfit.schedule import ScheduleSpec
 from driftfit.sde import IntegratorConfig
 
@@ -81,20 +82,19 @@ def test_sgdct_step_noiseless_is_objective_descent():
 
 def test_run_deterministic():
     cfg = make_config()
-    a = run(cfg, seed=42)
-    b = run(cfg, seed=42)
+    a = run_batch(cfg, [42])
+    b = run_batch(cfg, [42])
     npt.assert_array_equal(a.thetas, b.thetas)
     npt.assert_array_equal(a.xs, b.xs)
-    assert a.config_digest == b.config_digest == cfg.digest()
-    c = run(cfg, seed=43)
+    c = run_batch(cfg, [43])
     assert not np.array_equal(a.thetas, c.thetas)
 
 
 def test_run_records_initial_checkpoint():
     cfg = make_config()
-    traj = run(cfg, seed=1)
+    traj = run_batch(cfg, [1])
     assert traj.times[0] == pytest.approx(1.0)
-    assert cfg.theta0_lo[0] <= traj.thetas[0, 0] <= cfg.theta0_hi[0]
+    assert cfg.theta0_lo[0] <= traj.thetas[0, 0, 0] <= cfg.theta0_hi[0]
     assert traj.times[-1] == pytest.approx(cfg.horizon, abs=0.02)
     assert np.all(np.diff(traj.times) > 0)
 
@@ -122,11 +122,30 @@ def test_estimation_error_shrinks():
 
 def test_matrix_model_runs():
     cfg = make_config(horizon=50.0, factory=lambda: linear_system(dim=2))
-    traj = run(cfg, seed=5)
-    assert traj.thetas.shape[1] == 4
-    err0 = np.linalg.norm(traj.thetas[0] - cfg.model.true_theta)
-    err1 = np.linalg.norm(traj.thetas[-1] - cfg.model.true_theta)
+    traj = run_batch(cfg, [5])
+    assert not traj.failed
+    assert traj.thetas.shape[1:] == (1, 4)
+    err0 = np.linalg.norm(traj.thetas[0, 0] - cfg.model.true_theta)
+    err1 = np.linalg.norm(traj.thetas[-1, 0] - cfg.model.true_theta)
     assert err1 < err0
+
+
+@pytest.mark.parametrize("factory", [scalar_ou, mean_reversion, linear_system])
+def test_replaying_the_estimate_path_gives_back_its_parameters(factory):
+    # paths that share increments must agree: the CSV replay of the states
+    # run_batch records at every step repeats run_batch's own updates
+    model, noise = factory()
+    dt, steps = 0.01, 500
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=dt, burn_in_steps=0),
+                       horizon=1.0 + steps * dt,
+                       checkpoint_times=1.0 + dt * np.arange(steps + 1))
+    est = run_batch(cfg, [11])
+    assert len(est.times) == steps + 1 and not est.failed
+    replayed = _replay_csv(cfg, est.times, est.xs[:, 0, :], 11)
+    npt.assert_array_equal(replayed.times, est.times[1:])
+    npt.assert_array_equal(replayed.xs, est.xs[1:])
+    npt.assert_allclose(replayed.thetas, est.thetas[1:], rtol=0, atol=1e-12)
 
 
 def test_divergence_is_flagged():
@@ -168,7 +187,7 @@ def test_engine_config_rejects_horizon_off_the_dt_grid():
 
 def test_trajectory_csv(tmp_path):
     cfg = make_config()
-    traj = run(cfg, seed=2)
+    traj = run_batch(cfg, [2])
     out = tmp_path / "rep.csv"
     traj.dump_csv(out)
     lines = out.read_text().splitlines()
