@@ -11,20 +11,17 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .models import (AnalyticInfo, DriftModelSpec, NoiseSpec, averaged_objective,
-                     bounded_link, growth_check, linear_system, mean_reversion,
+                     bounded_link, linear_system, mean_reversion,
                      pointwise_objective, scalar_ou)
-from .sde import DivergenceError, IntegratorConfig, euler_step, simulate_path, \
-    stationary_moment
-from .schedule import RegimeReport, ScheduleSpec, alpha, bracket_limit, \
-    regime_check
+from .sde import DivergenceError, IntegratorConfig, euler_step, simulate_path
+from .schedule import RegimeReport, ScheduleSpec, regime_check
 from .engine import (EngineConfig, geometric_checkpoints, run_batch, seed_split,
                      sgdct_step, splitmix64)
 from .poisson import Grid1D, PoissonSolution, default_grid, hbar, solve, \
     stationary_density
 from .covariance import (CovariancePrediction, EigenDecomposition,
-                         fundamental_solution, moment_ode_oracle, psi,
-                         sigma_bar_bracket, sigma_bar_eigen,
-                         sigma_bar_quadrature, symmetric_eigen)
+                         fundamental_solution, moment_ode_oracle,
+                         sigma_bar_eigen, sigma_bar_quadrature, symmetric_eigen)
 from .stats import (CltReport, ReplicationSet, SlopeEstimate, clt_diagnostics,
                     loglog_slope, moment_curve, rescaled_sample,
                     run_replications)

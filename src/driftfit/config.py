@@ -9,7 +9,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
+from .engine import on_step_grid
 from .models import BUILTIN_MODELS
+from .stats import MIN_CLT_SAMPLES
 
 EXPERIMENTS = ("simulate", "estimate", "predict-covariance", "poisson-solve",
                "verify-rate", "verify-clt", "regime-sweep")
@@ -117,9 +119,18 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
     if (values["grid.lo"] is None) != (values["grid.hi"] is None):
         raise ConfigError("%s: keys 'grid.lo' and 'grid.hi' must be given together"
                           % source)
-    if values["t_eval"] is not None and values["t_eval"] > values["horizon"]:
+    t_eval, dt = values["t_eval"], values["integrator.dt"]
+    if t_eval is not None and t_eval > values["horizon"]:
         raise ConfigError("%s: t_eval %r is past the horizon %r"
-                          % (source, values["t_eval"], values["horizon"]))
+                          % (source, t_eval, values["horizon"]))
+    if t_eval is not None and not on_step_grid(t_eval - 1.0, dt):
+        raise ConfigError("%s: (t_eval - 1) / dt = %r is not a whole number of "
+                          "steps; no step lands on t_eval"
+                          % (source, (t_eval - 1.0) / dt))
+    if values["experiment"] == "verify-clt" and values["n_reps"] < MIN_CLT_SAMPLES:
+        raise ConfigError("%s: verify-clt needs n_reps >= %d for its CLT "
+                          "diagnostics, got %d"
+                          % (source, MIN_CLT_SAMPLES, values["n_reps"]))
     lo, hi = slope_window(values)
     if lo >= hi:
         raise ConfigError("%s: slope window [%r, %r] is empty (slope.window_lo "

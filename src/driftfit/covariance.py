@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from .schedule import ScheduleSpec, bracket_limit
+from .schedule import ScheduleSpec
 
 SYMMETRY_TOL = 1e-10
 
@@ -147,28 +147,6 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
     return CovariancePrediction(sig, hessian, hbar, float(c_alpha), "quadrature")
 
 
-def sigma_bar_bracket(hessian: np.ndarray, hbar: np.ndarray,
-                      schedule: ScheduleSpec, horizon: float = 1e6,
-                      tol: float = 1e-4) -> CovariancePrediction:
-    """General-schedule variant: the closed-form bracket is replaced by the
-    bracket-limit evaluator from the schedule module."""
-    hessian = np.asarray(hessian, dtype=float)
-    hbar = np.asarray(hbar, dtype=float)
-    dec = symmetric_eigen(hessian)
-    _check_regime(dec.lam, schedule.c_alpha)
-    k = len(dec.lam)
-    b = dec.u.T @ hbar @ dec.u
-    core = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            br = bracket_limit(schedule, float(dec.lam[i] + dec.lam[j]),
-                               horizon=horizon, tol=tol)
-            core[i, j] = core[j, i] = b[i, j] * br if i != j else b[i, i] * br
-    sig = dec.u @ core @ dec.u.T
-    sig = 0.5 * (sig + sig.T)
-    return CovariancePrediction(sig, hessian, hbar, schedule.c_alpha, "bracket")
-
-
 def fundamental_solution(hessian: np.ndarray, schedule: ScheduleSpec,
                          t: float, s: float) -> np.ndarray:
     """Propagator of the linearized error dynamics for alpha = C_alpha / t:
@@ -178,16 +156,6 @@ def fundamental_solution(hessian: np.ndarray, schedule: ScheduleSpec,
     dec = symmetric_eigen(np.asarray(hessian, dtype=float))
     d = (s / t) ** (dec.lam * schedule.c_alpha)
     return dec.u @ np.diag(d) @ dec.u.T
-
-
-def psi(p: float, convexity_constant: float, schedule: ScheduleSpec,
-        t: float, s: float) -> float:
-    """(s/t)^(p C C_alpha): the scalar decay envelope of the propagator."""
-    if p < 1:
-        raise CovarianceError("p must be >= 1")
-    if not 1.0 <= s <= t:
-        raise CovarianceError("requires 1 <= s <= t, got s=%g t=%g" % (s, t))
-    return float((s / t) ** (p * convexity_constant * schedule.c_alpha))
 
 
 def moment_ode_oracle(convexity_constant: float, hbar_trace: float,
@@ -210,7 +178,7 @@ def moment_ode_oracle(convexity_constant: float, hbar_trace: float,
     htr = float(hbar_trace)
 
     def rhs(t, m):
-        a = schedule.c_alpha / (schedule.c0 + t)
+        a = schedule.alpha(t)
         return -2.0 * a * c * m + a * a * htr
 
     out = np.empty_like(t_grid)

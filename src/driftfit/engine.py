@@ -43,6 +43,12 @@ def seed_split(master: int, index: int) -> int:
     return splitmix64((int(master) + index * _GOLDEN) & _MASK)
 
 
+def on_step_grid(span: float, dt: float) -> bool:
+    """Whether span / dt is a whole number of steps, up to rounding."""
+    steps = span / dt
+    return abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
+
+
 def geometric_checkpoints(horizon: float, n: int = 60) -> np.ndarray:
     """Log-uniform checkpoint grid t_j = r^j covering [1, horizon]."""
     if horizon <= 1:
@@ -76,10 +82,10 @@ class EngineConfig:
             raise ValueError("theta0 box must satisfy lo <= hi componentwise")
         object.__setattr__(self, "theta0_lo", lo)
         object.__setattr__(self, "theta0_hi", hi)
-        steps = (self.horizon - 1.0) / self.integrator.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not on_step_grid(self.horizon - 1.0, self.integrator.dt):
             raise ValueError("(horizon - 1) / dt = %r is not a whole number of "
-                             "steps; the final checkpoint would be dropped" % steps)
+                             "steps; the final checkpoint would be dropped"
+                             % ((self.horizon - 1.0) / self.integrator.dt))
         cps = np.sort(np.asarray(self.checkpoint_times, dtype=float).reshape(-1))
         if cps.size and (cps[0] < 1.0 - 1e-9 or cps[-1] > self.horizon + 1e-9):
             raise ValueError("checkpoint times must lie in [1, horizon]")
@@ -136,7 +142,7 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     delta_x = np.asarray(delta_x, dtype=float)
-    a_t = schedule.c_alpha / (schedule.c0 + t)
+    a_t = schedule.alpha(t)
     resid = delta_x - model.drift_fn(x, theta) * dt
     grad = model.drift_grad_fn(x, theta)
     return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)

@@ -115,14 +115,16 @@ def _write_sigma_csv(path, eigen_pred, quad_pred):
 def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
-    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
-    t_eval = cfg.get("t_eval", float(rep_set.times[-1]))
-    idx = int(np.argmin(np.abs(rep_set.times - t_eval)))
-    t_eval = float(rep_set.times[idx])
-    sample = stats.rescaled_sample(rep_set, t_eval)
-
+    # the prediction checks the regime, so a violation fails before any replication
     hessian, hb = covariance_inputs(model, noise)
     pred = covariance.sigma_bar_eigen(hessian, hb, engine_cfg.schedule.c_alpha)
+    # record t_eval itself, not the geometric checkpoint nearest it; the grid
+    # already ends at the horizon, the default
+    t_eval = cfg.get("t_eval", engine_cfg.horizon)
+    engine_cfg = dataclasses.replace(engine_cfg, checkpoint_times=np.union1d(
+        engine_cfg.checkpoint_times, [t_eval]))
+    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
+    sample = stats.rescaled_sample(rep_set, t_eval)
     report = stats.clt_diagnostics(sample, pred)
     report.t_eval = t_eval
 
@@ -284,6 +286,11 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
         if len(times) < 2:
             raise ConfigError("%s has %d row; a replay needs an increment"
                               % (replay, len(times)))
+        if engine_cfg.schedule.c0 + times[0] <= 0:
+            raise ConfigError("%s starts at t = %r, where the learning rate "
+                              "C_alpha / (C_0 + t) is undefined or negative "
+                              "(schedule.c0 = %r)"
+                              % (replay, float(times[0]), engine_cfg.schedule.c0))
         replayed = _replay_csv(engine_cfg, times, xs, seed_split(cfg["master_seed"], 0))
         traj_path = out_dir / "trajectory.csv"
         replayed.dump_csv(traj_path)

@@ -94,13 +94,6 @@ class AveragedObjective:
     hessian: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class GrowthReport:
-    passes: bool
-    estimated_degree: float
-    tier: str
-
-
 def pointwise_objective(model: DriftModelSpec, noise: NoiseSpec,
                         x: np.ndarray, theta: np.ndarray) -> float:
     """0.5 <f(x,theta) - f*(x), (sigma sigma^T)^-1 (f(x,theta) - f*(x))>."""
@@ -130,63 +123,6 @@ def averaged_objective(model: DriftModelSpec, theta: np.ndarray) -> AveragedObje
         grad=np.asarray(model.analytic.gbar_grad_fn(theta), dtype=float),
         hessian=np.asarray(model.analytic.gbar_hessian_fn(theta), dtype=float),
     )
-
-
-_TIER_BOUND = {"quadratic": 2.0, "linear": 1.0}
-
-
-def growth_check(model: DriftModelSpec, tier: str, seed: int = 0,
-                 n_directions: int = 6, n_x_probes: int = 8) -> GrowthReport:
-    """Estimate the growth degree of ||f(x, theta)|| in ||theta||.
-
-    Log-log regression of sup_x ||f(x, r u)|| against r over
-    r in [10, 1e4] along random unit directions u.  Passes iff the
-    worst-direction degree stays within the tier's bound plus 0.1.
-    """
-    if tier not in _TIER_BOUND:
-        raise ModelError("unknown growth tier %r" % tier)
-    rng = np.random.default_rng(seed)
-    xs = 1.5 * rng.standard_normal((n_x_probes, model.m))
-    dirs = rng.standard_normal((n_directions, model.k))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.logspace(1.0, 4.0, 13)
-    worst = 0.0
-    for u in dirs:
-        ys = []
-        for r in radii:
-            vals = np.array([np.linalg.norm(model.drift_fn(x, r * u)) for x in xs])
-            if not np.all(np.isfinite(vals)):
-                bad = xs[int(np.argmax(~np.isfinite(vals)))]
-                raise ModelError("non-finite model output at x=%s, |theta|=%g" % (bad, r))
-            ys.append(vals.max())
-        ys = np.asarray(ys)
-        if np.all(ys < 1e-300):
-            continue
-        slope = np.polyfit(np.log(radii), np.log(ys + 1e-300), 1)[0]
-        worst = max(worst, float(slope))
-    return GrowthReport(passes=worst <= _TIER_BOUND[tier] + 0.1,
-                        estimated_degree=worst, tier=tier)
-
-
-def check_drift_gradient(model: DriftModelSpec, n_probes: int = 100,
-                         seed: int = 1) -> float:
-    """Max relative error of drift_grad_fn vs central finite differences."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        x = rng.standard_normal(model.m)
-        theta = rng.standard_normal(model.k)
-        grad = model.drift_grad_fn(x, theta)
-        fd = np.empty_like(grad)
-        for j in range(model.k):
-            h = 1e-5 * max(1.0, abs(theta[j]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            fd[j] = (model.drift_fn(x, tp) - model.drift_fn(x, tm)) / (2 * h)
-        scale = max(1.0, float(np.abs(grad).max()))
-        worst = max(worst, float(np.abs(grad - fd).max()) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -75,25 +75,6 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
         yield (1.0 + i * config.dt, x.copy())
 
 
-def stationary_moment(model: DriftModelSpec, noise: NoiseSpec, power: int,
-                      horizon: float, seed: int,
-                      config: Optional[IntegratorConfig] = None) -> float:
-    """Time average of ||X_t||^power over [0, horizon] after burn-in."""
-    if power % 2 != 0 or power < 0:
-        raise ValueError("power must be a nonnegative even integer")
-    if horizon < 1e3:
-        raise ValueError("horizon must be >= 1e3 time units")
-    if power == 0:
-        return 1.0
-    if config is None:
-        config = IntegratorConfig()
-    n_steps = int(round(horizon / config.dt))
-    total = 0.0
-    for _, x in simulate_path(model, noise, config, seed, n_steps):
-        total += float(np.linalg.norm(x)) ** power
-    return total / n_steps
-
-
 def dump_path_csv(path, times, xs) -> None:
     """CSV with header t,x_1,...,x_m, one row per checkpoint."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))

@@ -11,6 +11,7 @@ from .covariance import CovariancePrediction
 from .engine import EngineConfig, ReplicationSet, run_batch, seed_split
 
 KS_CRITICAL_1PCT = 1.628  # one-sample KS, 1% level: reject if D > 1.628 / sqrt(N)
+MIN_CLT_SAMPLES = 100     # fewest rescaled errors clt_diagnostics accepts
 
 
 class ReplicationError(RuntimeError):
@@ -111,8 +112,8 @@ def clt_diagnostics(samples: np.ndarray,
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, k = samples.shape
-    if n < 100:
-        raise ReplicationError("need at least 100 samples, got %d" % n)
+    if n < MIN_CLT_SAMPLES:
+        raise ReplicationError("need at least %d samples, got %d" % (MIN_CLT_SAMPLES, n))
     emp = np.cov(samples, rowvar=False, ddof=1).reshape(k, k)
     pred = predicted.sigma_bar
     try:

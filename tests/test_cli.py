@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftfit import stats
 from driftfit.cli import main
 from driftfit.config import EXPERIMENTS, ConfigError, from_dict, parse_config
 from driftfit.models import BUILTIN_MODELS
@@ -62,7 +63,18 @@ def test_n_reps_below_two_is_a_config_error():
     # run_replications needs two replications; reject one at parse time
     with pytest.raises(ConfigError, match="n_reps"):
         from_dict({"experiment": "verify-clt", "n_reps": "1"})
-    assert from_dict({"experiment": "verify-clt", "n_reps": "2"})["n_reps"] == 2
+    assert from_dict({"experiment": "verify-rate", "n_reps": "2"})["n_reps"] == 2
+
+
+def test_verify_clt_n_reps_below_the_clt_minimum_is_a_config_error(tmp_path, capsys):
+    # 50 replications used to run in full before clt_diagnostics refused them
+    cfg = write_config(tmp_path, "experiment = verify-clt\nhorizon = 11\nn_reps = 50\n")
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "n_reps >= %d" % stats.MIN_CLT_SAMPLES in capsys.readouterr().err
+    assert from_dict({"experiment": "verify-clt", "n_reps": "100"})["n_reps"] == 100
+    assert from_dict({"experiment": "verify-rate", "n_reps": "50"})["n_reps"] == 50
 
 
 def test_parse_config_checks_the_model_and_its_keys(tmp_path):
@@ -107,7 +119,9 @@ def raw_configs(draw):
     finite = st.floats(-1e3, 1e3)
     positive = st.floats(0.01, 10.0)
     lists = st.lists(finite, max_size=4).map(lambda v: ", ".join(map(repr, v)))
-    raw = {"experiment": draw(st.sampled_from(EXPERIMENTS)), "model.name": name,
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    min_reps = stats.MIN_CLT_SAMPLES if experiment == "verify-clt" else 2
+    raw = {"experiment": experiment, "model.name": name,
            "integrator.dt": repr(dt), "horizon": repr(horizon),
            "output.stride": str(stride)}
     own = {"theta_star": finite.map(repr), "rate_star": positive.map(repr),
@@ -119,9 +133,9 @@ def raw_configs(draw):
     optional = {"model.theta_eval": lists, "integrator.x0": lists,
                 "theta0.lo": lists, "theta0.hi": lists,
                 "schedule.c_alpha": positive.map(repr),
-                "n_reps": st.integers(2, 10 ** 6).map(str),
+                "n_reps": st.integers(min_reps, 10 ** 6).map(str),
                 "master_seed": st.integers(0, 2 ** 64 - 1).map(str),
-                "t_eval": st.floats(1.0, horizon).map(repr),
+                "t_eval": st.integers(0, steps).map(lambda i: repr(1.0 + i * dt)),
                 "data.path_csv": st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True)}
     for key, values in optional.items():
         if draw(st.booleans()):
@@ -279,6 +293,22 @@ data.path_csv = %s
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("t0", [-2.995, -1.0])
+def test_cli_replay_rejects_times_where_the_learning_rate_is_undefined(tmp_path, t0):
+    # with schedule.c0 = 1, alpha_t = C_alpha / (1 + t) is negative from
+    # t0 = -2.995 on (the replay used to run) and infinite at t0 = -1 (a
+    # misleading BlowupError)
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1\n%r,0.5\n%r,0.4\n%r,0.3\n" % (t0, t0 + 0.01, t0 + 0.02))
+    cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert "starts at t = %r" % t0 in report["error"]["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_cli_replay_rejects_a_csv_of_one_row(tmp_path):
     # one state and no increment: nothing to replay
     path_csv = tmp_path / "path.csv"
@@ -370,6 +400,47 @@ n_reps = 10
     assert "t_eval 5000.0 is past the horizon 11.0" in capsys.readouterr().err
     assert not out.exists()
     from_dict({"experiment": "verify-clt", "horizon": "11", "t_eval": "11"})
+
+
+def test_cli_verify_clt_checks_the_regime_before_any_replication(tmp_path, monkeypatch):
+    # 2 C C_alpha = 0.8 <= 1 has no limiting covariance; every replication
+    # used to run before the prediction refused it
+    calls = []
+    monkeypatch.setattr(stats, "run_replications", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, "experiment = verify-clt\nschedule.c_alpha = 0.8\n"
+                                 "horizon = 11\n")
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "RegimeError"
+    assert calls == []
+
+
+def test_cli_verify_clt_evaluates_at_t_eval_exactly(tmp_path, monkeypatch):
+    # t_eval = 150 used to be moved to the nearest geometric checkpoint, 152.77
+    evaluated = []
+    rescaled_sample = stats.rescaled_sample
+
+    def recording(reps, t_eval):
+        evaluated.append(t_eval)
+        return rescaled_sample(reps, t_eval)
+
+    monkeypatch.setattr(stats, "rescaled_sample", recording)
+    cfg = write_config(tmp_path, """
+experiment = verify-clt
+horizon = 200
+t_eval = 150
+integrator.dt = 0.05
+integrator.burn_in_steps = 100
+""")
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert evaluated == [pytest.approx(150.0, abs=1e-9)]
+    samples = np.loadtxt(out / "clt_samples.csv", delimiter=",", skiprows=1)
+    assert samples.shape == (100, 2)
+    # off the dt grid no step lands on t_eval
+    with pytest.raises(ConfigError, match="t_eval - 1"):
+        from_dict({"experiment": "verify-clt", "horizon": "200", "t_eval": "150.001"})
 
 
 def test_cli_verify_rate_rejects_an_empty_slope_window(tmp_path, capsys):

@@ -4,9 +4,8 @@ import pytest
 
 from driftfit.covariance import (CovarianceError, RegimeError,
                                  fundamental_solution, jacobi_eigh,
-                                 moment_ode_oracle, psi, sigma_bar_bracket,
-                                 sigma_bar_eigen, sigma_bar_quadrature,
-                                 symmetric_eigen)
+                                 moment_ode_oracle, sigma_bar_eigen,
+                                 sigma_bar_quadrature, symmetric_eigen)
 from driftfit.schedule import ScheduleSpec
 
 
@@ -85,12 +84,6 @@ def test_sigma_bar_regime_guard():
         sigma_bar_eigen(np.array([[-1.0]]), hb, 4.0)
 
 
-def test_sigma_bar_bracket_route():
-    pred = sigma_bar_bracket(np.array([[0.5]]), np.array([[0.5]]),
-                             ScheduleSpec(4.0), horizon=1e8)
-    npt.assert_allclose(pred.sigma_bar, [[8.0 / 3.0]], rtol=1e-3)
-
-
 def test_fundamental_solution_scalar_power_law():
     hess = np.array([[0.5]])
     sched = ScheduleSpec(4.0)
@@ -113,15 +106,6 @@ def test_fundamental_solution_norm_bound():
         phi = fundamental_solution(hess, sched, t, s)
         bound = t ** (-2 * c * sched.c_alpha) * s ** (2 * c * sched.c_alpha)
         assert np.linalg.norm(phi, 2) ** 2 <= bound + 1e-12
-
-
-def test_psi_envelope():
-    sched = ScheduleSpec(4.0)
-    assert psi(2.0, 0.5, sched, 100.0, 10.0) == pytest.approx(0.1 ** 4.0)
-    with pytest.raises(CovarianceError):
-        psi(0.5, 0.5, sched, 10.0, 1.0)
-    with pytest.raises(CovarianceError):
-        psi(2.0, 0.5, sched, 1.0, 10.0)
 
 
 def test_moment_ode_supercritical_tail():

@@ -7,9 +7,29 @@ from driftfit.config import from_dict
 from driftfit.experiments import build_model
 from driftfit.models import (AnalyticUnavailableError, DriftModelSpec,
                              ModelError, NoiseSpec, averaged_objective,
-                             bounded_link, check_drift_gradient, growth_check,
-                             linear_system, mean_reversion, objective_grad,
-                             pointwise_objective, scalar_ou)
+                             bounded_link, linear_system, mean_reversion,
+                             objective_grad, pointwise_objective, scalar_ou)
+
+
+def check_drift_gradient(model: DriftModelSpec, n_probes: int = 100,
+                         seed: int = 1) -> float:
+    """Max relative error of drift_grad_fn vs central finite differences."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        x = rng.standard_normal(model.m)
+        theta = rng.standard_normal(model.k)
+        grad = model.drift_grad_fn(x, theta)
+        fd = np.empty_like(grad)
+        for j in range(model.k):
+            h = 1e-5 * max(1.0, abs(theta[j]))
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            fd[j] = (model.drift_fn(x, tp) - model.drift_fn(x, tm)) / (2 * h)
+        scale = max(1.0, float(np.abs(grad).max()))
+        worst = max(worst, float(np.abs(grad - fd).max()) / scale)
+    return worst
 
 
 def test_noise_spec_scalar():
@@ -157,24 +177,6 @@ def test_averaged_objective_requires_analytic():
                           true_drift_fn=lambda x: -x)
     with pytest.raises(AnalyticUnavailableError):
         averaged_objective(bare, [1.0])
-
-
-def test_growth_check_linear_family_passes():
-    model, _ = scalar_ou(1.0, 1.0)
-    rep = growth_check(model, "linear")
-    assert rep.passes
-    assert rep.estimated_degree == pytest.approx(1.0, abs=0.05)
-
-
-def test_growth_check_flags_cubic_growth():
-    cubic = DriftModelSpec("cubic", k=1, m=1,
-                           drift_fn=lambda x, th: -th[..., 0:1] ** 3 * x,
-                           drift_grad_fn=lambda x, th:
-                           np.expand_dims(-3 * th[..., 0:1] ** 2 * x, -2),
-                           true_drift_fn=lambda x: -x)
-    assert not growth_check(cubic, "quadratic").passes
-    with pytest.raises(ModelError):
-        growth_check(cubic, "bounded")
 
 
 def test_model_constructor_validation():
