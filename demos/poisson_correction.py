@@ -21,7 +21,7 @@ model, noise = df.scalar_ou(theta_star=1.0, sigma=1.0)
 
 # L_x (x^2/2 - 1/4) = 1/2 - x^2 for the generator -x d/dx + (1/2) d^2/dx^2
 grid = poisson.Grid1D(-8.0, 8.0, 32001)
-sol = poisson.solve(model, noise, lambda x: 0.5 - x ** 2, grid)
+sol = poisson.solve(model, noise, 0.5 - grid.nodes ** 2, grid)
 sel = np.abs(grid.nodes) <= 5.0
 print("Poisson test problem G = 1/2 - x^2 (exact v = x^2/2 - 1/4):")
 print("  sup |dv/dx - x|  on [-5, 5]: %.2e"

@@ -120,6 +120,12 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
         raise ConfigError("%s: keys 'grid.lo' and 'grid.hi' must be given together"
                           % source)
     t_eval, dt = values["t_eval"], values["integrator.dt"]
+    # predict-covariance and poisson-solve build no engine config, so no horizon
+    if (values["experiment"] not in ("predict-covariance", "poisson-solve")
+            and not on_step_grid(values["horizon"] - 1.0, dt)):
+        raise ConfigError("%s: (horizon - 1) / dt = %r is not a whole number of "
+                          "steps; the final checkpoint would be dropped"
+                          % (source, (values["horizon"] - 1.0) / dt))
     if t_eval is not None and t_eval > values["horizon"]:
         raise ConfigError("%s: t_eval %r is past the horizon %r"
                           % (source, t_eval, values["horizon"]))

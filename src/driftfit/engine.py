@@ -9,7 +9,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .models import DriftModelSpec, NoiseSpec
-from .sde import DIVERGENCE_BOUND, IntegratorConfig
+from .sde import DIVERGENCE_BOUND, IntegratorConfig, write_csv
 from .schedule import ScheduleSpec
 
 _MASK = (1 << 64) - 1
@@ -119,9 +119,7 @@ class ReplicationSet:
         header = ("t,"
                   + ",".join("theta_%d" % (i + 1) for i in range(k)) + ","
                   + ",".join("x_%d" % (i + 1) for i in range(m)))
-        data = np.column_stack([self.times, self.thetas[:, 0], self.xs[:, 0]])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.12g")
+        write_csv(path, header, [self.times, self.thetas[:, 0], self.xs[:, 0]])
 
     def ok_mask(self) -> np.ndarray:
         mask = np.ones(self.n_reps, dtype=bool)

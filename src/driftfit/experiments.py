@@ -7,7 +7,7 @@ import dataclasses
 import json
 import time
 from pathlib import Path
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -15,8 +15,9 @@ from . import covariance, engine, models, poisson, stats
 from .config import ConfigError, ExperimentConfig, slope_window
 from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
                      seed_split, sgdct_step)
-from .sde import IntegratorConfig, dump_path_csv, load_path_csv, simulate_path
-from .schedule import ScheduleSpec, regime_check
+from .sde import (IntegratorConfig, dump_path_csv, load_path_csv, simulate_path,
+                  write_csv)
+from .schedule import RegimeReport, ScheduleSpec, regime_check
 
 VARIANCE_BAND = 0.15
 ORACLE_BAND = 0.15
@@ -71,11 +72,7 @@ def covariance_inputs(model, noise):
         raise ConfigError("covariance prediction needs a built-in model "
                           "with theta* and analytic metadata")
     hessian = models.averaged_objective(model, model.true_theta).hessian
-    if model.m == 1:
-        hb = poisson.hbar(model, noise)
-    else:
-        hb = hessian.copy()
-    return hessian, hb
+    return hessian, poisson.hbar(model, noise) if model.m == 1 else hessian.copy()
 
 
 def theta0_second_moment(config: EngineConfig) -> float:
@@ -89,35 +86,27 @@ def theta0_second_moment(config: EngineConfig) -> float:
     return float(out)
 
 
-def _write_moments_csv(path, curves):
-    """curves: list of (p, times, values) -> CSV with columns t,p,value."""
-    rows = []
-    for p, times, values in curves:
-        for t, v in zip(times, values):
-            rows.append((t, p, v))
-    with open(path, "w") as fh:
-        fh.write("t,p,value\n")
-        for t, p, v in rows:
-            fh.write("%.12g,%g,%.12g\n" % (t, p, v))
-
-
-def _write_sigma_csv(path, eigen_pred, quad_pred):
-    k = eigen_pred.sigma_bar.shape[0]
-    with open(path, "w") as fh:
-        fh.write("i,j,sigma_eigen,sigma_quadrature\n")
-        for i in range(k):
-            for j in range(k):
-                fh.write("%d,%d,%.8f,%.8f\n"
-                         % (i + 1, j + 1, eigen_pred.sigma_bar[i, j],
-                            quad_pred.sigma_bar[i, j]))
+def _predict_covariance(model, noise, c_alpha, out_dir, artifacts):
+    """(eigen, quadrature) CLT covariance at theta*, written to sigma_prediction.csv.
+    The eigen route refuses a regime with no limiting covariance."""
+    hessian, hb = covariance_inputs(model, noise)
+    pred = covariance.sigma_bar_eigen(hessian, hb, c_alpha)
+    quad = covariance.sigma_bar_quadrature(hessian, hb, c_alpha)
+    i, j = np.indices(pred.sigma_bar.shape) + 1
+    path = out_dir / "sigma_prediction.csv"
+    write_csv(path, "i,j,sigma_eigen,sigma_quadrature",
+              [i.ravel(), j.ravel(), pred.sigma_bar.ravel(), quad.sigma_bar.ravel()],
+              fmt="%d,%d,%.8f,%.8f")
+    artifacts.append(str(path))
+    return pred, quad
 
 
 def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
     # the prediction checks the regime, so a violation fails before any replication
-    hessian, hb = covariance_inputs(model, noise)
-    pred = covariance.sigma_bar_eigen(hessian, hb, engine_cfg.schedule.c_alpha)
+    pred, _ = _predict_covariance(model, noise, cfg["schedule.c_alpha"], out_dir,
+                                  artifacts)
     # record t_eval itself, not the geometric checkpoint nearest it; the grid
     # already ends at the horizon, the default
     t_eval = cfg.get("t_eval", engine_cfg.horizon)
@@ -126,16 +115,11 @@ def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
     rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
     sample = stats.rescaled_sample(rep_set, t_eval)
     report = stats.clt_diagnostics(sample, pred)
-    report.t_eval = t_eval
 
     samples_path = out_dir / "clt_samples.csv"
     header = "rep," + ",".join("z_%d" % (i + 1) for i in range(sample.shape[1]))
-    np.savetxt(samples_path,
-               np.column_stack([np.arange(sample.shape[0]), sample]),
-               delimiter=",", header=header, comments="", fmt="%.12g")
-    quad = covariance.sigma_bar_quadrature(hessian, hb, engine_cfg.schedule.c_alpha)
-    _write_sigma_csv(out_dir / "sigma_prediction.csv", pred, quad)
-    artifacts += [str(samples_path), str(out_dir / "sigma_prediction.csv")]
+    write_csv(samples_path, header, [np.arange(sample.shape[0]), sample])
+    artifacts.append(str(samples_path))
 
     diag_ratio = np.diag(np.atleast_2d(report.variance_ratio))
     ks_max = float(report.ks_statistic.max())
@@ -149,79 +133,73 @@ def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
     ]
 
 
-def _run_verify_rate(cfg, out_dir, artifacts) -> List[Verdict]:
+class _RateStudy(NamedTuple):
+    engine_cfg: EngineConfig
+    regime: RegimeReport
+    c_min: float           # smallest Hessian eigenvalue at theta*
+    hbar: np.ndarray
+    curves: dict           # p -> (times, E ||theta_t - theta*||^p)
+    slopes: dict           # p -> SlopeEstimate over the slope window
+    l2_band: tuple         # predicted l2 slope +- SLOPE_BAND_HALFWIDTH
+
+
+def _rate_study(cfg, out_dir, artifacts, powers) -> _RateStudy:
+    """The part verify-rate and regime-sweep share: classify the regime, run
+    the replications, write moments.csv (one curve per power p) and fit each
+    curve's log-log slope."""
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
-    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
-    t2, m2 = stats.moment_curve(rep_set, 2.0)
-    t4, m4 = stats.moment_curve(rep_set, 4.0)
-    _write_moments_csv(out_dir / "moments.csv", [(2, t2, m2), (4, t4, m4)])
-    artifacts.append(str(out_dir / "moments.csv"))
-
     hessian, hb = covariance_inputs(model, noise)
     c_min = float(np.linalg.eigvalsh(hessian).min())
     regime = regime_check(engine_cfg.schedule, c_min)
+    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
+    curves = {p: stats.moment_curve(rep_set, float(p)) for p in powers}
+    write_csv(out_dir / "moments.csv", "t,p,value",
+              [np.concatenate([curves[p][0] for p in powers]),
+               np.repeat(powers, len(rep_set.times)),
+               np.concatenate([curves[p][1] for p in powers])])
+    artifacts.append(str(out_dir / "moments.csv"))
     window = slope_window(cfg.values)
-    s2 = stats.loglog_slope(t2, m2, window)
-    s4 = stats.loglog_slope(t4, m4, window)
-    if regime.regime == "supercritical":
-        band2 = (-1.15, -0.85)
-        band4 = (-2.35, -1.65)
-    else:
-        band2 = (regime.predicted_l2_slope - SLOPE_BAND_HALFWIDTH,
-                 regime.predicted_l2_slope + SLOPE_BAND_HALFWIDTH)
-        band4 = (2 * regime.predicted_l2_slope - 2 * SLOPE_BAND_HALFWIDTH,
-                 2 * regime.predicted_l2_slope + 2 * SLOPE_BAND_HALFWIDTH)
+    slopes = {p: stats.loglog_slope(*curves[p], window) for p in powers}
+    pred = regime.predicted_l2_slope
+    return _RateStudy(engine_cfg, regime, c_min, hb, curves, slopes,
+                      (pred - SLOPE_BAND_HALFWIDTH, pred + SLOPE_BAND_HALFWIDTH))
 
-    oracle_grid = np.geomspace(1.0, engine_cfg.horizon, 200)
-    oracle_grid[0] = 1.0
+
+def _run_verify_rate(cfg, out_dir, artifacts) -> List[Verdict]:
+    study = _rate_study(cfg, out_dir, artifacts, (2, 4))
+    engine_cfg, band2 = study.engine_cfg, study.l2_band
+    band4 = ((-2.35, -1.65) if study.regime.regime == "supercritical"
+             else (2 * band2[0], 2 * band2[1]))
+    s2, s4 = study.slopes[2], study.slopes[4]
+
+    oracle_grid = geometric_checkpoints(engine_cfg.horizon, 200)
     oracle_vals = covariance.moment_ode_oracle(
-        c_min, float(np.trace(np.atleast_2d(hb))), engine_cfg.schedule,
+        study.c_min, float(np.trace(np.atleast_2d(study.hbar))), engine_cfg.schedule,
         theta0_second_moment(engine_cfg), oracle_grid)
+    t2, m2 = study.curves[2]
     tail = t2 >= 100.0
-    if tail.any():
-        oracle_tail = np.interp(t2[tail], oracle_grid, oracle_vals)
-        rel = np.abs(m2[tail] / oracle_tail - 1.0)
-        worst_rel = float(rel.max())
-    else:
-        worst_rel = np.nan
+    rel = np.abs(m2[tail] / np.interp(t2[tail], oracle_grid, oracle_vals) - 1.0)
+    worst_rel = float(rel.max()) if tail.any() else np.nan
     return [
         Verdict("l2_slope", s2.slope, band2, band2[0] <= s2.slope <= band2[1]),
         Verdict("l4_slope", s4.slope, band4, band4[0] <= s4.slope <= band4[1]),
         Verdict("moment_ode_oracle_rel_error", worst_rel, (0.0, ORACLE_BAND),
-                bool(worst_rel <= ORACLE_BAND) if np.isfinite(worst_rel) else False),
+                worst_rel <= ORACLE_BAND),  # False for NaN, no checkpoint past t = 100
     ]
 
 
 def _run_regime_sweep(cfg, out_dir, artifacts) -> List[Verdict]:
-    model, noise = build_model(cfg)
-    engine_cfg = build_engine_config(cfg, model, noise)
-    hessian, _ = covariance_inputs(model, noise)
-    c_min = float(np.linalg.eigvalsh(hessian).min())
-    regime = regime_check(engine_cfg.schedule, c_min)
-    rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
-    t2, m2 = stats.moment_curve(rep_set, 2.0)
-    _write_moments_csv(out_dir / "moments.csv", [(2, t2, m2)])
-    artifacts.append(str(out_dir / "moments.csv"))
-    s2 = stats.loglog_slope(t2, m2, slope_window(cfg.values))
-    band = (regime.predicted_l2_slope - SLOPE_BAND_HALFWIDTH,
-            regime.predicted_l2_slope + SLOPE_BAND_HALFWIDTH)
-    return [
-        Verdict("regime_cc_alpha", regime.cc_alpha,
-                (regime.cc_alpha, regime.cc_alpha), True),
-        Verdict("regime_l2_slope", s2.slope, band,
-                band[0] <= s2.slope <= band[1]),
-    ]
+    study = _rate_study(cfg, out_dir, artifacts, (2,))
+    cc, slope, band = study.regime.cc_alpha, study.slopes[2].slope, study.l2_band
+    return [Verdict("regime_cc_alpha", cc, (cc, cc), True),
+            Verdict("regime_l2_slope", slope, band, band[0] <= slope <= band[1])]
 
 
 def _run_predict_covariance(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
-    sched = ScheduleSpec(c_alpha=cfg["schedule.c_alpha"], c0=cfg["schedule.c0"])
-    hessian, hb = covariance_inputs(model, noise)
-    pred = covariance.sigma_bar_eigen(hessian, hb, sched.c_alpha)
-    quad = covariance.sigma_bar_quadrature(hessian, hb, sched.c_alpha)
-    _write_sigma_csv(out_dir / "sigma_prediction.csv", pred, quad)
-    artifacts.append(str(out_dir / "sigma_prediction.csv"))
+    pred, quad = _predict_covariance(model, noise, cfg["schedule.c_alpha"], out_dir,
+                                     artifacts)
     dev = float(np.abs(pred.sigma_bar - quad.sigma_bar).max())
     return [Verdict("sigma_route_agreement", dev, (0.0, ROUTE_AGREEMENT_TOL),
                     dev < ROUTE_AGREEMENT_TOL)]
@@ -237,19 +215,11 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
     if theta_eval is not None and len(theta_eval) != model.k:
         raise ConfigError("model.theta_eval has %d entries, but model %r has %d "
                           "parameters" % (len(theta_eval), model.name, model.k))
-    theta = (model.true_theta if theta_eval is None
-             else np.asarray(theta_eval, dtype=float))
-    nodes = grid.nodes
+    theta = model.true_theta if theta_eval is None else theta_eval
     dens = poisson.stationary_density(model, noise, grid)
-    thetas = np.broadcast_to(theta, (grid.n, model.k))
-    grad_g = models.objective_grad(model, noise, nodes[:, None], thetas)
-    gbar_grad = poisson.gbar_grad_quadrature(model, noise, theta, grid)
-    sol = poisson.solve(model, noise,
-                        lambda xv: gbar_grad[0] - np.interp(xv, nodes, grad_g[:, 0]),
-                        grid)
+    sol = poisson.corrections(model, noise, theta, grid)[0]
     out_path = out_dir / "poisson_solution.csv"
-    np.savetxt(out_path, np.column_stack([nodes, dens, sol.v, sol.dv_dx]),
-               delimiter=",", header="x,pi,v,dv_dx", comments="", fmt="%.12g")
+    write_csv(out_path, "x,pi,v,dv_dx", [grid.nodes, dens, sol.v, sol.dv_dx])
     artifacts.append(str(out_path))
     return [Verdict("poisson_residual_sup", sol.residual_sup, (0.0, 1e-4),
                     sol.residual_sup < 1e-4)]

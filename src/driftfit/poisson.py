@@ -62,20 +62,17 @@ def default_grid(model: DriftModelSpec, noise: NoiseSpec, n: int = 4001) -> Grid
     return Grid1D(mean - 6.0 * sd, mean + 6.0 * sd, n)
 
 
-def _require_scalar(model: DriftModelSpec):
-    if model.m != 1:
-        raise PoissonError("the Poisson solver is 1-D in x; state dimension "
-                           "is %d" % model.m)
-
-
 def _true_drift_values(model: DriftModelSpec, nodes: np.ndarray) -> np.ndarray:
     return model.true_drift_fn(nodes[:, None])[:, 0]
 
 
 def stationary_density(model: DriftModelSpec, noise: NoiseSpec,
                        grid: Grid1D) -> np.ndarray:
-    """Normalized invariant density on the grid nodes (log-space tails)."""
-    _require_scalar(model)
+    """Normalized invariant density on the grid nodes (log-space tails).  Every
+    solver here starts from it, so it is where a non-scalar state is refused."""
+    if model.m != 1:
+        raise PoissonError("the Poisson solver is 1-D in x; state dimension "
+                           "is %d" % model.m)
     nodes = grid.nodes
     sig2 = float(noise.a[0, 0])
     fstar = _true_drift_values(model, nodes)
@@ -97,14 +94,14 @@ def stationary_density(model: DriftModelSpec, noise: NoiseSpec,
 
 
 def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D) -> PoissonSolution:
-    """Solve L_x v = G with int G dpi = 0, centered so that int v dpi = 0."""
-    _require_scalar(model)
+    """Solve L_x v = G, G given on grid.nodes with int G dpi = 0; v is centered
+    so that int v dpi = 0."""
     nodes = grid.nodes
     sig2 = float(noise.a[0, 0])
     dens = stationary_density(model, noise, grid)
-    g = np.asarray(G(nodes), dtype=float)
+    g = np.asarray(G, dtype=float)
     if g.shape != nodes.shape:
-        g = np.array([float(G(xv)) for xv in nodes])
+        raise PoissonError("G has shape %s, not one value per grid node" % (g.shape,))
     mean_g = float(trapezoid(g * dens, nodes))
     if abs(mean_g) > CENTERING_TOL:
         raise PoissonError("centering violated: |int G dpi| = %g > %g"
@@ -138,7 +135,6 @@ def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D) -> PoissonSo
 def gbar_grad_quadrature(model: DriftModelSpec, noise: NoiseSpec,
                          theta: np.ndarray, grid: Grid1D) -> np.ndarray:
     """grad gbar(theta) = int grad_theta g(x, theta) pi(dx) by quadrature."""
-    _require_scalar(model)
     nodes = grid.nodes
     dens = stationary_density(model, noise, grid)
     theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -147,8 +143,18 @@ def gbar_grad_quadrature(model: DriftModelSpec, noise: NoiseSpec,
     return trapezoid(grads * dens[:, None], nodes, axis=0)
 
 
-def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None,
-         grid: Grid1D = None) -> np.ndarray:
+def corrections(model: DriftModelSpec, noise: NoiseSpec, theta,
+                grid: Grid1D) -> list:
+    """The k Poisson corrections: solutions of L_x v_j = grad_j gbar - grad_j g."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    thetas = np.broadcast_to(theta, (grid.n, model.k))
+    grad_g = objective_grad(model, noise, grid.nodes[:, None], thetas)  # (n, k)
+    gbar_grad = gbar_grad_quadrature(model, noise, theta, grid)
+    return [solve(model, noise, gbar_grad[j] - grad_g[:, j], grid)
+            for j in range(model.k)]
+
+
+def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None) -> np.ndarray:
     """Averaged noise-covariance matrix entering the CLT covariance.
 
     h_bar = int (grad_theta f A^-1 - grad_x v) A (grad_theta f A^-1 - grad_x v)^T dpi
@@ -156,14 +162,12 @@ def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None,
     G_j = grad_j gbar - grad_j g.  For well-specified models at theta*
     the correction vanishes.
     """
-    _require_scalar(model)
     if theta is None:
         if model.true_theta is None:
             raise PoissonError("theta is required when the model has no theta*")
         theta = model.true_theta
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    if grid is None:
-        grid = default_grid(model, noise)
+    grid = default_grid(model, noise)
     nodes = grid.nodes
     dens = stationary_density(model, noise, grid)
     sig2 = float(noise.a[0, 0])
@@ -172,20 +176,12 @@ def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None,
     thetas = np.broadcast_to(theta, (grid.n, model.k))
     grad_f = model.drift_grad_fn(nodes[:, None], thetas)[:, :, 0]  # (n, k)
 
-    at_star = (model.true_theta is not None
-               and np.allclose(theta, model.true_theta, atol=1e-12))
-    if at_star:
+    if (model.true_theta is not None
+            and np.allclose(theta, model.true_theta, atol=1e-12)):
         dv = np.zeros((grid.n, model.k))
     else:
-        grad_g = objective_grad(model, noise, nodes[:, None], thetas)  # (n, k)
-        gbar_grad = trapezoid(grad_g * dens[:, None], nodes, axis=0)
-        dv = np.empty((grid.n, model.k))
-        for j in range(model.k):
-            sol = solve(model, noise,
-                        lambda xv, j=j, c=gbar_grad[j]:
-                        c - np.interp(xv, nodes, grad_g[:, j]),
-                        grid)
-            dv[:, j] = sol.dv_dx
+        dv = np.column_stack([sol.dv_dx
+                              for sol in corrections(model, noise, theta, grid)])
 
     amat = grad_f * a_inv - dv  # (n, k)
     integrand = np.einsum("ni,nj->nij", amat, amat) * sig2

@@ -15,8 +15,8 @@ MAX_BURN_IN_TIME = 1e5
 class DivergenceError(RuntimeError):
     def __init__(self, msg, x=None, t=None):
         super().__init__(msg)
-        self.x = x
-        self.t = t
+        self.x = x  # the state the diverging step started from
+        self.t = t  # its end time on the simulate_path clock (burn-in ends at 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,7 +53,7 @@ def euler_step(model: DriftModelSpec, noise: NoiseSpec, x: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     out = x + model.true_drift_fn(x) * dt + np.sqrt(dt) * xi @ noise.sigma.T
     if not np.all(np.isfinite(out)) or np.any(np.abs(out) > DIVERGENCE_BOUND):
-        raise DivergenceError("state diverged during Euler step", x=x, t=dt)
+        raise DivergenceError("state diverged during Euler step", x=x)
     return out
 
 
@@ -68,21 +68,29 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
         raise ValueError("n_steps must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     x = config.initial_state(model.m)
-    for _ in range(config.burn_in_steps):
-        x = euler_step(model, noise, x, config.dt, rng.standard_normal(model.m))
-    for i in range(1, n_steps + 1):
-        x = euler_step(model, noise, x, config.dt, rng.standard_normal(model.m))
-        yield (1.0 + i * config.dt, x.copy())
+    for i in range(1 - config.burn_in_steps, n_steps + 1):
+        t = 1.0 + i * config.dt  # step i ends at t; burn-in is the steps i <= 0
+        try:
+            x = euler_step(model, noise, x, config.dt, rng.standard_normal(model.m))
+        except DivergenceError as exc:
+            exc.t = t
+            raise
+        if i > 0:
+            yield (t, x.copy())
+
+
+def write_csv(path, header, columns, fmt="%.12g") -> None:
+    """The one artifact writer: a header line, then the columns side by side.
+    fmt is one conversion for all columns, or one per column joined by commas."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt=fmt)
 
 
 def dump_path_csv(path, times, xs) -> None:
     """CSV with header t,x_1,...,x_m, one row per checkpoint."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    m = xs.shape[1]
-    header = "t," + ",".join("x_%d" % (i + 1) for i in range(m))
-    data = np.column_stack([np.asarray(times, dtype=float), xs])
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt="%.12g")
+    header = "t," + ",".join("x_%d" % (i + 1) for i in range(xs.shape[1]))
+    write_csv(path, header, [np.asarray(times, dtype=float), xs])
 
 
 def load_path_csv(path):

@@ -27,7 +27,6 @@ class SlopeEstimate:
 
 @dataclasses.dataclass
 class CltReport:
-    t_eval: float
     empirical_cov: np.ndarray
     predicted_cov: np.ndarray
     variance_ratio: np.ndarray
@@ -125,7 +124,6 @@ def clt_diagnostics(samples: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = emp / pred
     return CltReport(
-        t_eval=np.nan,
         empirical_cov=emp,
         predicted_cov=pred.copy(),
         variance_ratio=ratio,

@@ -129,7 +129,7 @@ def test_covariance_routes_cross_validate():
 def test_poisson_solver_ou_closed_form():
     model, noise = df.scalar_ou(1.0, 1.0)
     grid = poisson.Grid1D(-8.0, 8.0, 32001)
-    sol = poisson.solve(model, noise, lambda x: 0.5 - x ** 2, grid)
+    sol = poisson.solve(model, noise, 0.5 - grid.nodes ** 2, grid)
     sel = np.abs(grid.nodes) <= 5.0
     err = float(np.abs(sol.dv_dx[sel] - grid.nodes[sel]).max())
     assert err < 1e-4, "dv/dx sup error %.3g on [-5, 5]" % err
@@ -188,6 +188,14 @@ def _report_bytes(out_dir):
     ("estimate", {"horizon": 50.0, "integrator.dt": 0.01,
                   "integrator.burn_in_steps": 200}),
     ("predict-covariance", {}),
+    ("verify-rate", {"horizon": 50.0, "integrator.dt": 0.01,
+                     "integrator.burn_in_steps": 200, "n_reps": 32}),
+    ("regime-sweep", {"horizon": 50.0, "integrator.dt": 0.01,
+                      "integrator.burn_in_steps": 200, "n_reps": 32,
+                      "schedule.c_alpha": 0.8}),
+    ("poisson-solve", {"model.name": "mean_reversion"}),
+    ("simulate", {"horizon": 11.0, "integrator.dt": 0.01,
+                  "integrator.burn_in_steps": 100, "output.stride": 10}),
 ])
 def test_rerun_determinism(tmp_path, experiment, extra):
     overrides = {"experiment": experiment, "master_seed": MASTER_SEED}

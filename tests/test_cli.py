@@ -356,8 +356,9 @@ schedule.c_alpha = 0.5
     assert report["error"]["type"] == "RegimeError"
 
 
-def test_cli_verify_clt_rejects_horizon_off_the_dt_grid(tmp_path):
-    # off the dt grid the CLT would be evaluated at t = 9.62, not at 10.002
+def test_cli_verify_clt_rejects_horizon_off_the_dt_grid(tmp_path, capsys):
+    # off the dt grid the CLT would be evaluated at t = 9.62, not at 10.002;
+    # the run used to fail only when it built its engine config
     cfg = write_config(tmp_path, """
 experiment = verify-clt
 horizon = 10.002
@@ -366,10 +367,20 @@ n_reps = 100
 """)
     out = tmp_path / "out"
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
-    report = json.loads((out / "report.json").read_text())
-    assert report["error"]["type"] == "ValueError"
-    assert "not a whole number" in report["error"]["message"]
-    assert report["verdicts"] == []
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "(horizon - 1) / dt" in err and "not a whole number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_horizon_off_the_dt_grid_is_a_config_error_where_it_is_read(experiment):
+    raw = {"experiment": experiment, "horizon": "10.002"}
+    if experiment in ("predict-covariance", "poisson-solve"):
+        assert from_dict(raw)["horizon"] == 10.002  # neither reads the horizon
+    else:
+        with pytest.raises(ConfigError, match="horizon - 1"):
+            from_dict(raw)
 
 
 def test_cli_poisson_solve_rejects_theta_eval_of_the_wrong_length(tmp_path):
@@ -460,6 +471,37 @@ n_reps = 10
         from_dict({"experiment": "regime-sweep", "slope.window_lo": "5",
                    "slope.window_hi": "5"})
     from_dict({"experiment": "verify-rate", "horizon": "11", "slope.window_lo": "5"})
+
+
+def test_cli_regime_sweep(tmp_path):
+    # scalar_ou: C = E[X^2] / sigma^2 = 1/2, so C C_alpha = 0.4 is subcritical
+    # with predicted l2 slope -2 C C_alpha = -0.8
+    cfg = write_config(tmp_path, """
+experiment = regime-sweep
+schedule.c_alpha = 0.8
+horizon = 50
+integrator.dt = 0.01
+integrator.burn_in_steps = 200
+n_reps = 32
+master_seed = 3
+""")
+    out = tmp_path / "out"
+    status = main(["regime-sweep", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] is None
+    cc, slope = report["verdicts"]
+    assert status == (0 if cc["passed"] and slope["passed"] else 1)
+    assert cc["criterion"] == "regime_cc_alpha"
+    assert cc["measured"] == pytest.approx(0.4, abs=1e-6)
+    assert cc["band"] == [cc["measured"], cc["measured"]] and cc["passed"]
+    assert slope["criterion"] == "regime_l2_slope"
+    lo, hi = slope["band"]
+    assert (lo, hi) == pytest.approx((-0.8 - 0.15, -0.8 + 0.15), abs=1e-6)
+    assert slope["passed"] == (lo <= slope["measured"] <= hi)
+    moments = np.loadtxt(out / "moments.csv", delimiter=",", skiprows=1)
+    assert (out / "moments.csv").read_text().startswith("t,p,value\n")
+    assert np.all(moments[:, 1] == 2) and len(moments) > 2
+    assert np.all(np.diff(moments[:, 0]) > 0)  # one curve, one row per checkpoint
 
 
 def test_report_deterministic_modulo_wall_clock(tmp_path):

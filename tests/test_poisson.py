@@ -51,7 +51,7 @@ def test_ou_poisson_closed_form():
     # quadrature error on the |x| <= 5 window
     model, noise = scalar_ou(1.0, 1.0)
     grid = Grid1D(-8.0, 8.0, 32001)
-    sol = solve(model, noise, lambda x: 0.5 - x ** 2, grid)
+    sol = solve(model, noise, 0.5 - grid.nodes ** 2, grid)
     sel = np.abs(grid.nodes) <= 5.0
     npt.assert_allclose(sol.dv_dx[sel], grid.nodes[sel], atol=2e-5)
     npt.assert_allclose(sol.v[sel], grid.nodes[sel] ** 2 / 2.0 - 0.25,
@@ -66,7 +66,7 @@ def test_ou_poisson_refinement():
     errs = []
     for n in (8001, 16001):
         grid = Grid1D(-8.0, 8.0, n)
-        sol = solve(model, noise, lambda x: 0.5 - x ** 2, grid)
+        sol = solve(model, noise, 0.5 - grid.nodes ** 2, grid)
         sel = np.abs(grid.nodes) <= 5.0
         errs.append(np.abs(sol.dv_dx[sel] - grid.nodes[sel]).max())
     assert errs[1] < errs[0] / 3.0
@@ -76,7 +76,7 @@ def test_poisson_centering_violation():
     model, noise = scalar_ou(1.0, 1.0)
     grid = default_grid(model, noise)
     with pytest.raises(PoissonError):
-        solve(model, noise, lambda x: np.ones_like(x), grid)
+        solve(model, noise, np.ones(grid.n), grid)
 
 
 def test_gbar_grad_quadrature_matches_analytic():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from driftfit.models import scalar_ou, linear_system
+from driftfit.models import DriftModelSpec, NoiseSpec, scalar_ou, linear_system
 from driftfit.sde import (DivergenceError, IntegratorConfig, dump_path_csv,
                           euler_step, load_path_csv, simulate_path)
 
@@ -38,6 +38,22 @@ def test_euler_step_divergence_guard():
     model, noise = scalar_ou(1.0, 1.0)
     with pytest.raises(DivergenceError):
         euler_step(model, noise, np.array([-2e8]), 0.01, np.array([0.0]))
+
+
+@pytest.mark.parametrize("burn_in,t_end", [(0, 1.27), (100, 0.27)])
+def test_simulate_path_divergence_records_the_time(burn_in, t_end):
+    # x doubles each step from x0 = 1 and passes the 1e8 bound on step 27,
+    # which ends at t = 1 + (27 - burn_in) dt; t used to hold dt itself
+    explosive = DriftModelSpec("explosive", k=1, m=1,
+                               drift_fn=lambda x, th: th[..., 0:1] * x,
+                               drift_grad_fn=lambda x, th: np.expand_dims(x, -2),
+                               true_drift_fn=lambda x: 100.0 * x)
+    cfg = IntegratorConfig(dt=0.01, x0=[1.0], burn_in_steps=burn_in)
+    with pytest.raises(DivergenceError) as info:
+        for _ in simulate_path(explosive, NoiseSpec(np.array([[1e-6]])), cfg,
+                               seed=0, n_steps=100):
+            pass
+    assert info.value.t == pytest.approx(t_end, abs=1e-12)
 
 
 def test_integrator_config_validation():
