@@ -8,6 +8,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from . import _kernel
 from .models import DriftModelSpec, NoiseSpec
 from .sde import DIVERGENCE_BOUND, IntegratorConfig, write_csv
 from .schedule import ScheduleSpec
@@ -153,6 +154,11 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     first the uniform theta0 draw, then one standard-normal m-vector per
     step (burn-in included), so results are bitwise independent of how
     replications are grouped into batches.
+
+    Python draws theta0, records checkpoints and screens for divergence.
+    Between two such events the steps run in one call of the compiled
+    kernel where `_kernel.bind` takes the model, else in the numpy step
+    loop below, which defines them: the two agree bitwise.
     """
     model, noise, sched, integ = (config.model, config.noise,
                                   config.schedule, config.integrator)
@@ -198,35 +204,56 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
         rec_x[cp_ptr] = x
         cp_ptr += 1
 
-    total = integ.burn_in_steps + n_main
-    step = 0
+    burn_in = integ.burn_in_steps
+    total = burn_in + n_main
+
+    def _checkpoint_step(c):
+        """The step after which checkpoint time c is first reached."""
+        j = max(1, int((c - 1.0) / dt) - 2)
+        while j < n_main and not c <= 1.0 + j * dt + 1e-12:
+            j += 1
+        return burn_in + j
+
     # never larger than the run itself, so n = 1 runs allocate only what they use
     noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * n * m)))
     xi = np.empty((noise_chunk, n, m))
+    buf_lo = buf_hi = 0  # xi holds the noise of steps [buf_lo, buf_hi)
+
+    def _numpy_steps(lo, hi):
+        nonlocal buf_lo, buf_hi
+        for step in range(lo, hi):
+            if step == buf_hi:
+                span = min(noise_chunk, total - step)
+                for i, g in enumerate(gens):
+                    xi[:span, i, :] = g.standard_normal((span, m))
+                buf_lo, buf_hi = step, step + span
+            dx = model.true_drift_fn(x) * dt + sqdt * xi[step - buf_lo] @ sigma_t
+            nmain = step - burn_in  # completed main steps
+            if nmain >= 0:  # in place: _screen and the checkpoints read theta
+                theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
+                                      x, theta, dx, dt)
+            np.add(x, dx, out=x)  # in place, like theta
+
+    advance = _kernel.bind(config, gens, theta, x, alive) or _numpy_steps
+    step = 0
     # diverging replications may overflow between screenings; they are
     # zeroed out at the next _screen call, so suppress the transient warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total:
-            span = min(noise_chunk, total - step)
-            for i, g in enumerate(gens):
-                xi[:span, i, :] = g.standard_normal((span, m))
-            for j in range(span):
-                dx = model.true_drift_fn(x) * dt + sqdt * xi[j] @ sigma_t
-                nmain = step - integ.burn_in_steps  # completed main steps
-                if nmain >= 0:  # in place: _screen and the checkpoints read theta
-                    theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
-                                          x, theta, dx, dt)
-                x += dx
-                step += 1
-                # burn-in ends at t = 1, whose checkpoints are already recorded
-                t_next = 1.0 + (nmain + 1) * dt
-                while cp_ptr < n_cp and cps[cp_ptr] <= t_next + 1e-12:
-                    rec_t[cp_ptr] = t_next
-                    rec_theta[cp_ptr] = theta
-                    rec_x[cp_ptr] = x
-                    cp_ptr += 1
-                if step % CHECK_EVERY == 0:
-                    _screen(step)
+            # the next event: a checkpoint, a screening or the end of the run
+            stop = min(total, (step // CHECK_EVERY + 1) * CHECK_EVERY,
+                       _checkpoint_step(cps[cp_ptr]) if cp_ptr < n_cp else total)
+            advance(step, stop)
+            step = stop
+            # burn-in ends at t = 1, whose checkpoints are already recorded
+            t_next = 1.0 + (step - burn_in) * dt
+            while cp_ptr < n_cp and cps[cp_ptr] <= t_next + 1e-12:
+                rec_t[cp_ptr] = t_next
+                rec_theta[cp_ptr] = theta
+                rec_x[cp_ptr] = x
+                cp_ptr += 1
+            if step % CHECK_EVERY == 0:
+                _screen(step)
     _screen(step)
     for i in failed:
         rec_theta[:, i, :] = np.nan

@@ -217,7 +217,7 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
                           "parameters" % (len(theta_eval), model.name, model.k))
     theta = model.true_theta if theta_eval is None else theta_eval
     dens = poisson.stationary_density(model, noise, grid)
-    sol = poisson.corrections(model, noise, theta, grid)[0]
+    sol = poisson.corrections(model, noise, theta, grid, dens)[0]
     out_path = out_dir / "poisson_solution.csv"
     write_csv(out_path, "x,pi,v,dv_dx", [grid.nodes, dens, sol.v, sol.dv_dx])
     artifacts.append(str(out_path))

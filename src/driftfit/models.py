@@ -76,6 +76,18 @@ class AnalyticInfo:
 
 
 @dataclasses.dataclass(frozen=True)
+class CompiledForm:
+    """What a built-in factory's three callables compute, in a form the
+    compiled span kernel runs: family "linear" is f(x, p) = -P x with
+    P = reshape(p, (m, m)) row-major, family "affine" is f(x, p) = p_1 (p_2 - x).
+    The true drift is the family at `params`."""
+
+    family: str
+    params: np.ndarray
+    callables: Tuple[Callable, Callable, Callable]  # drift, gradient, true drift
+
+
+@dataclasses.dataclass(frozen=True)
 class DriftModelSpec:
     name: str
     k: int
@@ -85,6 +97,7 @@ class DriftModelSpec:
     true_drift_fn: Callable[[np.ndarray], np.ndarray]
     true_theta: Optional[np.ndarray] = None
     analytic: Optional[AnalyticInfo] = None
+    compiled: Optional[CompiledForm] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,7 +168,9 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
     )
     model = DriftModelSpec("scalar_ou", k=1, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
-                           true_theta=np.array([ts]), analytic=analytic)
+                           true_theta=np.array([ts]), analytic=analytic,
+                           compiled=CompiledForm("linear", np.array([ts]),
+                                                 (drift, grad, true_drift)))
     return model, NoiseSpec(np.array([[float(sigma)]]))
 
 
@@ -261,7 +276,9 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
     model = DriftModelSpec("mean_reversion", k=2, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([a_star, b_star]),
-                           analytic=analytic)
+                           analytic=analytic,
+                           compiled=CompiledForm("affine", np.array([a_star, b_star]),
+                                                 (drift, grad, true_drift)))
     return model, NoiseSpec(np.array([[float(sigma)]]))
 
 
@@ -316,7 +333,9 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     model = DriftModelSpec("linear_system", k=d * d, m=d, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=th_star.reshape(d * d).copy(),
-                           analytic=analytic)
+                           analytic=analytic,
+                           compiled=CompiledForm("linear", th_star.reshape(d * d).copy(),
+                                                 (drift, grad, true_drift)))
     return model, noise
 
 

@@ -93,12 +93,15 @@ def stationary_density(model: DriftModelSpec, noise: NoiseSpec,
     return dens
 
 
-def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D) -> PoissonSolution:
+def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D,
+          dens=None) -> PoissonSolution:
     """Solve L_x v = G, G given on grid.nodes with int G dpi = 0; v is centered
-    so that int v dpi = 0."""
+    so that int v dpi = 0.  dens is `stationary_density` on the grid, computed
+    here unless the caller has it."""
     nodes = grid.nodes
     sig2 = float(noise.a[0, 0])
-    dens = stationary_density(model, noise, grid)
+    if dens is None:
+        dens = stationary_density(model, noise, grid)
     g = np.asarray(G, dtype=float)
     if g.shape != nodes.shape:
         raise PoissonError("G has shape %s, not one value per grid node" % (g.shape,))
@@ -132,25 +135,33 @@ def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D) -> PoissonSo
                            centering_correction=mean_g)
 
 
+def _grad_g(model: DriftModelSpec, noise: NoiseSpec, theta: np.ndarray,
+            grid: Grid1D) -> np.ndarray:
+    """grad_theta g(x, theta) at the grid nodes, shape (n, k)."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    thetas = np.broadcast_to(theta, (grid.n, model.k))
+    return objective_grad(model, noise, grid.nodes[:, None], thetas)
+
+
+def _pi_integral(values: np.ndarray, dens: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """int values pi(dx) by the trapezoid rule, one integral per column."""
+    return trapezoid(values * dens[:, None], grid.nodes, axis=0)
+
+
 def gbar_grad_quadrature(model: DriftModelSpec, noise: NoiseSpec,
                          theta: np.ndarray, grid: Grid1D) -> np.ndarray:
     """grad gbar(theta) = int grad_theta g(x, theta) pi(dx) by quadrature."""
-    nodes = grid.nodes
-    dens = stationary_density(model, noise, grid)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    thetas = np.broadcast_to(theta, (grid.n, model.k))
-    grads = objective_grad(model, noise, nodes[:, None], thetas)  # (n, k)
-    return trapezoid(grads * dens[:, None], nodes, axis=0)
+    return _pi_integral(_grad_g(model, noise, theta, grid),
+                        stationary_density(model, noise, grid), grid)
 
 
 def corrections(model: DriftModelSpec, noise: NoiseSpec, theta,
-                grid: Grid1D) -> list:
-    """The k Poisson corrections: solutions of L_x v_j = grad_j gbar - grad_j g."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    thetas = np.broadcast_to(theta, (grid.n, model.k))
-    grad_g = objective_grad(model, noise, grid.nodes[:, None], thetas)  # (n, k)
-    gbar_grad = gbar_grad_quadrature(model, noise, theta, grid)
-    return [solve(model, noise, gbar_grad[j] - grad_g[:, j], grid)
+                grid: Grid1D, dens: np.ndarray) -> list:
+    """The k Poisson corrections: solutions of L_x v_j = grad_j gbar - grad_j g,
+    given dens = `stationary_density` on the grid."""
+    grad_g = _grad_g(model, noise, theta, grid)
+    gbar_grad = _pi_integral(grad_g, dens, grid)
+    return [solve(model, noise, gbar_grad[j] - grad_g[:, j], grid, dens)
             for j in range(model.k)]
 
 
@@ -181,7 +192,7 @@ def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None) -> np.ndarray:
         dv = np.zeros((grid.n, model.k))
     else:
         dv = np.column_stack([sol.dv_dx
-                              for sol in corrections(model, noise, theta, grid)])
+                              for sol in corrections(model, noise, theta, grid, dens)])
 
     amat = grad_f * a_inv - dv  # (n, k)
     integrand = np.einsum("ni,nj->nij", amat, amat) * sig2

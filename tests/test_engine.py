@@ -1,7 +1,14 @@
+import dataclasses
+import shutil
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftfit import _kernel
 from driftfit.engine import (EngineConfig, geometric_checkpoints, run_batch,
                              seed_split, sgdct_step, splitmix64)
 from driftfit.experiments import _replay_csv
@@ -193,3 +200,116 @@ def test_trajectory_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,theta_1,x_1"
     assert len(lines) == 1 + len(traj.times)
+
+
+def numpy_only(cfg):
+    """cfg with its model's compiled form dropped, so run_batch runs numpy."""
+    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, compiled=None))
+
+
+def run_and_spy(cfg, seeds):
+    """run_batch's result and whether it ran the compiled kernel."""
+    bound = []
+
+    def spy(*args):
+        advance = real(*args)
+        bound.append(advance is not None)
+        return advance
+
+    real = _kernel.bind
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "bind", spy)
+        res = run_batch(cfg, seeds)
+    return res, bound == [True]
+
+
+needs_compiler = pytest.mark.skipif(shutil.which(_kernel.CC) is None,
+                                    reason="no C compiler to build the kernel")
+
+
+@st.composite
+def kernel_models(draw):
+    name = draw(st.sampled_from(["scalar_ou", "mean_reversion", "linear_system"]))
+    sigma = draw(st.floats(0.3, 2.0))
+    if name == "scalar_ou":
+        return scalar_ou(draw(st.floats(0.3, 3.0)), sigma)
+    if name == "mean_reversion":
+        return mean_reversion(draw(st.floats(0.3, 3.0)), draw(st.floats(-1.0, 1.0)),
+                              sigma)
+    d = draw(st.integers(1, 3))
+    th = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d)))
+    off = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=d * d,
+                                 max_size=d * d))).reshape(d, d)
+    return linear_system(th + off - np.diag(np.diag(off)), sigma * np.eye(d))
+
+
+@needs_compiler
+@settings(max_examples=40, deadline=None)
+@given(model_noise=kernel_models(), master=st.integers(0, 2 ** 32),
+       n=st.integers(1, 5), burn_in=st.integers(0, 300), steps=st.integers(1, 700),
+       dt=st.sampled_from([0.01, 0.02]),
+       cp_frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       bound_margin=st.sampled_from([None, 0.5]))
+def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_in,
+                                                    steps, dt, cp_frac, bound_margin):
+    model, noise = model_noise
+    horizon = 1.0 + steps * dt
+    # theta0 is drawn within theta* +- 1, so a margin of 0.5 fails some replications
+    bound = (1e6 if bound_margin is None
+             else float(np.abs(model.true_theta).max()) + bound_margin)
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=dt, burn_in_steps=burn_in),
+                       horizon=horizon,
+                       checkpoint_times=1.0 + (horizon - 1.0) * np.array(cp_frac),
+                       theta_bound=bound)
+    seeds = [seed_split(master, i) for i in range(n)]
+    got, compiled = run_and_spy(cfg, seeds)
+    # the kernel copies numpy's sums of at most two drift terms
+    assert compiled == (model.m <= _kernel.MAX_DIM)
+    want = run_batch(numpy_only(cfg), seeds)
+    npt.assert_array_equal(got.times, want.times)
+    npt.assert_array_equal(got.thetas, want.thetas)
+    npt.assert_array_equal(got.xs, want.xs)
+    assert got.failed == want.failed
+    assert got.digest() == want.digest()
+
+
+@needs_compiler
+def test_a_replaced_drift_runs_on_numpy():
+    cfg = make_config(horizon=6.0)
+    model = cfg.model
+    same = dataclasses.replace(model, drift_fn=lambda x, theta: -theta[..., 0:1] * x)
+    seeds = [seed_split(4, i) for i in range(3)]
+    want, compiled = run_and_spy(cfg, seeds)
+    assert compiled
+    got, compiled = run_and_spy(dataclasses.replace(cfg, model=same), seeds)
+    assert not compiled
+    assert got.digest() == want.digest()
+
+
+def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
+    cfg = make_config(horizon=6.0)
+    seeds = [seed_split(8, i) for i in range(3)]
+    want = run_batch(numpy_only(cfg), seeds).digest()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        mp.setattr(_kernel, "_span", None)  # as in a fresh process
+        mp.setattr(_kernel, "cache_dir", lambda: str(tmp_path / "cache"))
+        mp.setattr(_kernel, "CC", str(tmp_path / "no-such-compiler"))
+        assert run_batch(cfg, seeds).digest() == want
+        assert run_batch(cfg, seeds).digest() == want
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert "numpy step loop" in str(seen[0].message)
+
+
+def test_the_kernel_is_never_loaded_from_a_directory_others_can_write(tmp_path):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o777)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        mp.setattr(_kernel, "_span", None)
+        mp.setattr(_kernel, "cache_dir", lambda: str(shared))
+        assert _kernel.load() is None
+    assert "writable by another user" in str(seen[0].message)
+    assert list(shared.iterdir()) == []

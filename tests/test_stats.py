@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfit import engine
+from driftfit import _kernel, engine
 from driftfit.covariance import CovariancePrediction
 from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
 from driftfit.models import scalar_ou
@@ -42,8 +44,10 @@ PARTITION_REPS, PARTITION_SEED = 100, 5
 
 
 @functools.lru_cache(maxsize=None)
-def partition_case():
+def partition_case(path):
     model, noise = scalar_ou(1.0, 1.0)
+    if path == "numpy":  # without its compiled form the model runs numpy's loop
+        model = dataclasses.replace(model, compiled=None)
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=0.02, burn_in_steps=50),
                        horizon=11.0, checkpoint_times=geometric_checkpoints(11.0, 8),
@@ -53,13 +57,23 @@ def partition_case():
     return cfg, seeds, run_batch(cfg, seeds)
 
 
+# The compiled kernel ignores NOISE_BUFFER_BYTES; the numpy loop refills its
+# noise buffer down to every step.
+@pytest.mark.parametrize("path", [
+    pytest.param("kernel", marks=pytest.mark.skipif(
+        shutil.which(_kernel.CC) is None, reason="no C compiler to build the kernel")),
+    "numpy"])
 @settings(max_examples=15, deadline=None)
 @given(order=st.permutations(range(PARTITION_REPS)),
        cuts=st.sets(st.integers(1, PARTITION_REPS - 1), max_size=4),
        buffer_bytes=st.integers(0, 8 * PARTITION_REPS * 600))
-def test_results_independent_of_grouping_and_noise_buffer(order, cuts, buffer_bytes):
-    cfg, seeds, whole = partition_case()
+def test_results_independent_of_grouping_and_noise_buffer(path, order, cuts,
+                                                          buffer_bytes):
+    cfg, seeds, whole = partition_case(path)
+    assert path == "numpy" or _kernel.load() is not None
     assert whole.failed
+    # both paths give the same results
+    assert whole.digest() == partition_case("numpy")[2].digest()
     thetas, xs = np.empty_like(whole.thetas), np.empty_like(whole.xs)
     failed = {}
     bounds = [0, *sorted(cuts), PARTITION_REPS]
