@@ -1,17 +1,22 @@
-/* One span of coupled Euler/SGDCT steps for the compiled model families.
+/* The compiled SGDCT kernel for the compiled model families: three entry
+   points, each bitwise equal to the numpy code it stands for.
 
-   The numpy loop in engine.run_batch is the definition; this file repeats
-   its arithmetic operation for operation, so that the results are bitwise
-   equal.  Replication i draws its standard normals from its own numpy bit
-   generator through numpy's own random_standard_normal, m per step, in the
-   order Generator.standard_normal((span, m)) would, so its stream is the one
-   the numpy loop consumes.  Build with -ffp-contract=off: a fused
-   multiply-add rounds once where numpy rounds twice.
+     driftfit_span    one span of engine.run_batch's coupled Euler/SGDCT steps
+     driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
+     driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
+
+   The numpy code is the definition; this file repeats its arithmetic
+   operation for operation, so that the results are bitwise equal.  Noise
+   comes from the caller's numpy bit generators through numpy's own
+   random_standard_normal, m draws per step, in the order
+   Generator.standard_normal would draw them.  Build with -ffp-contract=off:
+   a fused multiply-add rounds once where numpy rounds twice.
 
    Families, for a state of dimension m and parameters p:
      LINEAR  f(x, p) = -P x with P = reshape(p, (m, m)) row-major, k = m * m
      AFFINE  f(x, p) = p_0 (p_1 - x), m = 1, k = 2
    The true drift is the same family at the true parameters. */
+#include <math.h>
 #include <stdint.h>
 
 #include "numpy/random/bitgen.h"
@@ -48,6 +53,38 @@ static inline double grad(int family, int64_t m, const double *p,
     return c == q / m ? -x[q % m] : 0.0;
 }
 
+/* engine.sgdct_step: upd = th + alpha grad_th f(x, th) a_inv (dx - f(x, th) dt),
+   for k parameters */
+static inline __attribute__((always_inline)) void
+sgdct(int family, int64_t m, int64_t k, const double *a_inv, double alpha,
+      double dt, const double *x, const double *dx, const double *th,
+      double *upd)
+{
+    double f[MAX_M], r[MAX_M];
+    drift(family, m, th, x, f);
+    for (int64_t c = 0; c < m; c++)
+        r[c] = dx[c] - f[c] * dt;
+    for (int64_t q = 0; q < k; q++) {
+        double acc = 0.0;
+        for (int64_t a = 0; a < m; a++) {
+            double g = grad(family, m, th, x, q, a);
+            for (int64_t b = 0; b < m; b++)
+                acc += (g * a_inv[a * m + b]) * r[b];
+        }
+        upd[q] = th[q] + alpha * acc;
+    }
+}
+
+/* (sqrt(dt) xi) @ sigma^T, component c */
+static inline double noise(int64_t m, const double *sigma_t, double sqdt,
+                           const double *xi, int64_t c)
+{
+    double out = (sqdt * xi[0]) * sigma_t[c];
+    for (int64_t q = 1; q < m; q++)
+        out += (sqdt * xi[q]) * sigma_t[q * m + c];
+    return out;
+}
+
 /* Inlined at each call below, so that family and m are constants there. */
 static inline __attribute__((always_inline)) void
 span(int family, int64_t m, const double *true_p, const double *sigma_t,
@@ -56,7 +93,7 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
      bitgen_t **gens, const uint8_t *alive, double *theta, double *x)
 {
     int64_t k = family == LINEAR ? m * m : 2;
-    double xi[MAX_M], f[MAX_M], dx[MAX_M], r[MAX_M], upd[MAX_M * MAX_M];
+    double xi[MAX_M], f[MAX_M], dx[MAX_M], upd[MAX_M * MAX_M];
 
     for (int64_t i = 0; i < n; i++) {
         if (!alive[i])
@@ -67,28 +104,13 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
                 xi[c] = random_standard_normal(gens[i]);
             /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
             drift(family, m, true_p, xs, f);
-            for (int64_t c = 0; c < m; c++) {
-                double noise = (sqdt * xi[0]) * sigma_t[c];
-                for (int64_t q = 1; q < m; q++)
-                    noise += (sqdt * xi[q]) * sigma_t[q * m + c];
-                dx[c] = f[c] * dt + noise;
-            }
+            for (int64_t c = 0; c < m; c++)
+                dx[c] = f[c] * dt + noise(m, sigma_t, sqdt, xi, c);
             int64_t nmain = s - burn_in;
             if (nmain >= 0) {
-                /* engine.sgdct_step at t = 1 + nmain dt */
+                /* at t = 1 + nmain dt */
                 double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
-                drift(family, m, th, xs, f);
-                for (int64_t c = 0; c < m; c++)
-                    r[c] = dx[c] - f[c] * dt;
-                for (int64_t q = 0; q < k; q++) {
-                    double acc = 0.0;
-                    for (int64_t a = 0; a < m; a++) {
-                        double g = grad(family, m, th, xs, q, a);
-                        for (int64_t b = 0; b < m; b++)
-                            acc += (g * a_inv[a * m + b]) * r[b];
-                    }
-                    upd[q] = th[q] + alpha * acc;
-                }
+                sgdct(family, m, k, a_inv, alpha, dt, xs, dx, th, upd);
                 for (int64_t q = 0; q < k; q++)
                     th[q] = upd[q];
             }
@@ -98,9 +120,73 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
     }
 }
 
+static inline __attribute__((always_inline)) int64_t
+path(int family, int64_t m, const double *true_p, const double *sigma_t,
+     double dt, double sqdt, double bound, bitgen_t *gen, int64_t nsteps,
+     double *x, double *out)
+{
+    double xi[MAX_M], f[MAX_M], nx[MAX_M];
+
+    for (int64_t s = 0; s < nsteps; s++) {
+        for (int64_t c = 0; c < m; c++)
+            xi[c] = random_standard_normal(gen);
+        /* sde.euler_step's order: (x + f*(x) dt) + (sqrt(dt) xi) @ sigma^T */
+        drift(family, m, true_p, x, f);
+        int ok = 1;
+        for (int64_t c = 0; c < m; c++) {
+            nx[c] = (x[c] + f[c] * dt) + noise(m, sigma_t, sqdt, xi, c);
+            ok &= fabs(nx[c]) <= bound;  /* false for NaN too */
+        }
+        if (!ok)
+            return s;
+        for (int64_t c = 0; c < m; c++) {
+            x[c] = nx[c];
+            if (out)
+                out[s * m + c] = nx[c];
+        }
+    }
+    return nsteps;
+}
+
+static inline __attribute__((always_inline)) int64_t
+replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
+       int64_t nrows, const double *t, const double *x, double *theta,
+       double *out)
+{
+    int64_t k = family == LINEAR ? m * m : 2;
+    double dx[MAX_M], upd[MAX_M * MAX_M];
+
+    for (int64_t i = 0; i + 1 < nrows; i++) {
+        const double *xi = x + i * m;
+        for (int64_t c = 0; c < m; c++)
+            dx[c] = xi[m + c] - xi[c];
+        sgdct(family, m, k, a_inv, c_alpha / (c0 + t[i]), t[i + 1] - t[i],
+              xi, dx, theta, upd);
+        int ok = 1;
+        for (int64_t q = 0; q < k; q++)
+            ok &= isfinite(upd[q]) != 0;
+        if (!ok)
+            return i;
+        for (int64_t q = 0; q < k; q++)
+            theta[q] = out[i * k + q] = upd[q];
+    }
+    return nrows - 1;
+}
+
+/* Dispatches to one inlined copy of the body per covered (family, m);
+   the entry point returns -1, touching nothing, for any other. */
+#define DISPATCH(CALL)                                   \
+    if (family == AFFINE && m == 1)                      \
+        return CALL(AFFINE, 1);                          \
+    if (family == LINEAR && m == 1)                      \
+        return CALL(LINEAR, 1);                          \
+    if (family == LINEAR && m == 2)                      \
+        return CALL(LINEAR, 2);                          \
+    return -1
+
 /* Steps [step0, step0 + nsteps) of replications i < n with alive[i] set:
    theta is (n, k) and x is (n, m), both C order, updated in place.
-   Returns -1, touching nothing, for a family or m it does not cover. */
+   Returns 0. */
 int driftfit_span(int family, int64_t m, const double *true_p,
                   const double *sigma_t, const double *a_inv,
                   double dt, double sqdt, double c_alpha, double c0,
@@ -108,17 +194,41 @@ int driftfit_span(int family, int64_t m, const double *true_p,
                   int64_t n, bitgen_t **gens, const uint8_t *alive,
                   double *theta, double *x)
 {
-#define SPAN(FAMILY, M) span(FAMILY, M, true_p, sigma_t, a_inv, dt, sqdt, \
-                             c_alpha, c0, step0, nsteps, burn_in, n, gens, \
-                             alive, theta, x)
-    if (family == AFFINE && m == 1)
-        SPAN(AFFINE, 1);
-    else if (family == LINEAR && m == 1)
-        SPAN(LINEAR, 1);
-    else if (family == LINEAR && m == 2)
-        SPAN(LINEAR, 2);
-    else
-        return -1;
-    return 0;
+#define SPAN(FAMILY, M) (span(FAMILY, M, true_p, sigma_t, a_inv, dt, sqdt, \
+                              c_alpha, c0, step0, nsteps, burn_in, n, gens, \
+                              alive, theta, x), 0)
+    DISPATCH(SPAN);
 #undef SPAN
+}
+
+/* Up to nsteps Euler steps of the state x (m,), updated in place; the state
+   after step s goes to row s of out (nsteps, m) unless out is NULL.  Stops
+   before the first step whose new state is non-finite or exceeds bound in
+   absolute value, leaving x at the state that step started from.
+   Returns the number of steps taken. */
+int64_t driftfit_path(int family, int64_t m, const double *true_p,
+                      const double *sigma_t, double dt, double sqdt,
+                      double bound, bitgen_t *gen, int64_t nsteps, double *x,
+                      double *out)
+{
+#define PATH(FAMILY, M) path(FAMILY, M, true_p, sigma_t, dt, sqdt, bound, \
+                             gen, nsteps, x, out)
+    DISPATCH(PATH);
+#undef PATH
+}
+
+/* The SGDCT updates driven by the increments of the observed rows t (nrows)
+   and x (nrows, m): update i uses t[i], dt = t[i+1] - t[i] and
+   dx = x[i+1] - x[i], and its theta (k) goes to row i of out (nrows - 1, k).
+   Stops before the first update with a non-finite component, leaving theta
+   at the value that update started from.  Returns the number of updates. */
+int64_t driftfit_replay(int family, int64_t m, const double *a_inv,
+                        double c_alpha, double c0, int64_t nrows,
+                        const double *t, const double *x, double *theta,
+                        double *out)
+{
+#define REPLAY(FAMILY, M) replay(FAMILY, M, a_inv, c_alpha, c0, nrows, t, x, \
+                                 theta, out)
+    DISPATCH(REPLAY);
+#undef REPLAY
 }

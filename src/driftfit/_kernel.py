@@ -1,11 +1,16 @@
-"""Builds, caches and binds the compiled span kernel `_kernel.c`.
+"""Builds, caches and binds the compiled SGDCT kernel `_kernel.c`.
 
-The kernel is compiled with the system C compiler at the first `run_batch`
-that can use it, never at import.  The shared library goes into a per-user
+The kernel has three entry points: a span of `engine.run_batch`'s steps
+(`bind`), the Euler steps of `sde.simulate_path` (`bind_path`) and the CSV
+replay's updates (`replay`).  It runs the models `covers` accepts; the
+others run the numpy code, which defines the results.
+
+The kernel is compiled with the system C compiler at the first call that
+can use it, never at import.  The shared library goes into a per-user
 cache directory, keyed by the hash of the source, the flags, the numpy
 version and the platform, so a machine compiles it once.  Where it cannot
-be built or loaded, `run_batch` runs its numpy step loop and one
-RuntimeWarning says why.
+be built or loaded, every entry point runs numpy and one RuntimeWarning
+per process says why.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ FAMILIES = {"linear": 0, "affine": 1}
 # does not copy, so larger linear systems stay on the numpy loop
 MAX_DIM = 2
 
-_span = None  # the loaded kernel function; False once loading has failed
+_lib = None  # the loaded kernel library; False once loading has failed
 
 
 def cache_dir() -> str:
@@ -75,68 +80,149 @@ def _build() -> str:
 
 
 def load():
-    """The kernel function, built on first use; None where it is unavailable."""
-    global _span
-    if _span is None:
+    """The kernel library, built on first use; None where it is unavailable."""
+    global _lib
+    if _lib is None:
         import ctypes
         try:
             path = _build()
             _check_private(path)
-            fn = ctypes.CDLL(path).driftfit_span
+            lib = ctypes.CDLL(path)
         except OSError as exc:
             warnings.warn("driftfit: the compiled step kernel is unavailable (%s); "
                           "running the numpy step loop" % exc, RuntimeWarning)
-            _span = False
+            _lib = False
         else:
             i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-            fn.restype = ctypes.c_int
-            fn.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl, dbl,
-                           i64, i64, i64, i64, ptr, ptr, ptr, ptr]
-            _span = fn
-    return _span or None
+            lib.driftfit_span.restype = ctypes.c_int
+            lib.driftfit_span.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl,
+                                          dbl, dbl, i64, i64, i64, i64, ptr, ptr, ptr,
+                                          ptr]
+            lib.driftfit_path.restype = i64
+            lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, dbl, dbl,
+                                          ptr, i64, ptr, ptr]
+            lib.driftfit_replay.restype = i64
+            lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr,
+                                            ptr, ptr, ptr]
+            _lib = lib
+    return _lib or None
+
+
+def covers(model, noise) -> bool:
+    """Whether the kernel runs this model: its drift, gradient and true drift
+    are still the callables its factory described, m <= MAX_DIM, and sigma
+    is diagonal."""
+    form = model.compiled
+    return (form is not None
+            and all(a is b for a, b in zip(
+                (model.drift_fn, model.drift_grad_fn, model.true_drift_fn),
+                form.callables))
+            and model.m <= MAX_DIM
+            and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
+
+
+def _lib_for(model, noise):
+    """The loaded library if the kernel runs this model, else None."""
+    return load() if covers(model, noise) else None
+
+
+def _check(a: np.ndarray, shape, dtype=np.float64) -> None:
+    if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-ordered %s of shape %s"
+                         % (np.dtype(dtype), shape))
+
+
+def _consts(*arrays):
+    return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+
+
+def _uncovered(model):
+    return ValueError("the kernel does not cover model %r" % model.name)
 
 
 def bind(config, gens, theta: np.ndarray, x: np.ndarray, alive: np.ndarray):
     """advance(lo, hi): run steps [lo, hi) of `run_batch` in the kernel,
-    updating theta and x in place; None where the numpy loop must run.
-
-    The kernel runs a model only if its drift, gradient and true drift are
-    still the callables its factory described, and sigma is diagonal.
-    """
+    updating theta and x in place; None where the numpy loop must run."""
     model, noise = config.model, config.noise
-    form = model.compiled
-    if (form is None
-            or not all(a is b for a, b in zip(
-                (model.drift_fn, model.drift_grad_fn, model.true_drift_fn),
-                form.callables))
-            or model.m > MAX_DIM
-            or np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma)))):
-        return None
-    fn = load()
-    if fn is None:
+    lib = _lib_for(model, noise)
+    if lib is None:
         return None
     import ctypes
     n, k, m = len(gens), model.k, model.m
-    for a, shape, dtype in ((theta, (n, k), np.float64), (x, (n, m), np.float64),
-                            (alive, (n,), np.bool_)):
-        if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
-            raise ValueError("kernel arrays must be C-ordered %s of shape %s"
-                             % (np.dtype(dtype), shape))
+    _check(theta, (n, k))
+    _check(x, (n, m))
+    _check(alive, (n,), np.bool_)
     bitgens = (ctypes.c_void_p * n)(
         *[g.bit_generator.ctypes.bit_generator.value for g in gens])
-    consts = [np.ascontiguousarray(a, dtype=np.float64)
-              for a in (form.params, noise.sigma.T, noise.a_inv)]
+    consts = _consts(model.compiled.params, noise.sigma.T, noise.a_inv)
     sched, integ = config.schedule, config.integrator
-    head = (FAMILIES[form.family], m, *[a.ctypes.data for a in consts],
+    head = (FAMILIES[model.compiled.family], m, *[a.ctypes.data for a in consts],
             integ.dt, float(np.sqrt(integ.dt)), float(sched.c_alpha),
             float(sched.c0))
     tail = (integ.burn_in_steps, n, ctypes.addressof(bitgens), alive.ctypes.data,
             theta.ctypes.data, x.ctypes.data)
 
+    span = lib.driftfit_span
+
     # the kernel reads these through the addresses in head and tail, so
     # advance holds them for as long as it lives
     def advance(lo: int, hi: int, _keep=(consts, bitgens, gens, alive, theta, x)):
-        if fn(*head, lo, hi - lo, *tail):
-            raise ValueError("the kernel does not cover model %r" % model.name)
+        if span(*head, lo, hi - lo, *tail):
+            raise _uncovered(model)
 
     return advance
+
+
+def bind_path(model, noise, dt: float, bound: float, rng, x: np.ndarray):
+    """steps(count, out): run up to `count` of `sde.simulate_path`'s Euler
+    steps in the kernel, drawing from rng and updating x in place, with the
+    state after step j in out[j] unless out is None; returns the number of
+    steps taken before a state would leave [-bound, bound] or turn
+    non-finite.  None where the numpy loop must run."""
+    lib = _lib_for(model, noise)
+    if lib is None:
+        return None
+    m = model.m
+    _check(x, (m,))
+    consts = _consts(model.compiled.params, noise.sigma.T)
+    head = (FAMILIES[model.compiled.family], m, *[a.ctypes.data for a in consts],
+            dt, float(np.sqrt(dt)), bound, rng.bit_generator.ctypes.bit_generator.value)
+
+    path = lib.driftfit_path
+
+    def steps(count: int, out, _keep=(consts, rng, x)):
+        if out is not None:
+            _check(out, (count, m))
+        done = path(*head, count, x.ctypes.data,
+                                 None if out is None else out.ctypes.data)
+        if done < 0:
+            raise _uncovered(model)
+        return done
+
+    return steps
+
+
+def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
+           out: np.ndarray):
+    """Run the CSV replay's SGDCT updates in the kernel: update i is driven
+    by the increments from row i to row i + 1 of (times, xs), and its theta
+    goes to out[i]; theta is updated in place and stops at the last finite
+    value.  Returns the number of updates, or None where the numpy loop must
+    run."""
+    model, noise, sched = config.model, config.noise, config.schedule
+    lib = _lib_for(model, noise)
+    if lib is None:
+        return None
+    rows, k, m = len(times), model.k, model.m
+    times, xs, a_inv = _consts(times, xs, noise.a_inv)
+    _check(times, (rows,))
+    _check(xs, (rows, m))
+    _check(theta, (k,))
+    _check(out, (rows - 1, k))
+    done = lib.driftfit_replay(FAMILIES[model.compiled.family], m, a_inv.ctypes.data,
+                               float(sched.c_alpha), float(sched.c0), rows,
+                               times.ctypes.data, xs.ctypes.data, theta.ctypes.data,
+                               out.ctypes.data)
+    if done < 0:
+        raise _uncovered(model)
+    return done

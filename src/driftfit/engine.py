@@ -147,6 +147,14 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
 
 
+def diverged(theta: np.ndarray, x: np.ndarray, theta_bound: float) -> np.ndarray:
+    """Rows whose theta (n, k) or state (n, m) has a non-finite entry or one
+    above its bound in absolute value: a NaN fails every comparison and
+    survives max, so one comparison per array catches all three."""
+    return (~(np.abs(theta).max(axis=1) <= theta_bound)
+            | ~(np.abs(x).max(axis=1) <= DIVERGENCE_BOUND))
+
+
 def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     """Advance n = len(seeds) independent replications in lock-step.
 
@@ -184,11 +192,7 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     alive = np.ones(n, dtype=bool)
 
     def _screen(step_idx):
-        bad = (~np.isfinite(theta).all(axis=1)
-               | ~np.isfinite(x).all(axis=1)
-               | (np.abs(theta).max(axis=1) > config.theta_bound)
-               | (np.abs(x).max(axis=1) > DIVERGENCE_BOUND))
-        newly = bad & alive
+        newly = diverged(theta, x, config.theta_bound) & alive
         if newly.any():
             for i in np.nonzero(newly)[0]:
                 failed[int(i)] = step_idx

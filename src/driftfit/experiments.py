@@ -11,7 +11,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from . import covariance, engine, models, poisson, stats
+from . import _kernel, covariance, engine, models, poisson, stats
 from .config import ConfigError, ExperimentConfig, slope_window
 from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
                      seed_split, sgdct_step)
@@ -226,22 +226,46 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
 
 
 def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
-    """Drive the parameter update with externally observed increments."""
+    """Drive the parameter update with externally observed increments.
+
+    Update i runs at times[i] on the increments to row i + 1.  The updates
+    run in the compiled kernel where `_kernel.replay` takes the model, else
+    in the `sgdct_step` loop below, which defines them: the two agree bitwise.
+    """
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     theta = rng.uniform(engine_cfg.theta0_lo, engine_cfg.theta0_hi)
     model, noise, sched = engine_cfg.model, engine_cfg.noise, engine_cfg.schedule
-    thetas = np.empty((len(times) - 1, 1, model.k))
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        if dt <= 0:
-            raise ConfigError("replay CSV times must be strictly increasing")
-        stepped = sgdct_step(model, noise, sched, times[i], xs[i], theta,
-                             xs[i + 1] - xs[i], dt)
-        if not np.all(np.isfinite(stepped)):
-            raise BlowupError("non-finite parameter update", step=i, t=times[i],
-                              theta=theta)
-        theta = thetas[i, 0] = stepped
+    rows = len(times)
+    thetas = np.empty((rows - 1, 1, model.k))
+    done = _kernel.replay(engine_cfg, times, xs, theta, thetas[:, 0])
+    if done is None:
+        for done in range(rows - 1):
+            stepped = sgdct_step(model, noise, sched, times[done], xs[done], theta,
+                                 xs[done + 1] - xs[done], times[done + 1] - times[done])
+            if not np.all(np.isfinite(stepped)):
+                break
+            theta = thetas[done, 0] = stepped
+        else:
+            done = rows - 1
+    if done < rows - 1:
+        raise BlowupError("non-finite parameter update", step=done, t=times[done],
+                          theta=theta)
     return ReplicationSet(times[1:], thetas, xs[1:, None, :], {}, model.true_theta)
+
+
+def _check_replay_rows(path, times, xs) -> None:
+    """Reject a replay CSV the updates could not run on, before any update."""
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ConfigError("%s: time on data row %d is %r; replay times must be finite"
+                          % (path, bad[0] + 1, float(times[bad[0]])))
+    bad = np.flatnonzero(~(np.diff(times) > 0))
+    if bad.size:
+        raise ConfigError("%s: time on data row %d is not above the one before; "
+                          "replay times must be strictly increasing" % (path, bad[0] + 2))
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if bad.size:
+        raise ConfigError("%s: state on data row %d is not finite" % (path, bad[0] + 1))
 
 
 def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
@@ -256,6 +280,7 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
         if len(times) < 2:
             raise ConfigError("%s has %d row; a replay needs an increment"
                               % (replay, len(times)))
+        _check_replay_rows(replay, times, xs)
         if engine_cfg.schedule.c0 + times[0] <= 0:
             raise ConfigError("%s starts at t = %r, where the learning rate "
                               "C_alpha / (C_0 + t) is undefined or negative "

@@ -6,10 +6,13 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from . import _kernel
 from .models import DriftModelSpec, NoiseSpec
 
 DIVERGENCE_BOUND = 1e8
 MAX_BURN_IN_TIME = 1e5
+PATH_CHUNK = 4096  # simulate_path's states computed ahead of the yields
+CSV_BLOCK = 4096   # rows write_csv formats at once
 
 
 class DivergenceError(RuntimeError):
@@ -62,28 +65,59 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
                   n_steps: int) -> Iterator[Tuple[float, np.ndarray]]:
     """Yield (t, X_t) after burn-in; times run t = 1 + i dt, i = 1..n_steps.
 
-    Deterministic given the seed.
+    Deterministic given the seed.  The first step whose state is non-finite
+    or exceeds DIVERGENCE_BOUND raises DivergenceError, after every state
+    before it has been yielded.  The steps run in chunks of PATH_CHUNK, in
+    the compiled kernel where `_kernel.bind_path` takes the model, else in
+    the `euler_step` loop below, which defines them: the two agree bitwise.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    x = config.initial_state(model.m)
-    for i in range(1 - config.burn_in_steps, n_steps + 1):
-        t = 1.0 + i * config.dt  # step i ends at t; burn-in is the steps i <= 0
-        try:
-            x = euler_step(model, noise, x, config.dt, rng.standard_normal(model.m))
-        except DivergenceError as exc:
-            exc.t = t
-            raise
-        if i > 0:
-            yield (t, x.copy())
+    m, dt = model.m, config.dt
+    x = config.initial_state(m)
+
+    def _numpy_steps(count, out):
+        for j in range(count):
+            try:
+                x[:] = euler_step(model, noise, x, dt, rng.standard_normal(m))
+            except DivergenceError:
+                return j
+            if out is not None:
+                out[j] = x
+        return count
+
+    def _diverged(i):
+        return DivergenceError("state diverged during Euler step", x=x,
+                               t=1.0 + i * dt)
+
+    steps = _kernel.bind_path(model, noise, dt, DIVERGENCE_BOUND, rng, x) or _numpy_steps
+    # burn-in is the steps i = 1 - burn_in_steps .. 0; step i ends at t = 1 + i dt
+    done = steps(config.burn_in_steps, None)
+    if done < config.burn_in_steps:
+        raise _diverged(1 - config.burn_in_steps + done)
+    for i in range(1, n_steps + 1, PATH_CHUNK):
+        out = np.empty((min(PATH_CHUNK, n_steps + 1 - i), m))
+        done = steps(len(out), out)
+        for j in range(done):
+            yield (1.0 + (i + j) * dt, out[j])
+        if done < len(out):
+            raise _diverged(i + done)
 
 
 def write_csv(path, header, columns, fmt="%.12g") -> None:
     """The one artifact writer: a header line, then the columns side by side.
     fmt is one conversion for all columns, or one per column joined by commas."""
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
-               comments="", fmt=fmt)
+    table = np.column_stack(columns)
+    row = (fmt if fmt.count("%") > 1 else ",".join([fmt] * table.shape[1])) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write(header + "\n")
+        # np.savetxt's bytes, from one % operation per block of rows instead
+        # of one per row; the block bounds the memory the strings take
+        for lo in range(0, len(table), CSV_BLOCK):
+            block = table[lo:lo + CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def dump_path_csv(path, times, xs) -> None:

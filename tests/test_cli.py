@@ -309,6 +309,24 @@ def test_cli_replay_rejects_times_where_the_learning_rate_is_undefined(tmp_path,
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("1.0,0.5\nnan,0.4\n1.02,0.3\n1.03,0.2\n", "time on data row 2 is nan"),
+    ("1.0,0.5\n1.01,0.4\n1.01,0.3\n1.03,0.2\n", "time on data row 3 is not above"),
+    ("1.0,0.5\n1.01,0.4\n1.02,nan\n1.03,0.2\n", "state on data row 3 is not finite"),
+])
+def test_cli_replay_rejects_rows_no_update_can_run_on(tmp_path, rows, message):
+    # a NaN time used to exit with a BlowupError once the update reached it
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1\n" + rows)
+    cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert message in report["error"]["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_cli_replay_rejects_a_csv_of_one_row(tmp_path):
     # one state and no increment: nothing to replay
     path_csv = tmp_path / "path.csv"

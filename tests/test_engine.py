@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfit import _kernel
-from driftfit.engine import (EngineConfig, geometric_checkpoints, run_batch,
-                             seed_split, sgdct_step, splitmix64)
+from driftfit.engine import (BlowupError, EngineConfig, diverged, geometric_checkpoints,
+                             run_batch, seed_split, sgdct_step, splitmix64)
 from driftfit.experiments import _replay_csv
-from driftfit.models import linear_system, mean_reversion, objective_grad, scalar_ou
+from driftfit.models import (bounded_link, linear_system, mean_reversion,
+                             objective_grad, scalar_ou)
 from driftfit.schedule import ScheduleSpec
-from driftfit.sde import IntegratorConfig
+from driftfit.sde import DIVERGENCE_BOUND, IntegratorConfig, simulate_path
 
 
 def make_config(horizon=20.0, dt=0.01, n_cp=10, c_alpha=4.0, c0=1.0,
@@ -170,6 +171,23 @@ def test_divergence_is_flagged():
         assert np.all(np.isnan(res.thetas[:, i, :]))
 
 
+def test_the_divergence_screen_flags_non_finite_and_over_bound_rows():
+    edge = [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]
+    theta_vals = edge + [5.0, -5.0, 5.0000001, -5.0000001]
+    x_vals = edge + [DIVERGENCE_BOUND, -DIVERGENCE_BOUND, np.nextafter(1e8, 2e8), -2e8]
+    rows = [(a, b, c) for a in theta_vals for b in theta_vals for c in x_vals]
+    theta = np.array([r[:2] for r in rows])
+    x = np.array([r[2:] for r in rows])
+    with np.errstate(invalid="ignore"):
+        # the screen's first form: four reductions
+        want = (~np.isfinite(theta).all(axis=1) | ~np.isfinite(x).all(axis=1)
+                | (np.abs(theta).max(axis=1) > 5.0)
+                | (np.abs(x).max(axis=1) > DIVERGENCE_BOUND))
+    got = diverged(theta, x, 5.0)
+    npt.assert_array_equal(got, want)
+    assert want.any() and not want.all()
+
+
 def test_engine_config_validation():
     model, noise = scalar_ou()
     with pytest.raises(ValueError):
@@ -287,19 +305,93 @@ def test_a_replaced_drift_runs_on_numpy():
     assert got.digest() == want.digest()
 
 
+def simulate_and_replay(cfg, seed, steps=300):
+    """simulate_path's states and the replay of them: (times, xs, thetas)."""
+    rows = list(simulate_path(cfg.model, cfg.noise, cfg.integrator, seed, steps))
+    times, xs = np.array([t for t, _ in rows]), np.array([x for _, x in rows])
+    return times, xs, _replay_csv(cfg, times, xs, seed).thetas
+
+
 def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
     cfg = make_config(horizon=6.0)
     seeds = [seed_split(8, i) for i in range(3)]
     want = run_batch(numpy_only(cfg), seeds).digest()
+    want_path = simulate_and_replay(numpy_only(cfg), 8)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        mp.setattr(_kernel, "_span", None)  # as in a fresh process
+        mp.setattr(_kernel, "_lib", None)  # as in a fresh process
         mp.setattr(_kernel, "cache_dir", lambda: str(tmp_path / "cache"))
         mp.setattr(_kernel, "CC", str(tmp_path / "no-such-compiler"))
         assert run_batch(cfg, seeds).digest() == want
         assert run_batch(cfg, seeds).digest() == want
+        got_path = simulate_and_replay(cfg, 8)
+    for got, expected in zip(got_path, want_path):
+        assert got.tobytes() == expected.tobytes()
+    # one warning for all three entry points
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "numpy step loop" in str(seen[0].message)
+
+
+def replay_and_spy(cfg, times, xs, seed):
+    """The replay's thetas or BlowupError, and whether the kernel ran it."""
+    ran = []
+
+    def spy(*args):
+        done = real(*args)
+        ran.append(done is not None)
+        return done
+
+    real = _kernel.replay
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
+                                                          invalid="ignore"):
+        mp.setattr(_kernel, "replay", spy)
+        try:
+            out = _replay_csv(cfg, times, xs, seed).thetas
+        except BlowupError as exc:
+            out = exc
+    return out, ran == [True]
+
+
+@needs_compiler
+@settings(max_examples=60, deadline=None)
+@given(model_noise=kernel_models(), seed=st.integers(0, 2 ** 63),
+       rows=st.integers(2, 200), log_c_alpha=st.floats(-1.0, 4.0),
+       c0=st.floats(0.0, 5.0), t0=st.floats(0.0, 10.0),
+       x_scale=st.sampled_from([1.0, 1e100]))
+def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
+        model_noise, seed, rows, log_c_alpha, c0, t0, x_scale):
+    model, noise = model_noise
+    rng = np.random.default_rng(seed)
+    times = t0 + np.cumsum(rng.uniform(1e-3, 0.1, rows))
+    xs = x_scale * rng.standard_normal((rows, model.m))
+    # a large C_alpha or large states overflow theta: a BlowupError
+    cfg = EngineConfig(model=model, noise=noise,
+                       schedule=ScheduleSpec(10.0 ** log_c_alpha, c0),
+                       integrator=IntegratorConfig(), horizon=2.0,
+                       checkpoint_times=np.array([1.0]))
+    got, compiled = replay_and_spy(cfg, times, xs, seed)
+    want, _ = replay_and_spy(numpy_only(cfg), times, xs, seed)
+    assert compiled == (model.m <= _kernel.MAX_DIM)
+    assert type(got) is type(want)
+    if isinstance(want, BlowupError):
+        assert (got.step, got.t) == (want.step, want.t)
+        npt.assert_array_equal(got.theta, want.theta)
+    else:
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("model_noise", [bounded_link(), linear_system(dim=3),
+                                         linear_system(sigma=[[1.0, 0.3], [0.0, 1.0]])],
+                         ids=["bounded_link", "linear_system_d3", "full_sigma"])
+def test_models_the_kernel_does_not_cover_replay_on_numpy(model_noise):
+    model, noise = model_noise
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(), horizon=2.0,
+                       checkpoint_times=np.array([1.0]))
+    times = 1.0 + 0.01 * np.arange(50)
+    xs = np.random.default_rng(0).standard_normal((50, model.m))
+    thetas, compiled = replay_and_spy(cfg, times, xs, 3)
+    assert not compiled and thetas.shape == (49, 1, model.k)
 
 
 def test_the_kernel_is_never_loaded_from_a_directory_others_can_write(tmp_path):
@@ -308,7 +400,7 @@ def test_the_kernel_is_never_loaded_from_a_directory_others_can_write(tmp_path):
     shared.chmod(0o777)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        mp.setattr(_kernel, "_span", None)
+        mp.setattr(_kernel, "_lib", None)
         mp.setattr(_kernel, "cache_dir", lambda: str(shared))
         assert _kernel.load() is None
     assert "writable by another user" in str(seen[0].message)

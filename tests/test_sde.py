@@ -1,10 +1,17 @@
+import dataclasses
+import shutil
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftfit.models import DriftModelSpec, NoiseSpec, scalar_ou, linear_system
+from driftfit import _kernel, sde
+from driftfit.models import (DriftModelSpec, NoiseSpec, bounded_link, linear_system,
+                             mean_reversion, scalar_ou)
 from driftfit.sde import (DivergenceError, IntegratorConfig, dump_path_csv,
-                          euler_step, load_path_csv, simulate_path)
+                          euler_step, load_path_csv, simulate_path, write_csv)
 
 
 def test_euler_step_drift_only():
@@ -105,3 +112,100 @@ def test_path_csv_roundtrip(tmp_path):
     t2, x2 = load_path_csv(path)
     npt.assert_allclose(t2, times, atol=1e-12)
     npt.assert_allclose(x2, xs, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [3, sde.CSV_BLOCK])
+@pytest.mark.parametrize("fmt", ["%.12g", "%d,%d,%.8f,%.8f"])
+def test_write_csv_writes_the_bytes_of_savetxt(tmp_path, fmt, block, monkeypatch):
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300, 1 / 3])
+    cols = [np.arange(8), np.array([3, -0.0, 1, 2, -4, 0, 7, 5]), edge, edge[::-1]]
+    monkeypatch.setattr(sde, "CSV_BLOCK", block)
+    write_csv(tmp_path / "ours.csv", "i,j,a,b", cols, fmt=fmt)
+    np.savetxt(tmp_path / "numpy.csv", np.column_stack(cols), delimiter=",",
+               header="i,j,a,b", comments="", fmt=fmt)
+    ours = (tmp_path / "ours.csv").read_bytes()
+    assert ours == (tmp_path / "numpy.csv").read_bytes()
+    assert b"nan" in ours and b"-inf" in ours
+
+
+@st.composite
+def path_models(draw):
+    """A kernel-covered model, its numpy-only twin and a dt; with explosive
+    set, one Euler step multiplies x by about -2, so the path diverges."""
+    name = draw(st.sampled_from(["scalar_ou", "mean_reversion", "linear_system"]))
+    boom = draw(st.booleans())
+    rate = draw(st.floats(2.9, 3.1) if boom else st.floats(0.3, 3.0))
+    sigma = draw(st.floats(0.3, 2.0))
+    if name == "scalar_ou":
+        model, noise = scalar_ou(rate, sigma)
+    elif name == "mean_reversion":
+        model, noise = mean_reversion(rate, draw(st.floats(-1.0, 1.0)), sigma)
+    else:
+        d = draw(st.integers(1, 3))
+        off = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=d * d,
+                                     max_size=d * d))).reshape(d, d)
+        model, noise = linear_system(rate * np.eye(d) + off - np.diag(np.diag(off)),
+                                     sigma * np.eye(d))
+    dt = 1.0 if boom else draw(st.sampled_from([0.005, 0.01, 0.02]))
+    return model, noise, dt
+
+
+def run_path(model, noise, cfg, seed, n_steps):
+    """simulate_path's yields, its DivergenceError (or None) and whether the
+    kernel ran the steps."""
+    bound = []
+
+    def spy(*args):
+        steps = real(*args)
+        bound.append(steps is not None)
+        return steps
+
+    real, rows, error = _kernel.bind_path, [], None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "bind_path", spy)
+        try:
+            for row in simulate_path(model, noise, cfg, seed, n_steps):
+                rows.append(row)
+        except DivergenceError as exc:
+            error = exc
+    return rows, error, bound == [True]
+
+
+@pytest.mark.skipif(shutil.which(_kernel.CC) is None,
+                    reason="no C compiler to build the kernel")
+@settings(max_examples=60, deadline=None)
+@given(case=path_models(), seed=st.integers(0, 2 ** 63), burn_in=st.integers(0, 40),
+       n_steps=st.integers(1, 120), chunk=st.sampled_from([1, 3, 16, 4096]),
+       x0=st.floats(-3.0, 3.0))
+def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
+                                                          n_steps, chunk, x0):
+    model, noise, dt = case
+    cfg = IntegratorConfig(dt=dt, x0=np.full(model.m, x0), burn_in_steps=burn_in)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "PATH_CHUNK", chunk)
+        got, got_err, compiled = run_path(model, noise, cfg, seed, n_steps)
+        want, want_err, _ = run_path(dataclasses.replace(model, compiled=None), noise,
+                                     cfg, seed, n_steps)
+    # the kernel copies numpy's sums of at most two drift terms
+    assert compiled == (model.m <= _kernel.MAX_DIM)
+    assert len(got) == len(want)
+    for (tg, xg), (tw, xw) in zip(got, want):
+        assert type(tg) is float and tg == tw
+        npt.assert_array_equal(xg, xw)
+    assert (got_err is None) == (want_err is None)
+    if want_err is not None:
+        npt.assert_array_equal(got_err.x, want_err.x)
+        assert got_err.t == want_err.t
+    else:
+        assert len(want) == n_steps
+
+
+@pytest.mark.parametrize("model_noise", [bounded_link(), linear_system(dim=3),
+                                         linear_system(sigma=[[1.0, 0.3], [0.0, 1.0]])],
+                         ids=["bounded_link", "linear_system_d3", "full_sigma"])
+def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
+    model, noise = model_noise
+    assert not _kernel.covers(model, noise)
+    cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
+    rows, error, compiled = run_path(model, noise, cfg, 3, 20)
+    assert not compiled and error is None and len(rows) == 20
