@@ -139,11 +139,8 @@ path(int family, int64_t m, const double *true_p, const double *sigma_t,
         }
         if (!ok)
             return s;
-        for (int64_t c = 0; c < m; c++) {
-            x[c] = nx[c];
-            if (out)
-                out[s * m + c] = nx[c];
-        }
+        for (int64_t c = 0; c < m; c++)
+            x[c] = out[s * m + c] = nx[c];
     }
     return nsteps;
 }
@@ -202,10 +199,10 @@ int driftfit_span(int family, int64_t m, const double *true_p,
 }
 
 /* Up to nsteps Euler steps of the state x (m,), updated in place; the state
-   after step s goes to row s of out (nsteps, m) unless out is NULL.  Stops
-   before the first step whose new state is non-finite or exceeds bound in
-   absolute value, leaving x at the state that step started from.
-   Returns the number of steps taken. */
+   after step s goes to row s of out (nsteps, m).  Stops before the first
+   step whose new state is non-finite or exceeds bound in absolute value,
+   leaving x at the state that step started from.  Returns the number of
+   steps taken. */
 int64_t driftfit_path(int family, int64_t m, const double *true_p,
                       const double *sigma_t, double dt, double sqdt,
                       double bound, bitgen_t *gen, int64_t nsteps, double *x,

@@ -121,11 +121,6 @@ def covers(model, noise) -> bool:
             and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
 
 
-def _lib_for(model, noise):
-    """The loaded library if the kernel runs this model, else None."""
-    return load() if covers(model, noise) else None
-
-
 def _check(a: np.ndarray, shape, dtype=np.float64) -> None:
     if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
         raise ValueError("kernel arrays must be C-ordered %s of shape %s"
@@ -136,16 +131,31 @@ def _consts(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
 
 
-def _uncovered(model):
-    return ValueError("the kernel does not cover model %r" % model.name)
+def _entry(name: str, model, noise):
+    """call(*args): the kernel's driftfit_<name> with the model's family and
+    m as its first two arguments; it raises ValueError where the kernel
+    returns -1, not covering them.  None where the numpy loop must run."""
+    lib = load() if covers(model, noise) else None
+    if lib is None:
+        return None
+    fn = getattr(lib, "driftfit_" + name)
+    head = (FAMILIES[model.compiled.family], model.m)
+
+    def call(*args):
+        done = fn(*head, *args)
+        if done < 0:
+            raise ValueError("the kernel does not cover model %r" % model.name)
+        return done
+
+    return call
 
 
 def bind(config, gens, theta: np.ndarray, x: np.ndarray, alive: np.ndarray):
     """advance(lo, hi): run steps [lo, hi) of `run_batch` in the kernel,
     updating theta and x in place; None where the numpy loop must run."""
     model, noise = config.model, config.noise
-    lib = _lib_for(model, noise)
-    if lib is None:
+    span = _entry("span", model, noise)
+    if span is None:
         return None
     import ctypes
     n, k, m = len(gens), model.k, model.m
@@ -156,48 +166,37 @@ def bind(config, gens, theta: np.ndarray, x: np.ndarray, alive: np.ndarray):
         *[g.bit_generator.ctypes.bit_generator.value for g in gens])
     consts = _consts(model.compiled.params, noise.sigma.T, noise.a_inv)
     sched, integ = config.schedule, config.integrator
-    head = (FAMILIES[model.compiled.family], m, *[a.ctypes.data for a in consts],
-            integ.dt, float(np.sqrt(integ.dt)), float(sched.c_alpha),
-            float(sched.c0))
+    head = (*[a.ctypes.data for a in consts], integ.dt, float(np.sqrt(integ.dt)),
+            float(sched.c_alpha), float(sched.c0))
     tail = (integ.burn_in_steps, n, ctypes.addressof(bitgens), alive.ctypes.data,
             theta.ctypes.data, x.ctypes.data)
-
-    span = lib.driftfit_span
 
     # the kernel reads these through the addresses in head and tail, so
     # advance holds them for as long as it lives
     def advance(lo: int, hi: int, _keep=(consts, bitgens, gens, alive, theta, x)):
-        if span(*head, lo, hi - lo, *tail):
-            raise _uncovered(model)
+        span(*head, lo, hi - lo, *tail)
 
     return advance
 
 
 def bind_path(model, noise, dt: float, bound: float, rng, x: np.ndarray):
-    """steps(count, out): run up to `count` of `sde.simulate_path`'s Euler
-    steps in the kernel, drawing from rng and updating x in place, with the
-    state after step j in out[j] unless out is None; returns the number of
-    steps taken before a state would leave [-bound, bound] or turn
-    non-finite.  None where the numpy loop must run."""
-    lib = _lib_for(model, noise)
-    if lib is None:
+    """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
+    kernel, drawing from rng and updating x in place, with the state after
+    step j in out[j]; returns the number of steps taken before a state would
+    leave [-bound, bound] or turn non-finite.  None where the numpy loop
+    must run."""
+    path = _entry("path", model, noise)
+    if path is None:
         return None
     m = model.m
     _check(x, (m,))
     consts = _consts(model.compiled.params, noise.sigma.T)
-    head = (FAMILIES[model.compiled.family], m, *[a.ctypes.data for a in consts],
-            dt, float(np.sqrt(dt)), bound, rng.bit_generator.ctypes.bit_generator.value)
+    head = (*[a.ctypes.data for a in consts], dt, float(np.sqrt(dt)), bound,
+            rng.bit_generator.ctypes.bit_generator.value)
 
-    path = lib.driftfit_path
-
-    def steps(count: int, out, _keep=(consts, rng, x)):
-        if out is not None:
-            _check(out, (count, m))
-        done = path(*head, count, x.ctypes.data,
-                                 None if out is None else out.ctypes.data)
-        if done < 0:
-            raise _uncovered(model)
-        return done
+    def steps(out, _keep=(consts, rng, x)):
+        _check(out, (len(out), m))
+        return path(*head, len(out), x.ctypes.data, out.ctypes.data)
 
     return steps
 
@@ -210,8 +209,8 @@ def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
     value.  Returns the number of updates, or None where the numpy loop must
     run."""
     model, noise, sched = config.model, config.noise, config.schedule
-    lib = _lib_for(model, noise)
-    if lib is None:
+    run = _entry("replay", model, noise)
+    if run is None:
         return None
     rows, k, m = len(times), model.k, model.m
     times, xs, a_inv = _consts(times, xs, noise.a_inv)
@@ -219,10 +218,5 @@ def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
     _check(xs, (rows, m))
     _check(theta, (k,))
     _check(out, (rows - 1, k))
-    done = lib.driftfit_replay(FAMILIES[model.compiled.family], m, a_inv.ctypes.data,
-                               float(sched.c_alpha), float(sched.c0), rows,
-                               times.ctypes.data, xs.ctypes.data, theta.ctypes.data,
-                               out.ctypes.data)
-    if done < 0:
-        raise _uncovered(model)
-    return done
+    return run(a_inv.ctypes.data, float(sched.c_alpha), float(sched.c0), rows,
+               times.ctypes.data, xs.ctypes.data, theta.ctypes.data, out.ctypes.data)

@@ -88,7 +88,7 @@ class EngineConfig:
                              "steps; the final checkpoint would be dropped"
                              % ((self.horizon - 1.0) / self.integrator.dt))
         cps = np.sort(np.asarray(self.checkpoint_times, dtype=float).reshape(-1))
-        if cps.size and (cps[0] < 1.0 - 1e-9 or cps[-1] > self.horizon + 1e-9):
+        if cps.size and not (cps[0] >= 1.0 - 1e-9 and cps[-1] <= self.horizon + 1e-9):
             raise ValueError("checkpoint times must lie in [1, horizon]")
         object.__setattr__(self, "checkpoint_times", cps)
 
@@ -163,6 +163,9 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     step (burn-in included), so results are bitwise independent of how
     replications are grouped into batches.
 
+    Checkpoints at t = 1 are recorded before the burn-in: their xs hold x0,
+    not the state after the burn-in.
+
     Python draws theta0, records checkpoints and screens for divergence.
     Between two such events the steps run in one call of the compiled
     kernel where `_kernel.bind` takes the model, else in the numpy step
@@ -183,11 +186,18 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     x = np.tile(integ.initial_state(m), (n, 1))
 
     n_main = int(round((config.horizon - 1.0) / dt))
-    cps = config.checkpoint_times
-    n_cp = len(cps)
-    rec_t = np.empty(n_cp)
-    rec_theta = np.full((n_cp, n, k), np.nan)
-    rec_x = np.full((n_cp, n, m), np.nan)
+    burn_in = integ.burn_in_steps
+    total = burn_in + n_main
+    # a checkpoint is recorded after main step j, the first whose end time
+    # 1 + j dt reaches it, i.e. after step burn_in + j; those at t = 1 (j = 0)
+    # before the burn-in, and those past the last step not at all
+    j = np.searchsorted(1.0 + np.arange(n_main + 1) * dt + 1e-12,
+                        config.checkpoint_times)
+    j = j[j <= n_main]
+    rec_step = np.where(j > 0, burn_in + j, 0)
+    rec_t = 1.0 + j * dt
+    rec_theta = np.empty((len(j), n, k))
+    rec_x = np.empty((len(j), n, m))
     failed: dict = {}
     alive = np.ones(n, dtype=bool)
 
@@ -199,24 +209,6 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
             alive[newly] = False
             theta[newly] = 0.0
             x[newly] = 0.0
-
-    cp_ptr = 0
-    # checkpoints at (or numerically equal to) the initial time t = 1
-    while cp_ptr < n_cp and cps[cp_ptr] <= 1.0 + 1e-12:
-        rec_t[cp_ptr] = 1.0
-        rec_theta[cp_ptr] = theta
-        rec_x[cp_ptr] = x
-        cp_ptr += 1
-
-    burn_in = integ.burn_in_steps
-    total = burn_in + n_main
-
-    def _checkpoint_step(c):
-        """The step after which checkpoint time c is first reached."""
-        j = max(1, int((c - 1.0) / dt) - 2)
-        while j < n_main and not c <= 1.0 + j * dt + 1e-12:
-            j += 1
-        return burn_in + j
 
     # never larger than the run itself, so n = 1 runs allocate only what they use
     noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * n * m)))
@@ -239,29 +231,29 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
             np.add(x, dx, out=x)  # in place, like theta
 
     advance = _kernel.bind(config, gens, theta, x, alive) or _numpy_steps
+    # stop at each checkpoint's step, every CHECK_EVERY-th step (a screening)
+    # and the end; rec_step is sorted, so each stop records rows [lo, hi)
+    stops = np.union1d(np.append(rec_step, total),
+                       np.arange(CHECK_EVERY, total, CHECK_EVERY))
+    stops = stops[stops > 0]
+    rows = zip(np.searchsorted(rec_step, stops, "left").tolist(),
+               np.searchsorted(rec_step, stops, "right").tolist())
+    rec_theta[rec_step == 0] = theta
+    rec_x[rec_step == 0] = x
     step = 0
     # diverging replications may overflow between screenings; they are
     # zeroed out at the next _screen call, so suppress the transient warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while step < total:
-            # the next event: a checkpoint, a screening or the end of the run
-            stop = min(total, (step // CHECK_EVERY + 1) * CHECK_EVERY,
-                       _checkpoint_step(cps[cp_ptr]) if cp_ptr < n_cp else total)
+        for stop, (lo, hi) in zip(stops.tolist(), rows):
             advance(step, stop)
             step = stop
-            # burn-in ends at t = 1, whose checkpoints are already recorded
-            t_next = 1.0 + (step - burn_in) * dt
-            while cp_ptr < n_cp and cps[cp_ptr] <= t_next + 1e-12:
-                rec_t[cp_ptr] = t_next
-                rec_theta[cp_ptr] = theta
-                rec_x[cp_ptr] = x
-                cp_ptr += 1
+            rec_theta[lo:hi] = theta
+            rec_x[lo:hi] = x
             if step % CHECK_EVERY == 0:
                 _screen(step)
     _screen(step)
     for i in failed:
         rec_theta[:, i, :] = np.nan
         rec_x[:, i, :] = np.nan
-    return ReplicationSet(rec_t[:cp_ptr], rec_theta[:cp_ptr], rec_x[:cp_ptr], failed,
-                          model.true_theta)
+    return ReplicationSet(rec_t, rec_theta, rec_x, failed, model.true_theta)
 

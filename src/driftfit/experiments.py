@@ -292,16 +292,12 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
         artifacts.append(str(traj_path))
         return []
     n_steps = int(round((cfg["horizon"] - 1.0) / cfg["integrator.dt"]))
-    stride = cfg["output.stride"]
-    ts, states = [], []
-    for i, (t, x) in enumerate(simulate_path(model, noise, engine_cfg.integrator,
-                                             seed_split(cfg["master_seed"], 0),
-                                             n_steps), start=1):
-        if i % stride == 0:
-            ts.append(t)
-            states.append(x)
+    blocks = list(simulate_path(model, noise, engine_cfg.integrator,
+                                seed_split(cfg["master_seed"], 0), n_steps))
+    keep = slice(cfg["output.stride"] - 1, None, cfg["output.stride"])
     path_csv = out_dir / "path.csv"
-    dump_path_csv(path_csv, np.asarray(ts), np.asarray(states))
+    dump_path_csv(path_csv, np.concatenate([t for t, _ in blocks])[keep],
+                  np.concatenate([x for _, x in blocks])[keep])
     artifacts.append(str(path_csv))
     return []
 

@@ -11,7 +11,7 @@ from .models import DriftModelSpec, NoiseSpec
 
 DIVERGENCE_BOUND = 1e8
 MAX_BURN_IN_TIME = 1e5
-PATH_CHUNK = 4096  # simulate_path's states computed ahead of the yields
+PATH_CHUNK = 4096  # the most steps simulate_path computes and yields at once
 CSV_BLOCK = 4096   # rows write_csv formats at once
 
 
@@ -62,14 +62,15 @@ def euler_step(model: DriftModelSpec, noise: NoiseSpec, x: np.ndarray,
 
 def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
                   config: IntegratorConfig, seed: int,
-                  n_steps: int) -> Iterator[Tuple[float, np.ndarray]]:
-    """Yield (t, X_t) after burn-in; times run t = 1 + i dt, i = 1..n_steps.
+                  n_steps: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (times, states) blocks of at most PATH_CHUNK rows after burn-in;
+    the rows run t = 1 + i dt, i = 1..n_steps, with X_t in states.
 
     Deterministic given the seed.  The first step whose state is non-finite
     or exceeds DIVERGENCE_BOUND raises DivergenceError, after every state
-    before it has been yielded.  The steps run in chunks of PATH_CHUNK, in
-    the compiled kernel where `_kernel.bind_path` takes the model, else in
-    the `euler_step` loop below, which defines them: the two agree bitwise.
+    before it has been yielded.  The steps, burn-in included, run in chunks
+    of PATH_CHUNK, in the kernel where `_kernel.bind_path` takes the model,
+    else in the `euler_step` loop below, which defines them bitwise.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -77,32 +78,26 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
     m, dt = model.m, config.dt
     x = config.initial_state(m)
 
-    def _numpy_steps(count, out):
-        for j in range(count):
+    def _numpy_steps(out):
+        for j in range(len(out)):
             try:
                 x[:] = euler_step(model, noise, x, dt, rng.standard_normal(m))
             except DivergenceError:
                 return j
-            if out is not None:
-                out[j] = x
-        return count
-
-    def _diverged(i):
-        return DivergenceError("state diverged during Euler step", x=x,
-                               t=1.0 + i * dt)
+            out[j] = x
+        return len(out)
 
     steps = _kernel.bind_path(model, noise, dt, DIVERGENCE_BOUND, rng, x) or _numpy_steps
     # burn-in is the steps i = 1 - burn_in_steps .. 0; step i ends at t = 1 + i dt
-    done = steps(config.burn_in_steps, None)
-    if done < config.burn_in_steps:
-        raise _diverged(1 - config.burn_in_steps + done)
-    for i in range(1, n_steps + 1, PATH_CHUNK):
-        out = np.empty((min(PATH_CHUNK, n_steps + 1 - i), m))
-        done = steps(len(out), out)
-        for j in range(done):
-            yield (1.0 + (i + j) * dt, out[j])
+    for lo in range(1 - config.burn_in_steps, n_steps + 1, PATH_CHUNK):
+        out = np.empty((min(PATH_CHUNK, n_steps + 1 - lo), m))
+        done = steps(out)
+        first = max(lo, 1)  # burn-in rows are not yielded
+        if lo + done > first:
+            yield 1.0 + np.arange(first, lo + done) * dt, out[first - lo:done]
         if done < len(out):
-            raise _diverged(i + done)
+            raise DivergenceError("state diverged during Euler step", x=x,
+                                  t=1.0 + (lo + done) * dt)
 
 
 def write_csv(path, header, columns, fmt="%.12g") -> None:

@@ -107,6 +107,17 @@ def test_run_records_initial_checkpoint():
     assert np.all(np.diff(traj.times) > 0)
 
 
+def test_the_t1_checkpoint_holds_x0_not_the_state_after_the_burn_in():
+    # recorded before the 100 burn-in steps run, so estimate's rep_0.csv
+    # starts at x0; its bytes are pinned by the benchmark's reference digests
+    cfg = make_config(burn_in=100)
+    cfg = dataclasses.replace(cfg, integrator=dataclasses.replace(
+        cfg.integrator, x0=np.array([1.5])))
+    traj = run_batch(cfg, [seed_split(5, i) for i in range(3)])
+    assert traj.times[0] == 1.0
+    npt.assert_array_equal(traj.xs[0], np.full((3, 1), 1.5))
+
+
 def test_batch_results_independent_of_grouping():
     cfg = make_config()
     seeds = [seed_split(99, i) for i in range(6)]
@@ -199,6 +210,10 @@ def test_engine_config_validation():
                      integrator=IntegratorConfig(), horizon=10.0,
                      checkpoint_times=np.array([1.0, 10.0]),
                      theta0_lo=np.array([2.0]), theta0_hi=np.array([1.0]))
+    with pytest.raises(ValueError, match="checkpoint times"):
+        EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                     integrator=IntegratorConfig(), horizon=10.0,
+                     checkpoint_times=np.array([1.0, np.nan]))
 
 
 def test_engine_config_rejects_horizon_off_the_dt_grid():
@@ -307,9 +322,12 @@ def test_a_replaced_drift_runs_on_numpy():
 
 def simulate_and_replay(cfg, seed, steps=300):
     """simulate_path's states and the replay of them: (times, xs, thetas)."""
-    rows = list(simulate_path(cfg.model, cfg.noise, cfg.integrator, seed, steps))
-    times, xs = np.array([t for t, _ in rows]), np.array([x for _, x in rows])
-    return times, xs, _replay_csv(cfg, times, xs, seed).thetas
+    blocks = list(simulate_path(cfg.model, cfg.noise, cfg.integrator, seed, steps))
+    times = np.concatenate([t for t, _ in blocks])
+    xs = np.concatenate([x for _, x in blocks])
+    thetas = _replay_csv(cfg, times, xs, seed).thetas
+    assert thetas.shape == (steps - 1, 1, cfg.model.k)
+    return times, xs, thetas
 
 
 def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):

@@ -77,29 +77,47 @@ def test_integrator_config_validation():
     npt.assert_allclose(IntegratorConfig().initial_state(3), np.zeros(3))
 
 
+def whole_path(*args):
+    """simulate_path's blocks joined: (times, states)."""
+    blocks = list(simulate_path(*args))
+    return (np.concatenate([t for t, _ in blocks]),
+            np.concatenate([x for _, x in blocks]))
+
+
 def test_simulate_path_deterministic_and_timed():
     model, noise = scalar_ou(1.0, 1.0)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=50)
-    a = list(simulate_path(model, noise, cfg, seed=7, n_steps=40))
-    b = list(simulate_path(model, noise, cfg, seed=7, n_steps=40))
-    assert len(a) == 40
-    npt.assert_allclose([t for t, _ in a],
-                        1.0 + 0.01 * np.arange(1, 41), atol=1e-12)
-    for (ta, xa), (tb, xb) in zip(a, b):
-        assert ta == tb
-        npt.assert_array_equal(xa, xb)
-    c = list(simulate_path(model, noise, cfg, seed=8, n_steps=40))
-    assert not np.allclose(a[-1][1], c[-1][1])
+    ta, xa = whole_path(model, noise, cfg, 7, 40)
+    tb, xb = whole_path(model, noise, cfg, 7, 40)
+    assert xa.shape == (40, 1)
+    npt.assert_allclose(ta, 1.0 + 0.01 * np.arange(1, 41), atol=1e-12)
+    npt.assert_array_equal(ta, tb)
+    npt.assert_array_equal(xa, xb)
+    _, xc = whole_path(model, noise, cfg, 8, 40)
+    assert not np.allclose(xa[-1], xc[-1])
+
+
+@pytest.mark.parametrize("burn_in", [0, 5, 4095, 4096, 5000])
+def test_simulate_path_yields_blocks_of_path_chunk_rows(burn_in):
+    # the burn-in runs in the same chunks as the path, so the first block
+    # may be short; every block but the last is full after that
+    model, noise = scalar_ou(1.0, 1.0)
+    cfg = IntegratorConfig(dt=0.01, burn_in_steps=burn_in)
+    n_steps = 3 * sde.PATH_CHUNK
+    blocks = list(simulate_path(model, noise, cfg, 7, n_steps))
+    sizes = [len(t) for t, _ in blocks]
+    assert sum(sizes) == n_steps and max(sizes) <= sde.PATH_CHUNK
+    assert sizes[0] == sde.PATH_CHUNK - burn_in % sde.PATH_CHUNK
+    for t, x in blocks:
+        assert t.dtype == np.float64 and x.shape == (len(t), 1)
 
 
 def test_stationary_moment_ou_second():
     # time average of X^2 over 2000 time units after burn-in: sigma^2 / 2 theta*
     model, noise = scalar_ou(1.0, 1.0)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=1000)
-    n_steps = 200000
-    m2 = sum(float(np.linalg.norm(x)) ** 2
-             for _, x in simulate_path(model, noise, cfg, seed=3, n_steps=n_steps))
-    assert m2 / n_steps == pytest.approx(0.5, rel=0.08)
+    _, xs = whole_path(model, noise, cfg, 3, 200000)
+    assert np.mean(xs ** 2) == pytest.approx(0.5, rel=0.08)
 
 
 def test_path_csv_roundtrip(tmp_path):
@@ -151,8 +169,8 @@ def path_models(draw):
 
 
 def run_path(model, noise, cfg, seed, n_steps):
-    """simulate_path's yields, its DivergenceError (or None) and whether the
-    kernel ran the steps."""
+    """simulate_path's yielded blocks, its DivergenceError (or None) and
+    whether the kernel ran the steps."""
     bound = []
 
     def spy(*args):
@@ -160,15 +178,15 @@ def run_path(model, noise, cfg, seed, n_steps):
         bound.append(steps is not None)
         return steps
 
-    real, rows, error = _kernel.bind_path, [], None
+    real, blocks, error = _kernel.bind_path, [], None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "bind_path", spy)
         try:
-            for row in simulate_path(model, noise, cfg, seed, n_steps):
-                rows.append(row)
+            for block in simulate_path(model, noise, cfg, seed, n_steps):
+                blocks.append(block)
         except DivergenceError as exc:
             error = exc
-    return rows, error, bound == [True]
+    return blocks, error, bound == [True]
 
 
 @pytest.mark.skipif(shutil.which(_kernel.CC) is None,
@@ -188,16 +206,16 @@ def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
                                      cfg, seed, n_steps)
     # the kernel copies numpy's sums of at most two drift terms
     assert compiled == (model.m <= _kernel.MAX_DIM)
-    assert len(got) == len(want)
+    # the same blocks, so the same rows yielded before any DivergenceError
+    assert [len(t) for t, _ in got] == [len(t) for t, _ in want]
     for (tg, xg), (tw, xw) in zip(got, want):
-        assert type(tg) is float and tg == tw
-        npt.assert_array_equal(xg, xw)
+        assert tg.tobytes() == tw.tobytes() and xg.tobytes() == xw.tobytes()
     assert (got_err is None) == (want_err is None)
     if want_err is not None:
         npt.assert_array_equal(got_err.x, want_err.x)
         assert got_err.t == want_err.t
     else:
-        assert len(want) == n_steps
+        assert sum(len(t) for t, _ in want) == n_steps
 
 
 @pytest.mark.parametrize("model_noise", [bounded_link(), linear_system(dim=3),
@@ -207,5 +225,19 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
     model, noise = model_noise
     assert not _kernel.covers(model, noise)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
-    rows, error, compiled = run_path(model, noise, cfg, 3, 20)
-    assert not compiled and error is None and len(rows) == 20
+    blocks, error, compiled = run_path(model, noise, cfg, 3, 20)
+    assert not compiled and error is None and len(blocks[0][1]) == 20
+
+
+@pytest.mark.skipif(shutil.which(_kernel.CC) is None,
+                    reason="no C compiler to build the kernel")
+def test_a_family_the_kernel_has_no_copy_of_raises():
+    # covers() passes an affine model stretched to m = 2, but the kernel has
+    # no affine body for m = 2: it returns -1 and the binding raises
+    model, _ = mean_reversion()
+    wide, noise = dataclasses.replace(model, m=2), NoiseSpec(np.eye(2))
+    assert _kernel.covers(wide, noise)
+    steps = _kernel.bind_path(wide, noise, 0.01, 1e8, np.random.default_rng(0),
+                              np.zeros(2))
+    with pytest.raises(ValueError, match="does not cover model 'mean_reversion'"):
+        steps(np.empty((3, 2)))
