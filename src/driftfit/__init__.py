@@ -10,9 +10,8 @@ import os
 # before numpy and scipy load their BLAS; a value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .models import (AnalyticInfo, DriftModelSpec, NoiseSpec, averaged_objective,
-                     bounded_link, linear_system, mean_reversion,
-                     pointwise_objective, scalar_ou)
+from .models import (AnalyticInfo, DriftModelSpec, NoiseSpec, bounded_link,
+                     linear_system, mean_reversion, pointwise_objective, scalar_ou)
 from .sde import DivergenceError, IntegratorConfig, euler_step, simulate_path
 from .schedule import RegimeReport, ScheduleSpec, regime_check
 from .engine import (EngineConfig, geometric_checkpoints, run_batch, seed_split,

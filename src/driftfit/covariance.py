@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
 from .schedule import ScheduleSpec
 
@@ -127,6 +125,8 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
                          tol: float = 1e-10) -> CovariancePrediction:
     """Cross-check route by adaptive quadrature of the matrix-exponential
     integral; independent of the Jacobi eigensolver."""
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
     hessian = np.asarray(hessian, dtype=float)
     hbar = np.asarray(hbar, dtype=float)
     k = hessian.shape[0]

@@ -43,26 +43,36 @@ def build_model(cfg: ExperimentConfig):
     return entry.factory(**{k: cfg["model." + k] for k in entry.keys})
 
 
+def _list_value(cfg: ExperimentConfig, key: str, sizes: tuple, model, what: str):
+    """cfg[key] as an array, or None where it is unset; a ConfigError unless it
+    has one of `sizes` entries (`what` names the model's matching size)."""
+    val = cfg.get(key)
+    if val is not None and len(val) not in sizes:
+        raise ConfigError("%s has %d entries, but model %r has %s"
+                          % (key, len(val), model.name, what))
+    return None if val is None else np.asarray(val, dtype=float)
+
+
 def build_engine_config(cfg: ExperimentConfig, model, noise) -> EngineConfig:
-    x0 = cfg.get("integrator.x0")
-    integ = IntegratorConfig(dt=cfg["integrator.dt"],
-                             x0=None if x0 is None else np.asarray(x0, dtype=float),
+    x0 = _list_value(cfg, "integrator.x0", (model.m,), model,
+                     "state dimension %d" % model.m)
+    integ = IntegratorConfig(dt=cfg["integrator.dt"], x0=x0,
                              burn_in_steps=cfg["integrator.burn_in_steps"])
     sched = ScheduleSpec(c_alpha=cfg["schedule.c_alpha"], c0=cfg["schedule.c0"])
     horizon = cfg["horizon"]
     cps = geometric_checkpoints(horizon, cfg["checkpoints.n"])
-    lo, hi = cfg.get("theta0.lo"), cfg.get("theta0.hi")
+    lo, hi = (_list_value(cfg, key, (1, model.k), model, "%d parameters (one "
+                          "entry is broadcast to all)" % model.k)
+              for key in ("theta0.lo", "theta0.hi"))
     return EngineConfig(model=model, noise=noise, schedule=sched,
-                        integrator=integ, horizon=horizon,
-                        checkpoint_times=cps,
-                        theta0_lo=None if lo is None else np.asarray(lo, float),
-                        theta0_hi=None if hi is None else np.asarray(hi, float))
+                        integrator=integ, horizon=horizon, checkpoint_times=cps,
+                        theta0_lo=lo, theta0_hi=hi)
 
 
 def covariance_inputs(model, noise):
     """(Hessian, hbar) at theta*.
 
-    The Hessian comes from the closed-form averaged objective; hbar is
+    The Hessian is the one the model's analytic metadata declares; hbar is
     recomputed by stationary quadrature for scalar-state models so the
     two inputs stay independent.  For multi-dimensional state the
     Poisson correction vanishes at theta* for well-specified models and
@@ -71,7 +81,7 @@ def covariance_inputs(model, noise):
     if model.true_theta is None or model.analytic is None:
         raise ConfigError("covariance prediction needs a built-in model "
                           "with theta* and analytic metadata")
-    hessian = models.averaged_objective(model, model.true_theta).hessian
+    hessian = model.analytic.hessian
     return hessian, poisson.hbar(model, noise) if model.m == 1 else hessian.copy()
 
 
@@ -211,10 +221,8 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
         grid = poisson.Grid1D(cfg["grid.lo"], cfg["grid.hi"], cfg["grid.n"])
     else:
         grid = poisson.default_grid(model, noise, cfg["grid.n"])
-    theta_eval = cfg.get("model.theta_eval")
-    if theta_eval is not None and len(theta_eval) != model.k:
-        raise ConfigError("model.theta_eval has %d entries, but model %r has %d "
-                          "parameters" % (len(theta_eval), model.name, model.k))
+    theta_eval = _list_value(cfg, "model.theta_eval", (model.k,), model,
+                             "%d parameters" % model.k)
     theta = model.true_theta if theta_eval is None else theta_eval
     dens = poisson.stationary_density(model, noise, grid)
     sol = poisson.corrections(model, noise, theta, grid, dens)[0]

@@ -2,8 +2,8 @@
 
 A model packages the drift family, its theta-gradient, the true drift,
 and (for the built-in catalog) closed-form stationary moments and the
-averaged objective with derivatives.  All callables are vectorized: they
-accept `x` of shape (..., m) and `theta` of shape (..., k) with matching
+Hessian of the averaged objective at theta*.  All callables are vectorized:
+they accept `x` of shape (..., m) and `theta` of shape (..., k) with matching
 leading dimensions and return (..., m) drifts and (..., k, m) gradients.
 """
 from __future__ import annotations
@@ -12,19 +12,10 @@ import dataclasses
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_lyapunov
 
 
 class ModelError(Exception):
     pass
-
-
-class AnalyticUnavailableError(ModelError):
-    """Raised when closed-form averaged-objective data is missing.
-
-    Callers without analytic metadata should go through the numeric
-    route in the poisson module instead.
-    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,14 +56,14 @@ class AnalyticInfo:
     """Closed-form stationary data for a built-in model.
 
     stationary_mean and stationary_second_moment hold E[x_i] and E[x_i^2]
-    under the invariant measure, one entry per state coordinate.
+    under the invariant measure, one entry per state coordinate; hessian is
+    the k x k Hessian of the averaged objective gbar at theta*, the only
+    point where the covariance and regime predictions read it.
     """
 
     stationary_mean: np.ndarray
     stationary_second_moment: np.ndarray
-    gbar_fn: Callable[[np.ndarray], float]
-    gbar_grad_fn: Callable[[np.ndarray], np.ndarray]
-    gbar_hessian_fn: Callable[[np.ndarray], np.ndarray]
+    hessian: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,13 +91,6 @@ class DriftModelSpec:
     compiled: Optional[CompiledForm] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class AveragedObjective:
-    gbar: float
-    grad: np.ndarray
-    hessian: np.ndarray
-
-
 def pointwise_objective(model: DriftModelSpec, noise: NoiseSpec,
                         x: np.ndarray, theta: np.ndarray) -> float:
     """0.5 <f(x,theta) - f*(x), (sigma sigma^T)^-1 (f(x,theta) - f*(x))>."""
@@ -122,20 +106,6 @@ def objective_grad(model: DriftModelSpec, noise: NoiseSpec,
     r = model.drift_fn(x, theta) - model.true_drift_fn(x)
     grad = model.drift_grad_fn(x, theta)
     return np.einsum("...km,mn,...n->...k", grad, noise.a_inv, r)
-
-
-def averaged_objective(model: DriftModelSpec, theta: np.ndarray) -> AveragedObjective:
-    """Closed-form averaged objective gbar(theta) with derivatives."""
-    if model.analytic is None:
-        raise AnalyticUnavailableError(
-            "model %r has no analytic metadata; use the poisson module's "
-            "numeric route" % model.name)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    return AveragedObjective(
-        gbar=float(model.analytic.gbar_fn(theta)),
-        grad=np.asarray(model.analytic.gbar_grad_fn(theta), dtype=float),
-        hessian=np.asarray(model.analytic.gbar_hessian_fn(theta), dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +129,8 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
     def true_drift(x):
         return -ts * x
 
-    analytic = AnalyticInfo(
-        stationary_mean=np.zeros(1),
-        stationary_second_moment=np.array([m2]),
-        gbar_fn=lambda th: 0.5 * m2 / sig2 * (th[0] - ts) ** 2,
-        gbar_grad_fn=lambda th: np.array([m2 / sig2 * (th[0] - ts)]),
-        gbar_hessian_fn=lambda th: np.array([[m2 / sig2]]),
-    )
+    # gbar(theta) = m2 (theta - theta*)^2 / (2 sig2)
+    analytic = AnalyticInfo(np.zeros(1), np.array([m2]), np.array([[m2 / sig2]]))
     model = DriftModelSpec("scalar_ou", k=1, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([ts]), analytic=analytic,
@@ -188,9 +153,6 @@ def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
     def etap(t):
         return 1.0 + 1.0 / np.cosh(t) ** 2
 
-    def etapp(t):
-        return -2.0 * np.tanh(t) / np.cosh(t) ** 2
-
     if eta(ts) <= 0:
         raise ModelError("eta(theta_star) must be positive")
     sig2 = float(sigma) ** 2
@@ -206,17 +168,10 @@ def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
     def true_drift(x):
         return -eta_star * x
 
-    def gbar(th):
-        return 0.5 * m2 / sig2 * (eta(th[0]) - eta_star) ** 2
-
-    def gbar_grad(th):
-        return np.array([m2 / sig2 * (eta(th[0]) - eta_star) * etap(th[0])])
-
-    def gbar_hess(th):
-        d = eta(th[0]) - eta_star
-        return np.array([[m2 / sig2 * (etap(th[0]) ** 2 + d * etapp(th[0]))]])
-
-    analytic = AnalyticInfo(np.zeros(1), np.array([m2]), gbar, gbar_grad, gbar_hess)
+    # gbar(theta) = m2 (eta(theta) - eta*)^2 / (2 sig2); at theta* the
+    # eta'' term of its second derivative carries the factor eta - eta* = 0
+    analytic = AnalyticInfo(np.zeros(1), np.array([m2]),
+                            np.array([[m2 / sig2 * etap(ts) ** 2]]))
     model = DriftModelSpec("bounded_link", k=1, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([ts]), analytic=analytic)
@@ -234,7 +189,9 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
     mu = b_star
     # f - f* = c(theta) + d(theta) x with c = th1 th2 - a* b*, d = a* - th1;
     # gbar = (1 / 2 sig2) w^T M w for w = (c, d) and M the moment matrix.
+    # w(theta*) = 0, so the Hessian there is J^T M J / sig2, J = dw / dtheta.
     mom = np.array([[1.0, mu], [mu, var + mu * mu]])
+    jac = np.array([[b_star, a_star], [-1.0, 0.0]])
 
     def drift(x, theta):
         return theta[..., 0:1] * (theta[..., 1:2] - x)
@@ -247,32 +204,8 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
     def true_drift(x):
         return a_star * (b_star - x)
 
-    def _w(th):
-        return np.array([th[0] * th[1] - a_star * b_star, a_star - th[0]])
-
-    def _jac(th):
-        # columns: d w / d theta_j
-        return np.array([[th[1], th[0]], [-1.0, 0.0]])
-
-    def gbar(th):
-        w = _w(th)
-        return 0.5 / sig2 * w @ mom @ w
-
-    def gbar_grad(th):
-        return (_jac(th).T @ mom @ _w(th)) / sig2
-
-    def gbar_hess(th):
-        j = _jac(th)
-        h = j.T @ mom @ j
-        # second derivative of w: only c has d2c/dth1 dth2 = 1
-        mw = mom @ _w(th)
-        h = h.copy()
-        h[0, 1] += mw[0]
-        h[1, 0] += mw[0]
-        return h / sig2
-
     analytic = AnalyticInfo(np.array([mu]), np.array([var + mu * mu]),
-                            gbar, gbar_grad, gbar_hess)
+                            (jac.T @ mom @ jac) / sig2)
     model = DriftModelSpec("mean_reversion", k=2, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([a_star, b_star]),
@@ -284,6 +217,7 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
 
 def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     """f(x, theta) = -Theta x with Theta = reshape(theta, (d, d)) row-major."""
+    from scipy.linalg import solve_lyapunov
     if theta_star_matrix is None:
         theta_star_matrix = np.eye(dim) + 0.25 * np.diag(np.ones(dim - 1), 1)
     th_star = np.asarray(theta_star_matrix, dtype=float)
@@ -316,20 +250,10 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     def true_drift(x):
         return -np.einsum("ij,...j->...i", th_star, x)
 
-    def gbar(th):
-        dmat = th.reshape(d, d) - th_star
-        return 0.5 * np.trace(dmat.T @ a_inv @ dmat @ s_cov)
-
-    def gbar_grad(th):
-        dmat = th.reshape(d, d) - th_star
-        return (a_inv @ dmat @ s_cov).reshape(d * d)
-
-    def gbar_hess(th):
-        # H[(ij),(kl)] = a_inv[i,k] s_cov[j,l]
-        return np.kron(a_inv, s_cov)
-
+    # gbar(theta) = tr((Theta - Theta*)^T A^-1 (Theta - Theta*) S) / 2, so
+    # H[(ij),(kl)] = a_inv[i,k] s_cov[j,l]
     analytic = AnalyticInfo(np.zeros(d), np.diag(s_cov).copy(),
-                            gbar, gbar_grad, gbar_hess)
+                            np.kron(a_inv, s_cov))
     model = DriftModelSpec("linear_system", k=d * d, m=d, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=th_star.reshape(d * d).copy(),

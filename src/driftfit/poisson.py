@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .models import DriftModelSpec, NoiseSpec, objective_grad
 
@@ -62,6 +61,11 @@ def default_grid(model: DriftModelSpec, noise: NoiseSpec, n: int = 4001) -> Grid
     return Grid1D(mean - 6.0 * sd, mean + 6.0 * sd, n)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_x[0]^x[i] y by the trapezoid rule at every node, starting from 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def _true_drift_values(model: DriftModelSpec, nodes: np.ndarray) -> np.ndarray:
     return model.true_drift_fn(nodes[:, None])[:, 0]
 
@@ -76,10 +80,10 @@ def stationary_density(model: DriftModelSpec, noise: NoiseSpec,
     nodes = grid.nodes
     sig2 = float(noise.a[0, 0])
     fstar = _true_drift_values(model, nodes)
-    log_dens = cumulative_trapezoid(2.0 * fstar / sig2, nodes, initial=0.0)
+    log_dens = _cumulative_trapezoid(2.0 * fstar / sig2, nodes)
     log_dens -= log_dens.max()
     dens = np.exp(log_dens)
-    z = trapezoid(dens, nodes)
+    z = np.trapezoid(dens, nodes)
     dens /= z
     # tail-mass bound: near a boundary, pi decays ~ exp(2 f* (x - b)/sig2),
     # so the mass beyond b is about pi(b) sig2 / (2 |f*(b)|)
@@ -105,23 +109,23 @@ def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D,
     g = np.asarray(G, dtype=float)
     if g.shape != nodes.shape:
         raise PoissonError("G has shape %s, not one value per grid node" % (g.shape,))
-    mean_g = float(trapezoid(g * dens, nodes))
+    mean_g = float(np.trapezoid(g * dens, nodes))
     if abs(mean_g) > CENTERING_TOL:
         raise PoissonError("centering violated: |int G dpi| = %g > %g"
                            % (abs(mean_g), CENTERING_TOL))
     g = g - mean_g
     w = g * dens
-    cum = cumulative_trapezoid(w, nodes, initial=0.0)
+    cum = _cumulative_trapezoid(w, nodes)
     # int_lo^x w vanishes at both ends, so for x past the density peak it is
     # a near-cancellation of O(1) partial sums and the accumulated roundoff
     # swamps the tiny tail values that dv divides by.  Integrate the right
     # half from the right boundary instead: int_lo^x w = -int_x^hi w.
-    tail = -cumulative_trapezoid(w[::-1], nodes[::-1], initial=0.0)[::-1]
+    tail = -_cumulative_trapezoid(w[::-1], nodes[::-1])[::-1]
     peak = int(np.argmax(dens))
     cum[peak:] = -tail[peak:]
     dv = (2.0 / sig2) * cum / dens
-    v = cumulative_trapezoid(dv, nodes, initial=0.0)
-    v = v - float(trapezoid(v * dens, nodes))
+    v = _cumulative_trapezoid(dv, nodes)
+    v = v - float(np.trapezoid(v * dens, nodes))
 
     # recorded residual sup over the trusted interior (density not in the
     # deep tail, second derivative by central differences)
@@ -143,24 +147,12 @@ def _grad_g(model: DriftModelSpec, noise: NoiseSpec, theta: np.ndarray,
     return objective_grad(model, noise, grid.nodes[:, None], thetas)
 
 
-def _pi_integral(values: np.ndarray, dens: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """int values pi(dx) by the trapezoid rule, one integral per column."""
-    return trapezoid(values * dens[:, None], grid.nodes, axis=0)
-
-
-def gbar_grad_quadrature(model: DriftModelSpec, noise: NoiseSpec,
-                         theta: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """grad gbar(theta) = int grad_theta g(x, theta) pi(dx) by quadrature."""
-    return _pi_integral(_grad_g(model, noise, theta, grid),
-                        stationary_density(model, noise, grid), grid)
-
-
 def corrections(model: DriftModelSpec, noise: NoiseSpec, theta,
                 grid: Grid1D, dens: np.ndarray) -> list:
     """The k Poisson corrections: solutions of L_x v_j = grad_j gbar - grad_j g,
     given dens = `stationary_density` on the grid."""
     grad_g = _grad_g(model, noise, theta, grid)
-    gbar_grad = _pi_integral(grad_g, dens, grid)
+    gbar_grad = np.trapezoid(grad_g * dens[:, None], grid.nodes, axis=0)
     return [solve(model, noise, gbar_grad[j] - grad_g[:, j], grid, dens)
             for j in range(model.k)]
 
@@ -196,5 +188,5 @@ def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None) -> np.ndarray:
 
     amat = grad_f * a_inv - dv  # (n, k)
     integrand = np.einsum("ni,nj->nij", amat, amat) * sig2
-    h = trapezoid(integrand * dens[:, None, None], nodes, axis=0)
+    h = np.trapezoid(integrand * dens[:, None, None], nodes, axis=0)
     return 0.5 * (h + h.T)

@@ -5,7 +5,6 @@ import dataclasses
 from typing import Tuple
 
 import numpy as np
-from scipy import stats as spstats
 
 from .covariance import CovariancePrediction
 from .engine import EngineConfig, ReplicationSet, run_batch, seed_split
@@ -109,6 +108,7 @@ def clt_diagnostics(samples: np.ndarray,
     Coordinates are standardized by the predicted covariance (not the
     empirical one) so the test also exercises the prediction itself.
     """
+    from scipy import stats as spstats
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, k = samples.shape
     if n < MIN_CLT_SAMPLES:

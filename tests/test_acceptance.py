@@ -101,7 +101,7 @@ def test_nonconvex_clt_variance():
     reps = stats.run_replications(cfg, 2000, MASTER_SEED)
     sample = stats.rescaled_sample(reps, float(reps.times[-1]))
     # curvature at the minimum: m2 * eta'(1)^2 with m2 = 1 / (2 eta(1))
-    c = model.analytic.gbar_hessian_fn(model.true_theta)[0, 0]
+    c = model.analytic.hessian[0, 0]
     sigma_pred = 16.0 * c / (8.0 * c - 1.0)
     ratio = float(np.var(sample[:, 0], ddof=1)) / sigma_pred
     assert 0.85 <= ratio <= 1.15, (

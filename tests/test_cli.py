@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftfit
 from driftfit import stats
 from driftfit.cli import main
 from driftfit.config import EXPERIMENTS, ConfigError, from_dict, parse_config
+from driftfit.experiments import build_engine_config, build_model
 from driftfit.models import BUILTIN_MODELS
 
 
@@ -414,6 +420,59 @@ model.theta_eval = 1.5
     assert report["error"]["type"] == "ConfigError"
     assert "model.theta_eval has 1 entries" in report["error"]["message"]
     assert not (out / "poisson_solution.csv").exists()
+
+
+@pytest.mark.parametrize("model, key, value, message", [
+    ("mean_reversion", "theta0.lo", "0, 0, 0",
+     "theta0.lo has 3 entries, but model 'mean_reversion' has 2 parameters"),
+    ("linear_system", "theta0.hi", "1, 2", "theta0.hi has 2 entries"),
+    ("scalar_ou", "integrator.x0", "1, 2",
+     "integrator.x0 has 2 entries, but model 'scalar_ou' has state dimension 1"),
+    ("linear_system", "integrator.x0", "1", "integrator.x0 has 1 entries"),
+])
+def test_cli_estimate_rejects_a_theta0_box_or_x0_of_the_wrong_length(
+        tmp_path, model, key, value, message):
+    # these used to exit 2 with numpy's broadcast error or a bare ValueError
+    cfg = write_config(tmp_path, "experiment = estimate\nmodel.name = %s\n%s = %s\n"
+                       % (model, key, value))
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert message in report["error"]["message"]
+    assert not (out / "rep_0.csv").exists()
+
+
+def test_theta0_box_takes_one_entry_or_one_per_parameter():
+    cfg = from_dict({"experiment": "estimate", "model.name": "mean_reversion",
+                     "theta0.lo": "0.25", "theta0.hi": "2, 3", "integrator.x0": "0.5"})
+    model, noise = build_model(cfg)
+    engine_cfg = build_engine_config(cfg, model, noise)
+    npt.assert_array_equal(engine_cfg.theta0_lo, [0.25, 0.25])
+    npt.assert_array_equal(engine_cfg.theta0_hi, [2.0, 3.0])
+    npt.assert_array_equal(engine_cfg.integrator.x0, [0.5])
+
+
+def test_a_run_that_needs_no_scipy_does_not_import_it(tmp_path):
+    # scipy loads only inside the routines that call it (linear_system's
+    # Lyapunov solve, the quadrature covariance route, the CLT diagnostics)
+    script = """
+import sys
+import driftfit.cli
+from driftfit.config import from_dict
+from driftfit.experiments import run_experiment
+cfg = from_dict({"experiment": "estimate", "horizon": "3", "integrator.dt": "0.01",
+                 "integrator.burn_in_steps": "10"})
+report, status = run_experiment(cfg, sys.argv[1])
+assert status == 0, report
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    src = os.path.dirname(os.path.dirname(driftfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_cli_verify_clt_rejects_t_eval_past_the_horizon(tmp_path, capsys):

@@ -3,12 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from driftfit import models
-from driftfit.config import from_dict
-from driftfit.experiments import build_model
-from driftfit.models import (AnalyticUnavailableError, DriftModelSpec,
-                             ModelError, NoiseSpec, averaged_objective,
-                             bounded_link, linear_system, mean_reversion,
-                             objective_grad, pointwise_objective, scalar_ou)
+from driftfit.config import ConfigError, from_dict
+from driftfit.experiments import build_model, covariance_inputs
+from driftfit.models import (DriftModelSpec, ModelError, NoiseSpec, bounded_link,
+                             linear_system, mean_reversion, objective_grad,
+                             pointwise_objective, scalar_ou)
 
 
 def check_drift_gradient(model: DriftModelSpec, n_probes: int = 100,
@@ -107,10 +106,7 @@ def test_drift_vectorization_batch():
 def test_ou_averaged_objective():
     model, _ = scalar_ou(1.0, 1.0)
     # stationary second moment 1/2, so gbar(theta) = (theta - 1)^2 / 4
-    obj = averaged_objective(model, [3.0])
-    assert obj.gbar == pytest.approx(1.0)
-    npt.assert_allclose(obj.grad, [1.0])
-    npt.assert_allclose(obj.hessian, [[0.5]])
+    npt.assert_allclose(model.analytic.hessian, [[0.5]])
     npt.assert_allclose(model.analytic.stationary_second_moment, [0.5])
 
 
@@ -119,33 +115,26 @@ def test_bounded_link_curvature_at_truth():
     eta1 = 1.0 + np.tanh(1.0)
     etap1 = 1.0 + 1.0 / np.cosh(1.0) ** 2
     m2 = 1.0 / (2.0 * eta1)
-    obj = averaged_objective(model, model.true_theta)
-    assert obj.gbar == pytest.approx(0.0, abs=1e-15)
-    npt.assert_allclose(obj.hessian, [[m2 * etap1 ** 2]], rtol=1e-12)
+    npt.assert_allclose(model.analytic.hessian, [[m2 * etap1 ** 2]], rtol=1e-12)
 
 
-@pytest.mark.parametrize("factory", [
-    lambda: bounded_link(1.0, 1.0),
-    lambda: mean_reversion(0.8, -0.3, 1.1),
-    lambda: linear_system(dim=3),
-])
-def test_analytic_gbar_derivatives_consistent(factory):
-    model, _ = factory()
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        th = model.true_theta + 0.4 * rng.standard_normal(model.k)
-        obj = averaged_objective(model, th)
-        h = 1e-5
-        for j in range(model.k):
-            tp, tm = th.copy(), th.copy()
-            tp[j] += h
-            tm[j] -= h
-            fd_g = (averaged_objective(model, tp).gbar
-                    - averaged_objective(model, tm).gbar) / (2 * h)
-            assert obj.grad[j] == pytest.approx(fd_g, abs=1e-7)
-            fd_h = (averaged_objective(model, tp).grad
-                    - averaged_objective(model, tm).grad) / (2 * h)
-            npt.assert_allclose(obj.hessian[:, j], fd_h, atol=1e-6)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linear_system_hessian_is_the_stationary_fisher_information(dim):
+    # at theta* the residual f - f* vanishes, so the Hessian of gbar is
+    # E_pi[grad_theta f A^-1 grad_theta f^T]; the gradient is linear in x, so
+    # summing over the Cholesky columns of S gives the Gaussian mean exactly
+    sigma = np.array([[1.0, 0.0, 0.0], [0.4, 0.8, 0.0], [-0.3, 0.5, 1.2]])[:dim, :dim]
+    model, noise = linear_system(sigma=sigma, dim=dim)
+    th = model.true_theta.reshape(dim, dim)
+    # solve Theta* S + S Theta*^T = A without the model's Lyapunov solver
+    eye = np.eye(dim)
+    s_cov = np.linalg.solve(np.kron(th, eye) + np.kron(eye, th),
+                            noise.a.reshape(-1)).reshape(dim, dim)
+    want = np.zeros((model.k, model.k))
+    for col in np.linalg.cholesky(s_cov).T:
+        g = model.drift_grad_fn(col, model.true_theta)
+        want += g @ noise.a_inv @ g.T
+    npt.assert_allclose(model.analytic.hessian, want, rtol=1e-12, atol=1e-14)
 
 
 def test_gbar_minimum_at_truth():
@@ -153,10 +142,10 @@ def test_gbar_minimum_at_truth():
                     lambda: mean_reversion(1.0, 0.5, 1.0),
                     lambda: linear_system(dim=2)):
         model, _ = factory()
-        star = averaged_objective(model, model.true_theta)
-        assert star.gbar == pytest.approx(0.0, abs=1e-14)
-        npt.assert_allclose(star.grad, 0.0, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(star.hessian) > 0)
+        hess = model.analytic.hessian
+        assert hess.shape == (model.k, model.k)
+        npt.assert_array_equal(hess, hess.T)
+        assert np.all(np.linalg.eigvalsh(hess) > 0)
 
 
 def test_linear_system_stationary_covariance():
@@ -164,8 +153,7 @@ def test_linear_system_stationary_covariance():
     th = model.true_theta.reshape(2, 2)
     s = np.diag(model.analytic.stationary_second_moment)
     # recover the full covariance from the Hessian structure instead:
-    hess = averaged_objective(model, model.true_theta).hessian
-    s_cov = hess[:2, :2] / noise.a_inv[0, 0]
+    s_cov = model.analytic.hessian[:2, :2] / noise.a_inv[0, 0]
     npt.assert_allclose(th @ s_cov + s_cov @ th.T, noise.a, atol=1e-12)
     npt.assert_allclose(np.diag(s_cov), np.diag(s), atol=1e-12)
 
@@ -174,9 +162,9 @@ def test_averaged_objective_requires_analytic():
     bare = DriftModelSpec("custom", k=1, m=1,
                           drift_fn=lambda x, th: -th[..., 0:1] * x,
                           drift_grad_fn=lambda x, th: np.expand_dims(-x, -2),
-                          true_drift_fn=lambda x: -x)
-    with pytest.raises(AnalyticUnavailableError):
-        averaged_objective(bare, [1.0])
+                          true_drift_fn=lambda x: -x, true_theta=np.array([1.0]))
+    with pytest.raises(ConfigError, match="analytic metadata"):
+        covariance_inputs(bare, NoiseSpec(np.array([[1.0]])))
 
 
 def test_model_constructor_validation():

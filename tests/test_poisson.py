@@ -1,11 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.integrate import trapezoid
 
 from driftfit.models import bounded_link, mean_reversion, scalar_ou
-from driftfit.poisson import (Grid1D, PoissonError, default_grid,
-                              gbar_grad_quadrature, hbar, solve,
+from driftfit.poisson import (Grid1D, PoissonError, default_grid, hbar, solve,
                               stationary_density)
 
 
@@ -22,12 +20,12 @@ def test_ou_stationary_density_is_gaussian():
     model, noise = scalar_ou(1.0, 1.0)
     grid = default_grid(model, noise)
     dens = stationary_density(model, noise, grid)
-    assert trapezoid(dens, grid.nodes) == pytest.approx(1.0, abs=1e-10)
+    assert np.trapezoid(dens, grid.nodes) == pytest.approx(1.0, abs=1e-10)
     # N(0, 1/2): peak density 1/sqrt(pi)
     assert np.interp(0.0, grid.nodes, dens) == pytest.approx(
         1.0 / np.sqrt(np.pi), abs=1e-8)
     # the +/- 6 sd truncation costs a few 1e-8 of x^2-weighted mass
-    var = trapezoid(grid.nodes ** 2 * dens, grid.nodes)
+    var = np.trapezoid(grid.nodes ** 2 * dens, grid.nodes)
     assert var == pytest.approx(0.5, abs=1e-6)
 
 
@@ -35,7 +33,7 @@ def test_mean_reversion_density_centered_at_level():
     model, noise = mean_reversion(1.0, 0.5, 1.0)
     grid = default_grid(model, noise)
     dens = stationary_density(model, noise, grid)
-    mean = trapezoid(grid.nodes * dens, grid.nodes)
+    mean = np.trapezoid(grid.nodes * dens, grid.nodes)
     assert mean == pytest.approx(0.5, abs=1e-8)
 
 
@@ -79,15 +77,6 @@ def test_poisson_centering_violation():
         solve(model, noise, np.ones(grid.n), grid)
 
 
-def test_gbar_grad_quadrature_matches_analytic():
-    model, noise = scalar_ou(1.0, 1.0)
-    grid = default_grid(model, noise)
-    for th in ([0.5], [1.0], [1.8]):
-        num = gbar_grad_quadrature(model, noise, np.array(th), grid)
-        ana = model.analytic.gbar_grad_fn(np.array(th))
-        npt.assert_allclose(num, ana, atol=1e-8)
-
-
 def test_hbar_ou_at_truth():
     model, noise = scalar_ou(1.0, 1.0)
     npt.assert_allclose(hbar(model, noise), [[0.5]], atol=1e-6)
@@ -103,13 +92,13 @@ def test_hbar_ou_off_truth_closed_form():
 
 def test_hbar_bounded_link_matches_curvature():
     model, noise = bounded_link(1.0, 1.0)
-    hess = model.analytic.gbar_hessian_fn(model.true_theta)
+    hess = model.analytic.hessian
     npt.assert_allclose(hbar(model, noise), hess, atol=1e-6)
 
 
 def test_hbar_mean_reversion_matches_hessian():
     model, noise = mean_reversion(1.0, 0.5, 1.0)
-    hess = model.analytic.gbar_hessian_fn(model.true_theta)
+    hess = model.analytic.hessian
     h = hbar(model, noise)
     npt.assert_allclose(h, hess, atol=1e-6)
     assert np.all(np.linalg.eigvalsh(h) > 0)
