@@ -88,16 +88,15 @@ static inline double noise(int64_t m, const double *sigma_t, double sqdt,
 /* Inlined at each call below, so that family and m are constants there. */
 static inline __attribute__((always_inline)) void
 span(int family, int64_t m, const double *true_p, const double *sigma_t,
-     const double *a_inv, double dt, double sqdt, double c_alpha, double c0,
-     int64_t step0, int64_t nsteps, int64_t burn_in, int64_t n,
-     bitgen_t **gens, const uint8_t *alive, double *theta, double *x)
+     const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
+     int64_t nsteps, int64_t burn_in, int64_t n, bitgen_t **gens,
+     double *theta, double *x)
 {
     int64_t k = family == LINEAR ? m * m : 2;
+    double sqdt = sqrt(dt);  /* correctly rounded, as np.sqrt is */
     double xi[MAX_M], f[MAX_M], dx[MAX_M], upd[MAX_M * MAX_M];
 
     for (int64_t i = 0; i < n; i++) {
-        if (!alive[i])
-            continue;
         double *th = theta + i * k, *xs = x + i * m;
         for (int64_t s = step0; s < step0 + nsteps; s++) {
             for (int64_t c = 0; c < m; c++)
@@ -122,9 +121,10 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
 
 static inline __attribute__((always_inline)) int64_t
 path(int family, int64_t m, const double *true_p, const double *sigma_t,
-     double dt, double sqdt, double bound, bitgen_t *gen, int64_t nsteps,
-     double *x, double *out)
+     double dt, double bound, bitgen_t *gen, int64_t nsteps, double *x,
+     double *out)
 {
+    double sqdt = sqrt(dt);
     double xi[MAX_M], f[MAX_M], nx[MAX_M];
 
     for (int64_t s = 0; s < nsteps; s++) {
@@ -181,19 +181,16 @@ replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
         return CALL(LINEAR, 2);                          \
     return -1
 
-/* Steps [step0, step0 + nsteps) of replications i < n with alive[i] set:
-   theta is (n, k) and x is (n, m), both C order, updated in place.
-   Returns 0. */
+/* Steps [step0, step0 + nsteps) of all n replications: theta is (n, k)
+   and x is (n, m), both C order, updated in place.  Returns 0. */
 int driftfit_span(int family, int64_t m, const double *true_p,
-                  const double *sigma_t, const double *a_inv,
-                  double dt, double sqdt, double c_alpha, double c0,
-                  int64_t step0, int64_t nsteps, int64_t burn_in,
-                  int64_t n, bitgen_t **gens, const uint8_t *alive,
-                  double *theta, double *x)
+                  const double *sigma_t, const double *a_inv, double dt,
+                  double c_alpha, double c0, int64_t step0, int64_t nsteps,
+                  int64_t burn_in, int64_t n, bitgen_t **gens, double *theta,
+                  double *x)
 {
-#define SPAN(FAMILY, M) (span(FAMILY, M, true_p, sigma_t, a_inv, dt, sqdt, \
-                              c_alpha, c0, step0, nsteps, burn_in, n, gens, \
-                              alive, theta, x), 0)
+#define SPAN(FAMILY, M) (span(FAMILY, M, true_p, sigma_t, a_inv, dt, c_alpha, \
+                              c0, step0, nsteps, burn_in, n, gens, theta, x), 0)
     DISPATCH(SPAN);
 #undef SPAN
 }
@@ -204,12 +201,11 @@ int driftfit_span(int family, int64_t m, const double *true_p,
    leaving x at the state that step started from.  Returns the number of
    steps taken. */
 int64_t driftfit_path(int family, int64_t m, const double *true_p,
-                      const double *sigma_t, double dt, double sqdt,
-                      double bound, bitgen_t *gen, int64_t nsteps, double *x,
-                      double *out)
+                      const double *sigma_t, double dt, double bound,
+                      bitgen_t *gen, int64_t nsteps, double *x, double *out)
 {
-#define PATH(FAMILY, M) path(FAMILY, M, true_p, sigma_t, dt, sqdt, bound, \
-                             gen, nsteps, x, out)
+#define PATH(FAMILY, M) path(FAMILY, M, true_p, sigma_t, dt, bound, gen, \
+                             nsteps, x, out)
     DISPATCH(PATH);
 #undef PATH
 }

@@ -96,11 +96,10 @@ def load():
             i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
             lib.driftfit_span.restype = ctypes.c_int
             lib.driftfit_span.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl,
-                                          dbl, dbl, i64, i64, i64, i64, ptr, ptr, ptr,
-                                          ptr]
+                                          dbl, i64, i64, i64, i64, ptr, ptr, ptr]
             lib.driftfit_path.restype = i64
-            lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, dbl, dbl,
-                                          ptr, i64, ptr, ptr]
+            lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, dbl, ptr,
+                                          i64, ptr, ptr]
             lib.driftfit_replay.restype = i64
             lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr,
                                             ptr, ptr, ptr]
@@ -121,10 +120,10 @@ def covers(model, noise) -> bool:
             and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
 
 
-def _check(a: np.ndarray, shape, dtype=np.float64) -> None:
-    if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
-        raise ValueError("kernel arrays must be C-ordered %s of shape %s"
-                         % (np.dtype(dtype), shape))
+def _check(a: np.ndarray, shape) -> None:
+    if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-ordered float64 of shape %s"
+                         % (shape,))
 
 
 def _consts(*arrays):
@@ -150,7 +149,7 @@ def _entry(name: str, model, noise):
     return call
 
 
-def bind(config, gens, theta: np.ndarray, x: np.ndarray, alive: np.ndarray):
+def bind(config, gens, theta: np.ndarray, x: np.ndarray):
     """advance(lo, hi): run steps [lo, hi) of `run_batch` in the kernel,
     updating theta and x in place; None where the numpy loop must run."""
     model, noise = config.model, config.noise
@@ -161,19 +160,18 @@ def bind(config, gens, theta: np.ndarray, x: np.ndarray, alive: np.ndarray):
     n, k, m = len(gens), model.k, model.m
     _check(theta, (n, k))
     _check(x, (n, m))
-    _check(alive, (n,), np.bool_)
     bitgens = (ctypes.c_void_p * n)(
         *[g.bit_generator.ctypes.bit_generator.value for g in gens])
     consts = _consts(model.compiled.params, noise.sigma.T, noise.a_inv)
     sched, integ = config.schedule, config.integrator
-    head = (*[a.ctypes.data for a in consts], integ.dt, float(np.sqrt(integ.dt)),
-            float(sched.c_alpha), float(sched.c0))
-    tail = (integ.burn_in_steps, n, ctypes.addressof(bitgens), alive.ctypes.data,
-            theta.ctypes.data, x.ctypes.data)
+    head = (*[a.ctypes.data for a in consts], integ.dt, float(sched.c_alpha),
+            float(sched.c0))
+    tail = (integ.burn_in_steps, n, ctypes.addressof(bitgens), theta.ctypes.data,
+            x.ctypes.data)
 
     # the kernel reads these through the addresses in head and tail, so
     # advance holds them for as long as it lives
-    def advance(lo: int, hi: int, _keep=(consts, bitgens, gens, alive, theta, x)):
+    def advance(lo: int, hi: int, _keep=(consts, bitgens, gens, theta, x)):
         span(*head, lo, hi - lo, *tail)
 
     return advance
@@ -191,7 +189,7 @@ def bind_path(model, noise, dt: float, bound: float, rng, x: np.ndarray):
     m = model.m
     _check(x, (m,))
     consts = _consts(model.compiled.params, noise.sigma.T)
-    head = (*[a.ctypes.data for a in consts], dt, float(np.sqrt(dt)), bound,
+    head = (*[a.ctypes.data for a in consts], dt, bound,
             rng.bit_generator.ctypes.bit_generator.value)
 
     def steps(out, _keep=(consts, rng, x)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from .engine import on_step_grid
+from .engine import main_steps, on_step_grid
 from .models import BUILTIN_MODELS
 from .stats import MIN_CLT_SAMPLES
 
@@ -143,7 +143,7 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
                           "defaults to horizon / 100, slope.window_hi to the horizon)"
                           % (source, lo, hi))
     if values["experiment"] == "simulate" and values["data.path_csv"] is None:
-        steps = round((values["horizon"] - 1.0) / values["integrator.dt"])
+        steps = main_steps(values["horizon"], dt)
         if steps % values["output.stride"]:
             raise ConfigError("%s: output.stride %d does not divide the %d steps "
                               "of (horizon - 1) / dt; path.csv would end early"

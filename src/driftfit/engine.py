@@ -16,7 +16,7 @@ from .schedule import ScheduleSpec
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-THETA_BOUND_DEFAULT = 1e6
+THETA_BOUND = 1e6                 # the divergence screen's |theta| bound
 NOISE_BUFFER_BYTES = 8 * 2 ** 20  # standard normals drawn ahead, all replications
 CHECK_EVERY = 256                 # steps between divergence screenings
 
@@ -50,6 +50,19 @@ def on_step_grid(span: float, dt: float) -> bool:
     return abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
 
 
+def main_steps(horizon: float, dt: float) -> int:
+    """The steps after the burn-in, from t = 1 to the horizon."""
+    return round((horizon - 1.0) / dt)
+
+
+def theta0_box(model: DriftModelSpec, lo=None, hi=None) -> tuple:
+    """(lo, hi), each (k,), of the uniform theta0 draw; an unset side is
+    theta* -/+ 1 where theta* is known, else -/+ 1."""
+    center = model.true_theta if model.true_theta is not None else np.zeros(model.k)
+    return (np.full(model.k, center - 1.0 if lo is None else lo, dtype=float),
+            np.full(model.k, center + 1.0 if hi is None else hi, dtype=float))
+
+
 def geometric_checkpoints(horizon: float, n: int = 60) -> np.ndarray:
     """Log-uniform checkpoint grid t_j = r^j covering [1, horizon]."""
     if horizon <= 1:
@@ -67,18 +80,9 @@ class EngineConfig:
     checkpoint_times: np.ndarray
     theta0_lo: Optional[np.ndarray] = None
     theta0_hi: Optional[np.ndarray] = None
-    theta_bound: float = THETA_BOUND_DEFAULT
 
     def __post_init__(self):
-        lo, hi = self.theta0_lo, self.theta0_hi
-        if lo is None or hi is None:
-            # default box: theta* +/- 1 when the truth is known, else [-1, 1]
-            center = (self.model.true_theta if self.model.true_theta is not None
-                      else np.zeros(self.model.k))
-            lo = center - 1.0 if lo is None else lo
-            hi = center + 1.0 if hi is None else hi
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.model.k,)).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.model.k,)).copy()
+        lo, hi = theta0_box(self.model, self.theta0_lo, self.theta0_hi)
         if np.any(lo > hi):
             raise ValueError("theta0 box must satisfy lo <= hi componentwise")
         object.__setattr__(self, "theta0_lo", lo)
@@ -124,8 +128,7 @@ class ReplicationSet:
 
     def ok_mask(self) -> np.ndarray:
         mask = np.ones(self.n_reps, dtype=bool)
-        for i in self.failed:
-            mask[i] = False
+        mask[list(self.failed)] = False
         return mask
 
 
@@ -147,11 +150,11 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
 
 
-def diverged(theta: np.ndarray, x: np.ndarray, theta_bound: float) -> np.ndarray:
+def diverged(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Rows whose theta (n, k) or state (n, m) has a non-finite entry or one
-    above its bound in absolute value: a NaN fails every comparison and
-    survives max, so one comparison per array catches all three."""
-    return (~(np.abs(theta).max(axis=1) <= theta_bound)
+    past THETA_BOUND or DIVERGENCE_BOUND in absolute value: a NaN fails every
+    comparison and survives max, so one comparison per array catches all three."""
+    return (~(np.abs(theta).max(axis=1) <= THETA_BOUND)
             | ~(np.abs(x).max(axis=1) <= DIVERGENCE_BOUND))
 
 
@@ -166,7 +169,8 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     Checkpoints at t = 1 are recorded before the burn-in: their xs hold x0,
     not the state after the burn-in.
 
-    Python draws theta0, records checkpoints and screens for divergence.
+    Python draws theta0, records checkpoints and screens for divergence; a
+    failed replication runs on, booked once in `failed`, and ends as NaN rows.
     Between two such events the steps run in one call of the compiled
     kernel where `_kernel.bind` takes the model, else in the numpy step
     loop below, which defines them: the two agree bitwise.
@@ -185,7 +189,7 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
         theta[i] = g.uniform(config.theta0_lo, config.theta0_hi)
     x = np.tile(integ.initial_state(m), (n, 1))
 
-    n_main = int(round((config.horizon - 1.0) / dt))
+    n_main = main_steps(config.horizon, dt)
     burn_in = integ.burn_in_steps
     total = burn_in + n_main
     # a checkpoint is recorded after main step j, the first whose end time
@@ -199,16 +203,10 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     rec_theta = np.empty((len(j), n, k))
     rec_x = np.empty((len(j), n, m))
     failed: dict = {}
-    alive = np.ones(n, dtype=bool)
 
     def _screen(step_idx):
-        newly = diverged(theta, x, config.theta_bound) & alive
-        if newly.any():
-            for i in np.nonzero(newly)[0]:
-                failed[int(i)] = step_idx
-            alive[newly] = False
-            theta[newly] = 0.0
-            x[newly] = 0.0
+        for i in np.flatnonzero(diverged(theta, x)).tolist():
+            failed.setdefault(i, step_idx)
 
     # never larger than the run itself, so n = 1 runs allocate only what they use
     noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * n * m)))
@@ -230,7 +228,7 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
                                       x, theta, dx, dt)
             np.add(x, dx, out=x)  # in place, like theta
 
-    advance = _kernel.bind(config, gens, theta, x, alive) or _numpy_steps
+    advance = _kernel.bind(config, gens, theta, x) or _numpy_steps
     # stop at each checkpoint's step, every CHECK_EVERY-th step (a screening)
     # and the end; rec_step is sorted, so each stop records rows [lo, hi)
     stops = np.union1d(np.append(rec_step, total),
@@ -241,8 +239,8 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     rec_theta[rec_step == 0] = theta
     rec_x[rec_step == 0] = x
     step = 0
-    # diverging replications may overflow between screenings; they are
-    # zeroed out at the next _screen call, so suppress the transient warnings
+    # a diverging replication overflows, before its first screening and on
+    # until the NaN fill below, so suppress the warnings it raises
     with np.errstate(over="ignore", invalid="ignore"):
         for stop, (lo, hi) in zip(stops.tolist(), rows):
             advance(step, stop)
@@ -252,8 +250,6 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
             if step % CHECK_EVERY == 0:
                 _screen(step)
     _screen(step)
-    for i in failed:
-        rec_theta[:, i, :] = np.nan
-        rec_x[:, i, :] = np.nan
+    rec_theta[:, list(failed)] = rec_x[:, list(failed)] = np.nan
     return ReplicationSet(rec_t, rec_theta, rec_x, failed, model.true_theta)
 

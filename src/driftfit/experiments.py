@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernel, covariance, engine, models, poisson, stats
 from .config import ConfigError, ExperimentConfig, slope_window
 from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
-                     seed_split, sgdct_step)
+                     main_steps, seed_split, sgdct_step, theta0_box)
 from .sde import (IntegratorConfig, dump_path_csv, load_path_csv, simulate_path,
                   write_csv)
 from .schedule import RegimeReport, ScheduleSpec, regime_check
@@ -64,6 +64,10 @@ def build_engine_config(cfg: ExperimentConfig, model, noise) -> EngineConfig:
     lo, hi = (_list_value(cfg, key, (1, model.k), model, "%d parameters (one "
                           "entry is broadcast to all)" % model.k)
               for key in ("theta0.lo", "theta0.hi"))
+    lo, hi = theta0_box(model, lo, hi)  # an unset side takes its default
+    if np.any(lo > hi):
+        raise ConfigError("theta0.lo %s exceeds theta0.hi %s (an unset one is theta* "
+                          "-/+ 1)" % (lo.tolist(), hi.tolist()))
     return EngineConfig(model=model, noise=noise, schedule=sched,
                         integrator=integ, horizon=horizon, checkpoint_times=cps,
                         theta0_lo=lo, theta0_hi=hi)
@@ -299,7 +303,7 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
         replayed.dump_csv(traj_path)
         artifacts.append(str(traj_path))
         return []
-    n_steps = int(round((cfg["horizon"] - 1.0) / cfg["integrator.dt"]))
+    n_steps = main_steps(cfg["horizon"], cfg["integrator.dt"])
     blocks = list(simulate_path(model, noise, engine_cfg.integrator,
                                 seed_split(cfg["master_seed"], 0), n_steps))
     keep = slice(cfg["output.stride"] - 1, None, cfg["output.stride"])

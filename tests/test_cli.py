@@ -14,7 +14,7 @@ import driftfit
 from driftfit import stats
 from driftfit.cli import main
 from driftfit.config import EXPERIMENTS, ConfigError, from_dict, parse_config
-from driftfit.experiments import build_engine_config, build_model
+from driftfit.experiments import build_engine_config, build_model, run_experiment
 from driftfit.models import BUILTIN_MODELS
 
 
@@ -441,6 +441,21 @@ def test_cli_estimate_rejects_a_theta0_box_or_x0_of_the_wrong_length(
     assert report["error"]["type"] == "ConfigError"
     assert message in report["error"]["message"]
     assert not (out / "rep_0.csv").exists()
+
+
+@pytest.mark.parametrize("box, message", [
+    ("theta0.lo = 2\ntheta0.hi = 1\n", "theta0.lo [2.0] exceeds theta0.hi [1.0]"),
+    # the unset theta0.hi is theta* + 1 = 2
+    ("theta0.lo = 5\n", "theta0.lo [5.0] exceeds theta0.hi [2.0]"),
+])
+def test_a_theta0_box_with_lo_above_hi_is_a_config_error(tmp_path, box, message):
+    # this used to exit 2 with a bare ValueError that named no key
+    cfg = parse_config(write_config(
+        tmp_path, "experiment = estimate\nmodel.name = scalar_ou\n" + box))
+    report, status = run_experiment(cfg, tmp_path / "out")
+    assert status == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert message in report["error"]["message"]
 
 
 def test_theta0_box_takes_one_entry_or_one_per_parameter():

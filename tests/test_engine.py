@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfit import _kernel
+from driftfit import _kernel, engine
 from driftfit.engine import (BlowupError, EngineConfig, diverged, geometric_checkpoints,
                              run_batch, seed_split, sgdct_step, splitmix64)
 from driftfit.experiments import _replay_csv
@@ -167,16 +167,19 @@ def test_replaying_the_estimate_path_gives_back_its_parameters(factory):
     npt.assert_allclose(replayed.thetas, est.thetas[1:], rtol=0, atol=1e-12)
 
 
-def test_divergence_is_flagged():
+def diverging_config():
     # an explosive learning schedule on a wildly misspecified start blows up
     model, noise = scalar_ou(1.0, 1.0)
-    cfg = EngineConfig(model=model, noise=noise,
-                       schedule=ScheduleSpec(c_alpha=1e9, c0=0.0),
-                       integrator=IntegratorConfig(dt=0.5, burn_in_steps=0),
-                       horizon=500.0,
-                       checkpoint_times=geometric_checkpoints(500.0, 5),
-                       theta0_lo=np.array([-600.0]), theta0_hi=np.array([-500.0]))
-    res = run_batch(cfg, [seed_split(0, i) for i in range(4)])
+    return EngineConfig(model=model, noise=noise,
+                        schedule=ScheduleSpec(c_alpha=1e9, c0=0.0),
+                        integrator=IntegratorConfig(dt=0.5, burn_in_steps=0),
+                        horizon=500.0,
+                        checkpoint_times=geometric_checkpoints(500.0, 5),
+                        theta0_lo=np.array([-600.0]), theta0_hi=np.array([-500.0]))
+
+
+def test_divergence_is_flagged():
+    res = run_batch(diverging_config(), [seed_split(0, i) for i in range(4)])
     assert res.failed
     for i in res.failed:
         assert np.all(np.isnan(res.thetas[:, i, :]))
@@ -194,7 +197,9 @@ def test_the_divergence_screen_flags_non_finite_and_over_bound_rows():
         want = (~np.isfinite(theta).all(axis=1) | ~np.isfinite(x).all(axis=1)
                 | (np.abs(theta).max(axis=1) > 5.0)
                 | (np.abs(x).max(axis=1) > DIVERGENCE_BOUND))
-    got = diverged(theta, x, 5.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "THETA_BOUND", 5.0)
+        got = diverged(theta, x)
     npt.assert_array_equal(got, want)
     assert want.any() and not want.all()
 
@@ -260,6 +265,21 @@ needs_compiler = pytest.mark.skipif(shutil.which(_kernel.CC) is None,
                                     reason="no C compiler to build the kernel")
 
 
+@needs_compiler
+def test_a_diverged_replication_is_booked_alike_on_the_kernel_and_numpy():
+    # a failed row runs on to the end, overflowing, silently on both paths
+    cfg, seeds = diverging_config(), [seed_split(0, i) for i in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, compiled = run_and_spy(cfg, seeds)
+        want = run_batch(numpy_only(cfg), seeds)
+    assert compiled and got.failed and got.failed == want.failed
+    for res in (got, want):
+        assert np.isnan(res.thetas[:, list(res.failed)]).all()
+        assert np.isnan(res.xs[:, list(res.failed)]).all()
+    assert got.digest() == want.digest()
+
+
 @st.composite
 def kernel_models(draw):
     name = draw(st.sampled_from(["scalar_ou", "mean_reversion", "linear_system"]))
@@ -280,7 +300,7 @@ def kernel_models(draw):
 @settings(max_examples=40, deadline=None)
 @given(model_noise=kernel_models(), master=st.integers(0, 2 ** 32),
        n=st.integers(1, 5), burn_in=st.integers(0, 300), steps=st.integers(1, 700),
-       dt=st.sampled_from([0.01, 0.02]),
+       dt=st.floats(1e-3, 0.05),
        cp_frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
        bound_margin=st.sampled_from([None, 0.5]))
 def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_in,
@@ -288,18 +308,19 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
     model, noise = model_noise
     horizon = 1.0 + steps * dt
     # theta0 is drawn within theta* +- 1, so a margin of 0.5 fails some replications
-    bound = (1e6 if bound_margin is None
+    bound = (engine.THETA_BOUND if bound_margin is None
              else float(np.abs(model.true_theta).max()) + bound_margin)
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=dt, burn_in_steps=burn_in),
                        horizon=horizon,
-                       checkpoint_times=1.0 + (horizon - 1.0) * np.array(cp_frac),
-                       theta_bound=bound)
+                       checkpoint_times=1.0 + (horizon - 1.0) * np.array(cp_frac))
     seeds = [seed_split(master, i) for i in range(n)]
-    got, compiled = run_and_spy(cfg, seeds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "THETA_BOUND", bound)
+        got, compiled = run_and_spy(cfg, seeds)
+        want = run_batch(numpy_only(cfg), seeds)
     # the kernel copies numpy's sums of at most two drift terms
     assert compiled == (model.m <= _kernel.MAX_DIM)
-    want = run_batch(numpy_only(cfg), seeds)
     npt.assert_array_equal(got.times, want.times)
     npt.assert_array_equal(got.thetas, want.thetas)
     npt.assert_array_equal(got.xs, want.xs)

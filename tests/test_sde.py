@@ -164,7 +164,7 @@ def path_models(draw):
                                      max_size=d * d))).reshape(d, d)
         model, noise = linear_system(rate * np.eye(d) + off - np.diag(np.diag(off)),
                                      sigma * np.eye(d))
-    dt = 1.0 if boom else draw(st.sampled_from([0.005, 0.01, 0.02]))
+    dt = 1.0 if boom else draw(st.floats(1e-3, 0.05))
     return model, noise, dt
 
 

@@ -37,10 +37,10 @@ def hand_set():
                           failed={}, theta_star=np.array([1.0]))
 
 
-# One replication of PARTITION_SEED's 100 exceeds the theta bound at step 256
-# (mid-run), so the property also covers `failed`, inside the 1 % that
-# run_replications tolerates.
-PARTITION_REPS, PARTITION_SEED = 100, 5
+# With engine.THETA_BOUND patched to PARTITION_BOUND, one replication of
+# PARTITION_SEED's 100 exceeds it at step 256 (mid-run), so the property also
+# covers `failed`, inside the 1 % that run_replications tolerates.
+PARTITION_REPS, PARTITION_SEED, PARTITION_BOUND = 100, 5, 3.2
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,10 +51,11 @@ def partition_case(path):
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=0.02, burn_in_steps=50),
                        horizon=11.0, checkpoint_times=geometric_checkpoints(11.0, 8),
-                       theta0_lo=np.array([-1.0]), theta0_hi=np.array([3.0]),
-                       theta_bound=3.2)
+                       theta0_lo=np.array([-1.0]), theta0_hi=np.array([3.0]))
     seeds = [seed_split(PARTITION_SEED, i) for i in range(PARTITION_REPS)]
-    return cfg, seeds, run_batch(cfg, seeds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "THETA_BOUND", PARTITION_BOUND)
+        return cfg, seeds, run_batch(cfg, seeds)
 
 
 # The compiled kernel ignores NOISE_BUFFER_BYTES; the numpy loop refills its
@@ -80,6 +81,7 @@ def test_results_independent_of_grouping_and_noise_buffer(path, order, cuts,
     with pytest.MonkeyPatch.context() as mp:
         # down to one step per refill when buffer_bytes < 8 * len(part)
         mp.setattr(engine, "NOISE_BUFFER_BYTES", buffer_bytes)
+        mp.setattr(engine, "THETA_BOUND", PARTITION_BOUND)
         for lo, hi in zip(bounds, bounds[1:]):
             part = order[lo:hi]
             res = run_batch(cfg, [seeds[i] for i in part])
