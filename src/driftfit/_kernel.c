@@ -1,15 +1,18 @@
-/* The compiled SGDCT kernel for the compiled model families: three entry
+/* The compiled SGDCT kernel for the compiled model families: four entry
    points, each bitwise equal to the numpy code it stands for.
 
-     driftfit_span    one span of engine.run_batch's coupled Euler/SGDCT steps
-     driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
-     driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
+     driftfit_span     one span of engine.run_batch's coupled Euler/SGDCT steps
+     driftfit_path     Euler steps of sde.simulate_path (sde.euler_step)
+     driftfit_replay   the CSV replay's SGDCT updates (engine.sgdct_step)
+     driftfit_normals  n draws of Generator.standard_normal, for the check
+                       _kernel.load makes before the kernel is used
 
    The numpy code is the definition; this file repeats its arithmetic
    operation for operation, so that the results are bitwise equal.  Noise
-   comes from the caller's numpy bit generators through numpy's own
-   random_standard_normal, m draws per step, in the order
-   Generator.standard_normal would draw them.  Build with -ffp-contract=off:
+   comes from the caller's numpy bit generators through an inlined copy of
+   numpy's ziggurat (random_standard_normal), m draws per step, in the order
+   Generator.standard_normal would draw them.  Its tables are numpy's own,
+   made global in a copy of libnpyrandom.a.  Build with -ffp-contract=off:
    a fused multiply-add rounds once where numpy rounds twice.
 
    Families, for a state of dimension m and parameters p:
@@ -18,11 +21,67 @@
    The true drift is the same family at the true parameters. */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
-/* numpy/random/distributions.h declares it too, but includes Python.h */
-double random_standard_normal(bitgen_t *bitgen_state);
+/* numpy's ziggurat tables (file-local in its distributions.c) and its two
+   constants, which it compiles in as immediates */
+extern const uint64_t ki_double[256];
+extern const double wi_double[256], fi_double[256];
+static const double ZIGGURAT_NOR_R = 3.6541528853610088;
+static const double ZIGGURAT_NOR_INV_R = 0.27366123732975828;
+
+/* One ziggurat box from r = next_uint64: idx = r & 0xff, then the sign bit,
+   then the 52-bit rabs; x = rabs wi[idx], its sign bit flipped by the sign
+   (numpy's x = -x, without the branch). */
+static inline int box(bitgen_t *g, uint64_t *rabs, double *x)
+{
+    uint64_t r = g->next_uint64(g->state), bits;
+    int idx = r & 0xff;
+    r >>= 8;
+    *rabs = (r >> 1) & 0x000fffffffffffff;
+    *x = *rabs * wi_double[idx];
+    memcpy(&bits, x, sizeof bits);
+    bits ^= r << 63;
+    memcpy(x, &bits, sizeof bits);
+    return idx;
+}
+
+/* numpy's steps after a box is rejected: the tail beyond r for idx 0, else
+   the wedge test, and a new box while they reject. */
+static __attribute__((noinline)) double
+rejected(bitgen_t *g, int idx, uint64_t rabs, double x)
+{
+    for (;;) {
+        if (idx == 0) {
+            for (;;) {
+                double xx = -ZIGGURAT_NOR_INV_R * log1p(-g->next_double(g->state));
+                double yy = -log1p(-g->next_double(g->state));
+                if (yy + yy > xx * xx)
+                    return ((rabs >> 8) & 0x1) ? -(ZIGGURAT_NOR_R + xx)
+                                               : ZIGGURAT_NOR_R + xx;
+            }
+        }
+        if ((fi_double[idx - 1] - fi_double[idx]) * g->next_double(g->state)
+                + fi_double[idx] < exp(-0.5 * x * x))
+            return x;
+        idx = box(g, &rabs, &x);
+        if (rabs < ki_double[idx])
+            return x;
+    }
+}
+
+/* random_standard_normal: accepts the first box 99 % of the time */
+static inline double normal(bitgen_t *g)
+{
+    uint64_t rabs;
+    double x;
+    int idx = box(g, &rabs, &x);
+    if (__builtin_expect(rabs < ki_double[idx], 1))
+        return x;
+    return rejected(g, idx, rabs, x);
+}
 
 enum { LINEAR = 0, AFFINE = 1 };
 enum { MAX_M = 2 };  /* the largest state dimension, _kernel.MAX_DIM */
@@ -100,7 +159,7 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
         double *th = theta + i * k, *xs = x + i * m;
         for (int64_t s = step0; s < step0 + nsteps; s++) {
             for (int64_t c = 0; c < m; c++)
-                xi[c] = random_standard_normal(gens[i]);
+                xi[c] = normal(gens[i]);
             /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
             drift(family, m, true_p, xs, f);
             for (int64_t c = 0; c < m; c++)
@@ -129,7 +188,7 @@ path(int family, int64_t m, const double *true_p, const double *sigma_t,
 
     for (int64_t s = 0; s < nsteps; s++) {
         for (int64_t c = 0; c < m; c++)
-            xi[c] = random_standard_normal(gen);
+            xi[c] = normal(gen);
         /* sde.euler_step's order: (x + f*(x) dt) + (sqrt(dt) xi) @ sigma^T */
         drift(family, m, true_p, x, f);
         int ok = 1;
@@ -224,4 +283,13 @@ int64_t driftfit_replay(int family, int64_t m, const double *a_inv,
                                  theta, out)
     DISPATCH(REPLAY);
 #undef REPLAY
+}
+
+/* n standard normals from gen into out, as Generator.standard_normal(n)
+   draws them.  Returns n. */
+int64_t driftfit_normals(bitgen_t *gen, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = normal(gen);
+    return n;
 }

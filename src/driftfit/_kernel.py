@@ -1,16 +1,21 @@
-"""Builds, caches and binds the compiled SGDCT kernel `_kernel.c`.
+"""Builds, caches, checks and binds the compiled SGDCT kernel `_kernel.c`.
 
 The kernel has three entry points: a span of `engine.run_batch`'s steps
 (`bind`), the Euler steps of `sde.simulate_path` (`bind_path`) and the CSV
 replay's updates (`replay`).  It runs the models `covers` accepts; the
 others run the numpy code, which defines the results.
 
-The kernel is compiled with the system C compiler at the first call that
-can use it, never at import.  The shared library goes into a per-user
-cache directory, keyed by the hash of the source, the flags, the numpy
-version and the platform, so a machine compiles it once.  Where it cannot
-be built or loaded, every entry point runs numpy and one RuntimeWarning
-per process says why.
+The kernel draws its normals through an inlined copy of numpy's ziggurat,
+on numpy's own tables: `objcopy` makes them global in a private copy of
+numpy's `libnpyrandom.a`, which the kernel is linked against.  It is
+compiled with the system C compiler at the first call that can use it,
+never at import.  The shared library goes into a per-user cache directory,
+keyed by the hash of the source, the flags, the numpy version and the
+platform, so a machine compiles it once.  Each process checks it before
+use: CHECK_DRAWS normals from a fixed PCG64 seed must equal
+`Generator.standard_normal`'s bytes and leave the same bit-generator
+state.  Where it cannot be built or loaded, or fails that check, every
+entry point runs numpy and one RuntimeWarning per process says why.
 """
 from __future__ import annotations
 
@@ -23,12 +28,17 @@ import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 CC = "gcc"
+OBJCOPY = "objcopy"
+# numpy's ziggurat tables, file-local in libnpyrandom.a
+TABLES = ("wi_double", "ki_double", "fi_double")
 # never -ffast-math or -march=native: the kernel must round like numpy
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 FAMILIES = {"linear": 0, "affine": 1}
 # numpy sums three or more drift terms in SIMD-lane order, which the kernel
 # does not copy, so larger linear systems stay on the numpy loop
 MAX_DIM = 2
+CHECK_SEED = 20170907
+CHECK_DRAWS = 1 << 16
 
 _lib = None  # the loaded kernel library; False once loading has failed
 
@@ -44,9 +54,17 @@ def _check_private(path: str) -> None:
         raise PermissionError("%s is writable by another user" % path)
 
 
+def _run(argv) -> None:
+    """Run a build tool; OSError if it is missing or fails."""
+    import subprocess
+    done = subprocess.run(argv, capture_output=True, text=True)
+    if done.returncode:
+        last = (done.stderr.strip().splitlines() or [""])[-1]
+        raise OSError("%s exited with status %d: %s" % (argv[0], done.returncode, last))
+
+
 def _build() -> str:
     """Path of the cached shared library, compiling it if it is missing."""
-    import subprocess
     import sysconfig
     import tempfile
     with open(SOURCE, "rb") as fh:
@@ -64,45 +82,80 @@ def _build() -> str:
                              "libnpyrandom.a")
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
+    fd, tables = tempfile.mkstemp(suffix=".a", dir=directory)
+    os.close(fd)
     try:
-        done = subprocess.run([CC, *CFLAGS, "-I", np.get_include(), "-o", tmp,
-                               SOURCE, npyrandom, "-lm"],
-                              capture_output=True, text=True)
-        if done.returncode:
-            last = (done.stderr.strip().splitlines() or [""])[-1]
-            raise OSError("%s exited with status %d: %s" % (CC, done.returncode, last))
+        _run([OBJCOPY, *["--globalize-symbol=" + name for name in TABLES],
+              npyrandom, tables])
+        _run([CC, *CFLAGS, "-I", np.get_include(), "-o", tmp, SOURCE, tables, "-lm"])
         os.chmod(tmp, 0o700)
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in (tmp, tables):
+            if os.path.exists(name):
+                os.unlink(name)
     return path
 
 
+def _open():
+    """The built kernel library, its entry points declared to ctypes."""
+    import ctypes
+    path = _build()
+    _check_private(path)
+    lib = ctypes.CDLL(path)
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.driftfit_span.restype = ctypes.c_int
+    lib.driftfit_span.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl,
+                                  i64, i64, i64, i64, ptr, ptr, ptr]
+    lib.driftfit_path.restype = i64
+    lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, dbl, ptr, i64,
+                                  ptr, ptr]
+    lib.driftfit_replay.restype = i64
+    lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr, ptr,
+                                    ptr, ptr]
+    lib.driftfit_normals.restype = i64
+    lib.driftfit_normals.argtypes = [ptr, i64, ptr]
+    return lib
+
+
+def normals(lib, bit_generator, n: int) -> np.ndarray:
+    """n standard normals drawn from bit_generator by the kernel's ziggurat."""
+    out = np.empty(n)
+    lib.driftfit_normals(bit_generator.ctypes.bit_generator.value, n, out.ctypes.data)
+    return out
+
+
+def reference_normals(bit_generator, n: int) -> np.ndarray:
+    """numpy's own draws, which define the kernel's."""
+    return np.random.Generator(bit_generator).standard_normal(n)
+
+
+def _mismatch(lib):
+    """Why the kernel's normals differ from numpy's, or None if they agree."""
+    ours, theirs = np.random.PCG64(CHECK_SEED), np.random.PCG64(CHECK_SEED)
+    got = normals(lib, ours, CHECK_DRAWS)
+    if got.tobytes() != reference_normals(theirs, CHECK_DRAWS).tobytes():
+        return "its normal draws differ from numpy's standard_normal"
+    if ours.state != theirs.state:
+        return "its normal draws leave another bit-generator state than numpy's"
+    return None
+
+
 def load():
-    """The kernel library, built on first use; None where it is unavailable."""
+    """The kernel library, built on first use and checked against numpy;
+    None where it is unavailable."""
     global _lib
     if _lib is None:
-        import ctypes
         try:
-            path = _build()
-            _check_private(path)
-            lib = ctypes.CDLL(path)
+            lib = _open()
+            reason = _mismatch(lib)
         except OSError as exc:
+            reason = str(exc)
+        if reason:
             warnings.warn("driftfit: the compiled step kernel is unavailable (%s); "
-                          "running the numpy step loop" % exc, RuntimeWarning)
+                          "running the numpy step loop" % reason, RuntimeWarning)
             _lib = False
         else:
-            i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-            lib.driftfit_span.restype = ctypes.c_int
-            lib.driftfit_span.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl,
-                                          dbl, i64, i64, i64, i64, ptr, ptr, ptr]
-            lib.driftfit_path.restype = i64
-            lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, dbl, ptr,
-                                          i64, ptr, ptr]
-            lib.driftfit_replay.restype = i64
-            lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr,
-                                            ptr, ptr, ptr]
             _lib = lib
     return _lib or None
 

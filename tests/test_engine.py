@@ -261,8 +261,9 @@ def run_and_spy(cfg, seeds):
     return res, bound == [True]
 
 
-needs_compiler = pytest.mark.skipif(shutil.which(_kernel.CC) is None,
-                                    reason="no C compiler to build the kernel")
+needs_compiler = pytest.mark.skipif(
+    None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
+    reason="no C compiler or objcopy to build the kernel")
 
 
 @needs_compiler
@@ -351,7 +352,9 @@ def simulate_and_replay(cfg, seed, steps=300):
     return times, xs, thetas
 
 
-def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
+def assert_falls_back_to_numpy(patches):
+    """With the attributes in patches set on _kernel in a fresh process, all
+    three entry points run numpy and give its bytes, after one warning."""
     cfg = make_config(horizon=6.0)
     seeds = [seed_split(8, i) for i in range(3)]
     want = run_batch(numpy_only(cfg), seeds).digest()
@@ -359,8 +362,8 @@ def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         mp.setattr(_kernel, "_lib", None)  # as in a fresh process
-        mp.setattr(_kernel, "cache_dir", lambda: str(tmp_path / "cache"))
-        mp.setattr(_kernel, "CC", str(tmp_path / "no-such-compiler"))
+        for name, value in patches.items():
+            mp.setattr(_kernel, name, value)
         assert run_batch(cfg, seeds).digest() == want
         assert run_batch(cfg, seeds).digest() == want
         got_path = simulate_and_replay(cfg, 8)
@@ -369,6 +372,55 @@ def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
     # one warning for all three entry points
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "numpy step loop" in str(seen[0].message)
+    return str(seen[0].message)
+
+
+def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
+    assert_falls_back_to_numpy({"cache_dir": lambda: str(tmp_path / "cache"),
+                                "CC": str(tmp_path / "no-such-compiler")})
+
+
+def test_run_batch_falls_back_to_numpy_without_objcopy(tmp_path):
+    message = assert_falls_back_to_numpy({
+        "cache_dir": lambda: str(tmp_path / "cache"),
+        "OBJCOPY": str(tmp_path / "no-such-objcopy")})
+    assert "no-such-objcopy" in message
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+numpy_normals = _kernel.reference_normals
+
+
+def off_by_one_ulp(bit_generator, n):
+    return np.nextafter(numpy_normals(bit_generator, n), np.inf)
+
+
+def one_draw_more(bit_generator, n):
+    return numpy_normals(bit_generator, n + 1)[:n]
+
+
+@needs_compiler
+@pytest.mark.parametrize("reference, why", [
+    (off_by_one_ulp, "normal draws differ"),
+    (one_draw_more, "another bit-generator state")])
+def test_a_kernel_whose_normals_differ_from_numpy_is_not_used(reference, why):
+    message = assert_falls_back_to_numpy({"reference_normals": reference})
+    assert why in message
+
+
+@needs_compiler
+def test_the_kernel_normals_are_numpys_standard_normal():
+    # 10^7 draws over each seed reach the ziggurat's tail beyond r too
+    lib, chunk, tail = _kernel.load(), 2 ** 20, 0
+    assert lib is not None
+    for seed in (0, 1, 2 ** 63 + 5):
+        ours, theirs = np.random.PCG64(seed), np.random.PCG64(seed)
+        for n in [chunk] * 9 + [10 ** 7 - 9 * chunk]:
+            got = _kernel.normals(lib, ours, n)
+            assert got.tobytes() == _kernel.reference_normals(theirs, n).tobytes()
+            tail += np.count_nonzero(np.abs(got) > 3.6541528853610088)
+        assert ours.state == theirs.state
+    assert tail > 0
 
 
 def replay_and_spy(cfg, times, xs, seed):

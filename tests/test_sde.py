@@ -189,8 +189,8 @@ def run_path(model, noise, cfg, seed, n_steps):
     return blocks, error, bound == [True]
 
 
-@pytest.mark.skipif(shutil.which(_kernel.CC) is None,
-                    reason="no C compiler to build the kernel")
+@pytest.mark.skipif(None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
+                    reason="no C compiler or objcopy to build the kernel")
 @settings(max_examples=60, deadline=None)
 @given(case=path_models(), seed=st.integers(0, 2 ** 63), burn_in=st.integers(0, 40),
        n_steps=st.integers(1, 120), chunk=st.sampled_from([1, 3, 16, 4096]),
@@ -229,8 +229,8 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
     assert not compiled and error is None and len(blocks[0][1]) == 20
 
 
-@pytest.mark.skipif(shutil.which(_kernel.CC) is None,
-                    reason="no C compiler to build the kernel")
+@pytest.mark.skipif(None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
+                    reason="no C compiler or objcopy to build the kernel")
 def test_a_family_the_kernel_has_no_copy_of_raises():
     # covers() passes an affine model stretched to m = 2, but the kernel has
     # no affine body for m = 2: it returns -1 and the binding raises

@@ -62,7 +62,8 @@ def partition_case(path):
 # noise buffer down to every step.
 @pytest.mark.parametrize("path", [
     pytest.param("kernel", marks=pytest.mark.skipif(
-        shutil.which(_kernel.CC) is None, reason="no C compiler to build the kernel")),
+        None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
+        reason="no C compiler or objcopy to build the kernel")),
     "numpy"])
 @settings(max_examples=15, deadline=None)
 @given(order=st.permutations(range(PARTITION_REPS)),

@@ -1,0 +1,68 @@
+"""Time the compiled kernel's span: ns per replication-step per model and n.
+
+    python3 tools/span_ns.py [--repeats 5] [--rep-steps 4000000]
+
+Imports driftfit from the `src/` next to this directory.  For each model the
+kernel covers (scalar_ou, mean_reversion, linear_system d=2) and each batch
+size n in 1, 256 and 2048, it binds one span with `_kernel.bind` (no burn-in,
+so every step is a coupled Euler/SGDCT step) and times `advance` over about
+--rep-steps replication-steps.  It prints one JSON object: the best of
+--repeats timings per model and n, in ns per replication-step.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from driftfit import _kernel  # noqa: E402
+from driftfit.engine import EngineConfig, seed_split  # noqa: E402
+from driftfit.models import linear_system, mean_reversion, scalar_ou  # noqa: E402
+from driftfit.schedule import ScheduleSpec  # noqa: E402
+from driftfit.sde import IntegratorConfig  # noqa: E402
+
+MODELS = {"scalar_ou": scalar_ou, "mean_reversion": mean_reversion,
+          "linear_system_d2": lambda: linear_system(dim=2)}
+SIZES = (1, 256, 2048)
+DT = 0.005
+
+
+def span_ns(factory, n: int, rep_steps: int, repeats: int) -> float:
+    model, noise = factory()
+    steps = max(1, rep_steps // n)
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=DT, burn_in_steps=0),
+                       horizon=1.0 + steps * DT, checkpoint_times=np.array([1.0]))
+    best = float("inf")
+    for rep in range(repeats):
+        gens = [np.random.default_rng(seed_split(rep, i)) for i in range(n)]
+        theta = np.tile(np.asarray(model.true_theta, dtype=np.float64), (n, 1))
+        x = np.zeros((n, model.m))
+        advance = _kernel.bind(cfg, gens, theta, x)
+        if advance is None:
+            raise SystemExit("span_ns: the compiled kernel is unavailable")
+        start = time.perf_counter()
+        advance(0, steps)
+        best = min(best, time.perf_counter() - start)
+    return best / (n * steps) * 1e9
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--rep-steps", type=int, default=4_000_000)
+    args = parser.parse_args(argv)
+    out = {name: {"n_%d" % n: round(span_ns(factory, n, args.rep_steps, args.repeats), 2)
+                  for n in SIZES}
+           for name, factory in MODELS.items()}
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()
