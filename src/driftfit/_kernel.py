@@ -64,7 +64,9 @@ def _run(argv) -> None:
 
 
 def _build() -> str:
-    """Path of the cached shared library, compiling it if it is missing."""
+    """Path of the cached shared library, compiling it if it is missing; a
+    build deletes the kernels of other keys from the cache."""
+    import glob
     import sysconfig
     import tempfile
     with open(SOURCE, "rb") as fh:
@@ -80,20 +82,20 @@ def _build() -> str:
         return path
     npyrandom = os.path.join(os.path.dirname(np.__file__), "random", "lib",
                              "libnpyrandom.a")
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
-    os.close(fd)
-    fd, tables = tempfile.mkstemp(suffix=".a", dir=directory)
-    os.close(fd)
-    try:
+    with tempfile.TemporaryDirectory(dir=directory) as scratch:
+        tables = os.path.join(scratch, "tables.a")
+        tmp = os.path.join(scratch, "span.so")
         _run([OBJCOPY, *["--globalize-symbol=" + name for name in TABLES],
               npyrandom, tables])
         _run([CC, *CFLAGS, "-I", np.get_include(), "-o", tmp, SOURCE, tables, "-lm"])
         os.chmod(tmp, 0o700)
         os.replace(tmp, path)
-    finally:
-        for name in (tmp, tables):
-            if os.path.exists(name):
-                os.unlink(name)
+    for old in glob.glob(os.path.join(directory, "span-*.so")):
+        if old != path:
+            try:
+                os.unlink(old)
+            except FileNotFoundError:  # another process's build deleted it
+                pass
     return path
 
 

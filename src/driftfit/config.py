@@ -25,6 +25,13 @@ def _float_list(raw: str):
     return [float(p) for p in raw.split(",") if p.strip() != ""]
 
 
+def _finite(val) -> bool:
+    """Whether no float in val, one value or a list of them, is NaN or
+    infinite (abs(nan) < inf is False too)."""
+    vals = val if isinstance(val, list) else [val]
+    return all(abs(v) < float("inf") for v in vals if isinstance(v, float))
+
+
 # key -> (parser, default, validator or None)
 _SCHEMA: Dict[str, tuple] = {
     "experiment": (str, None, lambda v: v in EXPERIMENTS),
@@ -90,6 +97,8 @@ def from_dict(raw: Dict[str, str], source: str = "<dict>") -> ExperimentConfig:
                                   % (source, key, raw_val, parser.__name__)) from exc
         else:
             val = raw_val
+        if not _finite(val):
+            raise ConfigError("%s: key %r: value %r is not finite" % (source, key, val))
         if validator is not None and not validator(val):
             raise ConfigError("%s: key %r: value %r out of range"
                               % (source, key, val))

@@ -173,7 +173,8 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     failed replication runs on, booked once in `failed`, and ends as NaN rows.
     Between two such events the steps run in one call of the compiled
     kernel where `_kernel.bind` takes the model, else in the numpy step
-    loop below, which defines them: the two agree bitwise.
+    loop below, which defines them: the two agree bitwise.  Empty seeds
+    give an empty ReplicationSet.
     """
     model, noise, sched, integ = (config.model, config.noise,
                                   config.schedule, config.integrator)
@@ -194,7 +195,7 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     total = burn_in + n_main
     # a checkpoint is recorded after main step j, the first whose end time
     # 1 + j dt reaches it, i.e. after step burn_in + j; those at t = 1 (j = 0)
-    # before the burn-in, and those past the last step not at all
+    # at step 0, before the burn-in, and those past the last step not at all
     j = np.searchsorted(1.0 + np.arange(n_main + 1) * dt + 1e-12,
                         config.checkpoint_times)
     j = j[j <= n_main]
@@ -204,40 +205,31 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     rec_x = np.empty((len(j), n, m))
     failed: dict = {}
 
-    def _screen(step_idx):
-        for i in np.flatnonzero(diverged(theta, x)).tolist():
-            failed.setdefault(i, step_idx)
-
     # never larger than the run itself, so n = 1 runs allocate only what they use
-    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * n * m)))
+    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * max(n, 1) * m)))
     xi = np.empty((noise_chunk, n, m))
-    buf_lo = buf_hi = 0  # xi holds the noise of steps [buf_lo, buf_hi)
 
     def _numpy_steps(lo, hi):
-        nonlocal buf_lo, buf_hi
         for step in range(lo, hi):
-            if step == buf_hi:
+            if step % noise_chunk == 0:  # xi holds the noise of this chunk's steps
                 span = min(noise_chunk, total - step)
                 for i, g in enumerate(gens):
                     xi[:span, i, :] = g.standard_normal((span, m))
-                buf_lo, buf_hi = step, step + span
-            dx = model.true_drift_fn(x) * dt + sqdt * xi[step - buf_lo] @ sigma_t
+            dx = model.true_drift_fn(x) * dt + sqdt * xi[step % noise_chunk] @ sigma_t
             nmain = step - burn_in  # completed main steps
-            if nmain >= 0:  # in place: _screen and the checkpoints read theta
+            if nmain >= 0:  # in place: the screening and the checkpoints read theta
                 theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
                                       x, theta, dx, dt)
             np.add(x, dx, out=x)  # in place, like theta
 
     advance = _kernel.bind(config, gens, theta, x) or _numpy_steps
-    # stop at each checkpoint's step, every CHECK_EVERY-th step (a screening)
-    # and the end; rec_step is sorted, so each stop records rows [lo, hi)
+    # stop at each checkpoint's step (0 for t = 1, where advance runs no step)
+    # and at each screening: every CHECK_EVERY-th step and the end; rec_step
+    # is sorted, so each stop records rows [lo, hi)
     stops = np.union1d(np.append(rec_step, total),
                        np.arange(CHECK_EVERY, total, CHECK_EVERY))
-    stops = stops[stops > 0]
     rows = zip(np.searchsorted(rec_step, stops, "left").tolist(),
                np.searchsorted(rec_step, stops, "right").tolist())
-    rec_theta[rec_step == 0] = theta
-    rec_x[rec_step == 0] = x
     step = 0
     # a diverging replication overflows, before its first screening and on
     # until the NaN fill below, so suppress the warnings it raises
@@ -247,9 +239,9 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
             step = stop
             rec_theta[lo:hi] = theta
             rec_x[lo:hi] = x
-            if step % CHECK_EVERY == 0:
-                _screen(step)
-    _screen(step)
+            if step == total or 0 < step and step % CHECK_EVERY == 0:
+                for i in np.flatnonzero(diverged(theta, x)).tolist():
+                    failed.setdefault(i, step)
     rec_theta[:, list(failed)] = rec_x[:, list(failed)] = np.nan
     return ReplicationSet(rec_t, rec_theta, rec_x, failed, model.true_theta)
 

@@ -15,8 +15,8 @@ from . import _kernel, covariance, engine, models, poisson, stats
 from .config import ConfigError, ExperimentConfig, slope_window
 from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
                      main_steps, seed_split, sgdct_step, theta0_box)
-from .sde import (IntegratorConfig, dump_path_csv, load_path_csv, simulate_path,
-                  write_csv)
+from .sde import (DIVERGENCE_BOUND, IntegratorConfig, dump_path_csv, load_path_csv,
+                  simulate_path, write_csv)
 from .schedule import RegimeReport, ScheduleSpec, regime_check
 
 VARIANCE_BAND = 0.15
@@ -56,6 +56,9 @@ def _list_value(cfg: ExperimentConfig, key: str, sizes: tuple, model, what: str)
 def build_engine_config(cfg: ExperimentConfig, model, noise) -> EngineConfig:
     x0 = _list_value(cfg, "integrator.x0", (model.m,), model,
                      "state dimension %d" % model.m)
+    if x0 is not None and np.abs(x0).max() > DIVERGENCE_BOUND:
+        raise ConfigError("integrator.x0 %s is past the divergence bound %g"
+                          % (x0.tolist(), DIVERGENCE_BOUND))
     integ = IntegratorConfig(dt=cfg["integrator.dt"], x0=x0,
                              burn_in_steps=cfg["integrator.burn_in_steps"])
     sched = ScheduleSpec(c_alpha=cfg["schedule.c_alpha"], c0=cfg["schedule.c0"])
@@ -68,6 +71,10 @@ def build_engine_config(cfg: ExperimentConfig, model, noise) -> EngineConfig:
     if np.any(lo > hi):
         raise ConfigError("theta0.lo %s exceeds theta0.hi %s (an unset one is theta* "
                           "-/+ 1)" % (lo.tolist(), hi.tolist()))
+    if np.abs([lo, hi]).max() > engine.THETA_BOUND:
+        raise ConfigError("theta0.lo %s or theta0.hi %s is past the divergence bound "
+                          "%g on |theta| (an unset one is theta* -/+ 1)"
+                          % (lo.tolist(), hi.tolist(), engine.THETA_BOUND))
     return EngineConfig(model=model, noise=noise, schedule=sched,
                         integrator=integ, horizon=horizon, checkpoint_times=cps,
                         theta0_lo=lo, theta0_hi=hi)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import driftfit
 from driftfit import stats
 from driftfit.cli import main
-from driftfit.config import EXPERIMENTS, ConfigError, from_dict, parse_config
+from driftfit.config import (_SCHEMA, EXPERIMENTS, ConfigError, _float_list, from_dict,
+                             parse_config)
 from driftfit.experiments import build_engine_config, build_model, run_experiment
 from driftfit.models import BUILTIN_MODELS
 
@@ -452,6 +453,47 @@ def test_a_theta0_box_with_lo_above_hi_is_a_config_error(tmp_path, box, message)
     # this used to exit 2 with a bare ValueError that named no key
     cfg = parse_config(write_config(
         tmp_path, "experiment = estimate\nmodel.name = scalar_ou\n" + box))
+    report, status = run_experiment(cfg, tmp_path / "out")
+    assert status == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize("key", [key for key, (parser, _, _) in _SCHEMA.items()
+                                 if parser in (float, _float_list)])
+def test_a_non_finite_value_is_a_config_error_naming_its_key(key):
+    # horizon = inf used to escape as an OverflowError, and a NaN theta* or
+    # x0 to reach the run; in a list key, any entry counts
+    for value in ("nan", "inf", "-inf"):
+        raw = value if _SCHEMA[key][0] is float else "1, " + value
+        with pytest.raises(ConfigError, match="key '%s': value .* is not finite" % key):
+            from_dict({"experiment": "estimate", key: raw})
+    if _SCHEMA[key][0] is float:
+        with pytest.raises(ConfigError, match="is not finite"):
+            from_dict({"experiment": "estimate", key: float("nan")})
+
+
+def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
+    cfg = write_config(tmp_path, "experiment = estimate\nhorizon = inf\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'horizon'" in err and "not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("integrator.x0 = 2e8", "integrator.x0 [200000000.0] is past the divergence bound"),
+    ("theta0.hi = 2e6", "theta0.hi [2000000.0] is past the divergence bound"),
+    # the unset box is theta* -/+ 1
+    ("model.theta_star = 1e6", "theta0.lo [999999.0] or theta0.hi [1000001.0] "
+                               "is past the divergence bound"),
+])
+def test_an_x0_or_theta0_box_past_the_divergence_bounds_is_a_config_error(
+        tmp_path, setting, message):
+    # these used to run and fail every replication at its first screening
+    cfg = parse_config(write_config(
+        tmp_path, "experiment = estimate\nmodel.name = scalar_ou\n%s\n" % setting))
     report, status = run_experiment(cfg, tmp_path / "out")
     assert status == 2
     assert report["error"]["type"] == "ConfigError"

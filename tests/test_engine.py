@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import shutil
 import warnings
 
@@ -281,6 +282,79 @@ def test_a_diverged_replication_is_booked_alike_on_the_kernel_and_numpy():
     assert got.digest() == want.digest()
 
 
+PATHS = [pytest.param("kernel", marks=needs_compiler), "numpy"]
+
+
+def run_on(path, cfg, seeds):
+    """run_batch on the kernel (checking that it ran) or on the numpy loop."""
+    if path == "numpy":
+        return run_batch(numpy_only(cfg), seeds)
+    res, compiled = run_and_spy(cfg, seeds)
+    assert compiled
+    return res
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_divergence_after_the_last_screening_multiple_is_booked_at_the_end(path):
+    # 300 steps: screenings at 256 and at the end; with |theta| <= 1.8 as the
+    # bound, replication 1 is past it at step 256 (1.90) and replication 2
+    # only at step 300 (1.74, then 1.89), while 0 and 3 stay inside
+    model, noise = scalar_ou()
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=0.01, burn_in_steps=0),
+                       horizon=4.0, checkpoint_times=geometric_checkpoints(4.0, 5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "THETA_BOUND", 1.8)
+        res = run_on(path, cfg, [seed_split(1, i) for i in range(4)])
+    assert res.failed == {1: engine.CHECK_EVERY, 2: 300}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("burn_in", [0, 300])
+def test_a_theta0_past_the_bound_is_booked_at_the_first_screening(path, burn_in):
+    # the t = 1 checkpoint is recorded at step 0, which is no screening; with
+    # a burn-in past CHECK_EVERY, theta is still theta0 when it is screened
+    cfg = dataclasses.replace(make_config(burn_in=burn_in),
+                              theta0_lo=np.array([2e6]), theta0_hi=np.array([3e6]))
+    assert cfg.checkpoint_times[0] == 1.0
+    res = run_on(path, cfg, [seed_split(2, i) for i in range(3)])
+    assert set(res.failed.values()) == {engine.CHECK_EVERY}
+    if burn_in > engine.CHECK_EVERY:
+        assert res.failed == {0: 256, 1: 256, 2: 256}
+    assert np.isnan(res.thetas[:, list(res.failed)]).all()
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("extra", [1.0, 1.0 + 0.01 * 156, 7.777, 20.0],
+                         ids=["t1", "screening_step", "off_grid", "horizon"])
+def test_adding_a_checkpoint_leaves_the_other_rows_unchanged(path, extra):
+    # verify-clt adds t_eval to its grid and reads the other rows as they were
+    cfg = make_config(horizon=20.0, dt=0.01, burn_in=100)
+    cfg = dataclasses.replace(cfg, checkpoint_times=np.geomspace(1.5, 19.0, 7))
+    more = dataclasses.replace(cfg, checkpoint_times=np.append(
+        cfg.checkpoint_times, extra))
+    seeds = [seed_split(6, i) for i in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "THETA_BOUND", 1.8)  # fails some replications
+        base, grown = run_on(path, cfg, seeds), run_on(path, more, seeds)
+    assert base.failed and grown.failed == base.failed
+    rows = np.searchsorted(grown.times, base.times)
+    assert len(grown.times) == len(base.times) + 1
+    npt.assert_array_equal(grown.times[rows], base.times)
+    assert grown.thetas[rows].tobytes() == base.thetas.tobytes()
+    assert grown.xs[rows].tobytes() == base.xs.tobytes()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_an_empty_batch_gives_an_empty_set(path):
+    cfg = make_config()
+    res = run_on(path, cfg, [])
+    npt.assert_array_equal(res.times, run_batch(cfg, [1]).times)
+    assert res.thetas.shape == (len(res.times), 0, 1)
+    assert res.xs.shape == (len(res.times), 0, 1)
+    assert res.n_reps == 0 and res.failed == {}
+
+
 @st.composite
 def kernel_models(draw):
     name = draw(st.sampled_from(["scalar_ou", "mean_reversion", "linear_system"]))
@@ -496,3 +570,18 @@ def test_the_kernel_is_never_loaded_from_a_directory_others_can_write(tmp_path):
         assert _kernel.load() is None
     assert "writable by another user" in str(seen[0].message)
     assert list(shared.iterdir()) == []
+
+
+@needs_compiler
+def test_a_build_deletes_the_other_kernels_from_the_cache(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    (cache / "span-000000000000000000000000.so").write_bytes(b"an older kernel")
+    (cache / "notes.txt").write_text("not a kernel")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "cache_dir", lambda: str(cache))
+        path = _kernel._build()
+        assert _kernel._build() == path
+    # the objcopy and gcc temporaries went with their directory
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [os.path.basename(path), "notes.txt"])
