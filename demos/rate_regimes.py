@@ -1,10 +1,10 @@
 """How the learning-rate magnitude sets the convergence rate.
 
 With alpha_t = C_alpha / (C_0 + t) the mean-square error decays like
-t^-1 when C C_alpha > 1 (C is the curvature of the averaged objective at
+t^-1 when 2 C C_alpha > 1 (C is the curvature of the averaged objective at
 the truth) but only like t^(-2 C C_alpha) below that threshold.  For the
 scalar mean-reverting family C = 1/2, so C_alpha = 4 is comfortably
-supercritical while C_alpha = 0.8 is not.
+supercritical while C_alpha = 0.8 (2 C C_alpha = 0.8) is not.
 
 Prints the measured log-log slopes next to the predictions, and the
 approximate second-moment ODE curve for the supercritical run.

@@ -1,11 +1,9 @@
-/* The compiled SGDCT kernel for the compiled model families: four entry
+/* The compiled SGDCT kernel for the compiled model families: three entry
    points, each bitwise equal to the numpy code it stands for.
 
-     driftfit_span     one span of engine.run_batch's coupled Euler/SGDCT steps
-     driftfit_path     Euler steps of sde.simulate_path (sde.euler_step)
-     driftfit_replay   the CSV replay's SGDCT updates (engine.sgdct_step)
-     driftfit_normals  n draws of Generator.standard_normal, for the check
-                       _kernel.load makes before the kernel is used
+     driftfit_span    one span of engine.run_batch's coupled Euler/SGDCT steps
+     driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
+     driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
 
    The numpy code is the definition; this file repeats its arithmetic
    operation for operation, so that the results are bitwise equal.  Noise
@@ -84,7 +82,7 @@ static inline double normal(bitgen_t *g)
 }
 
 enum { LINEAR = 0, AFFINE = 1 };
-enum { MAX_M = 2 };  /* the largest state dimension, _kernel.MAX_DIM */
+enum { MAX_M = 2 };  /* the largest m in DISPATCH, and _kernel.BODIES */
 
 static inline void drift(int family, int64_t m, const double *p,
                          const double *x, double *f)
@@ -229,8 +227,8 @@ replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
     return nrows - 1;
 }
 
-/* Dispatches to one inlined copy of the body per covered (family, m);
-   the entry point returns -1, touching nothing, for any other. */
+/* One inlined copy of the body per (family, m) in _kernel.BODIES; the entry
+   point returns -1, touching nothing, for any other. */
 #define DISPATCH(CALL)                                   \
     if (family == AFFINE && m == 1)                      \
         return CALL(AFFINE, 1);                          \
@@ -283,13 +281,4 @@ int64_t driftfit_replay(int family, int64_t m, const double *a_inv,
                                  theta, out)
     DISPATCH(REPLAY);
 #undef REPLAY
-}
-
-/* n standard normals from gen into out, as Generator.standard_normal(n)
-   draws them.  Returns n. */
-int64_t driftfit_normals(bitgen_t *gen, int64_t n, double *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = normal(gen);
-    return n;
 }

@@ -12,10 +12,11 @@ compiled with the system C compiler at the first call that can use it,
 never at import.  The shared library goes into a per-user cache directory,
 keyed by the hash of the source, the flags, the numpy version and the
 platform, so a machine compiles it once.  Each process checks it before
-use: CHECK_DRAWS normals from a fixed PCG64 seed must equal
-`Generator.standard_normal`'s bytes and leave the same bit-generator
-state.  Where it cannot be built or loaded, or fails that check, every
-entry point runs numpy and one RuntimeWarning per process says why.
+use: CHECK_DRAWS normals from a fixed PCG64 seed, drawn through the span's
+own replication loop (`normals`), must equal `Generator.standard_normal`'s
+bytes and leave the same bit-generator state.  Where it cannot be built or
+loaded, or fails that check, every entry point runs numpy and one
+RuntimeWarning per process says why.
 """
 from __future__ import annotations
 
@@ -34,9 +35,10 @@ TABLES = ("wi_double", "ki_double", "fi_double")
 # never -ffast-math or -march=native: the kernel must round like numpy
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 FAMILIES = {"linear": 0, "affine": 1}
-# numpy sums three or more drift terms in SIMD-lane order, which the kernel
-# does not copy, so larger linear systems stay on the numpy loop
-MAX_DIM = 2
+# the (family, m) pairs _kernel.c's DISPATCH has a body for; numpy sums three
+# or more drift terms in SIMD-lane order, which the kernel does not copy, so
+# larger linear systems stay on the numpy loop
+BODIES = frozenset({("linear", 1), ("linear", 2), ("affine", 1)})
 CHECK_SEED = 20170907
 CHECK_DRAWS = 1 << 16
 
@@ -115,16 +117,21 @@ def _open():
     lib.driftfit_replay.restype = i64
     lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr, ptr,
                                     ptr, ptr]
-    lib.driftfit_normals.restype = i64
-    lib.driftfit_normals.argtypes = [ptr, i64, ptr]
     return lib
 
 
 def normals(lib, bit_generator, n: int) -> np.ndarray:
-    """n standard normals drawn from bit_generator by the kernel's ziggurat."""
-    out = np.empty(n)
-    lib.driftfit_normals(bit_generator.ctypes.bit_generator.value, n, out.ctypes.data)
-    return out
+    """n standard normals drawn from bit_generator by the kernel's ziggurat,
+    through driftfit_span: one burn-in step of family linear with m = 1,
+    p = 0, sigma = 1 and dt = 1, over n replications that all draw from
+    bit_generator.  x_i ends as -0.0 + xi_i, which is draw i bit for bit
+    (from +0.0, a -0.0 draw would end as +0.0)."""
+    gens = np.full(n, bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
+    zero, one, theta, x = np.zeros(1), np.ones(1), np.empty(n), np.full(n, -0.0)
+    lib.driftfit_span(FAMILIES["linear"], 1, zero.ctypes.data, one.ctypes.data,
+                      one.ctypes.data, 1.0, 1.0, 0.0, 0, 1, 1, n, gens.ctypes.data,
+                      theta.ctypes.data, x.ctypes.data)
+    return x
 
 
 def reference_normals(bit_generator, n: int) -> np.ndarray:
@@ -164,14 +171,14 @@ def load():
 
 def covers(model, noise) -> bool:
     """Whether the kernel runs this model: its drift, gradient and true drift
-    are still the callables its factory described, m <= MAX_DIM, and sigma
-    is diagonal."""
+    are still the callables its factory described, _kernel.c has a body for
+    its (family, m), and sigma is diagonal."""
     form = model.compiled
     return (form is not None
             and all(a is b for a, b in zip(
                 (model.drift_fn, model.drift_grad_fn, model.true_drift_fn),
                 form.callables))
-            and model.m <= MAX_DIM
+            and (form.family, model.m) in BODIES
             and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
 
 

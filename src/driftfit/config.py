@@ -125,6 +125,9 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
             raise ConfigError("%s: key %r is not read by model %r, which reads %s"
                               % (source, key, name,
                                  ", ".join("model." + k for k in reads)))
+    if values["data.path_csv"] is not None and values["experiment"] != "simulate":
+        raise ConfigError("%s: key 'data.path_csv' is read only by experiment "
+                          "'simulate', not by %r" % (source, values["experiment"]))
     if (values["grid.lo"] is None) != (values["grid.hi"] is None):
         raise ConfigError("%s: keys 'grid.lo' and 'grid.hi' must be given together"
                           % source)
@@ -168,19 +171,23 @@ def slope_window(values: Dict[str, Any]) -> tuple:
 
 def parse_config(path, overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:
     raw: Dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError("%s:%d: expected 'key = value', got %r"
-                                  % (path, lineno, line.rstrip()))
-            key, _, val = stripped.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in raw:
-                raise ConfigError("%s:%d: duplicate key %r" % (path, lineno, key))
-            raw[key] = val
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("%s: cannot read the config file: %s" % (path, exc)) from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError("%s:%d: expected 'key = value', got %r"
+                              % (path, lineno, line.rstrip()))
+        key, _, val = stripped.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in raw:
+            raise ConfigError("%s:%d: duplicate key %r" % (path, lineno, key))
+        raw[key] = val
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     return from_dict(raw, source=str(path))

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from .schedule import ScheduleSpec
+from .schedule import ScheduleSpec, regime_check
 
 SYMMETRY_TOL = 1e-10
 
@@ -99,7 +99,7 @@ def _check_regime(lam, c_alpha):
     if lam_min <= 0:
         raise RegimeError("Hessian must be positive definite; smallest "
                           "eigenvalue %g" % lam_min)
-    if not 2.0 * lam_min * c_alpha > 1.0:
+    if regime_check(ScheduleSpec(c_alpha), lam_min).regime != "supercritical":
         raise RegimeError("regime violation: 2 lambda_min C_alpha = %g <= 1 "
                           "(lambda_min=%g, C_alpha=%g)"
                           % (2 * lam_min * c_alpha, lam_min, c_alpha))

@@ -20,7 +20,8 @@ class ModelError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class NoiseSpec:
-    """Constant diffusion coefficient sigma; sigma @ sigma.T must be SPD."""
+    """Constant diffusion coefficient sigma; sigma @ sigma.T must be SPD, with
+    it and its inverse finite."""
 
     sigma: np.ndarray
 
@@ -28,14 +29,20 @@ class NoiseSpec:
         sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         if sig.shape[0] != sig.shape[1]:
             raise ModelError("sigma must be square, got shape %s" % (sig.shape,))
-        a = sig @ sig.T
+        with np.errstate(over="ignore"):  # refused below
+            a = sig @ sig.T
+        if not np.isfinite(a).all():
+            raise ModelError("sigma @ sigma.T overflows: sigma is too large")
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
             raise ModelError("sigma @ sigma.T is not positive definite") from exc
+        a_inv = np.linalg.inv(a)
+        if not np.isfinite(a_inv).all():
+            raise ModelError("(sigma @ sigma.T)^-1 overflows: sigma is too small")
         object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_a_inv", np.linalg.inv(a))
+        object.__setattr__(self, "_a_inv", a_inv)
 
     @property
     def m(self) -> int:
@@ -117,7 +124,8 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
     if theta_star <= 0:
         raise ModelError("theta_star must be positive for a mean-reverting truth")
     ts = float(theta_star)
-    sig2 = float(sigma) ** 2
+    noise = NoiseSpec(np.array([[float(sigma)]]))
+    sig2 = float(noise.a[0, 0])
     m2 = sig2 / (2.0 * ts)
 
     def drift(x, theta):
@@ -136,7 +144,7 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
                            true_theta=np.array([ts]), analytic=analytic,
                            compiled=CompiledForm("linear", np.array([ts]),
                                                  (drift, grad, true_drift)))
-    return model, NoiseSpec(np.array([[float(sigma)]]))
+    return model, noise
 
 
 def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
@@ -155,7 +163,8 @@ def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
 
     if eta(ts) <= 0:
         raise ModelError("eta(theta_star) must be positive")
-    sig2 = float(sigma) ** 2
+    noise = NoiseSpec(np.array([[float(sigma)]]))
+    sig2 = float(noise.a[0, 0])
     m2 = sig2 / (2.0 * eta(ts))
     eta_star = eta(ts)
 
@@ -175,7 +184,7 @@ def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
     model = DriftModelSpec("bounded_link", k=1, m=1, drift_fn=drift,
                            drift_grad_fn=grad, true_drift_fn=true_drift,
                            true_theta=np.array([ts]), analytic=analytic)
-    return model, NoiseSpec(np.array([[float(sigma)]]))
+    return model, noise
 
 
 def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
@@ -184,7 +193,8 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
     a_star, b_star = float(rate_star), float(level_star)
     if a_star <= 0:
         raise ModelError("rate_star must be positive")
-    sig2 = float(sigma) ** 2
+    noise = NoiseSpec(np.array([[float(sigma)]]))
+    sig2 = float(noise.a[0, 0])
     var = sig2 / (2.0 * a_star)
     mu = b_star
     # f - f* = c(theta) + d(theta) x with c = th1 th2 - a* b*, d = a* - th1;
@@ -212,7 +222,7 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
                            analytic=analytic,
                            compiled=CompiledForm("affine", np.array([a_star, b_star]),
                                                  (drift, grad, true_drift)))
-    return model, NoiseSpec(np.array([[float(sigma)]]))
+    return model, noise
 
 
 def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):

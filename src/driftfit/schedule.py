@@ -29,21 +29,22 @@ class RegimeReport:
     cc_alpha: float
     regime: str  # supercritical | boundary | subcritical
     predicted_l2_slope: float
-    log_correction: bool = False
 
 
 def regime_check(s: ScheduleSpec, convexity_constant: float) -> RegimeReport:
-    """Classify C * C_alpha against the critical product 1.
+    """Classify 2 C C_alpha against 1, the one critical value.
 
-    In the supercritical regime the optimal 1/t mean-square rate holds;
-    below it the rate degrades to t^(-2 C C_alpha).
+    The linearised error dynamics at theta* decay like 1/t exactly when
+    2 C C_alpha > 1, which is also when the CLT covariance exists: then the
+    mean-square error falls like 1/t.  Below it the error falls like
+    t^(-C C_alpha), so the mean-square error like t^(-2 C C_alpha); at the
+    boundary 1/t picks up a log factor.
     """
     if not convexity_constant > 0:
         raise ScheduleError("convexity constant must be positive")
     cc = convexity_constant * s.c_alpha
-    if cc > 1 + 1e-12:
+    if 2.0 * cc > 1 + 1e-12:
         return RegimeReport(cc, "supercritical", -1.0)
-    if cc < 1 - 1e-12:
+    if 2.0 * cc < 1 - 1e-12:
         return RegimeReport(cc, "subcritical", -2.0 * cc)
-    return RegimeReport(cc, "boundary", -1.0, log_correction=True)
-
+    return RegimeReport(cc, "boundary", -1.0)

@@ -142,8 +142,9 @@ def raw_configs(draw):
                 "schedule.c_alpha": positive.map(repr),
                 "n_reps": st.integers(min_reps, 10 ** 6).map(str),
                 "master_seed": st.integers(0, 2 ** 64 - 1).map(str),
-                "t_eval": st.integers(0, steps).map(lambda i: repr(1.0 + i * dt)),
-                "data.path_csv": st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True)}
+                "t_eval": st.integers(0, steps).map(lambda i: repr(1.0 + i * dt))}
+    if experiment == "simulate":  # the one experiment that reads it
+        optional["data.path_csv"] = st.from_regex(r"[a-z_/]{1,12}\.csv", fullmatch=True)
     for key, values in optional.items():
         if draw(st.booleans()):
             raw[key] = draw(values)
@@ -366,6 +367,46 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = write_config(tmp_path, "experiment = simulate\nbogus = 1\n")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"experiment = estimate\nhorizon = 5\xff0\n"],
+                         ids=["missing", "not_utf8"])
+def test_cli_a_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys,
+                                                                   content):
+    path = tmp_path / "run.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: cannot read the config file" % path)
+    assert not out.exists()
+
+
+def test_data_path_csv_on_an_experiment_other_than_simulate_is_a_config_error(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path, "data.path_csv = %s\n" % (tmp_path / "none.csv"))
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("key 'data.path_csv' is read only by experiment 'simulate', not by "
+            "'estimate'") in capsys.readouterr().err
+    assert not out.exists()
+    for experiment in EXPERIMENTS:
+        if experiment != "simulate":
+            with pytest.raises(ConfigError, match="data.path_csv"):
+                from_dict({"experiment": experiment, "data.path_csv": "p.csv"})
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-155", "1e200"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_a_sigma_whose_noise_matrix_or_its_inverse_overflows_is_a_model_error(
+        tmp_path, name, sigma):
+    cfg = from_dict({"experiment": "estimate", "model.name": name,
+                     "model.sigma": sigma, "horizon": "2", "integrator.dt": "0.01",
+                     "integrator.burn_in_steps": "0"})
+    report, status = run_experiment(cfg, tmp_path / "out")
+    assert status == 2
+    assert report["error"]["type"] == "ModelError"
 
 
 def test_cli_runtime_error_is_structured(tmp_path):

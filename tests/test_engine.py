@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import shutil
 import warnings
 
 import numpy as np
@@ -17,6 +16,8 @@ from driftfit.models import (bounded_link, linear_system, mean_reversion,
                              objective_grad, scalar_ou)
 from driftfit.schedule import ScheduleSpec
 from driftfit.sde import DIVERGENCE_BOUND, IntegratorConfig, simulate_path
+
+from conftest import needs_compiler
 
 
 def make_config(horizon=20.0, dt=0.01, n_cp=10, c_alpha=4.0, c0=1.0,
@@ -262,11 +263,6 @@ def run_and_spy(cfg, seeds):
     return res, bound == [True]
 
 
-needs_compiler = pytest.mark.skipif(
-    None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
-    reason="no C compiler or objcopy to build the kernel")
-
-
 @needs_compiler
 def test_a_diverged_replication_is_booked_alike_on_the_kernel_and_numpy():
     # a failed row runs on to the end, overflowing, silently on both paths
@@ -395,7 +391,7 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
         got, compiled = run_and_spy(cfg, seeds)
         want = run_batch(numpy_only(cfg), seeds)
     # the kernel copies numpy's sums of at most two drift terms
-    assert compiled == (model.m <= _kernel.MAX_DIM)
+    assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
     npt.assert_array_equal(got.times, want.times)
     npt.assert_array_equal(got.thetas, want.thetas)
     npt.assert_array_equal(got.xs, want.xs)
@@ -497,6 +493,31 @@ def test_the_kernel_normals_are_numpys_standard_normal():
     assert tail > 0
 
 
+@needs_compiler
+def test_the_kernel_normals_keep_a_negative_zero_draw():
+    # a bit generator whose every word is a ziggurat box with idx 2, rabs 0
+    # and the sign bit set, which numpy's random_standard_normal (linked into
+    # the kernel) turns into -0.0; a state that started at +0.0 would lose it
+    import ctypes
+    import types
+
+    class BitGen(ctypes.Structure):  # numpy's bitgen_t
+        _fields_ = [(name, ctypes.c_void_p) for name in (
+            "state", "next_uint64", "next_uint32", "next_double", "next_raw")]
+
+    word = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)(lambda _: 1 << 8 | 2)
+    gen = BitGen(next_uint64=ctypes.cast(word, ctypes.c_void_p))
+    fake = types.SimpleNamespace(ctypes=types.SimpleNamespace(
+        bit_generator=ctypes.c_void_p(ctypes.addressof(gen))))
+    lib = _kernel.load()
+    lib.random_standard_normal.restype = ctypes.c_double
+    lib.random_standard_normal.argtypes = [ctypes.c_void_p]
+    want = lib.random_standard_normal(ctypes.addressof(gen))
+    got = _kernel.normals(lib, fake, 3)
+    assert want == 0.0 and np.signbit(want)
+    assert got.tobytes() == np.full(3, want).tobytes()
+
+
 def replay_and_spy(cfg, times, xs, seed):
     """The replay's thetas or BlowupError, and whether the kernel ran it."""
     ran = []
@@ -536,7 +557,7 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
                        checkpoint_times=np.array([1.0]))
     got, compiled = replay_and_spy(cfg, times, xs, seed)
     want, _ = replay_and_spy(numpy_only(cfg), times, xs, seed)
-    assert compiled == (model.m <= _kernel.MAX_DIM)
+    assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
     assert type(got) is type(want)
     if isinstance(want, BlowupError):
         assert (got.step, got.t) == (want.step, want.t)

@@ -1,5 +1,4 @@
 import dataclasses
-import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfit import _kernel, sde
+from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
 from driftfit.models import (DriftModelSpec, NoiseSpec, bounded_link, linear_system,
                              mean_reversion, scalar_ou)
+from driftfit.schedule import ScheduleSpec
 from driftfit.sde import (DivergenceError, IntegratorConfig, dump_path_csv,
                           euler_step, load_path_csv, simulate_path, write_csv)
+
+from conftest import needs_compiler
 
 
 def test_euler_step_drift_only():
@@ -189,8 +192,7 @@ def run_path(model, noise, cfg, seed, n_steps):
     return blocks, error, bound == [True]
 
 
-@pytest.mark.skipif(None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
-                    reason="no C compiler or objcopy to build the kernel")
+@needs_compiler
 @settings(max_examples=60, deadline=None)
 @given(case=path_models(), seed=st.integers(0, 2 ** 63), burn_in=st.integers(0, 40),
        n_steps=st.integers(1, 120), chunk=st.sampled_from([1, 3, 16, 4096]),
@@ -205,7 +207,7 @@ def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
         want, want_err, _ = run_path(dataclasses.replace(model, compiled=None), noise,
                                      cfg, seed, n_steps)
     # the kernel copies numpy's sums of at most two drift terms
-    assert compiled == (model.m <= _kernel.MAX_DIM)
+    assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
     # the same blocks, so the same rows yielded before any DivergenceError
     assert [len(t) for t, _ in got] == [len(t) for t, _ in want]
     for (tg, xg), (tw, xw) in zip(got, want):
@@ -229,15 +231,22 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
     assert not compiled and error is None and len(blocks[0][1]) == 20
 
 
-@pytest.mark.skipif(None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
-                    reason="no C compiler or objcopy to build the kernel")
-def test_a_family_the_kernel_has_no_copy_of_raises():
-    # covers() passes an affine model stretched to m = 2, but the kernel has
-    # no affine body for m = 2: it returns -1 and the binding raises
+def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():
+    # an affine model stretched to m = 2 keeps its compiled form, but the
+    # kernel has no affine body for m = 2, so covers() refuses it
     model, _ = mean_reversion()
     wide, noise = dataclasses.replace(model, m=2), NoiseSpec(np.eye(2))
-    assert _kernel.covers(wide, noise)
-    steps = _kernel.bind_path(wide, noise, 0.01, 1e8, np.random.default_rng(0),
-                              np.zeros(2))
-    with pytest.raises(ValueError, match="does not cover model 'mean_reversion'"):
-        steps(np.empty((3, 2)))
+    numpy_only = dataclasses.replace(wide, compiled=None)
+    assert not _kernel.covers(wide, noise)
+    cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
+    (got, got_err, compiled), (want, want_err, _) = [
+        run_path(m, noise, cfg, 3, 20) for m in (wide, numpy_only)]
+    assert not compiled and got_err is None and want_err is None
+    assert [(t.tobytes(), x.tobytes()) for t, x in got] == [
+        (t.tobytes(), x.tobytes()) for t, x in want]
+    batch = EngineConfig(model=wide, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                         integrator=cfg, horizon=3.0,
+                         checkpoint_times=geometric_checkpoints(3.0, 5))
+    seeds = [seed_split(5, i) for i in range(3)]
+    assert run_batch(batch, seeds).digest() == run_batch(
+        dataclasses.replace(batch, model=numpy_only), seeds).digest()

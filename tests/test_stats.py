@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +16,8 @@ from driftfit.sde import IntegratorConfig
 from driftfit.stats import (KS_CRITICAL_1PCT, ReplicationError, ReplicationSet,
                             clt_diagnostics, loglog_slope, moment_curve,
                             rescaled_sample, run_replications)
+
+from conftest import needs_compiler
 
 
 def small_config(horizon=20.0):
@@ -60,11 +61,8 @@ def partition_case(path):
 
 # The compiled kernel ignores NOISE_BUFFER_BYTES; the numpy loop refills its
 # noise buffer down to every step.
-@pytest.mark.parametrize("path", [
-    pytest.param("kernel", marks=pytest.mark.skipif(
-        None in map(shutil.which, (_kernel.CC, _kernel.OBJCOPY)),
-        reason="no C compiler or objcopy to build the kernel")),
-    "numpy"])
+@pytest.mark.parametrize("path", [pytest.param("kernel", marks=needs_compiler),
+                                  "numpy"])
 @settings(max_examples=15, deadline=None)
 @given(order=st.permutations(range(PARTITION_REPS)),
        cuts=st.sets(st.integers(1, PARTITION_REPS - 1), max_size=4),
