@@ -65,9 +65,18 @@ def _run(argv) -> None:
         raise OSError("%s exited with status %d: %s" % (argv[0], done.returncode, last))
 
 
+def _mtime_ns(path: str) -> int:
+    """When path was last used (-1 if another process deleted it)."""
+    try:
+        return os.stat(path).st_mtime_ns
+    except FileNotFoundError:
+        return -1
+
+
 def _build() -> str:
     """Path of the cached shared library, compiling it if it is missing; a
-    build deletes the kernels of other keys from the cache."""
+    hit marks it used, and a build deletes the kernels of other keys from the
+    cache but the most recently used one."""
     import glob
     import sysconfig
     import tempfile
@@ -80,8 +89,11 @@ def _build() -> str:
     os.makedirs(directory, mode=0o700, exist_ok=True)
     _check_private(directory)
     path = os.path.join(directory, "span-%s.so" % key[:24])
-    if os.path.exists(path):
+    try:
+        os.utime(path)
         return path
+    except FileNotFoundError:
+        pass
     npyrandom = os.path.join(os.path.dirname(np.__file__), "random", "lib",
                              "libnpyrandom.a")
     with tempfile.TemporaryDirectory(dir=directory) as scratch:
@@ -92,12 +104,14 @@ def _build() -> str:
         _run([CC, *CFLAGS, "-I", np.get_include(), "-o", tmp, SOURCE, tables, "-lm"])
         os.chmod(tmp, 0o700)
         os.replace(tmp, path)
-    for old in glob.glob(os.path.join(directory, "span-*.so")):
-        if old != path:
-            try:
-                os.unlink(old)
-            except FileNotFoundError:  # another process's build deleted it
-                pass
+    # keeping one other kernel spares a second build to whoever alternates
+    # between two keys, say two checkouts or two numpy installs
+    others = [p for p in glob.glob(os.path.join(directory, "span-*.so")) if p != path]
+    for old in sorted(others, key=_mtime_ns)[:-1]:
+        try:
+            os.unlink(old)
+        except FileNotFoundError:  # another process's build deleted it
+            pass
     return path
 
 

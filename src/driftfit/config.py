@@ -9,9 +9,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from .engine import main_steps, on_step_grid
+from .engine import geometric_checkpoints, step_of
 from .models import BUILTIN_MODELS
-from .stats import MIN_CLT_SAMPLES
+from .stats import MIN_CLT_SAMPLES, in_window
 
 EXPERIMENTS = ("simulate", "estimate", "predict-covariance", "poisson-solve",
                "verify-rate", "verify-clt", "regime-sweep")
@@ -132,19 +132,16 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
         raise ConfigError("%s: keys 'grid.lo' and 'grid.hi' must be given together"
                           % source)
     t_eval, dt = values["t_eval"], values["integrator.dt"]
-    # predict-covariance and poisson-solve build no engine config, so no horizon
-    if (values["experiment"] not in ("predict-covariance", "poisson-solve")
-            and not on_step_grid(values["horizon"] - 1.0, dt)):
-        raise ConfigError("%s: (horizon - 1) / dt = %r is not a whole number of "
-                          "steps; the final checkpoint would be dropped"
-                          % (source, (values["horizon"] - 1.0) / dt))
-    if t_eval is not None and t_eval > values["horizon"]:
+    try:  # predict-covariance and poisson-solve build no engine config, so no horizon
+        if values["experiment"] not in ("predict-covariance", "poisson-solve"):
+            step_of(values["horizon"], dt, "horizon", exact=True)
+        if t_eval is not None:
+            step_of(t_eval, dt, "t_eval", exact=True)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (source, exc)) from exc
+    if t_eval is not None and step_of(t_eval, dt) > step_of(values["horizon"], dt):
         raise ConfigError("%s: t_eval %r is past the horizon %r"
                           % (source, t_eval, values["horizon"]))
-    if t_eval is not None and not on_step_grid(t_eval - 1.0, dt):
-        raise ConfigError("%s: (t_eval - 1) / dt = %r is not a whole number of "
-                          "steps; no step lands on t_eval"
-                          % (source, (t_eval - 1.0) / dt))
     if values["experiment"] == "verify-clt" and values["n_reps"] < MIN_CLT_SAMPLES:
         raise ConfigError("%s: verify-clt needs n_reps >= %d for its CLT "
                           "diagnostics, got %d"
@@ -154,8 +151,17 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
         raise ConfigError("%s: slope window [%r, %r] is empty (slope.window_lo "
                           "defaults to horizon / 100, slope.window_hi to the horizon)"
                           % (source, lo, hi))
+    if values["experiment"] in ("verify-rate", "regime-sweep"):
+        # the times run_batch records the geometric checkpoints at
+        n_cp = values["checkpoints.n"]
+        times = 1.0 + step_of(geometric_checkpoints(values["horizon"], n_cp), dt) * dt
+        held = int(in_window(times, (lo, hi)).sum())
+        if held < 2:
+            raise ConfigError("%s: slope window [%r, %r] holds %d of the %d "
+                              "checkpoints; the log-log slope fit needs 2 or more"
+                              % (source, lo, hi, held, n_cp))
     if values["experiment"] == "simulate" and values["data.path_csv"] is None:
-        steps = main_steps(values["horizon"], dt)
+        steps = step_of(values["horizon"], dt)
         if steps % values["output.stride"]:
             raise ConfigError("%s: output.stride %d does not divide the %d steps "
                               "of (horizon - 1) / dt; path.csv would end early"

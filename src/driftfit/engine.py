@@ -44,15 +44,22 @@ def seed_split(master: int, index: int) -> int:
     return splitmix64((int(master) + index * _GOLDEN) & _MASK)
 
 
-def on_step_grid(span: float, dt: float) -> bool:
-    """Whether span / dt is a whole number of steps, up to rounding."""
-    steps = span / dt
-    return abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
-
-
-def main_steps(horizon: float, dt: float) -> int:
-    """The steps after the burn-in, from t = 1 to the horizon."""
-    return round((horizon - 1.0) / dt)
+def step_of(t, dt: float, what: str = "time", exact: bool = False):
+    """The first main step j whose end time 1 + j dt reaches t, an end time
+    up to 1e-9 max(1, |s|) steps short of t, s = (t - 1) / dt, counting as
+    reaching it: an int64, or an array for an array of times.  ValueError
+    naming `what` for a t that is not finite or lies before t = 1, or, if
+    `exact`, that lies farther than that tolerance from 1 + j dt."""
+    s = (np.asarray(t, dtype=float) - 1.0) / dt
+    tol = 1e-9 * np.maximum(1.0, np.abs(s))
+    if not np.all(np.isfinite(s) & (s >= -tol)):
+        raise ValueError("%s %r must be finite and at least 1"
+                         % (what, np.asarray(t).tolist()))
+    j = np.ceil(s - tol)
+    if exact and not np.all(j - s <= tol):
+        raise ValueError("(%s - 1) / dt = %r is not a whole number of steps; "
+                         "no step ends at %s" % (what, s.tolist(), what))
+    return j.astype(np.int64)[()]
 
 
 def theta0_box(model: DriftModelSpec, lo=None, hi=None) -> tuple:
@@ -87,12 +94,11 @@ class EngineConfig:
             raise ValueError("theta0 box must satisfy lo <= hi componentwise")
         object.__setattr__(self, "theta0_lo", lo)
         object.__setattr__(self, "theta0_hi", hi)
-        if not on_step_grid(self.horizon - 1.0, self.integrator.dt):
-            raise ValueError("(horizon - 1) / dt = %r is not a whole number of "
-                             "steps; the final checkpoint would be dropped"
-                             % ((self.horizon - 1.0) / self.integrator.dt))
+        dt = self.integrator.dt
+        last = step_of(self.horizon, dt, "horizon", exact=True)
         cps = np.sort(np.asarray(self.checkpoint_times, dtype=float).reshape(-1))
-        if cps.size and not (cps[0] >= 1.0 - 1e-9 and cps[-1] <= self.horizon + 1e-9):
+        # run_batch records every checkpoint admitted here, at its step_of
+        if step_of(cps, dt, "checkpoint times").max(initial=0) > last:
             raise ValueError("checkpoint times must lie in [1, horizon]")
         object.__setattr__(self, "checkpoint_times", cps)
 
@@ -190,15 +196,11 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
         theta[i] = g.uniform(config.theta0_lo, config.theta0_hi)
     x = np.tile(integ.initial_state(m), (n, 1))
 
-    n_main = main_steps(config.horizon, dt)
     burn_in = integ.burn_in_steps
-    total = burn_in + n_main
-    # a checkpoint is recorded after main step j, the first whose end time
-    # 1 + j dt reaches it, i.e. after step burn_in + j; those at t = 1 (j = 0)
-    # at step 0, before the burn-in, and those past the last step not at all
-    j = np.searchsorted(1.0 + np.arange(n_main + 1) * dt + 1e-12,
-                        config.checkpoint_times)
-    j = j[j <= n_main]
+    total = burn_in + step_of(config.horizon, dt)
+    # a checkpoint is recorded after main step j = step_of(t), i.e. after
+    # step burn_in + j; those at t = 1 (j = 0) at step 0, before the burn-in
+    j = step_of(config.checkpoint_times, dt)
     rec_step = np.where(j > 0, burn_in + j, 0)
     rec_t = 1.0 + j * dt
     rec_theta = np.empty((len(j), n, k))

@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernel, covariance, engine, models, poisson, stats
 from .config import ConfigError, ExperimentConfig, slope_window
 from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
-                     main_steps, seed_split, sgdct_step, theta0_box)
+                     seed_split, sgdct_step, step_of, theta0_box)
 from .sde import (DIVERGENCE_BOUND, IntegratorConfig, dump_path_csv, load_path_csv,
                   simulate_path, write_csv)
 from .schedule import RegimeReport, ScheduleSpec, regime_check
@@ -310,7 +310,7 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
         replayed.dump_csv(traj_path)
         artifacts.append(str(traj_path))
         return []
-    n_steps = main_steps(cfg["horizon"], cfg["integrator.dt"])
+    n_steps = step_of(cfg["horizon"], cfg["integrator.dt"])
     blocks = list(simulate_path(model, noise, engine_cfg.integrator,
                                 seed_split(cfg["master_seed"], 0), n_steps))
     keep = slice(cfg["output.stride"] - 1, None, cfg["output.stride"])

@@ -227,7 +227,6 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
 
 def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     """f(x, theta) = -Theta x with Theta = reshape(theta, (d, d)) row-major."""
-    from scipy.linalg import solve_lyapunov
     if theta_star_matrix is None:
         theta_star_matrix = np.eye(dim) + 0.25 * np.diag(np.ones(dim - 1), 1)
     th_star = np.asarray(theta_star_matrix, dtype=float)
@@ -241,8 +240,11 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     noise = NoiseSpec(np.asarray(sigma, dtype=float))
     a = noise.a
     a_inv = noise.a_inv
-    # stationary covariance S of dx = -Theta* x dt + sigma dW
-    s_cov = solve_lyapunov(th_star, a)
+    # stationary covariance S of dx = -Theta* x dt + sigma dW: Theta* S + S
+    # Theta*^T = A, one d^2 x d^2 linear system in the row-major entries of S
+    eye = np.eye(d)
+    s_cov = np.linalg.solve(np.kron(th_star, eye) + np.kron(eye, th_star),
+                            a.ravel()).reshape(d, d)
     s_cov = 0.5 * (s_cov + s_cov.T)
 
     def drift(x, theta):

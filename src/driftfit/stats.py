@@ -65,13 +65,20 @@ def moment_curve(rep_set: ReplicationSet, p: float) -> Tuple[np.ndarray, np.ndar
     return rep_set.times.copy(), np.mean(norms ** p, axis=1)
 
 
+def in_window(times, window: Tuple[float, float]) -> np.ndarray:
+    """Which times the slope fit over window = (lo, hi) reads: lo <= t <= hi,
+    up to 1e-9."""
+    times = np.asarray(times, dtype=float)
+    return (times >= window[0] - 1e-9) & (times <= window[1] + 1e-9)
+
+
 def loglog_slope(times: np.ndarray, values: np.ndarray,
                  window: Tuple[float, float]) -> SlopeEstimate:
     """Least-squares slope of log(value) against log(t) inside the window."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t_lo, t_hi = window
-    sel = (times >= t_lo - 1e-9) & (times <= t_hi + 1e-9)
+    sel = in_window(times, window)
     if sel.sum() < 2:
         raise ReplicationError("need at least 2 checkpoints in the window")
     y = values[sel]

@@ -552,8 +552,8 @@ def test_theta0_box_takes_one_entry_or_one_per_parameter():
 
 
 def test_a_run_that_needs_no_scipy_does_not_import_it(tmp_path):
-    # scipy loads only inside the routines that call it (linear_system's
-    # Lyapunov solve, the quadrature covariance route, the CLT diagnostics)
+    # scipy loads only inside the routines that call it (the quadrature
+    # covariance route, the CLT diagnostics)
     script = """
 import sys
 import driftfit.cli
@@ -569,6 +569,27 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
+def test_building_any_model_and_its_engine_config_does_not_import_scipy():
+    # linear_system used to load scipy.linalg for its Lyapunov solve, about
+    # 0.2 s of every run on it
+    script = """
+import sys
+from driftfit.config import from_dict
+from driftfit.experiments import build_engine_config, build_model
+from driftfit.models import BUILTIN_MODELS
+for name in BUILTIN_MODELS:
+    cfg = from_dict({"experiment": "estimate", "model.name": name})
+    build_engine_config(cfg, *build_model(cfg))
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    src = os.path.dirname(os.path.dirname(driftfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
 
@@ -627,6 +648,56 @@ integrator.burn_in_steps = 100
     # off the dt grid no step lands on t_eval
     with pytest.raises(ConfigError, match="t_eval - 1"):
         from_dict({"experiment": "verify-clt", "horizon": "200", "t_eval": "150.001"})
+
+
+def test_a_horizon_within_rounding_of_a_step_records_its_last_checkpoint(tmp_path):
+    # 200.00000001 passed the grid check, yet rep_0.csv used to end at t = 182.83
+    # with 59 rows: the last checkpoint rounded up past the last step
+    text = "experiment = estimate\nintegrator.dt = 0.01\nhorizon = %s\n"
+    csvs = []
+    for horizon in ("200", "200.00000001"):
+        out = tmp_path / horizon
+        cfg = write_config(tmp_path, text % horizon)
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        csvs.append((out / "rep_0.csv").read_bytes())
+    assert csvs[1] == csvs[0]
+    assert csvs[0].splitlines()[-1].startswith(b"200,")
+
+
+def test_a_t_eval_within_rounding_of_a_step_is_evaluated_there(tmp_path):
+    # t_eval = 150.00000001 passed the grid check, yet every replication ran
+    # before "t_eval=150 is not a checkpoint" failed the run
+    text = ("experiment = verify-clt\nhorizon = 200\nintegrator.dt = 0.01\n"
+            "integrator.burn_in_steps = 100\nt_eval = %s\n")
+    reports = []
+    for t_eval in ("150", "150.00000001"):
+        out = tmp_path / t_eval
+        cfg = write_config(tmp_path, text % t_eval)
+        assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert reports[1]["error"] is None
+    assert reports[1]["verdicts"] == reports[0]["verdicts"]
+
+
+def test_a_slope_window_with_fewer_than_two_checkpoints_is_a_config_error(
+        tmp_path, monkeypatch):
+    # [150, 160] holds one of the 60 checkpoints up to 200; every replication
+    # used to run before the slope fit refused it
+    calls = []
+    monkeypatch.setattr(stats, "run_replications", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, "experiment = verify-rate\nhorizon = 200\n"
+                                 "slope.window_lo = 150\nslope.window_hi = 160\n")
+    out = tmp_path / "out"
+    assert main(["verify-rate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    with pytest.raises(ConfigError, match="holds 1 of the 60 checkpoints"):
+        from_dict({"experiment": "regime-sweep", "horizon": "200",
+                   "slope.window_lo": "150", "slope.window_hi": "160"})
+    from_dict({"experiment": "verify-rate", "horizon": "200",
+               "slope.window_lo": "130", "slope.window_hi": "160"})
+    # verify-clt fits no slope
+    from_dict({"experiment": "verify-clt", "horizon": "200",
+               "slope.window_lo": "150", "slope.window_hi": "160"})
 
 
 def test_cli_verify_rate_rejects_an_empty_slope_window(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from driftfit import _kernel, engine
 from driftfit.engine import (BlowupError, EngineConfig, diverged, geometric_checkpoints,
-                             run_batch, seed_split, sgdct_step, splitmix64)
+                             run_batch, seed_split, sgdct_step, splitmix64, step_of)
 from driftfit.experiments import _replay_csv
 from driftfit.models import (bounded_link, linear_system, mean_reversion,
                              objective_grad, scalar_ou)
@@ -230,6 +230,34 @@ def test_engine_config_rejects_horizon_off_the_dt_grid():
         make_config(horizon=10.002, dt=0.005, n_cp=60)
     make_config(horizon=10.0, dt=0.005, n_cp=60)
     make_config(horizon=1.0 + 0.1 * 3, dt=0.1)  # 3.0000000000000004 steps: round-off
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.005, 0.1])
+def test_step_of_rounds_a_time_up_to_the_first_step_that_reaches_it(dt):
+    assert step_of(1.0, dt) == 0
+    for j in (1, 7, 156, 19900):
+        for offset in (-1e-13, 0.0, 1e-13):
+            assert step_of(1.0 + j * dt + offset, dt) == j
+            assert step_of(1.0 + j * dt + offset, dt, exact=True) == j
+    assert step_of(1.0 + 2.5 * dt, dt) == 3  # off the grid: rounds up
+    with pytest.raises(ValueError, match="not a whole number"):
+        step_of(1.0 + 2.5 * dt, dt, exact=True)
+    npt.assert_array_equal(step_of(1.0 + np.array([0.0, 2.5, 4.0]) * dt, dt),
+                           [0, 3, 4])
+    for bad in (np.nan, np.inf, 1.0 - 0.5 * dt, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            step_of(bad, dt)
+
+
+def test_every_admitted_checkpoint_is_recorded():
+    # horizon + 5e-10 used to pass the range check and then not be recorded
+    cfg = dataclasses.replace(make_config(horizon=20.0, dt=0.01),
+                              checkpoint_times=np.array([1.0, 5.0, 20.0 + 5e-10]))
+    reps = run_batch(cfg, [3])
+    npt.assert_array_equal(reps.times, [1.0, 5.0, 1.0 + 1900 * 0.01])
+    npt.assert_array_equal(reps.thetas[-1], run_batch(make_config(), [3]).thetas[-1])
+    with pytest.raises(ValueError, match="checkpoint times"):
+        dataclasses.replace(cfg, checkpoint_times=np.array([1.0, 20.01]))
 
 
 def test_trajectory_csv(tmp_path):
@@ -594,15 +622,22 @@ def test_the_kernel_is_never_loaded_from_a_directory_others_can_write(tmp_path):
 
 
 @needs_compiler
-def test_a_build_deletes_the_other_kernels_from_the_cache(tmp_path):
+def test_a_build_keeps_only_the_most_recently_used_other_kernel(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
-    (cache / "span-000000000000000000000000.so").write_bytes(b"an older kernel")
+    older, newer = cache / ("span-%024d.so" % 0), cache / ("span-%024d.so" % 1)
+    older.write_bytes(b"an older kernel")
+    newer.write_bytes(b"a newer kernel")
+    os.utime(older, (1.0e9, 1.0e9))
+    os.utime(newer, (1.5e9, 1.5e9))
     (cache / "notes.txt").write_text("not a kernel")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "cache_dir", lambda: str(cache))
         path = _kernel._build()
+        os.utime(path, (1.2e9, 1.2e9))
         assert _kernel._build() == path
-    # the objcopy and gcc temporaries went with their directory
+    # the hit marked it used; the objcopy and gcc temporaries went with their
+    # directory
+    assert os.stat(path).st_mtime > 1.5e9
     assert sorted(p.name for p in cache.iterdir()) == sorted(
-        [os.path.basename(path), "notes.txt"])
+        [os.path.basename(path), newer.name, "notes.txt"])
