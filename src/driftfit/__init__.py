@@ -12,7 +12,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .models import (AnalyticInfo, DriftModelSpec, NoiseSpec, bounded_link,
                      linear_system, mean_reversion, pointwise_objective, scalar_ou)
-from .sde import DivergenceError, IntegratorConfig, euler_step, simulate_path
+from .sde import BlowupError, IntegratorConfig, euler_step, simulate_path
 from .schedule import RegimeReport, ScheduleSpec, regime_check
 from .engine import (EngineConfig, geometric_checkpoints, run_batch, seed_split,
                      sgdct_step, splitmix64)

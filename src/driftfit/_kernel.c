@@ -11,7 +11,8 @@
    numpy's ziggurat (random_standard_normal), m draws per step, in the order
    Generator.standard_normal would draw them.  Its tables are numpy's own,
    made global in a copy of libnpyrandom.a.  Build with -ffp-contract=off:
-   a fused multiply-add rounds once where numpy rounds twice.
+   a fused multiply-add rounds once where numpy rounds twice.  Nothing here
+   tests for divergence: the callers screen the results with sde.diverged.
 
    Families, for a state of dimension m and parameters p:
      LINEAR  f(x, p) = -P x with P = reshape(p, (m, m)) row-major, k = m * m
@@ -176,55 +177,40 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
     }
 }
 
-static inline __attribute__((always_inline)) int64_t
+static inline __attribute__((always_inline)) void
 path(int family, int64_t m, const double *true_p, const double *sigma_t,
-     double dt, double bound, bitgen_t *gen, int64_t nsteps, double *x,
-     double *out)
+     double dt, bitgen_t *gen, int64_t nsteps, double *x, double *out)
 {
     double sqdt = sqrt(dt);
-    double xi[MAX_M], f[MAX_M], nx[MAX_M];
+    double xi[MAX_M], f[MAX_M];
 
     for (int64_t s = 0; s < nsteps; s++) {
         for (int64_t c = 0; c < m; c++)
             xi[c] = normal(gen);
         /* sde.euler_step's order: (x + f*(x) dt) + (sqrt(dt) xi) @ sigma^T */
         drift(family, m, true_p, x, f);
-        int ok = 1;
-        for (int64_t c = 0; c < m; c++) {
-            nx[c] = (x[c] + f[c] * dt) + noise(m, sigma_t, sqdt, xi, c);
-            ok &= fabs(nx[c]) <= bound;  /* false for NaN too */
-        }
-        if (!ok)
-            return s;
         for (int64_t c = 0; c < m; c++)
-            x[c] = out[s * m + c] = nx[c];
+            x[c] = out[s * m + c] =
+                (x[c] + f[c] * dt) + noise(m, sigma_t, sqdt, xi, c);
     }
-    return nsteps;
 }
 
-static inline __attribute__((always_inline)) int64_t
+static inline __attribute__((always_inline)) void
 replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
-       int64_t nrows, const double *t, const double *x, double *theta,
+       int64_t nrows, const double *t, const double *x, const double *theta,
        double *out)
 {
     int64_t k = family == LINEAR ? m * m : 2;
-    double dx[MAX_M], upd[MAX_M * MAX_M];
+    double dx[MAX_M];
 
     for (int64_t i = 0; i + 1 < nrows; i++) {
         const double *xi = x + i * m;
         for (int64_t c = 0; c < m; c++)
             dx[c] = xi[m + c] - xi[c];
         sgdct(family, m, k, a_inv, c_alpha / (c0 + t[i]), t[i + 1] - t[i],
-              xi, dx, theta, upd);
-        int ok = 1;
-        for (int64_t q = 0; q < k; q++)
-            ok &= isfinite(upd[q]) != 0;
-        if (!ok)
-            return i;
-        for (int64_t q = 0; q < k; q++)
-            theta[q] = out[i * k + q] = upd[q];
+              xi, dx, theta, out + i * k);
+        theta = out + i * k;
     }
-    return nrows - 1;
 }
 
 /* One inlined copy of the body per (family, m) in _kernel.BODIES; the entry
@@ -252,33 +238,28 @@ int driftfit_span(int family, int64_t m, const double *true_p,
 #undef SPAN
 }
 
-/* Up to nsteps Euler steps of the state x (m,), updated in place; the state
-   after step s goes to row s of out (nsteps, m).  Stops before the first
-   step whose new state is non-finite or exceeds bound in absolute value,
-   leaving x at the state that step started from.  Returns the number of
-   steps taken. */
-int64_t driftfit_path(int family, int64_t m, const double *true_p,
-                      const double *sigma_t, double dt, double bound,
-                      bitgen_t *gen, int64_t nsteps, double *x, double *out)
+/* nsteps Euler steps of the state x (m,), updated in place; the state
+   after step s goes to row s of out (nsteps, m).  Returns 0. */
+int driftfit_path(int family, int64_t m, const double *true_p,
+                  const double *sigma_t, double dt, bitgen_t *gen,
+                  int64_t nsteps, double *x, double *out)
 {
-#define PATH(FAMILY, M) path(FAMILY, M, true_p, sigma_t, dt, bound, gen, \
-                             nsteps, x, out)
+#define PATH(FAMILY, M) (path(FAMILY, M, true_p, sigma_t, dt, gen, nsteps, x, \
+                              out), 0)
     DISPATCH(PATH);
 #undef PATH
 }
 
 /* The SGDCT updates driven by the increments of the observed rows t (nrows)
-   and x (nrows, m): update i uses t[i], dt = t[i+1] - t[i] and
-   dx = x[i+1] - x[i], and its theta (k) goes to row i of out (nrows - 1, k).
-   Stops before the first update with a non-finite component, leaving theta
-   at the value that update started from.  Returns the number of updates. */
-int64_t driftfit_replay(int family, int64_t m, const double *a_inv,
-                        double c_alpha, double c0, int64_t nrows,
-                        const double *t, const double *x, double *theta,
-                        double *out)
+   and x (nrows, m), from theta (k): update i uses t[i], dt = t[i+1] - t[i]
+   and dx = x[i+1] - x[i], and its theta goes to row i of out (nrows - 1, k).
+   Returns 0. */
+int driftfit_replay(int family, int64_t m, const double *a_inv, double c_alpha,
+                    double c0, int64_t nrows, const double *t, const double *x,
+                    const double *theta, double *out)
 {
-#define REPLAY(FAMILY, M) replay(FAMILY, M, a_inv, c_alpha, c0, nrows, t, x, \
-                                 theta, out)
+#define REPLAY(FAMILY, M) (replay(FAMILY, M, a_inv, c_alpha, c0, nrows, t, x, \
+                                  theta, out), 0)
     DISPATCH(REPLAY);
 #undef REPLAY
 }

@@ -125,10 +125,10 @@ def _open():
     lib.driftfit_span.restype = ctypes.c_int
     lib.driftfit_span.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl,
                                   i64, i64, i64, i64, ptr, ptr, ptr]
-    lib.driftfit_path.restype = i64
-    lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, dbl, ptr, i64,
-                                  ptr, ptr]
-    lib.driftfit_replay.restype = i64
+    lib.driftfit_path.restype = ctypes.c_int
+    lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, ptr, i64, ptr,
+                                  ptr]
+    lib.driftfit_replay.restype = ctypes.c_int
     lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr, ptr,
                                     ptr, ptr]
     return lib
@@ -217,10 +217,8 @@ def _entry(name: str, model, noise):
     head = (FAMILIES[model.compiled.family], model.m)
 
     def call(*args):
-        done = fn(*head, *args)
-        if done < 0:
+        if fn(*head, *args) < 0:
             raise ValueError("the kernel does not cover model %r" % model.name)
-        return done
 
     return call
 
@@ -253,44 +251,41 @@ def bind(config, gens, theta: np.ndarray, x: np.ndarray):
     return advance
 
 
-def bind_path(model, noise, dt: float, bound: float, rng, x: np.ndarray):
+def bind_path(model, noise, dt: float, rng, x: np.ndarray):
     """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
     kernel, drawing from rng and updating x in place, with the state after
-    step j in out[j]; returns the number of steps taken before a state would
-    leave [-bound, bound] or turn non-finite.  None where the numpy loop
-    must run."""
+    step j in out[j].  None where the numpy loop must run."""
     path = _entry("path", model, noise)
     if path is None:
         return None
     m = model.m
     _check(x, (m,))
     consts = _consts(model.compiled.params, noise.sigma.T)
-    head = (*[a.ctypes.data for a in consts], dt, bound,
+    head = (*[a.ctypes.data for a in consts], dt,
             rng.bit_generator.ctypes.bit_generator.value)
 
     def steps(out, _keep=(consts, rng, x)):
         _check(out, (len(out), m))
-        return path(*head, len(out), x.ctypes.data, out.ctypes.data)
+        path(*head, len(out), x.ctypes.data, out.ctypes.data)
 
     return steps
 
 
 def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
            out: np.ndarray):
-    """Run the CSV replay's SGDCT updates in the kernel: update i is driven
-    by the increments from row i to row i + 1 of (times, xs), and its theta
-    goes to out[i]; theta is updated in place and stops at the last finite
-    value.  Returns the number of updates, or None where the numpy loop must
-    run."""
+    """Run the CSV replay's SGDCT updates in the kernel, from theta: update i
+    is driven by the increments from row i to row i + 1 of (times, xs), and
+    its theta goes to out[i].  True, or None where the numpy loop must run."""
     model, noise, sched = config.model, config.noise, config.schedule
     run = _entry("replay", model, noise)
     if run is None:
         return None
     rows, k, m = len(times), model.k, model.m
-    times, xs, a_inv = _consts(times, xs, noise.a_inv)
+    times, xs, a_inv, theta = _consts(times, xs, noise.a_inv, theta)
     _check(times, (rows,))
     _check(xs, (rows, m))
     _check(theta, (k,))
     _check(out, (rows - 1, k))
-    return run(a_inv.ctypes.data, float(sched.c_alpha), float(sched.c0), rows,
-               times.ctypes.data, xs.ctypes.data, theta.ctypes.data, out.ctypes.data)
+    run(a_inv.ctypes.data, float(sched.c_alpha), float(sched.c0), rows,
+        times.ctypes.data, xs.ctypes.data, theta.ctypes.data, out.ctypes.data)
+    return True

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from .engine import geometric_checkpoints, step_of
+from .engine import IntegratorConfig, geometric_checkpoints, step_of
 from .models import BUILTIN_MODELS
 from .stats import MIN_CLT_SAMPLES, in_window
 
@@ -134,6 +134,7 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
     t_eval, dt = values["t_eval"], values["integrator.dt"]
     try:  # predict-covariance and poisson-solve build no engine config, so no horizon
         if values["experiment"] not in ("predict-covariance", "poisson-solve"):
+            IntegratorConfig(dt=dt, burn_in_steps=values["integrator.burn_in_steps"])
             step_of(values["horizon"], dt, "horizon", exact=True)
         if t_eval is not None:
             step_of(t_eval, dt, "t_eval", exact=True)

@@ -94,15 +94,24 @@ def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(u=u, lam=lam)
 
 
-def _check_regime(lam, c_alpha):
+def positive_curvature(lam) -> float:
+    """The convexity constant C, the least of lam; RegimeError unless C > 0."""
     lam_min = float(np.min(lam))
-    if lam_min <= 0:
+    if not lam_min > 0:
         raise RegimeError("Hessian must be positive definite; smallest "
                           "eigenvalue %g" % lam_min)
+    return lam_min
+
+
+def _check_regime(lam, c_alpha, hbar):
+    lam_min = positive_curvature(lam)
     if regime_check(ScheduleSpec(c_alpha), lam_min).regime != "supercritical":
         raise RegimeError("regime violation: 2 lambda_min C_alpha = %g <= 1 "
                           "(lambda_min=%g, C_alpha=%g)"
                           % (2 * lam_min * c_alpha, lam_min, c_alpha))
+    if not np.isfinite(c_alpha * c_alpha * float(np.abs(hbar).max())):
+        raise CovarianceError("C_alpha^2 hbar is not finite at C_alpha = %g "
+                              "(largest |hbar| %g)" % (c_alpha, np.abs(hbar).max()))
     return lam_min
 
 
@@ -112,7 +121,7 @@ def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
     hessian = np.asarray(hessian, dtype=float)
     hbar = np.asarray(hbar, dtype=float)
     dec = symmetric_eigen(hessian)
-    _check_regime(dec.lam, c_alpha)
+    _check_regime(dec.lam, c_alpha, hbar)
     b = dec.u.T @ hbar @ dec.u
     denom = (dec.lam[:, None] + dec.lam[None, :]) * c_alpha - 1.0
     core = c_alpha ** 2 * b / denom
@@ -131,7 +140,7 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
     hbar = np.asarray(hbar, dtype=float)
     k = hessian.shape[0]
     lam = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))
-    lam_min = _check_regime(lam, c_alpha)
+    lam_min = _check_regime(lam, c_alpha, hbar)
     rate = 2.0 * lam_min * c_alpha - 1.0
     scale = max(np.abs(hbar).max(), 1.0) * c_alpha ** 2
     s_max = max(1.0, np.log(scale / (tol * 1e-3)) / rate)

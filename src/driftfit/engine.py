@@ -10,23 +10,14 @@ import numpy as np
 
 from . import _kernel
 from .models import DriftModelSpec, NoiseSpec
-from .sde import DIVERGENCE_BOUND, IntegratorConfig, write_csv
+from .sde import BlowupError, IntegratorConfig, diverged, write_csv
 from .schedule import ScheduleSpec
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-THETA_BOUND = 1e6                 # the divergence screen's |theta| bound
 NOISE_BUFFER_BYTES = 8 * 2 ** 20  # standard normals drawn ahead, all replications
 CHECK_EVERY = 256                 # steps between divergence screenings
-
-
-class BlowupError(RuntimeError):
-    def __init__(self, msg, step=None, t=None, theta=None):
-        super().__init__(msg)
-        self.step = step
-        self.t = t
-        self.theta = theta
 
 
 def splitmix64(x: int) -> int:
@@ -48,14 +39,19 @@ def step_of(t, dt: float, what: str = "time", exact: bool = False):
     """The first main step j whose end time 1 + j dt reaches t, an end time
     up to 1e-9 max(1, |s|) steps short of t, s = (t - 1) / dt, counting as
     reaching it: an int64, or an array for an array of times.  ValueError
-    naming `what` for a t that is not finite or lies before t = 1, or, if
-    `exact`, that lies farther than that tolerance from 1 + j dt."""
+    naming `what` for a t that is not finite, lies before t = 1 or needs
+    more than 2**53 steps, or, if `exact`, that lies farther than that
+    tolerance from 1 + j dt."""
     s = (np.asarray(t, dtype=float) - 1.0) / dt
     tol = 1e-9 * np.maximum(1.0, np.abs(s))
     if not np.all(np.isfinite(s) & (s >= -tol)):
         raise ValueError("%s %r must be finite and at least 1"
                          % (what, np.asarray(t).tolist()))
     j = np.ceil(s - tol)
+    if np.any(j > 2.0 ** 53):
+        raise ValueError("%s %r lies %r steps of dt = %r after t = 1; a step "
+                         "count must not pass 2**53"
+                         % (what, np.asarray(t).tolist(), float(j.max()), dt))
     if exact and not np.all(j - s <= tol):
         raise ValueError("(%s - 1) / dt = %r is not a whole number of steps; "
                          "no step ends at %s" % (what, s.tolist(), what))
@@ -154,14 +150,6 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     resid = delta_x - model.drift_fn(x, theta) * dt
     grad = model.drift_grad_fn(x, theta)
     return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
-
-
-def diverged(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows whose theta (n, k) or state (n, m) has a non-finite entry or one
-    past THETA_BOUND or DIVERGENCE_BOUND in absolute value: a NaN fails every
-    comparison and survives max, so one comparison per array catches all three."""
-    return (~(np.abs(theta).max(axis=1) <= THETA_BOUND)
-            | ~(np.abs(x).max(axis=1) <= DIVERGENCE_BOUND))
 
 
 def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:

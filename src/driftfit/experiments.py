@@ -11,12 +11,12 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from . import _kernel, covariance, engine, models, poisson, stats
+from . import _kernel, covariance, engine, models, poisson, sde, stats
 from .config import ConfigError, ExperimentConfig, slope_window
-from .engine import (BlowupError, EngineConfig, ReplicationSet, geometric_checkpoints,
-                     seed_split, sgdct_step, step_of, theta0_box)
-from .sde import (DIVERGENCE_BOUND, IntegratorConfig, dump_path_csv, load_path_csv,
-                  simulate_path, write_csv)
+from .engine import (EngineConfig, ReplicationSet, geometric_checkpoints, seed_split,
+                     sgdct_step, step_of, theta0_box)
+from .sde import (DIVERGENCE_BOUND, BlowupError, IntegratorConfig, diverged,
+                  dump_path_csv, load_path_csv, simulate_path, write_csv)
 from .schedule import RegimeReport, ScheduleSpec, regime_check
 
 VARIANCE_BAND = 0.15
@@ -71,10 +71,10 @@ def build_engine_config(cfg: ExperimentConfig, model, noise) -> EngineConfig:
     if np.any(lo > hi):
         raise ConfigError("theta0.lo %s exceeds theta0.hi %s (an unset one is theta* "
                           "-/+ 1)" % (lo.tolist(), hi.tolist()))
-    if np.abs([lo, hi]).max() > engine.THETA_BOUND:
+    if np.abs([lo, hi]).max() > sde.THETA_BOUND:
         raise ConfigError("theta0.lo %s or theta0.hi %s is past the divergence bound "
                           "%g on |theta| (an unset one is theta* -/+ 1)"
-                          % (lo.tolist(), hi.tolist(), engine.THETA_BOUND))
+                          % (lo.tolist(), hi.tolist(), sde.THETA_BOUND))
     return EngineConfig(model=model, noise=noise, schedule=sched,
                         integrator=integ, horizon=horizon, checkpoint_times=cps,
                         theta0_lo=lo, theta0_hi=hi)
@@ -171,7 +171,7 @@ def _rate_study(cfg, out_dir, artifacts, powers) -> _RateStudy:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
     hessian, hb = covariance_inputs(model, noise)
-    c_min = float(np.linalg.eigvalsh(hessian).min())
+    c_min = covariance.positive_curvature(np.linalg.eigvalsh(hessian))
     regime = regime_check(engine_cfg.schedule, c_min)
     rep_set = stats.run_replications(engine_cfg, cfg["n_reps"], cfg["master_seed"])
     curves = {p: stats.moment_curve(rep_set, float(p)) for p in powers}
@@ -250,25 +250,26 @@ def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
     Update i runs at times[i] on the increments to row i + 1.  The updates
     run in the compiled kernel where `_kernel.replay` takes the model, else
     in the `sgdct_step` loop below, which defines them: the two agree bitwise.
+    Every update runs; then the first one whose theta `diverged` flags raises
+    BlowupError with the theta it started from.
     """
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    theta = rng.uniform(engine_cfg.theta0_lo, engine_cfg.theta0_hi)
+    theta0 = rng.uniform(engine_cfg.theta0_lo, engine_cfg.theta0_hi)
     model, noise, sched = engine_cfg.model, engine_cfg.noise, engine_cfg.schedule
-    rows = len(times)
-    thetas = np.empty((rows - 1, 1, model.k))
-    done = _kernel.replay(engine_cfg, times, xs, theta, thetas[:, 0])
-    if done is None:
-        for done in range(rows - 1):
-            stepped = sgdct_step(model, noise, sched, times[done], xs[done], theta,
-                                 xs[done + 1] - xs[done], times[done + 1] - times[done])
-            if not np.all(np.isfinite(stepped)):
-                break
-            theta = thetas[done, 0] = stepped
-        else:
-            done = rows - 1
-    if done < rows - 1:
-        raise BlowupError("non-finite parameter update", step=done, t=times[done],
-                          theta=theta)
+    thetas = np.empty((len(times) - 1, 1, model.k))
+    # a diverging theta overflows on to the last update, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _kernel.replay(engine_cfg, times, xs, theta0, thetas[:, 0]) is None:
+            theta = theta0
+            for i in range(len(times) - 1):
+                theta = thetas[i, 0] = sgdct_step(
+                    model, noise, sched, times[i], xs[i], theta, xs[i + 1] - xs[i],
+                    times[i + 1] - times[i])
+    bad = np.flatnonzero(diverged(thetas[:, 0]))
+    if bad.size:
+        i = int(bad[0])
+        raise BlowupError("parameter update %d diverged (t = %r)" % (i, float(times[i])),
+                          step=i, t=times[i], theta=thetas[i - 1, 0] if i else theta0)
     return ReplicationSet(times[1:], thetas, xs[1:, None, :], {}, model.true_theta)
 
 

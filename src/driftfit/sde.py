@@ -9,17 +9,37 @@ import numpy as np
 from . import _kernel
 from .models import DriftModelSpec, NoiseSpec
 
-DIVERGENCE_BOUND = 1e8
+THETA_BOUND = 1e6        # the divergence screen's |theta| bound
+DIVERGENCE_BOUND = 1e8   # its |x| bound
 MAX_BURN_IN_TIME = 1e5
 PATH_CHUNK = 4096  # the most steps simulate_path computes and yields at once
 CSV_BLOCK = 4096   # rows write_csv formats at once
 
 
-class DivergenceError(RuntimeError):
-    def __init__(self, msg, x=None, t=None):
+class BlowupError(RuntimeError):
+    def __init__(self, msg, step=None, t=None, theta=None):
         super().__init__(msg)
-        self.x = x  # the state the diverging step started from
-        self.t = t  # its end time on the simulate_path clock (burn-in ends at 1)
+        self.step = step
+        self.t = t
+        self.theta = theta
+
+
+def _past(a: np.ndarray, bound: float) -> np.ndarray:
+    """Rows of a (n, c) with an entry past bound in absolute value or NaN,
+    which fails every comparison; rows are checked only if min or max fails."""
+    if a.size and a.min() >= -bound and a.max() <= bound:
+        return np.zeros(len(a), dtype=bool)
+    return ~(np.abs(a).max(axis=1) <= bound)
+
+
+def diverged(theta=None, x=None) -> np.ndarray:
+    """The one divergence rule: the rows whose theta (n, k) has an entry past
+    THETA_BOUND or whose state (n, m) has one past DIVERGENCE_BOUND in
+    absolute value, or either a non-finite entry.  An omitted array flags
+    no row."""
+    pairs = ((theta, THETA_BOUND), (x, DIVERGENCE_BOUND))
+    rows = [_past(a, bound) for a, bound in pairs if a is not None]
+    return rows[0] | rows[-1]  # rows[0] alone where one array is given
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,7 +54,10 @@ class IntegratorConfig:
         if self.burn_in_steps < 0:
             raise ValueError("burn_in_steps must be nonnegative")
         if self.burn_in_steps * self.dt > MAX_BURN_IN_TIME:
-            raise ValueError("burn-in horizon exceeds %g time units" % MAX_BURN_IN_TIME)
+            raise ValueError("integrator.burn_in_steps %d at integrator.dt %r is a "
+                             "burn-in of %r time units, past the limit of %g"
+                             % (self.burn_in_steps, self.dt,
+                                self.burn_in_steps * self.dt, MAX_BURN_IN_TIME))
         if self.x0 is not None:
             object.__setattr__(self, "x0",
                                np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -49,15 +72,13 @@ class IntegratorConfig:
 
 def euler_step(model: DriftModelSpec, noise: NoiseSpec, x: np.ndarray,
                dt: float, xi: np.ndarray) -> np.ndarray:
-    """x + f*(x) dt + sigma sqrt(dt) xi.  Vectorized over leading dims."""
+    """x + f*(x) dt + sigma sqrt(dt) xi.  Vectorized over leading dims.  A
+    diverging step is returned as it is; callers screen with `diverged`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    out = x + model.true_drift_fn(x) * dt + np.sqrt(dt) * xi @ noise.sigma.T
-    if not np.all(np.isfinite(out)) or np.any(np.abs(out) > DIVERGENCE_BOUND):
-        raise DivergenceError("state diverged during Euler step", x=x)
-    return out
+    return x + model.true_drift_fn(x) * dt + np.sqrt(dt) * xi @ noise.sigma.T
 
 
 def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
@@ -66,38 +87,40 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
     """Yield (times, states) blocks of at most PATH_CHUNK rows after burn-in;
     the rows run t = 1 + i dt, i = 1..n_steps, with X_t in states.
 
-    Deterministic given the seed.  The first step whose state is non-finite
-    or exceeds DIVERGENCE_BOUND raises DivergenceError, after every state
-    before it has been yielded.  The steps, burn-in included, run in chunks
+    Deterministic given the seed.  The steps, burn-in included, run in chunks
     of PATH_CHUNK, in the kernel where `_kernel.bind_path` takes the model,
-    else in the `euler_step` loop below, which defines them bitwise.
+    else in the `euler_step` loop below, which defines them bitwise.  Then
+    `diverged` screens each chunk: its first flagged state, burn-in included,
+    raises BlowupError after the states before it, with `t` its time and
+    `step` the steps since the first burn-in step, as `run_batch` counts.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    m, dt = model.m, config.dt
+    m, dt, burn_in = model.m, config.dt, config.burn_in_steps
     x = config.initial_state(m)
 
     def _numpy_steps(out):
         for j in range(len(out)):
-            try:
-                x[:] = euler_step(model, noise, x, dt, rng.standard_normal(m))
-            except DivergenceError:
-                return j
-            out[j] = x
-        return len(out)
+            out[j] = x[:] = euler_step(model, noise, x, dt, rng.standard_normal(m))
 
-    steps = _kernel.bind_path(model, noise, dt, DIVERGENCE_BOUND, rng, x) or _numpy_steps
-    # burn-in is the steps i = 1 - burn_in_steps .. 0; step i ends at t = 1 + i dt
-    for lo in range(1 - config.burn_in_steps, n_steps + 1, PATH_CHUNK):
+    steps = _kernel.bind_path(model, noise, dt, rng, x) or _numpy_steps
+    # burn-in is the steps i = 1 - burn_in .. 0; step i ends at t = 1 + i dt
+    for lo in range(1 - burn_in, n_steps + 1, PATH_CHUNK):
         out = np.empty((min(PATH_CHUNK, n_steps + 1 - lo), m))
-        done = steps(out)
+        # a diverging state overflows on to the chunk's end, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps(out)
+        bad = np.flatnonzero(diverged(x=out))
+        done = bad[0] if bad.size else len(out)
         first = max(lo, 1)  # burn-in rows are not yielded
         if lo + done > first:
             yield 1.0 + np.arange(first, lo + done) * dt, out[first - lo:done]
-        if done < len(out):
-            raise DivergenceError("state diverged during Euler step", x=x,
-                                  t=1.0 + (lo + done) * dt)
+        if bad.size:
+            i = int(lo + done)
+            t = 1.0 + i * dt
+            raise BlowupError("state diverged at step %d (t = %r)" % (i + burn_in, t),
+                              step=i + burn_in, t=t)
 
 
 def write_csv(path, header, columns, fmt="%.12g") -> None:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftfit
@@ -284,7 +286,7 @@ data.path_csv = %s
 
 
 def test_cli_replay_reports_a_non_finite_update(tmp_path):
-    # |x| ~ 1e200 makes grad * residual overflow: theta turns infinite
+    # |x| ~ 1e200 takes theta past the bound at update 0; update 1 overflows it
     path_csv = tmp_path / "path.csv"
     path_csv.write_text("t,x_1\n1.0,0.5\n1.01,1e200\n1.02,-1e200\n1.03,0.0\n")
     cfg = write_config(tmp_path, """
@@ -297,8 +299,43 @@ data.path_csv = %s
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "BlowupError"
-    assert "non-finite parameter update" in report["error"]["message"]
+    assert "parameter update 0 diverged" in report["error"]["message"]
     assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_replay_books_a_theta_past_the_bound_as_run_batch_does(tmp_path):
+    # update 0 takes theta to about -1e7, past THETA_BOUND, yet finite: the
+    # replay used to run on to 1.99e19 and exit 0
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1\n1.0,0.5\n1.01,1e7\n1.02,0.3\n1.03,0.2\n")
+    cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == {"type": "BlowupError",
+                               "message": "parameter update 0 diverged (t = 1.0)"}
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("burn_in", [0, 40])
+def test_cli_simulate_reports_the_step_its_state_diverged_at(tmp_path, burn_in):
+    # with theta* = 3 and dt = 1 each step multiplies x by -2: |x| passes the
+    # 1e8 bound on step 28, counted from the first burn-in step, whichever
+    # part of the run that step falls in
+    cfg = write_config(tmp_path, """
+experiment = simulate
+model.theta_star = 3
+integrator.dt = 1
+integrator.burn_in_steps = %d
+horizon = 61
+output.stride = 1
+""" % burn_in)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == {"type": "BlowupError", "message":
+                               "state diverged at step 28 (t = %r)" % (29.0 - burn_in)}
+    assert not (out / "path.csv").exists()
 
 
 @pytest.mark.parametrize("t0", [-2.995, -1.0])
@@ -771,3 +808,109 @@ master_seed = 99
     a = np.loadtxt(tmp_path / "a" / "rep_0.csv", delimiter=",", skiprows=1)
     b = np.loadtxt(tmp_path / "b" / "rep_0.csv", delimiter=",", skiprows=1)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("keys, message", [
+    # about 2e300 steps, which int64 used to turn into -9223372036854775808
+    ({"integrator.dt": "1e-300", "horizon": "3"}, r"a step count must not pass 2\*\*53"),
+    # 200000 time units, which IntegratorConfig refused only when a run built it
+    ({"integrator.dt": "0.01", "integrator.burn_in_steps": "20000001"},
+     "is a burn-in of 200000.01 time units, past the limit of 100000"),
+])
+def test_a_run_too_long_to_count_is_a_config_error_where_it_is_read(experiment, keys,
+                                                                    message):
+    raw = dict(keys, experiment=experiment)
+    if experiment in ("predict-covariance", "poisson-solve"):
+        from_dict(raw)  # neither reads the integrator or the horizon
+    else:
+        with pytest.raises(ConfigError, match=message):
+            from_dict(raw)
+
+
+SMALL_RUN = {"horizon": "3", "integrator.dt": "0.5", "n_reps": "100",
+             "checkpoints.n": "5", "grid.n": "201", "output.stride": "1"}
+
+
+@pytest.mark.parametrize("experiment", ["verify-rate", "regime-sweep", "verify-clt",
+                                        "predict-covariance"])
+def test_a_singular_hessian_is_the_same_regime_error_in_every_experiment(tmp_path,
+                                                                         experiment):
+    # verify-rate and regime-sweep used to exit with a ScheduleError
+    cfg = from_dict(dict(SMALL_RUN, experiment=experiment, **{
+        "model.name": "mean_reversion", "model.sigma": "1e-12",
+        "model.level_star": "3"}))
+    report, status = run_experiment(cfg, tmp_path / "out")
+    assert status == 2
+    assert report["error"]["type"] == "RegimeError"
+    assert report["error"]["message"].startswith("Hessian must be positive definite")
+
+
+@pytest.mark.parametrize("experiment", ["verify-clt", "predict-covariance"])
+def test_a_c_alpha_whose_square_overflows_is_a_covariance_error(tmp_path, experiment):
+    # both used to exit with Python's OverflowError from c_alpha ** 2
+    cfg = from_dict(dict(SMALL_RUN, experiment=experiment,
+                         **{"schedule.c_alpha": "1e155"}))
+    report, status = run_experiment(cfg, tmp_path / "out")
+    assert status == 2
+    assert report["error"] == {"type": "CovarianceError", "message":
+                               "C_alpha^2 hbar is not finite at C_alpha = 1e+155 "
+                               "(largest |hbar| 0.5)"}
+
+
+# Values at the edges of what a run can hold: the float range, squares and
+# inverses that overflow, zero, a negative, a burn-in step count past the
+# limit, a vanishing sigma and a decay rate that makes an Euler step of
+# dt = 1 explode.
+EXTREMES = ("1e300", "-1e300", "1e-300", "-1e-300", "1e155", "1e-155", "0", "-1",
+            "20000001", "1e-12", "3")
+# the keys a run's size grows with, and the values that keep every run small
+# (dt = 1e-300 is refused before it runs)
+CAPPED = {"horizon": ("2", "3", "5"), "integrator.dt": ("0.01", "0.5", "1", "1e-300"),
+          "n_reps": ("2", "100"), "checkpoints.n": ("2", "5"), "grid.n": ("3", "201"),
+          "model.dim": ("1", "3")}
+SET_KEYS = sorted(set(_SCHEMA) - {"experiment", "model.name", "data.path_csv"})
+# the errors that name what is wrong with the configured run
+DOMAIN_ERRORS = {"ConfigError", "ModelError", "CovarianceError", "RegimeError",
+                 "PoissonError", "BlowupError", "ReplicationError"}
+
+
+@st.composite
+def extreme_configs(draw):
+    """A small run of any experiment and model, with 1 to 3 keys set to
+    extreme values."""
+    raw = dict(SMALL_RUN, experiment=draw(st.sampled_from(EXPERIMENTS)),
+               horizon=draw(st.sampled_from(CAPPED["horizon"])),
+               **{"model.name": draw(st.sampled_from(sorted(BUILTIN_MODELS))),
+                  "integrator.dt": draw(st.sampled_from(CAPPED["integrator.dt"][:3]))})
+    for key in draw(st.lists(st.sampled_from(SET_KEYS), min_size=1, max_size=3,
+                             unique=True)):
+        raw[key] = draw(st.sampled_from(CAPPED.get(key, EXTREMES)))
+    return raw
+
+
+def small_run(experiment, model="scalar_ou", **keys):
+    return dict(SMALL_RUN, experiment=experiment, **{"model.name": model}, **keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=extreme_configs())
+@example(raw=small_run("estimate", **{"integrator.dt": "0.01",
+                                      "integrator.burn_in_steps": "20000001"}))
+@example(raw=small_run("estimate", **{"integrator.dt": "1e-300"}))
+@example(raw=small_run("verify-rate", "mean_reversion",
+                       **{"model.sigma": "1e-12", "model.level_star": "3"}))
+@example(raw=small_run("predict-covariance", **{"schedule.c_alpha": "1e155"}))
+@example(raw=small_run("simulate", **{"model.theta_star": "3", "integrator.dt": "1"}))
+def test_an_extreme_config_fails_only_with_a_config_or_domain_error(raw):
+    try:
+        cfg = from_dict(raw)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflows on the way
+        report, status = run_experiment(cfg, out)
+    if status in (0, 1):
+        assert report["error"] is None
+    else:
+        assert status == 2 and report["error"]["type"] in DOMAIN_ERRORS, report["error"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfit import _kernel, engine
+from driftfit import _kernel, engine, sde
 from driftfit.engine import (BlowupError, EngineConfig, diverged, geometric_checkpoints,
                              run_batch, seed_split, sgdct_step, splitmix64, step_of)
 from driftfit.experiments import _replay_csv
@@ -195,13 +195,20 @@ def test_the_divergence_screen_flags_non_finite_and_over_bound_rows():
     theta = np.array([r[:2] for r in rows])
     x = np.array([r[2:] for r in rows])
     with np.errstate(invalid="ignore"):
-        # the screen's first form: four reductions
-        want = (~np.isfinite(theta).all(axis=1) | ~np.isfinite(x).all(axis=1)
-                | (np.abs(theta).max(axis=1) > 5.0)
-                | (np.abs(x).max(axis=1) > DIVERGENCE_BOUND))
+        # the screen's first form: four reductions, two per array
+        want_theta = ~np.isfinite(theta).all(axis=1) | (np.abs(theta).max(axis=1) > 5.0)
+        want_x = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > DIVERGENCE_BOUND)
+    want = want_theta | want_x
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "THETA_BOUND", 5.0)
+        mp.setattr(sde, "THETA_BOUND", 5.0)
         got = diverged(theta, x)
+        # one array alone, as simulate_path and the replay screen; rows all
+        # inside take the whole-array check alone
+        npt.assert_array_equal(diverged(theta), want_theta)
+        npt.assert_array_equal(diverged(x=x), want_x)
+        inside = ~want_x
+        npt.assert_array_equal(diverged(x=x[inside]), np.zeros(inside.sum(), bool))
+        assert diverged(theta[:0], x[:0]).shape == (0,)
     npt.assert_array_equal(got, want)
     assert want.any() and not want.all()
 
@@ -328,7 +335,7 @@ def test_a_divergence_after_the_last_screening_multiple_is_booked_at_the_end(pat
                        integrator=IntegratorConfig(dt=0.01, burn_in_steps=0),
                        horizon=4.0, checkpoint_times=geometric_checkpoints(4.0, 5))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "THETA_BOUND", 1.8)
+        mp.setattr(sde, "THETA_BOUND", 1.8)
         res = run_on(path, cfg, [seed_split(1, i) for i in range(4)])
     assert res.failed == {1: engine.CHECK_EVERY, 2: 300}
 
@@ -359,7 +366,7 @@ def test_adding_a_checkpoint_leaves_the_other_rows_unchanged(path, extra):
         cfg.checkpoint_times, extra))
     seeds = [seed_split(6, i) for i in range(3)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "THETA_BOUND", 1.8)  # fails some replications
+        mp.setattr(sde, "THETA_BOUND", 1.8)  # fails some replications
         base, grown = run_on(path, cfg, seeds), run_on(path, more, seeds)
     assert base.failed and grown.failed == base.failed
     rows = np.searchsorted(grown.times, base.times)
@@ -407,7 +414,7 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
     model, noise = model_noise
     horizon = 1.0 + steps * dt
     # theta0 is drawn within theta* +- 1, so a margin of 0.5 fails some replications
-    bound = (engine.THETA_BOUND if bound_margin is None
+    bound = (sde.THETA_BOUND if bound_margin is None
              else float(np.abs(model.true_theta).max()) + bound_margin)
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=dt, burn_in_steps=burn_in),
@@ -415,7 +422,7 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
                        checkpoint_times=1.0 + (horizon - 1.0) * np.array(cp_frac))
     seeds = [seed_split(master, i) for i in range(n)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "THETA_BOUND", bound)
+        mp.setattr(sde, "THETA_BOUND", bound)
         got, compiled = run_and_spy(cfg, seeds)
         want = run_batch(numpy_only(cfg), seeds)
     # the kernel copies numpy's sums of at most two drift terms
@@ -588,10 +595,18 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
     assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
     assert type(got) is type(want)
     if isinstance(want, BlowupError):
-        assert (got.step, got.t) == (want.step, want.t)
-        npt.assert_array_equal(got.theta, want.theta)
-    else:
-        npt.assert_array_equal(got, want)
+        assert (got.step, got.t) == (want.step, want.t) and want.t == times[want.step]
+        assert got.theta.tobytes() == want.theta.tobytes()
+        if want.step == 0:
+            return
+        # the updates before the failure: the replay of the rows they read
+        # runs them alone, with no failure, and ends at the error's theta
+        rows = want.step + 1
+        got, _ = replay_and_spy(cfg, times[:rows], xs[:rows], seed)
+        want_rows, _ = replay_and_spy(numpy_only(cfg), times[:rows], xs[:rows], seed)
+        assert want_rows[-1, 0].tobytes() == want.theta.tobytes()
+        want = want_rows
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("model_noise", [bounded_link(), linear_system(dim=3),

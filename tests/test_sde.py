@@ -11,8 +11,8 @@ from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed
 from driftfit.models import (DriftModelSpec, NoiseSpec, bounded_link, linear_system,
                              mean_reversion, scalar_ou)
 from driftfit.schedule import ScheduleSpec
-from driftfit.sde import (DivergenceError, IntegratorConfig, dump_path_csv,
-                          euler_step, load_path_csv, simulate_path, write_csv)
+from driftfit.sde import (BlowupError, IntegratorConfig, dump_path_csv, euler_step,
+                          load_path_csv, simulate_path, write_csv)
 
 from conftest import needs_compiler
 
@@ -44,25 +44,28 @@ def test_euler_step_rejects_nonpositive_dt():
         euler_step(model, noise, np.array([1.0]), 0.0, np.array([0.0]))
 
 
-def test_euler_step_divergence_guard():
+def test_euler_step_returns_a_diverging_step_as_it_is():
+    # no bound of its own: simulate_path screens its states with diverged
     model, noise = scalar_ou(1.0, 1.0)
-    with pytest.raises(DivergenceError):
-        euler_step(model, noise, np.array([-2e8]), 0.01, np.array([0.0]))
+    out = euler_step(model, noise, np.array([-2e8]), 0.01, np.array([0.0]))
+    npt.assert_allclose(out, [-1.98e8])
 
 
 @pytest.mark.parametrize("burn_in,t_end", [(0, 1.27), (100, 0.27)])
-def test_simulate_path_divergence_records_the_time(burn_in, t_end):
+def test_simulate_path_divergence_records_the_step_and_time(burn_in, t_end):
     # x doubles each step from x0 = 1 and passes the 1e8 bound on step 27,
-    # which ends at t = 1 + (27 - burn_in) dt; t used to hold dt itself
+    # counted from the first burn-in step as run_batch counts, which ends at
+    # t = 1 + (27 - burn_in) dt; t used to hold dt itself
     explosive = DriftModelSpec("explosive", k=1, m=1,
                                drift_fn=lambda x, th: th[..., 0:1] * x,
                                drift_grad_fn=lambda x, th: np.expand_dims(x, -2),
                                true_drift_fn=lambda x: 100.0 * x)
     cfg = IntegratorConfig(dt=0.01, x0=[1.0], burn_in_steps=burn_in)
-    with pytest.raises(DivergenceError) as info:
+    with pytest.raises(BlowupError, match="at step 27 ") as info:
         for _ in simulate_path(explosive, NoiseSpec(np.array([[1e-6]])), cfg,
                                seed=0, n_steps=100):
             pass
+    assert info.value.step == 27
     assert info.value.t == pytest.approx(t_end, abs=1e-12)
 
 
@@ -172,8 +175,8 @@ def path_models(draw):
 
 
 def run_path(model, noise, cfg, seed, n_steps):
-    """simulate_path's yielded blocks, its DivergenceError (or None) and
-    whether the kernel ran the steps."""
+    """simulate_path's yielded blocks, its BlowupError (or None) and whether
+    the kernel ran the steps."""
     bound = []
 
     def spy(*args):
@@ -187,7 +190,7 @@ def run_path(model, noise, cfg, seed, n_steps):
         try:
             for block in simulate_path(model, noise, cfg, seed, n_steps):
                 blocks.append(block)
-        except DivergenceError as exc:
+        except BlowupError as exc:
             error = exc
     return blocks, error, bound == [True]
 
@@ -208,14 +211,16 @@ def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
                                      cfg, seed, n_steps)
     # the kernel copies numpy's sums of at most two drift terms
     assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
-    # the same blocks, so the same rows yielded before any DivergenceError
+    # the same blocks, so the same rows yielded before any BlowupError
     assert [len(t) for t, _ in got] == [len(t) for t, _ in want]
     for (tg, xg), (tw, xw) in zip(got, want):
         assert tg.tobytes() == tw.tobytes() and xg.tobytes() == xw.tobytes()
     assert (got_err is None) == (want_err is None)
     if want_err is not None:
-        npt.assert_array_equal(got_err.x, want_err.x)
-        assert got_err.t == want_err.t
+        assert (got_err.step, got_err.t) == (want_err.step, want_err.t)
+        # the flagged state is the one after the last yielded row
+        assert want_err.t == 1.0 + (want_err.step - burn_in) * dt
+        assert sum(len(t) for t, _ in want) == max(0, want_err.step - burn_in - 1)
     else:
         assert sum(len(t) for t, _ in want) == n_steps
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfit import _kernel, engine
+from driftfit import _kernel, engine, sde
 from driftfit.covariance import CovariancePrediction
 from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
 from driftfit.models import scalar_ou
@@ -38,7 +38,7 @@ def hand_set():
                           failed={}, theta_star=np.array([1.0]))
 
 
-# With engine.THETA_BOUND patched to PARTITION_BOUND, one replication of
+# With sde.THETA_BOUND patched to PARTITION_BOUND, one replication of
 # PARTITION_SEED's 100 exceeds it at step 256 (mid-run), so the property also
 # covers `failed`, inside the 1 % that run_replications tolerates.
 PARTITION_REPS, PARTITION_SEED, PARTITION_BOUND = 100, 5, 3.2
@@ -55,7 +55,7 @@ def partition_case(path):
                        theta0_lo=np.array([-1.0]), theta0_hi=np.array([3.0]))
     seeds = [seed_split(PARTITION_SEED, i) for i in range(PARTITION_REPS)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "THETA_BOUND", PARTITION_BOUND)
+        mp.setattr(sde, "THETA_BOUND", PARTITION_BOUND)
         return cfg, seeds, run_batch(cfg, seeds)
 
 
@@ -80,7 +80,7 @@ def test_results_independent_of_grouping_and_noise_buffer(path, order, cuts,
     with pytest.MonkeyPatch.context() as mp:
         # down to one step per refill when buffer_bytes < 8 * len(part)
         mp.setattr(engine, "NOISE_BUFFER_BYTES", buffer_bytes)
-        mp.setattr(engine, "THETA_BOUND", PARTITION_BOUND)
+        mp.setattr(sde, "THETA_BOUND", PARTITION_BOUND)
         for lo, hi in zip(bounds, bounds[1:]):
             part = order[lo:hi]
             res = run_batch(cfg, [seeds[i] for i in part])
