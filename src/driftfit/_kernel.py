@@ -139,7 +139,10 @@ def normals(lib, bit_generator, n: int) -> np.ndarray:
     through driftfit_span: one burn-in step of family linear with m = 1,
     p = 0, sigma = 1 and dt = 1, over n replications that all draw from
     bit_generator.  x_i ends as -0.0 + xi_i, which is draw i bit for bit
-    (from +0.0, a -0.0 draw would end as +0.0)."""
+    (from +0.0, a -0.0 draw would end as +0.0).  That holds because the span
+    draws replications 0..n-1 in order within one step, whatever its blocks;
+    over two or more steps of shared generators, the draws would interleave
+    block by block."""
     gens = np.full(n, bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
     zero, one, theta, x = np.zeros(1), np.ones(1), np.empty(n), np.full(n, -0.0)
     lib.driftfit_span(FAMILIES["linear"], 1, zero.ctypes.data, one.ctypes.data,

@@ -143,7 +143,9 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
     lam_min = _check_regime(lam, c_alpha, hbar)
     rate = 2.0 * lam_min * c_alpha - 1.0
     scale = max(np.abs(hbar).max(), 1.0) * c_alpha ** 2
-    s_max = max(1.0, np.log(scale / (tol * 1e-3)) / rate)
+    # the integrand decays like exp(-rate s): at a large rate it is a spike
+    # at s = 0, which a range floored at s = 1 would step over
+    s_max = max(1.0, np.log(scale / (tol * 1e-3))) / rate
     eye = np.eye(k)
     m_left = c_alpha * hessian - 0.5 * eye
     m_right = c_alpha * hessian.T - 0.5 * eye

@@ -37,13 +37,14 @@ def seed_split(master: int, index: int) -> int:
 
 def step_of(t, dt: float, what: str = "time", exact: bool = False):
     """The first main step j whose end time 1 + j dt reaches t, an end time
-    up to 1e-9 max(1, |s|) steps short of t, s = (t - 1) / dt, counting as
-    reaching it: an int64, or an array for an array of times.  ValueError
-    naming `what` for a t that is not finite, lies before t = 1 or needs
-    more than 2**53 steps, or, if `exact`, that lies farther than that
-    tolerance from 1 + j dt."""
+    up to min(0.25, 1e-9 max(1, |s|)) steps short of t, s = (t - 1) / dt,
+    counting as reaching it: an int64, or an array for an array of times.
+    The cap keeps the tolerance below half a step once s passes 2.5e8.
+    ValueError naming `what` for a t that is not finite, lies before t = 1
+    or needs more than 2**53 steps, or, if `exact`, that lies farther than
+    that tolerance from 1 + j dt."""
     s = (np.asarray(t, dtype=float) - 1.0) / dt
-    tol = 1e-9 * np.maximum(1.0, np.abs(s))
+    tol = np.minimum(0.25, 1e-9 * np.maximum(1.0, np.abs(s)))
     if not np.all(np.isfinite(s) & (s >= -tol)):
         raise ValueError("%s %r must be finite and at least 1"
                          % (what, np.asarray(t).tolist()))

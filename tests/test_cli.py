@@ -193,6 +193,18 @@ def test_cli_predict_covariance(tmp_path, capsys):
     assert printed["experiment"] == "predict-covariance"
 
 
+@pytest.mark.parametrize("c_alpha", ["1e5", "1e8"])
+def test_the_covariance_routes_agree_at_a_large_c_alpha(tmp_path, c_alpha):
+    # the quadrature's range used to be floored at s = 1, so it stepped over
+    # the integrand's spike at s = 0 and missed the eigen route's whole value
+    cfg = from_dict({"experiment": "predict-covariance", "schedule.c_alpha": c_alpha})
+    report, status = run_experiment(cfg, tmp_path / "out")
+    assert status == 0
+    (verdict,) = report["verdicts"]
+    assert verdict["criterion"] == "sigma_route_agreement"
+    assert verdict["measured"] < 1e-8
+
+
 def test_cli_poisson_solve(tmp_path):
     out = tmp_path / "out"
     status = main(["poisson-solve", "--out", str(out)])

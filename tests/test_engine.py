@@ -256,6 +256,13 @@ def test_step_of_rounds_a_time_up_to_the_first_step_that_reaches_it(dt):
             step_of(bad, dt)
 
 
+def test_step_of_keeps_its_tolerance_below_half_a_step_at_a_billion_steps():
+    # 1e-9 steps per step of s used to reach a whole step at s = 1e9
+    assert step_of(2001.0, 1e-6, exact=True) == 2_000_000_000
+    assert step_of(1001.0, 1e-6, exact=True) == 10 ** 9
+    assert step_of(11.0, 1e-9, exact=True) == 10 ** 10
+
+
 def test_every_admitted_checkpoint_is_recorded():
     # horizon + 5e-10 used to pass the range check and then not be recorded
     cfg = dataclasses.replace(make_config(horizon=20.0, dt=0.01),
@@ -405,7 +412,7 @@ def kernel_models(draw):
 @needs_compiler
 @settings(max_examples=40, deadline=None)
 @given(model_noise=kernel_models(), master=st.integers(0, 2 ** 32),
-       n=st.integers(1, 5), burn_in=st.integers(0, 300), steps=st.integers(1, 700),
+       n=st.integers(1, 40), burn_in=st.integers(0, 300), steps=st.integers(1, 700),
        dt=st.floats(1e-3, 0.05),
        cp_frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
        bound_margin=st.sampled_from([None, 0.5]))

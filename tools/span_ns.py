@@ -4,10 +4,12 @@
 
 Imports driftfit from the `src/` next to this directory.  For each model the
 kernel covers (scalar_ou, mean_reversion, linear_system d=2) and each batch
-size n in 1, 256 and 2048, it binds one span with `_kernel.bind` (no burn-in,
-so every step is a coupled Euler/SGDCT step) and times `advance` over about
---rep-steps replication-steps.  It prints one JSON object: the best of
---repeats timings per model and n, in ns per replication-step.
+size n in 1, 256, 512 and 2048, it binds one span with `_kernel.bind` (no
+burn-in, so every step is a coupled Euler/SGDCT step) and times `advance`
+over about --rep-steps replication-steps.  It prints one JSON object: per
+model and n, the best and the median of --repeats timings, in ns per
+replication-step.  The median is there because a shared machine's speed
+drifts between timings; the best alone hides that.
 """
 from __future__ import annotations
 
@@ -29,17 +31,17 @@ from driftfit.sde import IntegratorConfig  # noqa: E402
 
 MODELS = {"scalar_ou": scalar_ou, "mean_reversion": mean_reversion,
           "linear_system_d2": lambda: linear_system(dim=2)}
-SIZES = (1, 256, 2048)
+SIZES = (1, 256, 512, 2048)
 DT = 0.005
 
 
-def span_ns(factory, n: int, rep_steps: int, repeats: int) -> float:
+def span_ns(factory, n: int, rep_steps: int, repeats: int) -> dict:
     model, noise = factory()
     steps = max(1, rep_steps // n)
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=DT, burn_in_steps=0),
                        horizon=1.0 + steps * DT, checkpoint_times=np.array([1.0]))
-    best = float("inf")
+    times = []
     for rep in range(repeats):
         gens = [np.random.default_rng(seed_split(rep, i)) for i in range(n)]
         theta = np.tile(np.asarray(model.true_theta, dtype=np.float64), (n, 1))
@@ -49,8 +51,10 @@ def span_ns(factory, n: int, rep_steps: int, repeats: int) -> float:
             raise SystemExit("span_ns: the compiled kernel is unavailable")
         start = time.perf_counter()
         advance(0, steps)
-        best = min(best, time.perf_counter() - start)
-    return best / (n * steps) * 1e9
+        times.append(time.perf_counter() - start)
+    per = 1e9 / (n * steps)
+    return {"best": round(min(times) * per, 2),
+            "median": round(float(np.median(times)) * per, 2)}
 
 
 def main(argv=None) -> None:
@@ -58,7 +62,7 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--rep-steps", type=int, default=4_000_000)
     args = parser.parse_args(argv)
-    out = {name: {"n_%d" % n: round(span_ns(factory, n, args.rep_steps, args.repeats), 2)
+    out = {name: {"n_%d" % n: span_ns(factory, n, args.rep_steps, args.repeats)
                   for n in SIZES}
            for name, factory in MODELS.items()}
     print(json.dumps(out))
