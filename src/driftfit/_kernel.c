@@ -14,10 +14,12 @@
    a fused multiply-add rounds once where numpy rounds twice.  Nothing here
    tests for divergence: the callers screen the results with sde.diverged.
 
-   The span runs its replications in blocks of B, all of a block's
-   replications one step, then the next step.  Each replication does its own
-   arithmetic in numpy's order and draws only from its own generator, so
-   the order across replications cannot change a bit.
+   The span runs its replications in blocks of B, as the lanes of vector
+   instructions: all of a block's replications one step, then the next
+   step.  Each replication does its own arithmetic in numpy's order and
+   draws only from its own generator, so the order across replications
+   cannot change a bit.  Vector arithmetic rounds each lane as the scalar
+   instruction would, so the CPU level the kernel is built for cannot either.
 
    Families, for a state of dimension m and parameters p:
      LINEAR  f(x, p) = -P x with P = reshape(p, (m, m)) row-major, k = m * m
@@ -88,79 +90,114 @@ static inline double normal(bitgen_t *g)
 }
 
 enum { LINEAR = 0, AFFINE = 1 };
-enum { MAX_M = 2 };  /* the largest m in DISPATCH, and _kernel.BODIES */
+enum { MAX_M = 2, MAX_K = MAX_M * MAX_M };  /* the largest m in DISPATCH, and _kernel.BODIES */
 
-static inline void drift(int family, int64_t m, const double *p,
-                         const double *x, double *f)
+/* The replications a span steps together, as lanes.  The arithmetic below
+   works on lane arrays: component c of lane b of an L-lane array v is
+   v[c * L + b].  Each statement is a loop over the L lanes, with L a
+   constant at each inlined call, so the compiler turns it into vector
+   instructions.  With L = 1 a lane array is a plain vector: path and replay
+   use the same helpers on one lane.  B is 8 where AVX-512's 32 registers
+   hold each lane array in one, else 4: with 16 registers of 4 doubles
+   (x86-64-v3), 8 lanes spill.  On linear_system d = 2 at n = 2048 (a 2-vCPU
+   Xeon VM), replication by replication took 23 ns a replication-step; 8
+   lanes took 13 ns at v4 and 28 at v3, 4 lanes 14 at v3. */
+#ifdef __AVX512F__
+enum { B = 8 };
+#else
+enum { B = 4 };
+#endif
+#define LANES __attribute__((aligned(64)))
+
+/* f(x, p) at L lanes of parameters p (k, L) and states x (m, L) */
+static inline __attribute__((always_inline)) void
+drift(int family, int64_t m, int L, const double *p, const double *x, double *f)
 {
     if (family == AFFINE) {
-        f[0] = p[0] * (p[1] - x[0]);
+        for (int b = 0; b < L; b++)
+            f[b] = p[b] * (p[L + b] - x[b]);
         return;
     }
     for (int64_t i = 0; i < m; i++) {
+        double *fi = f + i * L;
         /* einsum's sum: the output starts at zero, one term added at a time */
-        double acc = 0.0;
+        for (int b = 0; b < L; b++)
+            fi[b] = 0.0;
         for (int64_t j = 0; j < m; j++)
-            acc += p[i * m + j] * x[j];
-        f[i] = -acc;
+            for (int b = 0; b < L; b++)
+                fi[b] += p[(i * m + j) * L + b] * x[j * L + b];
+        for (int b = 0; b < L; b++)
+            fi[b] = -fi[b];
     }
 }
 
-/* d f / d p_q, component c, at state x and parameters p */
-static inline double grad(int family, int64_t m, const double *p,
-                          const double *x, int64_t q, int64_t c)
+/* d f_c / d p_q at L lanes of parameters p and states x, into g (L) */
+static inline __attribute__((always_inline)) void
+grad(int family, int64_t m, int L, const double *p, const double *x, int64_t q,
+     int64_t c, double *g)
 {
-    if (family == AFFINE)
-        return q == 0 ? p[1] - x[0] : p[0];
+    if (family == AFFINE && q == 0)
+        for (int b = 0; b < L; b++)
+            g[b] = p[L + b] - x[b];
+    else if (family == AFFINE)
+        for (int b = 0; b < L; b++)
+            g[b] = p[b];
     /* p_q = P[i, j] enters f_i only, as -x_j; the zeros are summed too */
-    return c == q / m ? -x[q % m] : 0.0;
+    else if (c == q / m)
+        for (int b = 0; b < L; b++)
+            g[b] = -x[(q % m) * L + b];
+    else
+        for (int b = 0; b < L; b++)
+            g[b] = 0.0;
 }
 
 /* engine.sgdct_step: upd = th + alpha grad_th f(x, th) a_inv (dx - f(x, th) dt),
-   for k parameters */
+   for k parameters, at L lanes; upd must not be th */
 static inline __attribute__((always_inline)) void
-sgdct(int family, int64_t m, int64_t k, const double *a_inv, double alpha,
+sgdct(int family, int64_t m, int64_t k, int L, const double *a_inv, double alpha,
       double dt, const double *x, const double *dx, const double *th,
       double *upd)
 {
-    double f[MAX_M], r[MAX_M];
-    drift(family, m, th, x, f);
-    for (int64_t c = 0; c < m; c++)
+    double f[MAX_M * B] LANES, r[MAX_M * B] LANES, g[B] LANES;
+    drift(family, m, L, th, x, f);
+    for (int64_t c = 0; c < m * L; c++)
         r[c] = dx[c] - f[c] * dt;
     for (int64_t q = 0; q < k; q++) {
-        double acc = 0.0;
+        double *acc = upd + q * L;
+        for (int b = 0; b < L; b++)
+            acc[b] = 0.0;
         for (int64_t a = 0; a < m; a++) {
-            double g = grad(family, m, th, x, q, a);
-            for (int64_t b = 0; b < m; b++)
-                acc += (g * a_inv[a * m + b]) * r[b];
+            grad(family, m, L, th, x, q, a, g);
+            for (int64_t e = 0; e < m; e++)
+                for (int b = 0; b < L; b++)
+                    acc[b] += (g[b] * a_inv[a * m + e]) * r[e * L + b];
         }
-        upd[q] = th[q] + alpha * acc;
+        for (int b = 0; b < L; b++)
+            acc[b] = th[q * L + b] + alpha * acc[b];
     }
 }
 
-/* (sqrt(dt) xi) @ sigma^T, component c */
-static inline double noise(int64_t m, const double *sigma_t, double sqdt,
-                           const double *xi, int64_t c)
+/* (sqrt(dt) xi) @ sigma^T, component c, at L lanes of xi (m, L), into out (L) */
+static inline __attribute__((always_inline)) void
+noise(int64_t m, int L, const double *sigma_t, double sqdt, const double *xi,
+      int64_t c, double *out)
 {
-    double out = (sqdt * xi[0]) * sigma_t[c];
+    for (int b = 0; b < L; b++)
+        out[b] = (sqdt * xi[b]) * sigma_t[c];
     for (int64_t q = 1; q < m; q++)
-        out += (sqdt * xi[q]) * sigma_t[q * m + c];
-    return out;
+        for (int b = 0; b < L; b++)
+            out[b] += (sqdt * xi[q * L + b]) * sigma_t[q * m + c];
 }
 
-/* The replications a span steps together.  One step of one replication is
-   a chain of dependent operations through x and theta, so a replication run
-   alone leaves the core waiting on it; B replications keep B independent
-   chains in flight.  On scalar_ou at n = 2048 (a 2-vCPU Xeon VM), B = 16
-   took a replication-step from about 14 to 11.5 ns.  B = 4, 8 and 32 read
-   within that machine's drift of 16; stepping all n at once was slower. */
-enum { B = 16 };
-
 /* Inlined at each call below, so that family and m are constants there.
-   Steps replications [i0, i0 + nb) together, then the next B.  alpha is the
-   same for every replication at a step, so it is computed once per step.
-   Where the generators are shared (_kernel.normals), a single step draws
-   for replications 0..n-1 in order. */
+   Steps replications [i0, i0 + B) together: their states and parameters
+   are copied into lane arrays, stepped, and copied back.  Each step first
+   draws the block's normals, replication by replication, then runs the
+   arithmetic on all B lanes.  Each lane does numpy's operations in numpy's
+   order and draws only from its own generator, so neither the blocks nor
+   the lanes can change a bit.  The lanes past the end of a partial block
+   compute on zeros and are never stored.  Where the generators are shared
+   (_kernel.normals), a single step draws for replications 0..n-1 in order. */
 static inline __attribute__((always_inline)) void
 span(int family, int64_t m, const double *true_p, const double *sigma_t,
      const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
@@ -169,32 +206,51 @@ span(int family, int64_t m, const double *true_p, const double *sigma_t,
 {
     int64_t k = family == LINEAR ? m * m : 2;
     double sqdt = sqrt(dt);  /* correctly rounded, as np.sqrt is */
-    double xi[MAX_M], f[MAX_M], dx[MAX_M], upd[MAX_M * MAX_M];
+    double tp[MAX_K * B] LANES, th[MAX_K * B] LANES, upd[MAX_K * B] LANES,
+           xs[MAX_M * B] LANES, xi[MAX_M * B] LANES, f[MAX_M * B] LANES,
+           dx[MAX_M * B] LANES, nz[B] LANES;
 
+    for (int64_t q = 0; q < k; q++)
+        for (int b = 0; b < B; b++)
+            tp[q * B + b] = true_p[q];
     for (int64_t i0 = 0; i0 < n; i0 += B) {
-        int64_t nb = n - i0 < B ? n - i0 : B;
-        double *th0 = theta + i0 * k, *x0 = x + i0 * m;
-        bitgen_t **g0 = gens + i0;
+        int nb = n - i0 < B ? (int)(n - i0) : B;
+        memset(th, 0, sizeof th);
+        memset(xs, 0, sizeof xs);
+        memset(xi, 0, sizeof xi);
+        for (int b = 0; b < nb; b++) {
+            for (int64_t q = 0; q < k; q++)
+                th[q * B + b] = theta[(i0 + b) * k + q];
+            for (int64_t c = 0; c < m; c++)
+                xs[c * B + b] = x[(i0 + b) * m + c];
+        }
         for (int64_t s = step0; s < step0 + nsteps; s++) {
             int64_t nmain = s - burn_in;
             /* at t = 1 + nmain dt */
             double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
-            for (int64_t b = 0; b < nb; b++) {
-                double *th = th0 + b * k, *xs = x0 + b * m;
+            for (int b = 0; b < nb; b++)
                 for (int64_t c = 0; c < m; c++)
-                    xi[c] = normal(g0[b]);
-                /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
-                drift(family, m, true_p, xs, f);
-                for (int64_t c = 0; c < m; c++)
-                    dx[c] = f[c] * dt + noise(m, sigma_t, sqdt, xi, c);
-                if (nmain >= 0) {
-                    sgdct(family, m, k, a_inv, alpha, dt, xs, dx, th, upd);
-                    for (int64_t q = 0; q < k; q++)
-                        th[q] = upd[q];
-                }
-                for (int64_t c = 0; c < m; c++)
-                    xs[c] += dx[c];
+                    xi[c * B + b] = normal(gens[i0 + b]);
+            /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
+            drift(family, m, B, tp, xs, f);
+            for (int64_t c = 0; c < m; c++) {
+                noise(m, B, sigma_t, sqdt, xi, c, nz);
+                for (int b = 0; b < B; b++)
+                    dx[c * B + b] = f[c * B + b] * dt + nz[b];
             }
+            if (nmain >= 0) {
+                sgdct(family, m, k, B, a_inv, alpha, dt, xs, dx, th, upd);
+                for (int64_t q = 0; q < k * B; q++)
+                    th[q] = upd[q];
+            }
+            for (int64_t c = 0; c < m * B; c++)
+                xs[c] += dx[c];
+        }
+        for (int b = 0; b < nb; b++) {
+            for (int64_t q = 0; q < k; q++)
+                theta[(i0 + b) * k + q] = th[q * B + b];
+            for (int64_t c = 0; c < m; c++)
+                x[(i0 + b) * m + c] = xs[c * B + b];
         }
     }
 }
@@ -204,16 +260,17 @@ path(int family, int64_t m, const double *true_p, const double *sigma_t,
      double dt, bitgen_t *gen, int64_t nsteps, double *x, double *out)
 {
     double sqdt = sqrt(dt);
-    double xi[MAX_M], f[MAX_M];
+    double xi[MAX_M], f[MAX_M], nz[1];
 
     for (int64_t s = 0; s < nsteps; s++) {
         for (int64_t c = 0; c < m; c++)
             xi[c] = normal(gen);
         /* sde.euler_step's order: (x + f*(x) dt) + (sqrt(dt) xi) @ sigma^T */
-        drift(family, m, true_p, x, f);
-        for (int64_t c = 0; c < m; c++)
-            x[c] = out[s * m + c] =
-                (x[c] + f[c] * dt) + noise(m, sigma_t, sqdt, xi, c);
+        drift(family, m, 1, true_p, x, f);
+        for (int64_t c = 0; c < m; c++) {
+            noise(m, 1, sigma_t, sqdt, xi, c, nz);
+            x[c] = out[s * m + c] = (x[c] + f[c] * dt) + nz[0];
+        }
     }
 }
 
@@ -229,7 +286,7 @@ replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
         const double *xi = x + i * m;
         for (int64_t c = 0; c < m; c++)
             dx[c] = xi[m + c] - xi[c];
-        sgdct(family, m, k, a_inv, c_alpha / (c0 + t[i]), t[i + 1] - t[i],
+        sgdct(family, m, k, 1, a_inv, c_alpha / (c0 + t[i]), t[i + 1] - t[i],
               xi, dx, theta, out + i * k);
         theta = out + i * k;
     }

@@ -89,6 +89,10 @@ class EngineConfig:
         lo, hi = theta0_box(self.model, self.theta0_lo, self.theta0_hi)
         if np.any(lo > hi):
             raise ValueError("theta0 box must satisfy lo <= hi componentwise")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(hi - lo)):  # as Generator.uniform requires
+                raise ValueError("theta0 box [%s, %s] must have a finite width"
+                                 % (lo.tolist(), hi.tolist()))
         object.__setattr__(self, "theta0_lo", lo)
         object.__setattr__(self, "theta0_hi", hi)
         dt = self.integrator.dt
@@ -153,6 +157,38 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
 
 
+def numpy_steps(config: EngineConfig, gens, theta: np.ndarray, x: np.ndarray):
+    """advance(lo, hi): run steps [lo, hi) of `run_batch` in the numpy loop,
+    which defines them, updating theta (n, k) and x (n, m) in place; replication
+    i draws from gens[i].  The counterpart of `_kernel.bind`."""
+    model, noise, sched, integ = (config.model, config.noise,
+                                  config.schedule, config.integrator)
+    n, m = x.shape
+    dt = integ.dt
+    sqdt = np.sqrt(dt)
+    sigma_t = noise.sigma.T.copy()
+    burn_in = integ.burn_in_steps
+    total = burn_in + step_of(config.horizon, dt)
+    # never larger than the run itself, so n = 1 runs allocate only what they use
+    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * max(n, 1) * m)))
+    xi = np.empty((noise_chunk, n, m))
+
+    def advance(lo, hi):
+        for step in range(lo, hi):
+            if step % noise_chunk == 0:  # xi holds the noise of this chunk's steps
+                span = min(noise_chunk, total - step)
+                for i, g in enumerate(gens):
+                    xi[:span, i, :] = g.standard_normal((span, m))
+            dx = model.true_drift_fn(x) * dt + sqdt * xi[step % noise_chunk] @ sigma_t
+            nmain = step - burn_in  # completed main steps
+            if nmain >= 0:  # in place: the screening and the checkpoints read theta
+                theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
+                                      x, theta, dx, dt)
+            np.add(x, dx, out=x)  # in place, like theta
+
+    return advance
+
+
 def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     """Advance n = len(seeds) independent replications in lock-step.
 
@@ -167,22 +203,21 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     Python draws theta0, records checkpoints and screens for divergence; a
     failed replication runs on, booked once in `failed`, and ends as NaN rows.
     Between two such events the steps run in one call of the compiled
-    kernel where `_kernel.bind` takes the model, else in the numpy step
-    loop below, which defines them: the two agree bitwise.  Empty seeds
+    kernel where `_kernel.bind` takes the model, else in `numpy_steps`,
+    which defines them: the two agree bitwise.  Empty seeds
     give an empty ReplicationSet.
     """
-    model, noise, sched, integ = (config.model, config.noise,
-                                  config.schedule, config.integrator)
+    model, integ = config.model, config.integrator
     n = len(seeds)
     k, m = model.k, model.m
     dt = integ.dt
-    sqdt = np.sqrt(dt)
-    sigma_t = noise.sigma.T.copy()
 
     gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    theta = np.empty((n, k))
-    for i, g in enumerate(gens):
-        theta[i] = g.uniform(config.theta0_lo, config.theta0_hi)
+    # Generator.uniform(lo, hi) is lo + (hi - lo) next_double, k draws in order
+    u = np.empty((n, k))
+    for g, row in zip(gens, u):
+        g.random(out=row)
+    theta = config.theta0_lo + (config.theta0_hi - config.theta0_lo) * u
     x = np.tile(integ.initial_state(m), (n, 1))
 
     burn_in = integ.burn_in_steps
@@ -196,24 +231,8 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     rec_x = np.empty((len(j), n, m))
     failed: dict = {}
 
-    # never larger than the run itself, so n = 1 runs allocate only what they use
-    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * max(n, 1) * m)))
-    xi = np.empty((noise_chunk, n, m))
-
-    def _numpy_steps(lo, hi):
-        for step in range(lo, hi):
-            if step % noise_chunk == 0:  # xi holds the noise of this chunk's steps
-                span = min(noise_chunk, total - step)
-                for i, g in enumerate(gens):
-                    xi[:span, i, :] = g.standard_normal((span, m))
-            dx = model.true_drift_fn(x) * dt + sqdt * xi[step % noise_chunk] @ sigma_t
-            nmain = step - burn_in  # completed main steps
-            if nmain >= 0:  # in place: the screening and the checkpoints read theta
-                theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
-                                      x, theta, dx, dt)
-            np.add(x, dx, out=x)  # in place, like theta
-
-    advance = _kernel.bind(config, gens, theta, x) or _numpy_steps
+    advance = (_kernel.bind(config, gens, theta, x)
+               or numpy_steps(config, gens, theta, x))
     # stop at each checkpoint's step (0 for t = 1, where advance runs no step)
     # and at each screening: every CHECK_EVERY-th step and the end; rec_step
     # is sorted, so each stop records rows [lo, hi)

@@ -228,6 +228,14 @@ def test_engine_config_validation():
         EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                      integrator=IntegratorConfig(), horizon=10.0,
                      checkpoint_times=np.array([1.0, np.nan]))
+    # run_batch's theta0 draw is lo + (hi - lo) u, as Generator.uniform's,
+    # which refused such a box only when it drew
+    for lo, hi in [(-1e308, 1e308), (np.nan, 1.0), (0.0, np.inf)]:
+        with pytest.raises(ValueError, match="finite width"):
+            EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                         integrator=IntegratorConfig(), horizon=10.0,
+                         checkpoint_times=np.array([1.0]),
+                         theta0_lo=np.array([lo]), theta0_hi=np.array([hi]))
 
 
 def test_engine_config_rejects_horizon_off_the_dt_grid():
@@ -520,6 +528,75 @@ def test_a_kernel_whose_normals_differ_from_numpy_is_not_used(reference, why):
     assert why in message
 
 
+def one_ulp_off_for(body, name):
+    """_kernel's reference `name` (reference_steps or reference_replay), one
+    ulp off for the model of body (family, m) alone."""
+    real = getattr(_kernel, name)
+
+    def reference(config, *args):
+        out = real(config, *args)
+        if (config.model.compiled.family, config.model.m) != body:
+            return out
+        if name == "reference_replay":
+            return np.nextafter(out, np.inf)
+        x = args[2]
+
+        def advance(lo, hi):
+            out(lo, hi)
+            x[-1, -1] = np.nextafter(x[-1, -1], np.inf)
+
+        return advance
+
+    return reference
+
+
+@needs_compiler
+@pytest.mark.parametrize("name, what", [("reference_steps", "span"),
+                                        ("reference_replay", "replay")])
+@pytest.mark.parametrize("body", sorted(_kernel.BODIES))
+def test_a_kernel_whose_arithmetic_differs_from_numpy_is_not_used(body, name, what):
+    message = assert_falls_back_to_numpy({name: one_ulp_off_for(body, name)})
+    assert "its %s of body %s with m = %d differs" % (what, *body) in message
+
+
+def test_the_load_time_check_runs_every_body():
+    assert {(cfg.model.compiled.family, cfg.model.m)
+            for cfg in _kernel.check_configs()} == _kernel.BODIES
+
+
+@needs_compiler
+def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
+    # each level this CPU has, forced through the feature probe and built
+    # into a cache of its own, so that the levels march() would not pick
+    # here are checked bitwise too
+    have = _kernel.cpu_features()
+    levels = {"baseline": {}}
+    levels.update({level: {"X86_" + level.upper(): True} for level in ("v3", "v4")
+                   if have.get("X86_" + level.upper())})
+    cfgs = [make_config(horizon=3.0, burn_in=20, factory=factory)
+            for factory in (scalar_ou, mean_reversion, linear_system)]
+    seeds = [seed_split(9, i) for i in range(19)]
+    want = [run_batch(numpy_only(cfg), seeds).digest() for cfg in cfgs]
+    want_path = simulate_and_replay(numpy_only(cfgs[2]), 9)
+    names = set()
+    for level, features in levels.items():
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")  # the load-time check must pass
+            mp.setattr(_kernel, "_lib", None)
+            mp.setattr(_kernel, "cache_dir", lambda: str(tmp_path / level))
+            mp.setattr(_kernel, "cpu_features", lambda: features)
+            flags = _kernel.march()
+            assert flags == (() if level == "baseline" else ("-march=x86-64-" + level,))
+            names.add(os.path.basename(_kernel.load()._name))
+            for cfg, digest in zip(cfgs, want):
+                got, compiled = run_and_spy(cfg, seeds)
+                assert compiled and got.digest() == digest, (level, cfg.model.name)
+            for got, expected in zip(simulate_and_replay(cfgs[2], 9), want_path):
+                assert got.tobytes() == expected.tobytes(), level
+    # the level is part of the kernel's cache key
+    assert len(names) == len(levels)
+
+
 @needs_compiler
 def test_the_kernel_normals_are_numpys_standard_normal():
     # 10^7 draws over each seed reach the ziggurat's tail beyond r too
@@ -549,8 +626,10 @@ def test_the_kernel_normals_keep_a_negative_zero_draw():
 
     word = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)(lambda _: 1 << 8 | 2)
     gen = BitGen(next_uint64=ctypes.cast(word, ctypes.c_void_p))
-    fake = types.SimpleNamespace(ctypes=types.SimpleNamespace(
-        bit_generator=ctypes.c_void_p(ctypes.addressof(gen))))
+    capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+    fake = types.SimpleNamespace(capsule=capsule(ctypes.addressof(gen),
+                                                 b"BitGenerator", None))
     lib = _kernel.load()
     lib.random_standard_normal.restype = ctypes.c_double
     lib.random_standard_normal.argtypes = [ctypes.c_void_p]

@@ -6,10 +6,11 @@ Imports driftfit from the `src/` next to this directory.  For each model the
 kernel covers (scalar_ou, mean_reversion, linear_system d=2) and each batch
 size n in 1, 256, 512 and 2048, it binds one span with `_kernel.bind` (no
 burn-in, so every step is a coupled Euler/SGDCT step) and times `advance`
-over about --rep-steps replication-steps.  It prints one JSON object: per
-model and n, the best and the median of --repeats timings, in ns per
-replication-step.  The median is there because a shared machine's speed
-drifts between timings; the best alone hides that.
+over about --rep-steps replication-steps.  It prints one JSON object: the
+-march flag the timed kernel was built with ("baseline" for none, see
+`_kernel.march`) and, per model and n, the best and the median of --repeats
+timings, in ns per replication-step.  The median is there because a shared
+machine's speed drifts between timings; the best alone hides that.
 """
 from __future__ import annotations
 
@@ -62,9 +63,10 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--rep-steps", type=int, default=4_000_000)
     args = parser.parse_args(argv)
-    out = {name: {"n_%d" % n: span_ns(factory, n, args.rep_steps, args.repeats)
-                  for n in SIZES}
-           for name, factory in MODELS.items()}
+    out = {"march": " ".join(_kernel.march()) or "baseline"}
+    out.update({name: {"n_%d" % n: span_ns(factory, n, args.rep_steps, args.repeats)
+                       for n in SIZES}
+                for name, factory in MODELS.items()})
     print(json.dumps(out))
 
 
