@@ -2,8 +2,9 @@
 
 The kernel has three entry points: a span of `engine.run_batch`'s steps
 (`bind`), the Euler steps of `sde.simulate_path` (`bind_path`) and the CSV
-replay's updates (`replay`).  It runs the models `covers` accepts; the
-others run the numpy code, which defines the results.
+replay's updates (`replay`).  It runs the models of `models.FAMILIES` that
+`covers` accepts, reading their parameters from `true_theta`; the others
+run the numpy code, which defines the results.
 
 The kernel draws its normals through an inlined copy of numpy's ziggurat,
 on numpy's own tables: `objcopy` makes them global in a private copy of
@@ -41,7 +42,7 @@ TABLES = ("wi_double", "ki_double", "fi_double")
 # march() adds (v3, v4) have fused multiply-add, which rounds a * b + c once
 # where numpy rounds twice; -ffp-contract=off keeps the compiler from using it
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-FAMILIES = {"linear": 0, "affine": 1}
+CODES = {"linear": 0, "affine": 1}  # _kernel.c's family enum
 # the (family, m) pairs _kernel.c's DISPATCH has a body for; numpy sums three
 # or more drift terms in SIMD-lane order, which the kernel does not copy, so
 # larger linear systems stay on the numpy loop
@@ -185,7 +186,7 @@ def normals(lib, bit_generator, n: int) -> np.ndarray:
     block by block."""
     gens = np.full(n, _bitgens([bit_generator])[0], dtype=np.uintp)
     zero, one, theta, x = np.zeros(1), np.ones(1), np.empty(n), np.full(n, -0.0)
-    lib.driftfit_span(FAMILIES["linear"], 1, zero.ctypes.data, one.ctypes.data,
+    lib.driftfit_span(CODES["linear"], 1, zero.ctypes.data, one.ctypes.data,
                       one.ctypes.data, 1.0, 1.0, 0.0, 0, 1, 1, n, gens.ctypes.data,
                       theta.ctypes.data, x.ctypes.data)
     return x
@@ -204,15 +205,9 @@ def reference_steps(config, gens, theta: np.ndarray, x: np.ndarray):
 
 def reference_replay(config, times: np.ndarray, xs: np.ndarray,
                      theta: np.ndarray) -> np.ndarray:
-    """numpy's replay updates, `engine.sgdct_step` from row to row, which
-    define the kernel's."""
+    """numpy's replay updates, which define the kernel's."""
     from . import engine
-    out = np.empty((len(times) - 1, len(theta)))
-    for i in range(len(times) - 1):
-        theta = out[i] = engine.sgdct_step(
-            config.model, config.noise, config.schedule, times[i], xs[i], theta,
-            xs[i + 1] - xs[i], times[i + 1] - times[i])
-    return out
+    return engine.numpy_replay(config, times, xs, theta)
 
 
 def check_configs() -> list:
@@ -259,7 +254,7 @@ def _mismatch(lib):
     rng = np.random.default_rng(CHECK_SEED)
     for config in check_configs():
         model = config.model
-        body = "%s with m = %d" % (model.compiled.family, model.m)
+        body = "%s with m = %d" % (model.family, model.m)
         kernel = _check_span(lambda *args: _bind(lib, *args), config)
         if kernel != _check_span(reference_steps, config):
             return "its span of body %s differs from numpy's step loop" % body
@@ -293,15 +288,17 @@ def load():
 
 
 def covers(model, noise) -> bool:
-    """Whether the kernel runs this model: its drift, gradient and true drift
-    are still the callables its factory described, _kernel.c has a body for
+    """Whether the kernel runs this model: its drift and gradient are its
+    family's, its true drift is the family's drift at model.true_theta itself
+    (a partial, as `models.family_model` makes it), _kernel.c has a body for
     its (family, m), and sigma is diagonal."""
-    form = model.compiled
-    return (form is not None
-            and all(a is b for a, b in zip(
-                (model.drift_fn, model.drift_grad_fn, model.true_drift_fn),
-                form.callables))
-            and (form.family, model.m) in BODIES
+    from .models import FAMILIES
+    drift, grad = FAMILIES.get(model.family, (None, None))
+    true = model.true_drift_fn
+    return (drift is not None and (model.drift_fn, model.drift_grad_fn) == (drift, grad)
+            and getattr(true, "func", None) is drift
+            and getattr(true, "keywords", {}).get("theta") is model.true_theta
+            and (model.family, model.m) in BODIES
             and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
 
 
@@ -325,7 +322,7 @@ def _entry(lib, name: str, model):
     first two arguments; it raises ValueError where the kernel returns -1,
     not covering them."""
     fn = getattr(lib, "driftfit_" + name)
-    head = (FAMILIES[model.compiled.family], model.m)
+    head = (CODES[model.family], model.m)
 
     def call(*args):
         if fn(*head, *args) < 0:
@@ -350,7 +347,7 @@ def _bind(lib, config, gens, theta: np.ndarray, x: np.ndarray):
     _check(theta, (n, k))
     _check(x, (n, m))
     bitgens = (ctypes.c_void_p * n)(*_bitgens(g.bit_generator for g in gens))
-    consts = _consts(model.compiled.params, noise.sigma.T, noise.a_inv)
+    consts = _consts(model.true_theta, noise.sigma.T, noise.a_inv)
     sched, integ = config.schedule, config.integrator
     head = (*[a.ctypes.data for a in consts], integ.dt, float(sched.c_alpha),
             float(sched.c0))
@@ -375,7 +372,7 @@ def bind_path(model, noise, dt: float, rng, x: np.ndarray):
     path = _entry(lib, "path", model)
     m = model.m
     _check(x, (m,))
-    consts = _consts(model.compiled.params, noise.sigma.T)
+    consts = _consts(model.true_theta, noise.sigma.T)
     head = (*[a.ctypes.data for a in consts], dt, _bitgens([rng.bit_generator])[0])
 
     def steps(out, _keep=(consts, rng, x)):

@@ -157,6 +157,28 @@ def sgdct_step(model: DriftModelSpec, noise: NoiseSpec, schedule: ScheduleSpec,
     return theta + a_t * np.einsum("...km,mn,...n->...k", grad, noise.a_inv, resid)
 
 
+def draw_theta0(config: EngineConfig, gens) -> np.ndarray:
+    """Row i of theta0 from gens[i]: Generator.uniform(lo, hi) in the config's
+    box, which is lo + (hi - lo) next_double, k draws in order."""
+    u = np.empty((len(gens), config.model.k))
+    for g, row in zip(gens, u):
+        g.random(out=row)
+    return config.theta0_lo + (config.theta0_hi - config.theta0_lo) * u
+
+
+def numpy_replay(config: EngineConfig, times: np.ndarray, xs: np.ndarray,
+                 theta: np.ndarray) -> np.ndarray:
+    """The CSV replay's updates from theta in numpy, which defines them: row i
+    is `sgdct_step` i, on the increments to row i + 1 of (times, xs).  The
+    counterpart of `_kernel.replay`."""
+    out = np.empty((len(times) - 1, len(theta)))
+    for i in range(len(times) - 1):
+        theta = out[i] = sgdct_step(
+            config.model, config.noise, config.schedule, times[i], xs[i], theta,
+            xs[i + 1] - xs[i], times[i + 1] - times[i])
+    return out
+
+
 def numpy_steps(config: EngineConfig, gens, theta: np.ndarray, x: np.ndarray):
     """advance(lo, hi): run steps [lo, hi) of `run_batch` in the numpy loop,
     which defines them, updating theta (n, k) and x (n, m) in place; replication
@@ -213,11 +235,7 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     dt = integ.dt
 
     gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    # Generator.uniform(lo, hi) is lo + (hi - lo) next_double, k draws in order
-    u = np.empty((n, k))
-    for g, row in zip(gens, u):
-        g.random(out=row)
-    theta = config.theta0_lo + (config.theta0_hi - config.theta0_lo) * u
+    theta = draw_theta0(config, gens)
     x = np.tile(integ.initial_state(m), (n, 1))
 
     burn_in = integ.burn_in_steps

@@ -13,8 +13,9 @@ import numpy as np
 
 from . import _kernel, covariance, engine, models, poisson, sde, stats
 from .config import ConfigError, ExperimentConfig, slope_window
+# bench/tracing.py wraps experiments.sgdct_step by name
 from .engine import (EngineConfig, ReplicationSet, geometric_checkpoints, seed_split,
-                     sgdct_step, step_of, theta0_box)
+                     sgdct_step, step_of, theta0_box)  # noqa: F401
 from .sde import (DIVERGENCE_BOUND, BlowupError, IntegratorConfig, diverged,
                   dump_path_csv, load_path_csv, simulate_path, write_csv)
 from .schedule import RegimeReport, ScheduleSpec, regime_check
@@ -249,22 +250,18 @@ def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
 
     Update i runs at times[i] on the increments to row i + 1.  The updates
     run in the compiled kernel where `_kernel.replay` takes the model, else
-    in the `sgdct_step` loop below, which defines them: the two agree bitwise.
+    in `engine.numpy_replay`, which defines them: the two agree bitwise.
     Every update runs; then the first one whose theta `diverged` flags raises
     BlowupError with the theta it started from.
     """
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    theta0 = rng.uniform(engine_cfg.theta0_lo, engine_cfg.theta0_hi)
-    model, noise, sched = engine_cfg.model, engine_cfg.noise, engine_cfg.schedule
+    theta0 = engine.draw_theta0(engine_cfg, [rng])[0]
+    model = engine_cfg.model
     thetas = np.empty((len(times) - 1, 1, model.k))
     # a diverging theta overflows on to the last update, silently
     with np.errstate(over="ignore", invalid="ignore"):
         if _kernel.replay(engine_cfg, times, xs, theta0, thetas[:, 0]) is None:
-            theta = theta0
-            for i in range(len(times) - 1):
-                theta = thetas[i, 0] = sgdct_step(
-                    model, noise, sched, times[i], xs[i], theta, xs[i + 1] - xs[i],
-                    times[i + 1] - times[i])
+            thetas[:, 0] = engine.numpy_replay(engine_cfg, times, xs, theta0)
     bad = np.flatnonzero(diverged(thetas[:, 0]))
     if bad.size:
         i = int(bad[0])

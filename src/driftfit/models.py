@@ -5,10 +5,15 @@ and (for the built-in catalog) closed-form stationary moments and the
 Hessian of the averaged objective at theta*.  All callables are vectorized:
 they accept `x` of shape (..., m) and `theta` of shape (..., k) with matching
 leading dimensions and return (..., m) drifts and (..., k, m) gradients.
+A model of a family in FAMILIES (`family_model`) takes the family's drift
+and gradient, and the family's drift at true_theta as its true drift; the
+compiled kernel runs such models (`_kernel.covers`), and the others, with
+`family` None, run on numpy.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -74,18 +79,6 @@ class AnalyticInfo:
 
 
 @dataclasses.dataclass(frozen=True)
-class CompiledForm:
-    """What a built-in factory's three callables compute, in a form the
-    compiled span kernel runs: family "linear" is f(x, p) = -P x with
-    P = reshape(p, (m, m)) row-major, family "affine" is f(x, p) = p_1 (p_2 - x).
-    The true drift is the family at `params`."""
-
-    family: str
-    params: np.ndarray
-    callables: Tuple[Callable, Callable, Callable]  # drift, gradient, true drift
-
-
-@dataclasses.dataclass(frozen=True)
 class DriftModelSpec:
     name: str
     k: int
@@ -95,7 +88,7 @@ class DriftModelSpec:
     true_drift_fn: Callable[[np.ndarray], np.ndarray]
     true_theta: Optional[np.ndarray] = None
     analytic: Optional[AnalyticInfo] = None
-    compiled: Optional[CompiledForm] = None
+    family: Optional[str] = None  # a key of FAMILIES, for the compiled kernel
 
 
 def pointwise_objective(model: DriftModelSpec, noise: NoiseSpec,
@@ -116,35 +109,67 @@ def objective_grad(model: DriftModelSpec, noise: NoiseSpec,
 
 
 # ---------------------------------------------------------------------------
-# Built-in catalog.  Every family is well-specified: f(x, theta*) = f*(x).
+# Drift families: one numpy drift and one gradient each.
+# ---------------------------------------------------------------------------
+
+def linear_drift(x, theta):
+    """-P x with P = reshape(theta, (m, m)) row-major."""
+    m = x.shape[-1]
+    return -np.einsum("...ij,...j->...i", theta.reshape(theta.shape[:-1] + (m, m)), x)
+
+
+def linear_grad(x, theta):
+    """d f_i / d P_ij = -x_j, every other entry zero: (..., m * m, m)."""
+    m = x.shape[-1]
+    batch = np.broadcast_shapes(x.shape[:-1], theta.shape[:-1])
+    out = np.zeros(batch + (m, m, m))
+    xb = np.broadcast_to(x, batch + (m,))
+    for i in range(m):
+        out[..., i, :, i] = -xb
+    return out.reshape(batch + (m * m, m))
+
+
+def affine_drift(x, theta):
+    """theta_1 (theta_2 - x)."""
+    return theta[..., 0:1] * (theta[..., 1:2] - x)
+
+
+def affine_grad(x, theta):
+    g1 = theta[..., 1:2] - x
+    g2 = np.broadcast_to(theta[..., 0:1], g1.shape)
+    return np.stack([g1, g2], axis=-2)
+
+
+# family name -> (drift, gradient)
+FAMILIES = {"linear": (linear_drift, linear_grad),
+            "affine": (affine_drift, affine_grad)}
+
+
+def family_model(name: str, family: str, m: int, true_theta: np.ndarray,
+                 analytic: AnalyticInfo) -> DriftModelSpec:
+    """A model of `family`; its true drift is the family's drift at true_theta."""
+    drift, grad = FAMILIES[family]
+    return DriftModelSpec(name, k=len(true_theta), m=m, drift_fn=drift,
+                          drift_grad_fn=grad,
+                          true_drift_fn=functools.partial(drift, theta=true_theta),
+                          true_theta=true_theta, analytic=analytic, family=family)
+
+
+# ---------------------------------------------------------------------------
+# Built-in catalog.  Every model is well-specified: f(x, theta*) = f*(x).
 # ---------------------------------------------------------------------------
 
 def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
-    """f(x, theta) = -theta x with f*(x) = -theta* x, scalar state."""
+    """f(x, theta) = -theta x, f*(x) = -theta* x: the linear family at m = 1."""
     if theta_star <= 0:
         raise ModelError("theta_star must be positive for a mean-reverting truth")
     ts = float(theta_star)
     noise = NoiseSpec(np.array([[float(sigma)]]))
     sig2 = float(noise.a[0, 0])
     m2 = sig2 / (2.0 * ts)
-
-    def drift(x, theta):
-        return -theta[..., 0:1] * x
-
-    def grad(x, theta):
-        return np.expand_dims(-x, -2)
-
-    def true_drift(x):
-        return -ts * x
-
     # gbar(theta) = m2 (theta - theta*)^2 / (2 sig2)
     analytic = AnalyticInfo(np.zeros(1), np.array([m2]), np.array([[m2 / sig2]]))
-    model = DriftModelSpec("scalar_ou", k=1, m=1, drift_fn=drift,
-                           drift_grad_fn=grad, true_drift_fn=true_drift,
-                           true_theta=np.array([ts]), analytic=analytic,
-                           compiled=CompiledForm("linear", np.array([ts]),
-                                                 (drift, grad, true_drift)))
-    return model, noise
+    return family_model("scalar_ou", "linear", 1, np.array([ts]), analytic), noise
 
 
 def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
@@ -202,31 +227,14 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
     # w(theta*) = 0, so the Hessian there is J^T M J / sig2, J = dw / dtheta.
     mom = np.array([[1.0, mu], [mu, var + mu * mu]])
     jac = np.array([[b_star, a_star], [-1.0, 0.0]])
-
-    def drift(x, theta):
-        return theta[..., 0:1] * (theta[..., 1:2] - x)
-
-    def grad(x, theta):
-        g1 = theta[..., 1:2] - x
-        g2 = np.broadcast_to(theta[..., 0:1], g1.shape)
-        return np.stack([g1, g2], axis=-2)
-
-    def true_drift(x):
-        return a_star * (b_star - x)
-
     analytic = AnalyticInfo(np.array([mu]), np.array([var + mu * mu]),
                             (jac.T @ mom @ jac) / sig2)
-    model = DriftModelSpec("mean_reversion", k=2, m=1, drift_fn=drift,
-                           drift_grad_fn=grad, true_drift_fn=true_drift,
-                           true_theta=np.array([a_star, b_star]),
-                           analytic=analytic,
-                           compiled=CompiledForm("affine", np.array([a_star, b_star]),
-                                                 (drift, grad, true_drift)))
-    return model, noise
+    return family_model("mean_reversion", "affine", 1, np.array([a_star, b_star]),
+                        analytic), noise
 
 
 def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
-    """f(x, theta) = -Theta x with Theta = reshape(theta, (d, d)) row-major."""
+    """The linear family f(x, theta) = -Theta x at m = d."""
     if theta_star_matrix is None:
         theta_star_matrix = np.eye(dim) + 0.25 * np.diag(np.ones(dim - 1), 1)
     th_star = np.asarray(theta_star_matrix, dtype=float)
@@ -246,33 +254,12 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     s_cov = np.linalg.solve(np.kron(th_star, eye) + np.kron(eye, th_star),
                             a.ravel()).reshape(d, d)
     s_cov = 0.5 * (s_cov + s_cov.T)
-
-    def drift(x, theta):
-        th = theta.reshape(theta.shape[:-1] + (d, d))
-        return -np.einsum("...ij,...j->...i", th, x)
-
-    def grad(x, theta):
-        batch = np.broadcast_shapes(x.shape[:-1], theta.shape[:-1])
-        out = np.zeros(batch + (d, d, d))
-        xb = np.broadcast_to(x, batch + (d,))
-        for i in range(d):
-            out[..., i, :, i] = -xb
-        return out.reshape(batch + (d * d, d))
-
-    def true_drift(x):
-        return -np.einsum("ij,...j->...i", th_star, x)
-
     # gbar(theta) = tr((Theta - Theta*)^T A^-1 (Theta - Theta*) S) / 2, so
     # H[(ij),(kl)] = a_inv[i,k] s_cov[j,l]
     analytic = AnalyticInfo(np.zeros(d), np.diag(s_cov).copy(),
                             np.kron(a_inv, s_cov))
-    model = DriftModelSpec("linear_system", k=d * d, m=d, drift_fn=drift,
-                           drift_grad_fn=grad, true_drift_fn=true_drift,
-                           true_theta=th_star.reshape(d * d).copy(),
-                           analytic=analytic,
-                           compiled=CompiledForm("linear", th_star.reshape(d * d).copy(),
-                                                 (drift, grad, true_drift)))
-    return model, noise
+    return family_model("linear_system", "linear", d, th_star.reshape(d * d).copy(),
+                        analytic), noise
 
 
 class ModelEntry(NamedTuple):

@@ -1,5 +1,9 @@
 import dataclasses
+import functools
+import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftfit
 from driftfit import _kernel, engine, sde
 from driftfit.engine import (BlowupError, EngineConfig, diverged, geometric_checkpoints,
                              run_batch, seed_split, sgdct_step, splitmix64, step_of)
@@ -293,8 +298,8 @@ def test_trajectory_csv(tmp_path):
 
 
 def numpy_only(cfg):
-    """cfg with its model's compiled form dropped, so run_batch runs numpy."""
-    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, compiled=None))
+    """cfg with its model's family dropped, so run_batch runs numpy."""
+    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, family=None))
 
 
 def run_and_spy(cfg, seeds):
@@ -441,7 +446,7 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
         got, compiled = run_and_spy(cfg, seeds)
         want = run_batch(numpy_only(cfg), seeds)
     # the kernel copies numpy's sums of at most two drift terms
-    assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
+    assert compiled == ((model.family, model.m) in _kernel.BODIES)
     npt.assert_array_equal(got.times, want.times)
     npt.assert_array_equal(got.thetas, want.thetas)
     npt.assert_array_equal(got.xs, want.xs)
@@ -449,14 +454,30 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
     assert got.digest() == want.digest()
 
 
+# each replacement computes what it replaces, so the numpy loop gives the
+# family model's digest; the kernel, which reads the family and true_theta
+# alone, must not run it
+REPLACEMENTS = {
+    "drift": lambda model: {"drift_fn": lambda x, theta: -theta[..., 0:1] * x},
+    "gradient": lambda model: {"drift_grad_fn": lambda x, theta: np.expand_dims(-x, -2)},
+    # a partial on the model's own true_theta: only its func tells it apart
+    "true_drift": lambda model: {"true_drift_fn": functools.partial(
+        lambda x, theta: -theta * x, theta=model.true_theta)},
+    # a copy: the true drift still reads the original array
+    "true_theta": lambda model: {"true_theta": model.true_theta.copy()},
+}
+
+
 @needs_compiler
-def test_a_replaced_drift_runs_on_numpy():
+@pytest.mark.parametrize("replaced", sorted(REPLACEMENTS))
+def test_a_replaced_drift_runs_on_numpy(replaced):
     cfg = make_config(horizon=6.0)
     model = cfg.model
-    same = dataclasses.replace(model, drift_fn=lambda x, theta: -theta[..., 0:1] * x)
+    same = dataclasses.replace(model, **REPLACEMENTS[replaced](model))
     seeds = [seed_split(4, i) for i in range(3)]
     want, compiled = run_and_spy(cfg, seeds)
     assert compiled
+    assert want.digest() == run_batch(numpy_only(cfg), seeds).digest()
     got, compiled = run_and_spy(dataclasses.replace(cfg, model=same), seeds)
     assert not compiled
     assert got.digest() == want.digest()
@@ -535,7 +556,7 @@ def one_ulp_off_for(body, name):
 
     def reference(config, *args):
         out = real(config, *args)
-        if (config.model.compiled.family, config.model.m) != body:
+        if (config.model.family, config.model.m) != body:
             return out
         if name == "reference_replay":
             return np.nextafter(out, np.inf)
@@ -560,7 +581,7 @@ def test_a_kernel_whose_arithmetic_differs_from_numpy_is_not_used(body, name, wh
 
 
 def test_the_load_time_check_runs_every_body():
-    assert {(cfg.model.compiled.family, cfg.model.m)
+    assert {(cfg.model.family, cfg.model.m)
             for cfg in _kernel.check_configs()} == _kernel.BODIES
 
 
@@ -595,6 +616,66 @@ def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
                 assert got.tobytes() == expected.tobytes(), level
     # the level is part of the kernel's cache key
     assert len(names) == len(levels)
+
+
+# A child process's numpy-loop digest of each catalog model, and the x86-64
+# levels its numpy dispatches to.
+LEVEL_CHILD = """
+import dataclasses, json
+from driftfit import _kernel
+from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
+from driftfit.models import bounded_link, linear_system, mean_reversion, scalar_ou
+from driftfit.schedule import ScheduleSpec
+from driftfit.sde import IntegratorConfig
+out = {level: bool(_kernel.cpu_features().get(level)) for level in ("X86_V3", "X86_V4")}
+for name, (model, noise) in {
+        "scalar_ou": scalar_ou(), "mean_reversion": mean_reversion(),
+        "linear_system_d2": linear_system(dim=2), "linear_system_d3": linear_system(dim=3),
+        "bounded_link": bounded_link()}.items():
+    cfg = EngineConfig(model=dataclasses.replace(model, family=None), noise=noise,
+                       schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=0.01, burn_in_steps=20),
+                       horizon=5.0, checkpoint_times=geometric_checkpoints(5.0, 6))
+    out[name] = run_batch(cfg, [seed_split(11, i) for i in range(16)]).digest()
+print(json.dumps(out))
+"""
+# numpy's dispatch targets above each level, as NPY_DISABLE_CPU_FEATURES names them
+ABOVE_V3 = "X86_V4 AVX512_ICL AVX512_SPR"
+FORCED_LEVELS = {"v3": ABOVE_V3, "baseline": "X86_V3 " + ABOVE_V3}
+
+
+def numpy_loop_digests(disable):
+    """LEVEL_CHILD's output with numpy's dispatch to `disable` (None: none)
+    turned off in the child's environment alone."""
+    env = dict(os.environ)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disable is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disable
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driftfit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LEVEL_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_property):
+    have = _kernel.cpu_features()
+    if not have.get("X86_V3"):
+        pytest.skip("numpy dispatches to no x86-64 level above its baseline here")
+    native = numpy_loop_digests(None)
+    forced = {level: numpy_loop_digests(off) for level, off in FORCED_LEVELS.items()
+              if level == "baseline" or have.get("X86_V4")}  # v3 is native without v4
+    for level, got in forced.items():
+        # the variable took: numpy runs no target above the level
+        assert not got["X86_V4"] and got["X86_V3"] == (level == "v3"), level
+        for name in ("scalar_ou", "mean_reversion", "linear_system_d2",
+                     "linear_system_d3"):
+            assert got[name] == native[name], (level, name)
+    # the known exception: numpy's tanh and cosh round differently per level,
+    # so bounded_link's digest is a fact of the level, not of the program
+    record_property("bounded_link_digest_by_level", json.dumps(
+        {"native": native["bounded_link"],
+         **{level: got["bounded_link"] for level, got in forced.items()}}))
 
 
 @needs_compiler
@@ -678,7 +759,7 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
                        checkpoint_times=np.array([1.0]))
     got, compiled = replay_and_spy(cfg, times, xs, seed)
     want, _ = replay_and_spy(numpy_only(cfg), times, xs, seed)
-    assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
+    assert compiled == ((model.family, model.m) in _kernel.BODIES)
     assert type(got) is type(want)
     if isinstance(want, BlowupError):
         assert (got.step, got.t) == (want.step, want.t) and want.t == times[want.step]

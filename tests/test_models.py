@@ -1,12 +1,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftfit import models
 from driftfit.config import ConfigError, from_dict
 from driftfit.experiments import build_model, covariance_inputs
-from driftfit.models import (DriftModelSpec, ModelError, NoiseSpec, bounded_link,
-                             linear_system, mean_reversion, objective_grad,
+from driftfit.models import (FAMILIES, DriftModelSpec, ModelError, NoiseSpec,
+                             affine_drift, affine_grad, bounded_link, linear_drift,
+                             linear_grad, linear_system, mean_reversion, objective_grad,
                              pointwise_objective, scalar_ou)
 
 
@@ -186,3 +190,47 @@ def test_builtin_registry():
                                               "model.sigma": "0.5"}))
         assert model.name == name
         npt.assert_array_equal(noise.sigma, 0.5 * np.eye(model.m))
+
+
+# Nonzero factors whose products neither overflow nor underflow: at a zero
+# product the linear family's einsum, whose sum starts at +0.0, gives -0.0
+# where -theta x gives +0.0.
+FACTORS = st.floats(-1e100, 1e100).filter(lambda v: abs(v) >= 1e-100)
+POSITIVE = st.floats(0.1, 10.0)
+
+
+def assert_same(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([None, 1, 5]), d=st.integers(1, 4))
+def test_the_families_give_the_closed_forms_they_replaced(data, n, d):
+    lead = () if n is None else (n,)
+
+    def draw(k):  # an (n, k) batch or a single (k,) vector
+        return data.draw(arrays(np.float64, lead + (k,), elements=FACTORS))
+
+    # scalar_ou's own drift and gradient, before it became linear at m = 1
+    x, theta = draw(1), draw(1)
+    assert_same(linear_drift(x, theta), -theta[..., 0:1] * x)
+    assert_same(linear_grad(x, theta), np.expand_dims(-x, -2))
+    theta = draw(2)
+    assert_same(affine_drift(x, theta), theta[..., 0:1] * (theta[..., 1:2] - x))
+    assert_same(affine_grad(x, theta), np.stack(
+        [theta[..., 1:2] - x, np.broadcast_to(theta[..., 0:1], x.shape)], axis=-2))
+    # each catalog family model's true drift, as its factory wrote it
+    ts, a, b = data.draw(POSITIVE), data.draw(POSITIVE), data.draw(FACTORS)
+    # stable: each Gershgorin disc, radius at most 0.3, lies right of 0.5
+    diag = data.draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
+    off = data.draw(st.lists(st.floats(-0.1, 0.1), min_size=d * d, max_size=d * d))
+    th = np.diag(diag) + np.array(off).reshape(d, d) * (1.0 - np.eye(d))
+    xd = draw(d)
+    for (model, _), xm, want in [
+            (scalar_ou(ts), x, lambda x: -ts * x),
+            (mean_reversion(a, b), x, lambda x: a * (b - x)),
+            (linear_system(th), xd, lambda x: -np.einsum("ij,...j->...i", th, x))]:
+        drift, grad = FAMILIES[model.family]
+        assert (model.drift_fn, model.drift_grad_fn) == (drift, grad)
+        assert_same(model.true_drift_fn(xm), want(xm))
+        assert_same(model.true_drift_fn(xm), drift(xm, model.true_theta))

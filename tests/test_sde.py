@@ -207,10 +207,10 @@ def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "PATH_CHUNK", chunk)
         got, got_err, compiled = run_path(model, noise, cfg, seed, n_steps)
-        want, want_err, _ = run_path(dataclasses.replace(model, compiled=None), noise,
+        want, want_err, _ = run_path(dataclasses.replace(model, family=None), noise,
                                      cfg, seed, n_steps)
     # the kernel copies numpy's sums of at most two drift terms
-    assert compiled == ((model.compiled.family, model.m) in _kernel.BODIES)
+    assert compiled == ((model.family, model.m) in _kernel.BODIES)
     # the same blocks, so the same rows yielded before any BlowupError
     assert [len(t) for t, _ in got] == [len(t) for t, _ in want]
     for (tg, xg), (tw, xw) in zip(got, want):
@@ -237,11 +237,11 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
 
 
 def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():
-    # an affine model stretched to m = 2 keeps its compiled form, but the
+    # an affine model stretched to m = 2 keeps its family, but the
     # kernel has no affine body for m = 2, so covers() refuses it
     model, _ = mean_reversion()
     wide, noise = dataclasses.replace(model, m=2), NoiseSpec(np.eye(2))
-    numpy_only = dataclasses.replace(wide, compiled=None)
+    numpy_only = dataclasses.replace(wide, family=None)
     assert not _kernel.covers(wide, noise)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
     (got, got_err, compiled), (want, want_err, _) = [

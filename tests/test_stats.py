@@ -47,8 +47,8 @@ PARTITION_REPS, PARTITION_SEED, PARTITION_BOUND = 100, 5, 3.2
 @functools.lru_cache(maxsize=None)
 def partition_case(path):
     model, noise = scalar_ou(1.0, 1.0)
-    if path == "numpy":  # without its compiled form the model runs numpy's loop
-        model = dataclasses.replace(model, compiled=None)
+    if path == "numpy":  # without its family the model runs numpy's loop
+        model = dataclasses.replace(model, family=None)
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=0.02, burn_in_steps=50),
                        horizon=11.0, checkpoint_times=geometric_checkpoints(11.0, 8),
