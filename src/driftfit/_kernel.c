@@ -1,12 +1,14 @@
-/* The compiled SGDCT kernel for the compiled model families: three entry
-   points, each bitwise equal to the numpy code it stands for.
+/* The compiled SGDCT kernel for the compiled model families: four entry
+   points, each bitwise equal to the Python code it stands for.
 
      driftfit_span    one span of engine.run_batch's coupled Euler/SGDCT steps
      driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
      driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
+     driftfit_csv     sde.write_csv's '%.12g' lines of a block of cells
 
-   The numpy code is the definition; this file repeats its arithmetic
-   operation for operation, so that the results are bitwise equal.  Noise
+   The Python code is the definition; this file repeats its arithmetic
+   operation for operation, so that the results are bitwise equal, and
+   driftfit_csv repeats the rounding of Python's % (see there).  Noise
    comes from the caller's numpy bit generators through an inlined copy of
    numpy's ziggurat (random_standard_normal), m draws per step, in the order
    Generator.standard_normal would draw them.  Its tables are numpy's own,
@@ -341,4 +343,143 @@ int driftfit_replay(int family, int64_t m, const double *a_inv, double c_alpha,
                                   theta, out), 0)
     DISPATCH(REPLAY);
 #undef REPLAY
+}
+
+/* The '%.12g' of Python's % operator, which formats write_csv's default
+   lines: the double's exact binary value rounded half to even to 12
+   significant digits, in integer arithmetic alone (no snprintf, no locale,
+   no libm).  A finite nonzero |v| = m 2^e is covered where
+   10^-11 <= |v| < 2^127: there m 2^e 10^s, for the s that leaves 12 digits
+   before the point, fits an unsigned 128-bit integer.  ±0, ±inf and every
+   NaN ("nan", its sign dropped, as % drops it) are covered too. */
+typedef unsigned __int128 u128;
+
+enum { CSV_DIGITS = 12, MAX_POW10 = 27 };
+static const uint64_t LOW = 100000000000ULL, HIGH = 1000000000000ULL;
+
+/* floor(m 2^e 10^s) for the s at hand, and into *up whether the rest rounds
+   it up, half to even.  For s >= 0 the estimated exponent is at most 11, so
+   |v| < 2^40 and e < 0: m 10^s is shifted by -e.  For s < 0 the one
+   division: m 2^e over 10^-s. */
+static uint64_t scaled(uint64_t m, int e, int s, const u128 *pow10, int *up)
+{
+    u128 q, rest, half;
+    if (s >= 0) {
+        u128 n = (u128)m * pow10[s];
+        q = n >> -e;
+        rest = n & (((u128)1 << -e) - 1);
+        half = (u128)1 << (-e - 1);
+    } else {
+        u128 n = e > 0 ? (u128)m << e : m;
+        u128 d = e < 0 ? pow10[-s] << -e : pow10[-s];
+        q = n / d;
+        rest = 2 * (n - q * d);
+        half = d;
+    }
+    *up = rest > half || (rest == half && (q & 1));
+    return (uint64_t)q;
+}
+
+/* Writes v's '%.12g' at o; returns the end, or NULL outside the range. */
+static char *cell(double v, const u128 *pow10, char *o)
+{
+    uint64_t bits, frac;
+    memcpy(&bits, &v, sizeof bits);
+    int biased = (bits >> 52) & 0x7ff;
+    frac = bits & 0x000fffffffffffffULL;
+    if (biased == 0x7ff && frac) {
+        memcpy(o, "nan", 3);
+        return o + 3;
+    }
+    if (bits >> 63)
+        *o++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(o, "inf", 3);
+        return o + 3;
+    }
+    if (biased == 0) {
+        if (frac)  /* subnormal, below 1e-307 */
+            return NULL;
+        *o++ = '0';
+        return o;
+    }
+    uint64_t m = frac | (1ULL << 52);
+    int e = biased - 1075;  /* |v| = m 2^e, 2^52 <= m < 2^53 */
+    if (e > 127 - 53)
+        return NULL;
+    /* floor(log10(2^(e + 52))), gcc's >> of a negative int being a floor:
+       the decimal exponent of |v|, or one less */
+    int x = ((e + 52) * 78913) >> 18;
+    if (x < -12)
+        return NULL;
+    /* 10^11 <= |v| 10^s < 2 10^12 where x is the exponent, 2 10^13 where it
+       is one less; s stops at 22, where m 10^s still fits */
+    int s = x < -11 ? 22 : 11 - x, up;
+    uint64_t d = scaled(m, e, s, pow10, &up);
+    if (d >= HIGH)
+        d = scaled(m, e, --s, pow10, &up);
+    if (d < LOW)  /* x = -12 */
+        return NULL;
+    x = 11 - s;
+    d += up;
+    if (d == HIGH) {  /* rounded up to the next power of ten */
+        d = LOW;
+        x++;
+    }
+    char dig[CSV_DIGITS];
+    for (int i = CSV_DIGITS - 1; i >= 0; i--, d /= 10)
+        dig[i] = '0' + d % 10;
+    int nd = CSV_DIGITS;
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (x < -4 || x >= CSV_DIGITS) {  /* d.ddde±xx: |x| <= 38 has two digits */
+        *o++ = dig[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, dig + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        *o++ = '0' + x / 10;
+        *o++ = '0' + x % 10;
+    } else if (x >= 0) {  /* ddd.ddd: 12 digits hold the integer part */
+        memcpy(o, dig, x + 1);
+        o += x + 1;
+        if (nd > x + 1) {
+            *o++ = '.';
+            memcpy(o, dig + x + 1, nd - x - 1);
+            o += nd - x - 1;
+        }
+    } else {  /* 0.000ddd */
+        *o++ = '0';
+        *o++ = '.';
+        memset(o, '0', -x - 1);
+        o += -x - 1;
+        memcpy(o, dig, nd);
+        o += nd;
+    }
+    return o;
+}
+
+/* The rows (rows, cols) of cells, C order, as CSV lines in out: each cell's
+   '%.12g', commas between them, a newline after each row.  A cell takes at
+   most 18 bytes and its separator one.  Returns the bytes written, or -1
+   where a cell lies outside the range above, and Python formats the block. */
+int64_t driftfit_csv(const double *cells, int64_t rows, int64_t cols, char *out)
+{
+    u128 pow10[MAX_POW10 + 1];
+    char *o = out;
+    pow10[0] = 1;
+    for (int i = 1; i <= MAX_POW10; i++)
+        pow10[i] = pow10[i - 1] * 10;
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c++) {
+            o = cell(cells[r * cols + c], pow10, o);
+            if (o == NULL)
+                return -1;
+            *o++ = c + 1 < cols ? ',' : '\n';
+        }
+    return o - out;
 }

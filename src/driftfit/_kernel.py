@@ -1,10 +1,13 @@
 """Builds, caches, checks and binds the compiled SGDCT kernel `_kernel.c`.
 
-The kernel has three entry points: a span of `engine.run_batch`'s steps
-(`bind`), the Euler steps of `sde.simulate_path` (`bind_path`) and the CSV
-replay's updates (`replay`).  It runs the models of `models.FAMILIES` that
+The kernel has four entry points: a span of `engine.run_batch`'s steps
+(`bind`), the Euler steps of `sde.simulate_path` (`bind_path`), the CSV
+replay's updates (`replay`) and `sde.write_csv`'s '%.12g' lines
+(`csv_writer`).  The first three run the models of `models.FAMILIES` that
 `covers` accepts, reading their parameters from `true_theta`; the others
-run the numpy code, which defines the results.
+run the numpy code, which defines the results.  The lines cover each cell
+v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block with any other cell
+is formatted by Python's %, which defines the bytes.
 
 The kernel draws its normals through an inlined copy of numpy's ziggurat,
 on numpy's own tables: `objcopy` makes them global in a private copy of
@@ -20,7 +23,8 @@ Each process checks it before use (`_mismatch`): CHECK_DRAWS normals from a
 fixed PCG64 seed, drawn through the span's own replication loop
 (`normals`), must equal `Generator.standard_normal`'s bytes and leave the
 same bit-generator state; then a small span and a replay of each body in
-BODIES must give the bytes of the numpy code they stand for.  Where it
+BODIES must give the bytes of the numpy code they stand for, and the CSV
+lines of a table of edge cases (`check_cells`) those of Python's %.  Where it
 cannot be built or loaded, or fails that check, every entry point runs
 numpy and one RuntimeWarning per process says why.
 """
@@ -53,6 +57,10 @@ CHECK_DRAWS = 1 << 16
 # (8 or 4) and a partial one, over CHECK_STEPS steps of which CHECK_BURN_IN
 # are burn-in, in two calls; and its replay over CHECK_ROWS rows
 CHECK_REPS, CHECK_STEPS, CHECK_BURN_IN, CHECK_ROWS = 19, 40, 5, 30
+# driftfit_csv's range of nonzero |v|: the least double >= 10^-11 (the
+# double 1e-11 lies just below) up to the greatest below 2^127
+CSV_RANGE = (float(np.nextafter(1e-11, 1.0)), float(np.nextafter(2.0 ** 127, 0.0)))
+CSV_CELL = 19  # the most bytes driftfit_csv writes for a cell and its separator
 
 _lib = None  # the loaded kernel library; False once loading has failed
 
@@ -164,6 +172,8 @@ def _open():
     lib.driftfit_replay.restype = ctypes.c_int
     lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr, ptr,
                                     ptr, ptr]
+    lib.driftfit_csv.restype = i64
+    lib.driftfit_csv.argtypes = [ptr, i64, i64, ptr]
     return lib
 
 
@@ -210,6 +220,27 @@ def reference_replay(config, times: np.ndarray, xs: np.ndarray,
     return engine.numpy_replay(config, times, xs, theta)
 
 
+def reference_csv(block: np.ndarray) -> bytes:
+    """Python's %, which defines the kernel's CSV lines."""
+    from . import sde
+    return sde.percent_lines(block)
+
+
+def check_cells():
+    """The load-time check's cells, (inside, outside) the kernel's CSV
+    range: ±0, ±inf, NaN, the powers of ten where '%.12g' changes notation
+    and their neighbours, two exact ties at the 13th digit (one rounds to
+    even down, one up into the next power of ten) and the double nearest
+    another, and each edge of the range beside the first value past it."""
+    powers = [1e-5, 1e-4, 1e11, 1e12]
+    near = [np.nextafter(p, to) for p in powers for to in (0.0, np.inf)]
+    lo, hi = CSV_RANGE
+    inside = np.array([0.0, np.inf, np.nan, *powers, *near, 100000000000.5,
+                       999999999999.5, 9.9999999999995, lo, hi])
+    outside = np.array([np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
+    return np.concatenate([inside, -inside]), np.concatenate([outside, -outside])
+
+
 def check_configs() -> list:
     """One run_batch config per body in BODIES, for the load-time check."""
     from .engine import EngineConfig
@@ -244,7 +275,8 @@ def _check_span(steps, config) -> bytes:
 
 def _mismatch(lib):
     """Why the kernel differs from numpy, or None if it agrees: first its
-    normals, then the span and the replay of each body in BODIES."""
+    normals, then the span and the replay of each body in BODIES, then its
+    CSV lines."""
     ours, theirs = np.random.PCG64(CHECK_SEED), np.random.PCG64(CHECK_SEED)
     got = normals(lib, ours, CHECK_DRAWS)
     if got.tobytes() != reference_normals(theirs, CHECK_DRAWS).tobytes():
@@ -265,6 +297,13 @@ def _mismatch(lib):
         _replay(lib, config, times, xs, theta, out)
         if out.tobytes() != reference_replay(config, times, xs, theta).tobytes():
             return "its replay of body %s differs from numpy's sgdct_step loop" % body
+    inside, outside = check_cells()
+    table = inside.reshape(-1, 2)
+    lines = _csv_writer(lib, *table.shape)
+    if bytes(lines(table)) != reference_csv(table):
+        return "its CSV lines differ from Python's %.12g"
+    if any(lines(np.array([[v]])) is not None for v in outside):
+        return "its CSV lines cover a cell past their range"
     return None
 
 
@@ -405,3 +444,28 @@ def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
     run(a_inv.ctypes.data, float(sched.c_alpha), float(sched.c0), rows,
         times.ctypes.data, xs.ctypes.data, theta.ctypes.data, out.ctypes.data)
     return True
+
+
+def csv_writer(rows: int, cols: int):
+    """lines(block): the '%.12g' CSV lines of a 2-d block of at most rows x
+    cols cells (cast to float64), formatted by the kernel into one buffer
+    that lines keeps; a view of it, which the next call overwrites, or None
+    where a cell lies outside CSV_RANGE.  None where the kernel is not
+    loaded."""
+    lib = load()
+    return None if lib is None else _csv_writer(lib, rows, cols)
+
+
+def _csv_writer(lib, rows: int, cols: int):
+    """`csv_writer` on the library lib."""
+    buf = np.empty(rows * cols * CSV_CELL, dtype=np.uint8)
+
+    def lines(block):
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.size > rows * cols:
+            raise ValueError("a CSV block must be 2-d, of at most %d cells"
+                             % (rows * cols))
+        n = lib.driftfit_csv(block.ctypes.data, *block.shape, buf.ctypes.data)
+        return None if n < 0 else buf.data[:n]
+
+    return lines

@@ -13,7 +13,10 @@ THETA_BOUND = 1e6        # the divergence screen's |theta| bound
 DIVERGENCE_BOUND = 1e8   # its |x| bound
 MAX_BURN_IN_TIME = 1e5
 PATH_CHUNK = 4096  # the most steps simulate_path computes and yields at once
-CSV_BLOCK = 4096   # rows write_csv formats at once
+# rows write_csv formats at once: one block's lines are built in memory,
+# in the kernel's buffer or in Python's % string, and then written
+CSV_BLOCK = 4096
+CSV_FMT = "%.12g"  # write_csv's default format, which the kernel also writes
 
 
 class BlowupError(RuntimeError):
@@ -123,19 +126,31 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
                               step=i + burn_in, t=t)
 
 
-def write_csv(path, header, columns, fmt="%.12g") -> None:
-    """The one artifact writer: a header line, then the columns side by side.
-    fmt is one conversion for all columns, or one per column joined by commas."""
+def percent_lines(block: np.ndarray, fmt: str = CSV_FMT) -> bytes:
+    """The rows of block as CSV lines by Python's %, the bytes np.savetxt
+    would write, from one % operation for the block instead of one per row.
+    fmt is one conversion for all columns, or one per column joined by
+    commas.  This defines write_csv's bytes."""
+    row = (fmt if fmt.count("%") > 1 else ",".join([fmt] * block.shape[1])) + "\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
+def write_csv(path, header, columns, fmt=CSV_FMT) -> None:
+    """The one artifact writer: a header line, then the columns side by side,
+    as `percent_lines` formats them, CSV_BLOCK rows at a time.  The default
+    fmt's lines come from the compiled kernel (`_kernel.csv_writer`) where it
+    is loaded; % formats any other fmt, every block where no kernel is
+    loaded, and each block with a cell outside the kernel's range."""
     table = np.column_stack(columns)
-    row = (fmt if fmt.count("%") > 1 else ",".join([fmt] * table.shape[1])) + "\n"
-    with open(path, "w") as fh:
+    lines = (_kernel.csv_writer(min(len(table), CSV_BLOCK), table.shape[1])
+             if fmt == CSV_FMT else None)
+    with open(path, "wb") as fh:
         if header:
-            fh.write(header + "\n")
-        # np.savetxt's bytes, from one % operation per block of rows instead
-        # of one per row; the block bounds the memory the strings take
+            fh.write(header.encode() + b"\n")
         for lo in range(0, len(table), CSV_BLOCK):
             block = table[lo:lo + CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            text = lines(block) if lines else None
+            fh.write(percent_lines(block, fmt) if text is None else text)
 
 
 def dump_path_csv(path, times, xs) -> None:

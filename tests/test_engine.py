@@ -493,13 +493,15 @@ def simulate_and_replay(cfg, seed, steps=300):
     return times, xs, thetas
 
 
-def assert_falls_back_to_numpy(patches):
+def assert_falls_back_to_numpy(patches, tmp_path):
     """With the attributes in patches set on _kernel in a fresh process, all
-    three entry points run numpy and give its bytes, after one warning."""
+    four entry points run numpy or Python's % and give their bytes, after
+    one warning."""
     cfg = make_config(horizon=6.0)
     seeds = [seed_split(8, i) for i in range(3)]
     want = run_batch(numpy_only(cfg), seeds).digest()
     want_path = simulate_and_replay(numpy_only(cfg), 8)
+    table = np.random.default_rng(8).standard_normal((30, 3))
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         mp.setattr(_kernel, "_lib", None)  # as in a fresh process
@@ -508,9 +510,12 @@ def assert_falls_back_to_numpy(patches):
         assert run_batch(cfg, seeds).digest() == want
         assert run_batch(cfg, seeds).digest() == want
         got_path = simulate_and_replay(cfg, 8)
+        sde.write_csv(tmp_path / "table.csv", "a,b,c", [table])
+        assert _kernel.load() is None
     for got, expected in zip(got_path, want_path):
         assert got.tobytes() == expected.tobytes()
-    # one warning for all three entry points
+    assert (tmp_path / "table.csv").read_bytes() == b"a,b,c\n" + sde.percent_lines(table)
+    # one warning for all four entry points
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "numpy step loop" in str(seen[0].message)
     return str(seen[0].message)
@@ -518,13 +523,13 @@ def assert_falls_back_to_numpy(patches):
 
 def test_run_batch_falls_back_to_numpy_when_the_build_fails(tmp_path):
     assert_falls_back_to_numpy({"cache_dir": lambda: str(tmp_path / "cache"),
-                                "CC": str(tmp_path / "no-such-compiler")})
+                                "CC": str(tmp_path / "no-such-compiler")}, tmp_path)
 
 
 def test_run_batch_falls_back_to_numpy_without_objcopy(tmp_path):
     message = assert_falls_back_to_numpy({
         "cache_dir": lambda: str(tmp_path / "cache"),
-        "OBJCOPY": str(tmp_path / "no-such-objcopy")})
+        "OBJCOPY": str(tmp_path / "no-such-objcopy")}, tmp_path)
     assert "no-such-objcopy" in message
     assert list((tmp_path / "cache").iterdir()) == []
 
@@ -544,8 +549,8 @@ def one_draw_more(bit_generator, n):
 @pytest.mark.parametrize("reference, why", [
     (off_by_one_ulp, "normal draws differ"),
     (one_draw_more, "another bit-generator state")])
-def test_a_kernel_whose_normals_differ_from_numpy_is_not_used(reference, why):
-    message = assert_falls_back_to_numpy({"reference_normals": reference})
+def test_a_kernel_whose_normals_differ_from_numpy_is_not_used(reference, why, tmp_path):
+    message = assert_falls_back_to_numpy({"reference_normals": reference}, tmp_path)
     assert why in message
 
 
@@ -575,9 +580,24 @@ def one_ulp_off_for(body, name):
 @pytest.mark.parametrize("name, what", [("reference_steps", "span"),
                                         ("reference_replay", "replay")])
 @pytest.mark.parametrize("body", sorted(_kernel.BODIES))
-def test_a_kernel_whose_arithmetic_differs_from_numpy_is_not_used(body, name, what):
-    message = assert_falls_back_to_numpy({name: one_ulp_off_for(body, name)})
+def test_a_kernel_whose_arithmetic_differs_from_numpy_is_not_used(body, name, what,
+                                                                  tmp_path):
+    message = assert_falls_back_to_numpy({name: one_ulp_off_for(body, name)}, tmp_path)
     assert "its %s of body %s with m = %d differs" % (what, *body) in message
+
+
+def one_digit_off(block):
+    """Python's % lines of block, the first digit of its first cell one more
+    (mod 10)."""
+    text = sde.percent_lines(block)
+    i = next(i for i, c in enumerate(text) if chr(c).isdigit())
+    return text[:i] + str((int(chr(text[i])) + 1) % 10).encode() + text[i + 1:]
+
+
+@needs_compiler
+def test_a_kernel_whose_csv_lines_differ_from_python_is_not_used(tmp_path):
+    message = assert_falls_back_to_numpy({"reference_csv": one_digit_off}, tmp_path)
+    assert "its CSV lines differ from Python's %.12g" in message
 
 
 def test_the_load_time_check_runs_every_body():

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -138,18 +139,74 @@ def test_path_csv_roundtrip(tmp_path):
     npt.assert_allclose(x2, xs, atol=1e-12)
 
 
+def spy_csv_writer(monkeypatch) -> list:
+    """Per block write_csv gives the kernel, in order: True where the kernel
+    formatted it, False where it left it to %."""
+    real, formatted = _kernel.csv_writer, []
+
+    def writer(rows, cols):
+        lines = real(rows, cols)
+
+        def spied(block):
+            text = lines(block)
+            formatted.append(text is not None)
+            return text
+
+        return lines and spied
+
+    monkeypatch.setattr(_kernel, "csv_writer", writer)
+    return formatted
+
+
+@pytest.mark.parametrize("kernel", [pytest.param(True, marks=needs_compiler), False],
+                         ids=["kernel", "percent"])
 @pytest.mark.parametrize("block", [3, sde.CSV_BLOCK])
 @pytest.mark.parametrize("fmt", ["%.12g", "%d,%d,%.8f,%.8f"])
-def test_write_csv_writes_the_bytes_of_savetxt(tmp_path, fmt, block, monkeypatch):
-    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300, 1 / 3])
+def test_write_csv_writes_the_bytes_of_savetxt(tmp_path, fmt, block, kernel, monkeypatch):
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3, 1e-300, -1.5e300])
     cols = [np.arange(8), np.array([3, -0.0, 1, 2, -4, 0, 7, 5]), edge, edge[::-1]]
     monkeypatch.setattr(sde, "CSV_BLOCK", block)
+    if not kernel:
+        monkeypatch.setattr(_kernel, "_lib", False)  # as after a refused load
+    formatted = spy_csv_writer(monkeypatch)
     write_csv(tmp_path / "ours.csv", "i,j,a,b", cols, fmt=fmt)
     np.savetxt(tmp_path / "numpy.csv", np.column_stack(cols), delimiter=",",
                header="i,j,a,b", comments="", fmt=fmt)
     ours = (tmp_path / "ours.csv").read_bytes()
     assert ours == (tmp_path / "numpy.csv").read_bytes()
     assert b"nan" in ours and b"-inf" in ours
+    # the kernel takes the default fmt alone; the blocks of 3 rows that hold
+    # 1e-300 or -1.5e300 (rows 0-2 and 6-7) fall back to %
+    expected = [] if not kernel or fmt != sde.CSV_FMT else (
+        [False, True, False] if block == 3 else [False])
+    assert formatted == expected
+
+
+def in_csv_range(v: float) -> bool:
+    """Whether the kernel formats v: ±0, ±inf, NaN, and 10^-11 <= |v| < 2^127."""
+    a = abs(v)
+    return not np.isfinite(a) or a == 0 or Fraction(1, 10 ** 11) <= Fraction(a) < 2 ** 127
+
+
+csv_cells = st.one_of(st.floats(), st.floats(-1e15, 1e15),
+                  st.floats(-1e-4, 1e-4).map(lambda v: v * 1e-6))
+
+
+@needs_compiler
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(csv_cells, min_size=cols, max_size=cols),
+                          min_size=1, max_size=6)))
+def test_the_kernels_csv_lines_are_the_bytes_of_percent(rows):
+    table = np.array(rows, dtype=np.float64)
+    inside = np.vectorize(in_csv_range)(table)
+    lines = _kernel.csv_writer(*table.shape)
+    got = lines(table)
+    assert (got is not None) == inside.all()
+    # the rows the kernel covers, as one block of their own
+    covered = table[inside.all(axis=1)]
+    if len(covered):
+        assert bytes(lines(covered)) == sde.percent_lines(covered)
 
 
 @st.composite
