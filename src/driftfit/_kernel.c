@@ -9,18 +9,19 @@
    The Python code is the definition; this file repeats its arithmetic
    operation for operation, so that the results are bitwise equal, and
    driftfit_csv repeats the rounding of Python's % (see there).  Noise
-   comes from the caller's numpy bit generators through an inlined copy of
-   numpy's ziggurat (random_standard_normal), m draws per step, in the order
-   Generator.standard_normal would draw them.  Its tables are numpy's own,
-   made global in a copy of libnpyrandom.a.  Build with -ffp-contract=off:
+   comes from numpy's PCG64, stepped here from each generator's public state
+   (a stream, below), through an inlined copy of numpy's ziggurat
+   (random_standard_normal), m draws per step, in the order
+   Generator.standard_normal would draw them.  The ziggurat's tables are
+   numpy's own, made global in a copy of libnpyrandom.a.  Build with -ffp-contract=off:
    a fused multiply-add rounds once where numpy rounds twice.  Nothing here
    tests for divergence: the callers screen the results with sde.diverged.
 
    The span runs its replications in blocks of B, as the lanes of vector
    instructions: all of a block's replications one step, then the next
    step.  Each replication does its own arithmetic in numpy's order and
-   draws only from its own generator, so the order across replications
-   cannot change a bit.  Vector arithmetic rounds each lane as the scalar
+   draws only from its own stream, so the order across replications cannot
+   change a bit.  Vector arithmetic rounds each lane as the scalar
    instruction would, so the CPU level the kernel is built for cannot either.
 
    Families, for a state of dimension m and parameters p:
@@ -31,7 +32,41 @@
 #include <stdint.h>
 #include <string.h>
 
-#include "numpy/random/bitgen.h"
+typedef unsigned __int128 u128;
+
+/* numpy's PCG64, PCG-XSL-RR 128/64 (O'Neill 2014): each draw steps the state
+   s = s M + inc mod 2^128, then returns hi ^ lo of the new s rotated right
+   by its top 6 bits.  A stream is four words, state_lo, state_hi, inc_lo and
+   inc_hi, as _kernel.streams packs the public PCG64.state; the entry points
+   copy it into a pcg64 and write it back when they return. */
+typedef struct { u128 state, inc; } pcg64;
+static const u128 PCG64_M = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
+
+static inline pcg64 load_stream(const uint64_t *w)
+{
+    pcg64 g = {(u128)w[1] << 64 | w[0], (u128)w[3] << 64 | w[2]};
+    return g;
+}
+
+static inline void store_stream(const pcg64 *g, uint64_t *w)
+{
+    w[0] = (uint64_t)g->state;
+    w[1] = (uint64_t)(g->state >> 64);
+}
+
+static inline uint64_t next_uint64(pcg64 *g)
+{
+    g->state = g->state * PCG64_M + g->inc;
+    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = g->state >> 122;
+    return (v >> rot) | (v << (-rot & 63));
+}
+
+/* numpy's next_double: the top 53 bits of a word, times 2^-53 */
+static inline double next_double(pcg64 *g)
+{
+    return (next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
 
 /* numpy's ziggurat tables (file-local in its distributions.c) and its two
    constants, which it compiles in as immediates */
@@ -43,9 +78,9 @@ static const double ZIGGURAT_NOR_INV_R = 0.27366123732975828;
 /* One ziggurat box from r = next_uint64: idx = r & 0xff, then the sign bit,
    then the 52-bit rabs; x = rabs wi[idx], its sign bit flipped by the sign
    (numpy's x = -x, without the branch). */
-static inline int box(bitgen_t *g, uint64_t *rabs, double *x)
+static inline int box(pcg64 *g, uint64_t *rabs, double *x)
 {
-    uint64_t r = g->next_uint64(g->state), bits;
+    uint64_t r = next_uint64(g), bits;
     int idx = r & 0xff;
     r >>= 8;
     *rabs = (r >> 1) & 0x000fffffffffffff;
@@ -59,19 +94,19 @@ static inline int box(bitgen_t *g, uint64_t *rabs, double *x)
 /* numpy's steps after a box is rejected: the tail beyond r for idx 0, else
    the wedge test, and a new box while they reject. */
 static __attribute__((noinline)) double
-rejected(bitgen_t *g, int idx, uint64_t rabs, double x)
+rejected(pcg64 *g, int idx, uint64_t rabs, double x)
 {
     for (;;) {
         if (idx == 0) {
             for (;;) {
-                double xx = -ZIGGURAT_NOR_INV_R * log1p(-g->next_double(g->state));
-                double yy = -log1p(-g->next_double(g->state));
+                double xx = -ZIGGURAT_NOR_INV_R * log1p(-next_double(g));
+                double yy = -log1p(-next_double(g));
                 if (yy + yy > xx * xx)
                     return ((rabs >> 8) & 0x1) ? -(ZIGGURAT_NOR_R + xx)
                                                : ZIGGURAT_NOR_R + xx;
             }
         }
-        if ((fi_double[idx - 1] - fi_double[idx]) * g->next_double(g->state)
+        if ((fi_double[idx - 1] - fi_double[idx]) * next_double(g)
                 + fi_double[idx] < exp(-0.5 * x * x))
             return x;
         idx = box(g, &rabs, &x);
@@ -81,7 +116,7 @@ rejected(bitgen_t *g, int idx, uint64_t rabs, double x)
 }
 
 /* random_standard_normal: accepts the first box 99 % of the time */
-static inline double normal(bitgen_t *g)
+static inline double normal(pcg64 *g)
 {
     uint64_t rabs;
     double x;
@@ -98,12 +133,13 @@ enum { MAX_M = 2, MAX_K = MAX_M * MAX_M };  /* the largest m in DISPATCH, and _k
    works on lane arrays: component c of lane b of an L-lane array v is
    v[c * L + b].  Each statement is a loop over the L lanes, with L a
    constant at each inlined call, so the compiler turns it into vector
-   instructions.  With L = 1 a lane array is a plain vector: path and replay
-   use the same helpers on one lane.  B is 8 where AVX-512's 32 registers
-   hold each lane array in one, else 4: with 16 registers of 4 doubles
-   (x86-64-v3), 8 lanes spill.  On linear_system d = 2 at n = 2048 (a 2-vCPU
-   Xeon VM), replication by replication took 23 ns a replication-step; 8
-   lanes took 13 ns at v4 and 28 at v3, 4 lanes 14 at v3. */
+   instructions.  With L = 1 a lane array is a plain vector: path, replay
+   and the replications past the span's last full block use the same
+   helpers on one lane.  B is 8 where AVX-512's 32 registers hold each lane
+   array in one, else 4: with 16 registers of 4 doubles (x86-64-v3), 8 lanes
+   spill.  On linear_system d = 2 at n = 2048 (a 2-vCPU Xeon VM), replication
+   by replication took 23 ns a replication-step; 8 lanes took 13 ns at v4
+   and 28 at v3, 4 lanes 14 at v3. */
 #ifdef __AVX512F__
 enum { B = 8 };
 #else
@@ -191,82 +227,95 @@ noise(int64_t m, int L, const double *sigma_t, double sqdt, const double *xi,
             out[b] += (sqdt * xi[q * L + b]) * sigma_t[q * m + c];
 }
 
-/* Inlined at each call below, so that family and m are constants there.
-   Steps replications [i0, i0 + B) together: their states and parameters
-   are copied into lane arrays, stepped, and copied back.  Each step first
-   draws the block's normals, replication by replication, then runs the
-   arithmetic on all B lanes.  Each lane does numpy's operations in numpy's
-   order and draws only from its own generator, so neither the blocks nor
-   the lanes can change a bit.  The lanes past the end of a partial block
-   compute on zeros and are never stored.  Where the generators are shared
-   (_kernel.normals), a single step draws for replications 0..n-1 in order. */
+/* Steps L replications together, as L lanes, with L a constant at each
+   call (B or 1): their streams, parameters and states are copied into lane
+   arrays, stepped, and copied back.  Each step first draws the L lanes'
+   normals, replication by replication, then runs the arithmetic on all
+   lanes.  Each lane does numpy's operations in numpy's order and draws only
+   from its own stream, so neither the grouping nor the lanes can change a
+   bit.  The L PCG64 recurrences are independent, so the CPU overlaps them. */
 static inline __attribute__((always_inline)) void
-span(int family, int64_t m, const double *true_p, const double *sigma_t,
-     const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
-     int64_t nsteps, int64_t burn_in, int64_t n, bitgen_t **gens,
-     double *theta, double *x)
+lanes(int family, int64_t m, int L, const double *true_p, const double *sigma_t,
+      const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
+      int64_t nsteps, int64_t burn_in, uint64_t *streams, double *theta,
+      double *x)
 {
     int64_t k = family == LINEAR ? m * m : 2;
     double sqdt = sqrt(dt);  /* correctly rounded, as np.sqrt is */
     double tp[MAX_K * B] LANES, th[MAX_K * B] LANES, upd[MAX_K * B] LANES,
            xs[MAX_M * B] LANES, xi[MAX_M * B] LANES, f[MAX_M * B] LANES,
            dx[MAX_M * B] LANES, nz[B] LANES;
+    pcg64 rng[B];
 
-    for (int64_t q = 0; q < k; q++)
-        for (int b = 0; b < B; b++)
-            tp[q * B + b] = true_p[q];
-    for (int64_t i0 = 0; i0 < n; i0 += B) {
-        int nb = n - i0 < B ? (int)(n - i0) : B;
-        memset(th, 0, sizeof th);
-        memset(xs, 0, sizeof xs);
-        memset(xi, 0, sizeof xi);
-        for (int b = 0; b < nb; b++) {
-            for (int64_t q = 0; q < k; q++)
-                th[q * B + b] = theta[(i0 + b) * k + q];
-            for (int64_t c = 0; c < m; c++)
-                xs[c * B + b] = x[(i0 + b) * m + c];
+    for (int b = 0; b < L; b++) {
+        rng[b] = load_stream(streams + 4 * b);
+        for (int64_t q = 0; q < k; q++) {
+            tp[q * L + b] = true_p[q];
+            th[q * L + b] = theta[b * k + q];
         }
-        for (int64_t s = step0; s < step0 + nsteps; s++) {
-            int64_t nmain = s - burn_in;
-            /* at t = 1 + nmain dt */
-            double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
-            for (int b = 0; b < nb; b++)
-                for (int64_t c = 0; c < m; c++)
-                    xi[c * B + b] = normal(gens[i0 + b]);
-            /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
-            drift(family, m, B, tp, xs, f);
-            for (int64_t c = 0; c < m; c++) {
-                noise(m, B, sigma_t, sqdt, xi, c, nz);
-                for (int b = 0; b < B; b++)
-                    dx[c * B + b] = f[c * B + b] * dt + nz[b];
-            }
-            if (nmain >= 0) {
-                sgdct(family, m, k, B, a_inv, alpha, dt, xs, dx, th, upd);
-                for (int64_t q = 0; q < k * B; q++)
-                    th[q] = upd[q];
-            }
-            for (int64_t c = 0; c < m * B; c++)
-                xs[c] += dx[c];
-        }
-        for (int b = 0; b < nb; b++) {
-            for (int64_t q = 0; q < k; q++)
-                theta[(i0 + b) * k + q] = th[q * B + b];
-            for (int64_t c = 0; c < m; c++)
-                x[(i0 + b) * m + c] = xs[c * B + b];
-        }
+        for (int64_t c = 0; c < m; c++)
+            xs[c * L + b] = x[b * m + c];
     }
+    for (int64_t s = step0; s < step0 + nsteps; s++) {
+        int64_t nmain = s - burn_in;
+        /* at t = 1 + nmain dt */
+        double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
+        for (int b = 0; b < L; b++)
+            for (int64_t c = 0; c < m; c++)
+                xi[c * L + b] = normal(&rng[b]);
+        /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
+        drift(family, m, L, tp, xs, f);
+        for (int64_t c = 0; c < m; c++) {
+            noise(m, L, sigma_t, sqdt, xi, c, nz);
+            for (int b = 0; b < L; b++)
+                dx[c * L + b] = f[c * L + b] * dt + nz[b];
+        }
+        if (nmain >= 0) {
+            sgdct(family, m, k, L, a_inv, alpha, dt, xs, dx, th, upd);
+            for (int64_t q = 0; q < k * L; q++)
+                th[q] = upd[q];
+        }
+        for (int64_t c = 0; c < m * L; c++)
+            xs[c] += dx[c];
+    }
+    for (int b = 0; b < L; b++) {
+        store_stream(&rng[b], streams + 4 * b);
+        for (int64_t q = 0; q < k; q++)
+            theta[b * k + q] = th[q * L + b];
+        for (int64_t c = 0; c < m; c++)
+            x[b * m + c] = xs[c * L + b];
+    }
+}
+
+/* Inlined at each call below, so that family and m are constants there:
+   the replications in blocks of B lanes, then the fewer than B left over
+   one by one, on one lane each. */
+static inline __attribute__((always_inline)) void
+span(int family, int64_t m, const double *true_p, const double *sigma_t,
+     const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
+     int64_t nsteps, int64_t burn_in, int64_t n, uint64_t *streams,
+     double *theta, double *x)
+{
+    int64_t k = family == LINEAR ? m * m : 2, i = 0;
+    for (; i + B <= n; i += B)
+        lanes(family, m, B, true_p, sigma_t, a_inv, dt, c_alpha, c0, step0, nsteps,
+              burn_in, streams + 4 * i, theta + i * k, x + i * m);
+    for (; i < n; i++)
+        lanes(family, m, 1, true_p, sigma_t, a_inv, dt, c_alpha, c0, step0, nsteps,
+              burn_in, streams + 4 * i, theta + i * k, x + i * m);
 }
 
 static inline __attribute__((always_inline)) void
 path(int family, int64_t m, const double *true_p, const double *sigma_t,
-     double dt, bitgen_t *gen, int64_t nsteps, double *x, double *out)
+     double dt, uint64_t *stream, int64_t nsteps, double *x, double *out)
 {
     double sqdt = sqrt(dt);
     double xi[MAX_M], f[MAX_M], nz[1];
+    pcg64 rng = load_stream(stream);
 
     for (int64_t s = 0; s < nsteps; s++) {
         for (int64_t c = 0; c < m; c++)
-            xi[c] = normal(gen);
+            xi[c] = normal(&rng);
         /* sde.euler_step's order: (x + f*(x) dt) + (sqrt(dt) xi) @ sigma^T */
         drift(family, m, 1, true_p, x, f);
         for (int64_t c = 0; c < m; c++) {
@@ -274,6 +323,7 @@ path(int family, int64_t m, const double *true_p, const double *sigma_t,
             x[c] = out[s * m + c] = (x[c] + f[c] * dt) + nz[0];
         }
     }
+    store_stream(&rng, stream);
 }
 
 static inline __attribute__((always_inline)) void
@@ -305,27 +355,28 @@ replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
         return CALL(LINEAR, 2);                          \
     return -1
 
-/* Steps [step0, step0 + nsteps) of all n replications: theta is (n, k)
-   and x is (n, m), both C order, updated in place.  Returns 0. */
+/* Steps [step0, step0 + nsteps) of all n replications: streams is (n, 4),
+   theta (n, k) and x (n, m), all C order, updated in place.  Returns 0. */
 int driftfit_span(int family, int64_t m, const double *true_p,
                   const double *sigma_t, const double *a_inv, double dt,
                   double c_alpha, double c0, int64_t step0, int64_t nsteps,
-                  int64_t burn_in, int64_t n, bitgen_t **gens, double *theta,
+                  int64_t burn_in, int64_t n, uint64_t *streams, double *theta,
                   double *x)
 {
 #define SPAN(FAMILY, M) (span(FAMILY, M, true_p, sigma_t, a_inv, dt, c_alpha, \
-                              c0, step0, nsteps, burn_in, n, gens, theta, x), 0)
+                              c0, step0, nsteps, burn_in, n, streams, theta, x), 0)
     DISPATCH(SPAN);
 #undef SPAN
 }
 
-/* nsteps Euler steps of the state x (m,), updated in place; the state
-   after step s goes to row s of out (nsteps, m).  Returns 0. */
+/* nsteps Euler steps of the state x (m,), drawing from the stream (4,), both
+   updated in place; the state after step s goes to row s of out (nsteps, m).
+   Returns 0. */
 int driftfit_path(int family, int64_t m, const double *true_p,
-                  const double *sigma_t, double dt, bitgen_t *gen,
+                  const double *sigma_t, double dt, uint64_t *stream,
                   int64_t nsteps, double *x, double *out)
 {
-#define PATH(FAMILY, M) (path(FAMILY, M, true_p, sigma_t, dt, gen, nsteps, x, \
+#define PATH(FAMILY, M) (path(FAMILY, M, true_p, sigma_t, dt, stream, nsteps, x, \
                               out), 0)
     DISPATCH(PATH);
 #undef PATH
@@ -352,8 +403,6 @@ int driftfit_replay(int family, int64_t m, const double *a_inv, double c_alpha,
    10^-11 <= |v| < 2^127: there m 2^e 10^s, for the s that leaves 12 digits
    before the point, fits an unsigned 128-bit integer.  ±0, ±inf and every
    NaN ("nan", its sign dropped, as % drops it) are covered too. */
-typedef unsigned __int128 u128;
-
 enum { CSV_DIGITS = 12, MAX_POW10 = 27 };
 static const uint64_t LOW = 100000000000ULL, HIGH = 1000000000000ULL;
 

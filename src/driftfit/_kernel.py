@@ -9,24 +9,27 @@ run the numpy code, which defines the results.  The lines cover each cell
 v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block with any other cell
 is formatted by Python's %, which defines the bytes.
 
-The kernel draws its normals through an inlined copy of numpy's ziggurat,
-on numpy's own tables: `objcopy` makes them global in a private copy of
-numpy's `libnpyrandom.a`, which the kernel is linked against.  It is
-compiled with the system C compiler at the first call that can use it,
-never at import, for the highest x86-64 level the CPU has (`march`).  The
+The kernel steps numpy's PCG64 itself, from each generator's public
+`bit_generator.state`, read once when an entry point is bound (`streams`);
+a generator on any other bit generator runs the numpy code.  It draws its
+normals through an inlined copy of numpy's ziggurat, on numpy's own tables:
+`objcopy` makes them global in a private copy of numpy's `libnpyrandom.a`,
+which the kernel is linked against.  The kernel is compiled with the system
+C compiler at the first call that can use it, never at import, for the
+highest x86-64 level the CPU has (`march`).  The
 shared library goes into a per-user cache directory, keyed by the hash of
 the source, the flags (the level among them), the numpy version and the
 platform, so a machine compiles it once, and a home directory shared with
 another CPU never loads a kernel built for a level that CPU lacks.
 
-Each process checks it before use (`_mismatch`): CHECK_DRAWS normals from a
-fixed PCG64 seed, drawn through the span's own replication loop
-(`normals`), must equal `Generator.standard_normal`'s bytes and leave the
-same bit-generator state; then a small span and a replay of each body in
-BODIES must give the bytes of the numpy code they stand for, and the CSV
-lines of a table of edge cases (`check_cells`) those of Python's %.  Where it
-cannot be built or loaded, or fails that check, every entry point runs
-numpy and one RuntimeWarning per process says why.
+Each process checks it before use (`_mismatch`): CHECK_CALLS normals from
+each of CHECK_GENERATORS PCG64 generators, drawn through the span's own
+replication loop (`normals`), must equal `Generator.standard_normal`'s bytes
+and leave the same bit-generator states; then a small span and a replay of
+each body in BODIES must give the bytes of the numpy code they stand for,
+and the CSV lines of a table of edge cases (`check_cells`) those of Python's
+%.  Where it cannot be built or loaded, or fails that check, every entry
+point runs numpy and one RuntimeWarning per process says why.
 """
 from __future__ import annotations
 
@@ -52,7 +55,10 @@ CODES = {"linear": 0, "affine": 1}  # _kernel.c's family enum
 # larger linear systems stay on the numpy loop
 BODIES = frozenset({("linear", 1), ("linear", 2), ("affine", 1)})
 CHECK_SEED = 20170907
-CHECK_DRAWS = 1 << 16
+# the check's normals: one draw from each generator per span call
+CHECK_GENERATORS, CHECK_CALLS = 256, 256
+# a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi
+WORD = 1 << 64
 # the check's span per body: CHECK_REPS replications, full blocks of lanes
 # (8 or 4) and a partial one, over CHECK_STEPS steps of which CHECK_BURN_IN
 # are burn-in, in two calls; and its replay over CHECK_ROWS rows
@@ -142,7 +148,7 @@ def _build() -> str:
         tmp = os.path.join(scratch, "span.so")
         _run([OBJCOPY, *["--globalize-symbol=" + name for name in TABLES],
               npyrandom, tables])
-        _run([CC, *flags, "-I", np.get_include(), "-o", tmp, SOURCE, tables, "-lm"])
+        _run([CC, *flags, "-o", tmp, SOURCE, tables, "-lm"])
         os.chmod(tmp, 0o700)
         os.replace(tmp, path)
     # keeping one other kernel spares a second build to whoever alternates
@@ -177,29 +183,48 @@ def _open():
     return lib
 
 
-def _bitgens(bit_generators) -> list:
-    """The address of each numpy bit generator's bitgen_t, from its capsule."""
-    import ctypes
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return [pointer(b.capsule, b"BitGenerator") for b in bit_generators]
+def streams(bit_generators):
+    """The kernel's streams: row i of an (n, 4) uint64 array holds the public
+    state of bit generator i, read once, as [state_lo, state_hi, inc_lo,
+    inc_hi]; None if any of them is not numpy's PCG64, which the kernel steps.
+    The kernel advances the rows, not the bit generators."""
+    words = []
+    for bit_generator in bit_generators:
+        state = bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            return None
+        pcg, inc = state["state"]["state"], state["state"]["inc"]
+        words.append((pcg % WORD, pcg // WORD, inc % WORD, inc // WORD))
+    return np.array(words, dtype=np.uint64).reshape(-1, 4)
 
 
-def normals(lib, bit_generator, n: int) -> np.ndarray:
-    """n standard normals drawn from bit_generator by the kernel's ziggurat,
-    through driftfit_span: one burn-in step of family linear with m = 1,
-    p = 0, sigma = 1 and dt = 1, over n replications that all draw from
-    bit_generator.  x_i ends as -0.0 + xi_i, which is draw i bit for bit
-    (from +0.0, a -0.0 draw would end as +0.0).  That holds because the span
-    draws replications 0..n-1 in order within one step, whatever its blocks;
-    over two or more steps of shared generators, the draws would interleave
-    block by block."""
-    gens = np.full(n, _bitgens([bit_generator])[0], dtype=np.uintp)
-    zero, one, theta, x = np.zeros(1), np.ones(1), np.empty(n), np.full(n, -0.0)
-    lib.driftfit_span(CODES["linear"], 1, zero.ctypes.data, one.ctypes.data,
-                      one.ctypes.data, 1.0, 1.0, 0.0, 0, 1, 1, n, gens.ctypes.data,
-                      theta.ctypes.data, x.ctypes.data)
-    return x
+def normals(lib, bit_generators, calls: int) -> np.ndarray:
+    """(G, calls) standard normals by the kernel's ziggurat, row i from bit
+    generator i (numpy's PCG64), each advanced past them through its public
+    state: `calls` calls of driftfit_span, each one burn-in step of family
+    linear with m = 1, p = 0, sigma = 1 and dt = 1 over G replications, one
+    per generator.  Each call starts x at -0.0, so that x_i ends as
+    -0.0 + xi_i, which is the draw bit for bit (from +0.0, a -0.0 draw would
+    end as +0.0)."""
+    bit_generators = list(bit_generators)
+    words = streams(bit_generators)
+    if words is None:
+        raise ValueError("the kernel draws from numpy's PCG64 alone")
+    g = len(bit_generators)
+    zero, one, theta, x = np.zeros(1), np.ones(1), np.empty(g), np.empty(g)
+    args = (CODES["linear"], 1, zero.ctypes.data, one.ctypes.data, one.ctypes.data,
+            1.0, 1.0, 0.0, 0, 1, 1, g, words.ctypes.data, theta.ctypes.data,
+            x.ctypes.data)
+    out = np.empty((g, calls))
+    for j in range(calls):
+        x.fill(-0.0)
+        lib.driftfit_span(*args)
+        out[:, j] = x
+    for bit_generator, (lo, hi, _, _) in zip(bit_generators, words.tolist()):
+        state = bit_generator.state
+        state["state"]["state"] = hi * WORD + lo
+        bit_generator.state = state
+    return out
 
 
 def reference_normals(bit_generator, n: int) -> np.ndarray:
@@ -277,11 +302,14 @@ def _mismatch(lib):
     """Why the kernel differs from numpy, or None if it agrees: first its
     normals, then the span and the replay of each body in BODIES, then its
     CSV lines."""
-    ours, theirs = np.random.PCG64(CHECK_SEED), np.random.PCG64(CHECK_SEED)
-    got = normals(lib, ours, CHECK_DRAWS)
-    if got.tobytes() != reference_normals(theirs, CHECK_DRAWS).tobytes():
+    from .engine import seed_split
+    ours, theirs = ([np.random.PCG64(seed_split(CHECK_SEED, i))
+                     for i in range(CHECK_GENERATORS)] for _ in range(2))
+    got = normals(lib, ours, CHECK_CALLS)
+    want = [reference_normals(bit_generator, CHECK_CALLS) for bit_generator in theirs]
+    if got.tobytes() != np.array(want).tobytes():
         return "its normal draws differ from numpy's standard_normal"
-    if ours.state != theirs.state:
+    if [b.state for b in ours] != [b.state for b in theirs]:
         return "its normal draws leave another bit-generator state than numpy's"
     rng = np.random.default_rng(CHECK_SEED)
     for config in check_configs():
@@ -372,30 +400,36 @@ def _entry(lib, name: str, model):
 
 def bind(config, gens, theta: np.ndarray, x: np.ndarray):
     """advance(lo, hi): run steps [lo, hi) of `run_batch` in the kernel,
-    updating theta and x in place; None where the numpy loop must run."""
+    updating theta and x in place; None where the numpy loop must run: a
+    model `covers` refuses, or a generator not on numpy's PCG64.
+
+    The binding takes over the generators' streams: it reads each one's
+    state once, here, and advances its own copy (`streams`), so the Generator
+    objects are not advanced, and must not be drawn from again."""
     lib = _covering(config.model, config.noise)
     return None if lib is None else _bind(lib, config, gens, theta, x)
 
 
 def _bind(lib, config, gens, theta: np.ndarray, x: np.ndarray):
     """`bind` on the library lib."""
-    import ctypes
     model, noise = config.model, config.noise
     span = _entry(lib, "span", model)
     n, k, m = len(gens), model.k, model.m
     _check(theta, (n, k))
     _check(x, (n, m))
-    bitgens = (ctypes.c_void_p * n)(*_bitgens(g.bit_generator for g in gens))
+    words = streams(g.bit_generator for g in gens)
+    if words is None:
+        return None
     consts = _consts(model.true_theta, noise.sigma.T, noise.a_inv)
     sched, integ = config.schedule, config.integrator
     head = (*[a.ctypes.data for a in consts], integ.dt, float(sched.c_alpha),
             float(sched.c0))
-    tail = (integ.burn_in_steps, n, ctypes.addressof(bitgens), theta.ctypes.data,
+    tail = (integ.burn_in_steps, n, words.ctypes.data, theta.ctypes.data,
             x.ctypes.data)
 
     # the kernel reads these through the addresses in head and tail, so
     # advance holds them for as long as it lives
-    def advance(lo: int, hi: int, _keep=(consts, bitgens, gens, theta, x)):
+    def advance(lo: int, hi: int, _keep=(consts, words, theta, x)):
         span(*head, lo, hi - lo, *tail)
 
     return advance
@@ -403,18 +437,20 @@ def _bind(lib, config, gens, theta: np.ndarray, x: np.ndarray):
 
 def bind_path(model, noise, dt: float, rng, x: np.ndarray):
     """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
-    kernel, drawing from rng and updating x in place, with the state after
-    step j in out[j].  None where the numpy loop must run."""
+    kernel, drawing from rng's stream and updating x in place, with the state
+    after step j in out[j].  None where the numpy loop must run, as for
+    `bind`, which says how the binding takes over rng's stream."""
     lib = _covering(model, noise)
-    if lib is None:
+    words = None if lib is None else streams([rng.bit_generator])
+    if words is None:
         return None
     path = _entry(lib, "path", model)
     m = model.m
     _check(x, (m,))
     consts = _consts(model.true_theta, noise.sigma.T)
-    head = (*[a.ctypes.data for a in consts], dt, _bitgens([rng.bit_generator])[0])
+    head = (*[a.ctypes.data for a in consts], dt, words.ctypes.data)
 
-    def steps(out, _keep=(consts, rng, x)):
+    def steps(out, _keep=(consts, words, x)):
         _check(out, (len(out), m))
         path(*head, len(out), x.ctypes.data, out.ctypes.data)
 

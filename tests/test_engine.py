@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftfit
@@ -698,46 +698,74 @@ def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_proper
          **{level: got["bounded_link"] for level, got in forced.items()}}))
 
 
+def pcg64s(seed, n):
+    """n PCG64 bit generators derived from seed, as run_batch derives them."""
+    return [np.random.PCG64(seed_split(seed, i)) for i in range(n)]
+
+
+def pcg64_at(state, inc):
+    """A PCG64 set to (state, inc) through its public state."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                           "state": {"state": state, "inc": inc}}
+    return bit_generator
+
+
+def assert_normals_are_numpys(lib, ours, theirs, calls):
+    """The kernel's (G, calls) normals from the bit generators ours are the
+    rows of Generator.standard_normal from theirs, and leave their states;
+    returns them."""
+    got = _kernel.normals(lib, ours, calls)
+    want = np.array([_kernel.reference_normals(b, calls) for b in theirs])
+    assert got.tobytes() == want.tobytes()
+    assert [b.state for b in ours] == [b.state for b in theirs]
+    return got
+
+
 @needs_compiler
 def test_the_kernel_normals_are_numpys_standard_normal():
-    # 10^7 draws over each seed reach the ziggurat's tail beyond r too
-    lib, chunk, tail = _kernel.load(), 2 ** 20, 0
+    # 10^7 draws from each seed's generators reach the ziggurat's tail beyond r
+    lib, tail = _kernel.load(), 0
     assert lib is not None
     for seed in (0, 1, 2 ** 63 + 5):
-        ours, theirs = np.random.PCG64(seed), np.random.PCG64(seed)
-        for n in [chunk] * 9 + [10 ** 7 - 9 * chunk]:
-            got = _kernel.normals(lib, ours, n)
-            assert got.tobytes() == _kernel.reference_normals(theirs, n).tobytes()
+        ours, theirs = pcg64s(seed, 1000), pcg64s(seed, 1000)
+        for _ in range(10):
+            got = assert_normals_are_numpys(lib, ours, theirs, 1000)
             tail += np.count_nonzero(np.abs(got) > 3.6541528853610088)
-        assert ours.state == theirs.state
     assert tail > 0
 
 
 @needs_compiler
-def test_the_kernel_normals_keep_a_negative_zero_draw():
-    # a bit generator whose every word is a ziggurat box with idx 2, rabs 0
-    # and the sign bit set, which numpy's random_standard_normal (linked into
-    # the kernel) turns into -0.0; a state that started at +0.0 would lose it
-    import ctypes
-    import types
-
-    class BitGen(ctypes.Structure):  # numpy's bitgen_t
-        _fields_ = [(name, ctypes.c_void_p) for name in (
-            "state", "next_uint64", "next_uint32", "next_double", "next_raw")]
-
-    word = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)(lambda _: 1 << 8 | 2)
-    gen = BitGen(next_uint64=ctypes.cast(word, ctypes.c_void_p))
-    capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
-                                ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
-    fake = types.SimpleNamespace(capsule=capsule(ctypes.addressof(gen),
-                                                 b"BitGenerator", None))
+@settings(max_examples=100, deadline=None)
+@given(state=st.integers(0, 2 ** 128 - 1), inc=st.integers(0, 2 ** 127 - 1),
+       calls=st.integers(1, 40))
+@example(state=0, inc=0, calls=40).via("the least state and odd inc")
+@example(state=2 ** 128 - 1, inc=2 ** 127 - 1, calls=40).via("the greatest")
+def test_the_kernel_steps_pcg64_from_any_state(state, inc, calls):
+    # any 128-bit state and any odd increment 2 inc + 1
     lib = _kernel.load()
-    lib.random_standard_normal.restype = ctypes.c_double
-    lib.random_standard_normal.argtypes = [ctypes.c_void_p]
-    want = lib.random_standard_normal(ctypes.addressof(gen))
-    got = _kernel.normals(lib, fake, 3)
-    assert want == 0.0 and np.signbit(want)
-    assert got.tobytes() == np.full(3, want).tobytes()
+    assert lib is not None
+    assert_normals_are_numpys(lib, [pcg64_at(state, 2 * inc + 1)],
+                              [pcg64_at(state, 2 * inc + 1)], calls)
+
+
+@needs_compiler
+def test_the_kernel_normals_keep_a_negative_zero_draw():
+    # a PCG64 state whose next word, 1 << 8 | 2, is a ziggurat box with idx
+    # 2, rabs 0 and the sign bit set, which numpy's standard_normal turns into
+    # -0.0; a draw that started from +0.0 would lose it.  The word is the
+    # post-step state N = 0x102: its top 6 bits are 0, so no rotation, and
+    # hi ^ lo = N.  Then the state before the step is (N - inc) M^-1.
+    mult, inc, word = 0x2360ED051FC65DA44385DF649FCCF645, 0xDA3E39CB94B95BDB, 1 << 8 | 2
+    state = (word - inc) * pow(mult, -1, 2 ** 128) % 2 ** 128
+    assert pcg64_at(state, inc).random_raw() == word
+    want = _kernel.reference_normals(pcg64_at(state, inc), 1)
+    assert want[0] == 0.0 and np.signbit(want[0])
+    # 9 generators: a full block of lanes and a replication on one lane
+    lib = _kernel.load()
+    got = assert_normals_are_numpys(lib, [pcg64_at(state, inc) for _ in range(9)],
+                                    [pcg64_at(state, inc) for _ in range(9)], 1)
+    assert got.tobytes() == np.full((9, 1), want[0]).tobytes()
 
 
 def replay_and_spy(cfg, times, xs, seed):

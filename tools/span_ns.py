@@ -1,6 +1,7 @@
 """Time the compiled kernel's span: ns per replication-step per model and n.
 
     python3 tools/span_ns.py [--repeats 5] [--rep-steps 4000000]
+                             [--level {native,v4,v3,baseline}]
 
 Imports driftfit from the `src/` next to this directory.  For each model the
 kernel covers (scalar_ou, mean_reversion, linear_system d=2) and each batch
@@ -11,12 +12,19 @@ over about --rep-steps replication-steps.  It prints one JSON object: the
 `_kernel.march`) and, per model and n, the best and the median of --repeats
 timings, in ns per replication-step.  The median is there because a shared
 machine's speed drifts between timings; the best alone hides that.
+
+--level builds the kernel for an x86-64 level other than the highest this
+CPU has (`native`, the default): in this process alone it replaces
+`_kernel.cpu_features` with a table of that level and `_kernel.cache_dir`
+with a temporary directory, which it deletes.  A level the CPU lacks is
+refused.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,6 +42,18 @@ MODELS = {"scalar_ou": scalar_ou, "mean_reversion": mean_reversion,
           "linear_system_d2": lambda: linear_system(dim=2)}
 SIZES = (1, 256, 512, 2048)
 DT = 0.005
+# the feature table that makes _kernel.march pick each level
+LEVELS = {"native": None, "v4": {"X86_V4": True}, "v3": {"X86_V3": True},
+          "baseline": {}}
+
+
+def force_level(level: str, cache: str) -> None:
+    """Build and load the kernel for level, into the directory cache."""
+    for name in LEVELS[level]:
+        if not _kernel.cpu_features().get(name):
+            raise SystemExit("span_ns: this CPU has no %s" % name)
+    _kernel.cpu_features = lambda: LEVELS[level]
+    _kernel.cache_dir = lambda: cache
 
 
 def span_ns(factory, n: int, rep_steps: int, repeats: int) -> dict:
@@ -62,11 +82,16 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--rep-steps", type=int, default=4_000_000)
+    parser.add_argument("--level", choices=LEVELS, default="native")
     args = parser.parse_args(argv)
-    out = {"march": " ".join(_kernel.march()) or "baseline"}
-    out.update({name: {"n_%d" % n: span_ns(factory, n, args.rep_steps, args.repeats)
-                       for n in SIZES}
-                for name, factory in MODELS.items()})
+    with tempfile.TemporaryDirectory(prefix="span_ns-") as cache:
+        if args.level != "native":
+            force_level(args.level, cache)
+        out = {"march": " ".join(_kernel.march()) or "baseline"}
+        out.update({name: {"n_%d" % n: span_ns(factory, n, args.rep_steps,
+                                               args.repeats)
+                           for n in SIZES}
+                    for name, factory in MODELS.items()})
     print(json.dumps(out))
 
 
