@@ -1,28 +1,35 @@
-/* The compiled SGDCT kernel for the compiled model families: four entry
+/* The compiled SGDCT kernel for the compiled model families: six entry
    points, each bitwise equal to the Python code it stands for.
 
-     driftfit_span    one span of engine.run_batch's coupled Euler/SGDCT steps
+     driftfit_batch   engine.run_batch from the integer seeds to the
+                      checkpoint rows and each replication's failing step
      driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
      driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
      driftfit_csv     sde.write_csv's '%.12g' lines of a block of cells
+     driftfit_seed    the streams and first draws of np.random.PCG64(seed)
+     driftfit_screen  sde.diverged's rule on rows of theta and x
 
    The Python code is the definition; this file repeats its arithmetic
    operation for operation, so that the results are bitwise equal, and
    driftfit_csv repeats the rounding of Python's % (see there).  Noise
-   comes from numpy's PCG64, stepped here from each generator's public state
-   (a stream, below), through an inlined copy of numpy's ziggurat
+   comes from numpy's PCG64, seeded here from an integer as numpy seeds it
+   (driftfit_batch) or stepped from a generator's public state (a stream,
+   below), through an inlined copy of numpy's ziggurat
    (random_standard_normal), m draws per step, in the order
    Generator.standard_normal would draw them.  The ziggurat's tables are
    numpy's own, made global in a copy of libnpyrandom.a.  Build with -ffp-contract=off:
-   a fused multiply-add rounds once where numpy rounds twice.  Nothing here
-   tests for divergence: the callers screen the results with sde.diverged.
+   a fused multiply-add rounds once where numpy rounds twice.  driftfit_batch
+   screens its replications for divergence by sde.diverged's rule, at the
+   steps run_batch screens; driftfit_path and driftfit_replay do not: their
+   callers screen the results with sde.diverged.
 
-   The span runs its replications in blocks of B, as the lanes of vector
+   The batch runs its replications in blocks of B, as the lanes of vector
    instructions: all of a block's replications one step, then the next
-   step.  Each replication does its own arithmetic in numpy's order and
-   draws only from its own stream, so the order across replications cannot
-   change a bit.  Vector arithmetic rounds each lane as the scalar
-   instruction would, so the CPU level the kernel is built for cannot either.
+   step, from the seeding to the last step.  Each replication does its own
+   arithmetic in numpy's order and draws only from its own stream, so the
+   order across replications cannot change a bit.  Vector arithmetic rounds
+   each lane as the scalar instruction would, so the CPU level the kernel is
+   built for cannot either.
 
    Families, for a state of dimension m and parameters p:
      LINEAR  f(x, p) = -P x with P = reshape(p, (m, m)) row-major, k = m * m
@@ -37,8 +44,8 @@ typedef unsigned __int128 u128;
 /* numpy's PCG64, PCG-XSL-RR 128/64 (O'Neill 2014): each draw steps the state
    s = s M + inc mod 2^128, then returns hi ^ lo of the new s rotated right
    by its top 6 bits.  A stream is four words, state_lo, state_hi, inc_lo and
-   inc_hi, as _kernel.streams packs the public PCG64.state; the entry points
-   copy it into a pcg64 and write it back when they return. */
+   inc_hi, as _kernel.streams packs the public PCG64.state; driftfit_path
+   copies it into a pcg64 and writes it back when it returns. */
 typedef struct { u128 state, inc; } pcg64;
 static const u128 PCG64_M = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
 
@@ -66,6 +73,76 @@ static inline uint64_t next_uint64(pcg64 *g)
 static inline double next_double(pcg64 *g)
 {
     return (next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* np.random.PCG64(s) for an integer s >= 0, by numpy's public algorithm.
+   SeedSequence reads s as its 32-bit words, least significant first (one
+   word, 0, for s = 0), and hashes them into a pool of POOL words
+   (mix_entropy); generate_state(4, uint64) hashes the pool into 8 words,
+   read in (low, high) pairs as the 64-bit words v0..v3.  PCG64 then seeds
+   with initstate = v0 << 64 | v1 and initseq = v2 << 64 | v3: state = 0,
+   inc = initseq << 1 | 1, a step, state += initstate, a step.  s comes as
+   w 64-bit words, least significant first; zero words above its highest
+   nonzero one are padding, not words of s. */
+enum { POOL = 4 };
+
+static inline uint32_t hashmix(uint32_t v, uint32_t *h)
+{
+    v ^= *h;
+    *h *= 0x931e8875u;
+    v *= *h;
+    return v ^ v >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ r >> 16;
+}
+
+static inline uint32_t word32(const uint64_t *s, int64_t j)
+{
+    return (uint32_t)(s[j / 2] >> 32 * (j % 2));
+}
+
+static __attribute__((noinline)) pcg64
+seed_stream(const uint64_t *s, int64_t w)
+{
+    uint32_t pool[POOL], h = 0x43b0d7e5u;
+    uint64_t v[POOL];
+    int64_t len = 2 * w;
+    while (len > 1 && word32(s, len - 1) == 0)
+        len--;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < len ? word32(s, i) : 0, &h);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (int64_t src = POOL; src < len; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(word32(s, src), &h));
+    h = 0x8b51f9ddu;
+    for (int j = 0; j < 2 * POOL; j++) {
+        uint32_t d = pool[j % POOL] ^ h;
+        h *= 0x58f38dedu;
+        d *= h;
+        d ^= d >> 16;
+        v[j / 2] = j % 2 ? v[j / 2] | (uint64_t)d << 32 : d;
+    }
+    pcg64 g = {0, ((u128)v[2] << 64 | v[3]) << 1 | 1};
+    g.state = g.state * PCG64_M + g.inc;
+    g.state += (u128)v[0] << 64 | v[1];
+    g.state = g.state * PCG64_M + g.inc;
+    return g;
+}
+
+/* numpy's random_standard_uniform_fill: k next_double draws into u.  Not
+   inlined, for the sake of the steps after it (see lanes). */
+static __attribute__((noinline)) void uniforms(pcg64 *g, int64_t k, double *u)
+{
+    for (int64_t q = 0; q < k; q++)
+        u[q] = next_double(g);
 }
 
 /* numpy's ziggurat tables (file-local in its distributions.c) and its two
@@ -129,12 +206,12 @@ static inline double normal(pcg64 *g)
 enum { LINEAR = 0, AFFINE = 1 };
 enum { MAX_M = 2, MAX_K = MAX_M * MAX_M };  /* the largest m in DISPATCH, and _kernel.BODIES */
 
-/* The replications a span steps together, as lanes.  The arithmetic below
+/* The replications a batch steps together, as lanes.  The arithmetic below
    works on lane arrays: component c of lane b of an L-lane array v is
    v[c * L + b].  Each statement is a loop over the L lanes, with L a
    constant at each inlined call, so the compiler turns it into vector
    instructions.  With L = 1 a lane array is a plain vector: path, replay
-   and the replications past the span's last full block use the same
+   and the replications past the batch's last full block use the same
    helpers on one lane.  B is 8 where AVX-512's 32 registers hold each lane
    array in one, else 4: with 16 registers of 4 doubles (x86-64-v3), 8 lanes
    spill.  On linear_system d = 2 at n = 2048 (a 2-vCPU Xeon VM), replication
@@ -227,82 +304,140 @@ noise(int64_t m, int L, const double *sigma_t, double sqdt, const double *xi,
             out[b] += (sqdt * xi[q * L + b]) * sigma_t[q * m + c];
 }
 
-/* Steps L replications together, as L lanes, with L a constant at each
-   call (B or 1): their streams, parameters and states are copied into lane
-   arrays, stepped, and copied back.  Each step first draws the L lanes'
-   normals, replication by replication, then runs the arithmetic on all
-   lanes.  Each lane does numpy's operations in numpy's order and draws only
-   from its own stream, so neither the grouping nor the lanes can change a
-   bit.  The L PCG64 recurrences are independent, so the CPU overlaps them. */
-static inline __attribute__((always_inline)) void
-lanes(int family, int64_t m, int L, const double *true_p, const double *sigma_t,
-      const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
-      int64_t nsteps, int64_t burn_in, uint64_t *streams, double *theta,
-      double *x)
+/* sde.diverged's rule at lane b of an L-lane array v of c components: an
+   entry whose absolute value is not within bound (a NaN is not) */
+static inline __attribute__((always_inline)) int
+past(int64_t c, int L, int b, const double *v, double bound)
 {
-    int64_t k = family == LINEAR ? m * m : 2;
-    double sqdt = sqrt(dt);  /* correctly rounded, as np.sqrt is */
+    int out = 0;
+    for (int64_t q = 0; q < c; q++)
+        out |= !(fabs(v[q * L + b]) <= bound);
+    return out;
+}
+
+/* What driftfit_batch reads and writes, as it documents */
+typedef struct {
+    const double *true_p, *sigma_t, *a_inv, *lo, *hi, *x0;
+    double dt, c_alpha, c0, theta_bound, x_bound;
+    int64_t burn_in, total, every, n, w, nrec;
+    const uint64_t *seeds;
+    const int64_t *rec_step;
+    double *rec_theta, *rec_x;
+    int64_t *fail;
+} batch_t;
+
+/* Runs L replications together, as L lanes, with L a constant at each call
+   (B or 1), from replication i0: each lane's stream is seeded, theta0 is
+   drawn from it (engine.draw_theta0: lo + (hi - lo) u, u its first k
+   draws) and x starts at x0; then the lanes go through all the steps,
+   stopping at each recorded step and each screening.  Each step first
+   draws the L lanes' normals, replication by replication, then runs the
+   arithmetic on all lanes.  Each lane does numpy's operations in numpy's
+   order and draws only from its own stream, so neither the grouping nor
+   the lanes can change a bit.  The L PCG64 recurrences are independent, so
+   the CPU overlaps them.
+
+   The start and each stop go through a copy of the lane arrays th and xs,
+   at, and theta0's draws through uniforms, not inlined: writing th and xs
+   there, or reading them, with the draws inlined, made the compiler keep
+   them in memory through the steps (mean_reversion at n = 1 took 8.7 ns a
+   replication-step against 7.1, scalar_ou at n = 2048 3.3 against 3.1). */
+static inline __attribute__((always_inline)) void
+lanes(int family, int64_t m, int L, const batch_t *r, int64_t i0)
+{
+    int64_t k = family == LINEAR ? m * m : 2, n = r->n, every = r->every,
+            burn_in = r->burn_in;
+    double dt = r->dt, sqdt = sqrt(dt),  /* correctly rounded, as np.sqrt is */
+           c_alpha = r->c_alpha, c0 = r->c0;
+    const double *sigma_t = r->sigma_t, *a_inv = r->a_inv;
     double tp[MAX_K * B] LANES, th[MAX_K * B] LANES, upd[MAX_K * B] LANES,
            xs[MAX_M * B] LANES, xi[MAX_M * B] LANES, f[MAX_M * B] LANES,
            dx[MAX_M * B] LANES, nz[B] LANES;
+    double at[(MAX_K + MAX_M) * B] LANES, *th_at = at, *xs_at = at + k * L;
     pcg64 rng[B];
+    int64_t fail[B];
 
     for (int b = 0; b < L; b++) {
-        rng[b] = load_stream(streams + 4 * b);
+        double u[MAX_K];
+        rng[b] = seed_stream(r->seeds + (i0 + b) * r->w, r->w);
+        uniforms(&rng[b], k, u);
+        fail[b] = -1;
         for (int64_t q = 0; q < k; q++) {
-            tp[q * L + b] = true_p[q];
-            th[q * L + b] = theta[b * k + q];
+            tp[q * L + b] = r->true_p[q];
+            th_at[q * L + b] = r->lo[q] + (r->hi[q] - r->lo[q]) * u[q];
         }
         for (int64_t c = 0; c < m; c++)
-            xs[c * L + b] = x[b * m + c];
+            xs_at[c * L + b] = r->x0[c];
     }
-    for (int64_t s = step0; s < step0 + nsteps; s++) {
-        int64_t nmain = s - burn_in;
-        /* at t = 1 + nmain dt */
-        double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
-        for (int b = 0; b < L; b++)
-            for (int64_t c = 0; c < m; c++)
-                xi[c * L + b] = normal(&rng[b]);
-        /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
-        drift(family, m, L, tp, xs, f);
-        for (int64_t c = 0; c < m; c++) {
-            noise(m, L, sigma_t, sqdt, xi, c, nz);
-            for (int b = 0; b < L; b++)
-                dx[c * L + b] = f[c * L + b] * dt + nz[b];
-        }
-        if (nmain >= 0) {
-            sgdct(family, m, k, L, a_inv, alpha, dt, xs, dx, th, upd);
-            for (int64_t q = 0; q < k * L; q++)
-                th[q] = upd[q];
-        }
+    for (int64_t c = 0; c < k * L; c++)
+        th[c] = th_at[c];
+    for (int64_t c = 0; c < m * L; c++)
+        xs[c] = xs_at[c];
+    for (int64_t s = 0, rec = 0;; ) {
+        for (int64_t c = 0; c < k * L; c++)
+            th_at[c] = th[c];
         for (int64_t c = 0; c < m * L; c++)
-            xs[c] += dx[c];
+            xs_at[c] = xs[c];
+        /* the rows recorded after step s; rec_step is sorted */
+        for (; rec < r->nrec && r->rec_step[rec] == s; rec++)
+            for (int b = 0; b < L; b++) {
+                int64_t row = rec * n + i0 + b;
+                for (int64_t q = 0; q < k; q++)
+                    r->rec_theta[row * k + q] = th_at[q * L + b];
+                for (int64_t c = 0; c < m; c++)
+                    r->rec_x[row * m + c] = xs_at[c * L + b];
+            }
+        /* a screening: every every-th step and the last */
+        if (s == r->total || (s > 0 && s % every == 0))
+            for (int b = 0; b < L; b++)
+                if (fail[b] < 0 && (past(k, L, b, th_at, r->theta_bound)
+                                    || past(m, L, b, xs_at, r->x_bound)))
+                    fail[b] = s;
+        if (s == r->total)
+            break;
+        int64_t stop = s - s % every + every;
+        if (stop > r->total)
+            stop = r->total;
+        if (rec < r->nrec && r->rec_step[rec] < stop)
+            stop = r->rec_step[rec];
+        for (; s < stop; s++) {
+            int64_t nmain = s - burn_in;
+            /* at t = 1 + nmain dt */
+            double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
+            for (int b = 0; b < L; b++)
+                for (int64_t c = 0; c < m; c++)
+                    xi[c * L + b] = normal(&rng[b]);
+            /* dx = f*(x) dt + (sqrt(dt) xi) @ sigma^T */
+            drift(family, m, L, tp, xs, f);
+            for (int64_t c = 0; c < m; c++) {
+                noise(m, L, sigma_t, sqdt, xi, c, nz);
+                for (int b = 0; b < L; b++)
+                    dx[c * L + b] = f[c * L + b] * dt + nz[b];
+            }
+            if (nmain >= 0) {
+                sgdct(family, m, k, L, a_inv, alpha, dt, xs, dx, th, upd);
+                for (int64_t q = 0; q < k * L; q++)
+                    th[q] = upd[q];
+            }
+            for (int64_t c = 0; c < m * L; c++)
+                xs[c] += dx[c];
+        }
     }
-    for (int b = 0; b < L; b++) {
-        store_stream(&rng[b], streams + 4 * b);
-        for (int64_t q = 0; q < k; q++)
-            theta[b * k + q] = th[q * L + b];
-        for (int64_t c = 0; c < m; c++)
-            x[b * m + c] = xs[c * L + b];
-    }
+    for (int b = 0; b < L; b++)
+        r->fail[i0 + b] = fail[b];
 }
 
 /* Inlined at each call below, so that family and m are constants there:
    the replications in blocks of B lanes, then the fewer than B left over
    one by one, on one lane each. */
 static inline __attribute__((always_inline)) void
-span(int family, int64_t m, const double *true_p, const double *sigma_t,
-     const double *a_inv, double dt, double c_alpha, double c0, int64_t step0,
-     int64_t nsteps, int64_t burn_in, int64_t n, uint64_t *streams,
-     double *theta, double *x)
+batch(int family, int64_t m, const batch_t *r)
 {
-    int64_t k = family == LINEAR ? m * m : 2, i = 0;
-    for (; i + B <= n; i += B)
-        lanes(family, m, B, true_p, sigma_t, a_inv, dt, c_alpha, c0, step0, nsteps,
-              burn_in, streams + 4 * i, theta + i * k, x + i * m);
-    for (; i < n; i++)
-        lanes(family, m, 1, true_p, sigma_t, a_inv, dt, c_alpha, c0, step0, nsteps,
-              burn_in, streams + 4 * i, theta + i * k, x + i * m);
+    int64_t i = 0;
+    for (; i + B <= r->n; i += B)
+        lanes(family, m, B, r, i);
+    for (; i < r->n; i++)
+        lanes(family, m, 1, r, i);
 }
 
 static inline __attribute__((always_inline)) void
@@ -355,18 +490,57 @@ replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
         return CALL(LINEAR, 2);                          \
     return -1
 
-/* Steps [step0, step0 + nsteps) of all n replications: streams is (n, 4),
-   theta (n, k) and x (n, m), all C order, updated in place.  Returns 0. */
-int driftfit_span(int family, int64_t m, const double *true_p,
-                  const double *sigma_t, const double *a_inv, double dt,
-                  double c_alpha, double c0, int64_t step0, int64_t nsteps,
-                  int64_t burn_in, int64_t n, uint64_t *streams, double *theta,
-                  double *x)
+/* engine.run_batch for the n replications seeded by seeds (n, w), each
+   seed w 64-bit words, least significant first: replication i's stream is
+   np.random.PCG64's for seed i, its theta0 lo + (hi - lo) u in the box
+   lo, hi (k,), and x0 (m,) its start.  Its rows after step rec_step[r]
+   (nrec, sorted, within [0, total]) go to rec_theta[r, i] (nrec, n, k) and
+   rec_x[r, i] (nrec, n, m); fail[i] (n) gets the first step at which it is
+   screened past theta_bound or x_bound, or -1.  Steps burn_in onwards
+   update theta; a screening is every every-th step and step total.
+   Returns 0. */
+int driftfit_batch(int family, int64_t m, const double *true_p,
+                   const double *sigma_t, const double *a_inv, double dt,
+                   double c_alpha, double c0, const double *lo, const double *hi,
+                   const double *x0, int64_t burn_in, int64_t total, int64_t every,
+                   double theta_bound, double x_bound, int64_t n, int64_t w,
+                   const uint64_t *seeds, int64_t nrec, const int64_t *rec_step,
+                   double *rec_theta, double *rec_x, int64_t *fail)
 {
-#define SPAN(FAMILY, M) (span(FAMILY, M, true_p, sigma_t, a_inv, dt, c_alpha, \
-                              c0, step0, nsteps, burn_in, n, streams, theta, x), 0)
-    DISPATCH(SPAN);
-#undef SPAN
+    const batch_t r = {true_p, sigma_t, a_inv, lo, hi, x0, dt, c_alpha, c0,
+                       theta_bound, x_bound, burn_in, total, every, n, w, nrec,
+                       seeds, rec_step, rec_theta, rec_x, fail};
+#define BATCH(FAMILY, M) (batch(FAMILY, M, &r), 0)
+    DISPATCH(BATCH);
+#undef BATCH
+}
+
+/* The streams of np.random.PCG64(seed) for the n seeds (n, w), as
+   driftfit_batch seeds them, into streams (n, 4), and each one's first k
+   next_double draws into u (n, k).  Returns 0. */
+int driftfit_seed(int64_t n, int64_t w, const uint64_t *seeds, int64_t k,
+                  uint64_t *streams, double *u)
+{
+    for (int64_t i = 0; i < n; i++) {
+        pcg64 g = seed_stream(seeds + i * w, w);
+        store_stream(&g, streams + 4 * i);
+        streams[4 * i + 2] = (uint64_t)g.inc;
+        streams[4 * i + 3] = (uint64_t)(g.inc >> 64);
+        uniforms(&g, k, u + i * k);
+    }
+    return 0;
+}
+
+/* Into flags[i] (n), whether driftfit_batch's screening flags the row of
+   theta (n, k) and x (n, m).  Returns 0. */
+int driftfit_screen(int64_t n, int64_t k, int64_t m, const double *theta,
+                    const double *x, double theta_bound, double x_bound,
+                    uint8_t *flags)
+{
+    for (int64_t i = 0; i < n; i++)
+        flags[i] = past(k, 1, 0, theta + i * k, theta_bound)
+                   || past(m, 1, 0, x + i * m, x_bound);
+    return 0;
 }
 
 /* nsteps Euler steps of the state x (m,), drawing from the stream (4,), both

@@ -1,20 +1,25 @@
 """Builds, caches, checks and binds the compiled SGDCT kernel `_kernel.c`.
 
-The kernel has four entry points: a span of `engine.run_batch`'s steps
-(`bind`), the Euler steps of `sde.simulate_path` (`bind_path`), the CSV
-replay's updates (`replay`) and `sde.write_csv`'s '%.12g' lines
-(`csv_writer`).  The first three run the models of `models.FAMILIES` that
-`covers` accepts, reading their parameters from `true_theta`; the others
-run the numpy code, which defines the results.  The lines cover each cell
-v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block with any other cell
-is formatted by Python's %, which defines the bytes.
+The kernel has four entry points that the program runs on: a whole
+`engine.run_batch`, from the integer seeds to the checkpoint rows and each
+replication's failing step (`batch`), the Euler steps of
+`sde.simulate_path` (`bind_path`), the CSV replay's updates (`replay`) and
+`sde.write_csv`'s '%.12g' lines (`csv_writer`).  The first three run the
+models of `models.FAMILIES` that `covers` accepts, reading their
+parameters from `true_theta`; the others run the numpy code, which defines
+the results.  The lines cover each cell v with 10^-11 <= |v| < 2^127, ±0,
+±inf and NaN; a block with any other cell is formatted by Python's %, which
+defines the bytes.  Two more, the seeding and the screening of `batch`,
+are there for the load-time check and the tests.
 
-The kernel steps numpy's PCG64 itself, from each generator's public
-`bit_generator.state`, read once when an entry point is bound (`streams`);
-a generator on any other bit generator runs the numpy code.  It draws its
-normals through an inlined copy of numpy's ziggurat, on numpy's own tables:
-`objcopy` makes them global in a private copy of numpy's `libnpyrandom.a`,
-which the kernel is linked against.  The kernel is compiled with the system
+The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
+stream from its integer seed, as np.random.PCG64(seed) does by numpy's
+public SeedSequence algorithm (`seed_words` packs the seeds), so no
+Generator is built; `bind_path` reads the public `bit_generator.state` of
+simulate_path's generator once (`streams`).  It draws its normals through
+an inlined copy of numpy's ziggurat, on numpy's own tables: `objcopy` makes
+them global in a private copy of numpy's `libnpyrandom.a`, which the kernel
+is linked against.  The kernel is compiled with the system
 C compiler at the first call that can use it, never at import, for the
 highest x86-64 level the CPU has (`march`).  The
 shared library goes into a per-user cache directory, keyed by the hash of
@@ -23,16 +28,20 @@ platform, so a machine compiles it once, and a home directory shared with
 another CPU never loads a kernel built for a level that CPU lacks.
 
 Each process checks it before use (`_mismatch`): CHECK_CALLS normals from
-each of CHECK_GENERATORS PCG64 generators, drawn through the span's own
-replication loop (`normals`), must equal `Generator.standard_normal`'s bytes
-and leave the same bit-generator states; then a small span and a replay of
-each body in BODIES must give the bytes of the numpy code they stand for,
-and the CSV lines of a table of edge cases (`check_cells`) those of Python's
-%.  Where it cannot be built or loaded, or fails that check, every entry
-point runs numpy and one RuntimeWarning per process says why.
+each of CHECK_GENERATORS PCG64 generators, drawn through the path's loop
+(`normals`), must equal `Generator.standard_normal`'s bytes and leave the
+same bit-generator states; the streams it seeds from a table of edge seeds
+(`CHECK_SEEDS`) must be np.random.PCG64's, and its screening of a table of
+edge rows (`check_rows`) `sde.diverged`'s; then a small run, with diverging
+replications, and a replay of each body in BODIES must give the bytes of
+the numpy code they stand for, and the CSV lines of a table of edge cases
+(`check_cells`) those of Python's %.  Where it cannot be built or loaded,
+or fails that check, every entry point runs numpy and one RuntimeWarning
+per process says why.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import stat
@@ -55,14 +64,21 @@ CODES = {"linear": 0, "affine": 1}  # _kernel.c's family enum
 # larger linear systems stay on the numpy loop
 BODIES = frozenset({("linear", 1), ("linear", 2), ("affine", 1)})
 CHECK_SEED = 20170907
-# the check's normals: one draw from each generator per span call
+# the check's normals: CHECK_CALLS draws from each of CHECK_GENERATORS generators
 CHECK_GENERATORS, CHECK_CALLS = 256, 256
-# a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi
+# a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi;
+# and a seed's, least significant first
 WORD = 1 << 64
-# the check's span per body: CHECK_REPS replications, full blocks of lanes
+# the check's seeds: the ends of one, two and three 32-bit words of
+# SeedSequence's entropy, of one and two 64-bit words of the kernel's, and
+# past its pool of four 32-bit words
+CHECK_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, WORD - 1, WORD, 2 ** 96,
+               2 ** 128 - 1, 2 ** 128, 2 ** 200 + 12345)
+# the check's run per body: CHECK_REPS replications, full blocks of lanes
 # (8 or 4) and a partial one, over CHECK_STEPS steps of which CHECK_BURN_IN
-# are burn-in, in two calls; and its replay over CHECK_ROWS rows
+# are burn-in; and its replay over CHECK_ROWS rows
 CHECK_REPS, CHECK_STEPS, CHECK_BURN_IN, CHECK_ROWS = 19, 40, 5, 30
+CHECK_C_ALPHA = 4.0
 # driftfit_csv's range of nonzero |v|: the least double >= 10^-11 (the
 # double 1e-11 lies just below) up to the greatest below 2^127
 CSV_RANGE = (float(np.nextafter(1e-11, 1.0)), float(np.nextafter(2.0 ** 127, 0.0)))
@@ -169,9 +185,10 @@ def _open():
     _check_private(path)
     lib = ctypes.CDLL(path)
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.driftfit_span.restype = ctypes.c_int
-    lib.driftfit_span.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl,
-                                  i64, i64, i64, i64, ptr, ptr, ptr]
+    lib.driftfit_batch.restype = ctypes.c_int
+    lib.driftfit_batch.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl,
+                                   ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, i64,
+                                   ptr, i64, ptr, ptr, ptr, ptr]
     lib.driftfit_path.restype = ctypes.c_int
     lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, ptr, i64, ptr,
                                   ptr]
@@ -180,6 +197,10 @@ def _open():
                                     ptr, ptr]
     lib.driftfit_csv.restype = i64
     lib.driftfit_csv.argtypes = [ptr, i64, i64, ptr]
+    lib.driftfit_seed.restype = ctypes.c_int
+    lib.driftfit_seed.argtypes = [i64, i64, ptr, i64, ptr, ptr]
+    lib.driftfit_screen.restype = ctypes.c_int
+    lib.driftfit_screen.argtypes = [i64, i64, i64, ptr, ptr, dbl, dbl, ptr]
     return lib
 
 
@@ -198,28 +219,65 @@ def streams(bit_generators):
     return np.array(words, dtype=np.uint64).reshape(-1, 4)
 
 
+def seed_words(seeds) -> np.ndarray:
+    """The seeds as the kernel reads them: row i of an (n, w) uint64 array
+    holds int(seeds[i]) in w 64-bit words, least significant first, w the
+    most any seed needs (at least 1).  An integer array is read as it is.
+    ValueError for a negative seed, as np.random.PCG64 raises."""
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "ui":
+        if seeds.dtype.kind == "i" and np.any(seeds < 0):
+            raise ValueError("expected non-negative integer")
+        return seeds.astype(np.uint64).reshape(-1, 1)
+    ints = [int(s) for s in seeds]
+    if ints and min(ints) < 0:
+        raise ValueError("expected non-negative integer")
+    w = max(1, (max(ints, default=0).bit_length() + 63) // 64)
+    rows = [[s >> 64 * j & WORD - 1 for j in range(w)] for s in ints] if w > 1 else ints
+    return np.array(rows, dtype=np.uint64).reshape(-1, w)
+
+
+def seeded(lib, seeds, k: int):
+    """(streams, u): the streams of np.random.PCG64(s) for s in seeds, as the
+    kernel seeds them, packed as `streams` packs a state, and each one's
+    first k next_double draws (n, k), which run_batch's theta0 is drawn from."""
+    words = seed_words(seeds)
+    out, u = np.empty((len(words), 4), dtype=np.uint64), np.empty((len(words), k))
+    lib.driftfit_seed(len(words), words.shape[1], words.ctypes.data, k,
+                      out.ctypes.data, u.ctypes.data)
+    return out, u
+
+
+def screened(lib, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows of theta (n, k) and x (n, m) that the kernel's screening
+    flags, at sde's bounds as they are now."""
+    from . import sde
+    theta, x = _consts(theta, x)
+    flags = np.empty(len(theta), dtype=np.bool_)
+    lib.driftfit_screen(len(theta), theta.shape[1], x.shape[1], theta.ctypes.data,
+                        x.ctypes.data, sde.THETA_BOUND, sde.DIVERGENCE_BOUND,
+                        flags.ctypes.data)
+    return flags
+
+
 def normals(lib, bit_generators, calls: int) -> np.ndarray:
     """(G, calls) standard normals by the kernel's ziggurat, row i from bit
     generator i (numpy's PCG64), each advanced past them through its public
-    state: `calls` calls of driftfit_span, each one burn-in step of family
-    linear with m = 1, p = 0, sigma = 1 and dt = 1 over G replications, one
-    per generator.  Each call starts x at -0.0, so that x_i ends as
-    -0.0 + xi_i, which is the draw bit for bit (from +0.0, a -0.0 draw would
-    end as +0.0)."""
+    state: one driftfit_path call of `calls` Euler steps per generator, of
+    family linear with m = 1, p = 1, sigma = 1 and dt = 1, from x = -0.0.
+    Each step adds its draw to x + f(x) dt = x - x, which is +0.0, or -0.0
+    where x is -0.0, so that the state after step j is draw j bit for bit;
+    a -0.0 draw ends as +0.0 unless it is the first (numpy draws -0.0 with
+    probability 2^-53)."""
     bit_generators = list(bit_generators)
     words = streams(bit_generators)
     if words is None:
         raise ValueError("the kernel draws from numpy's PCG64 alone")
-    g = len(bit_generators)
-    zero, one, theta, x = np.zeros(1), np.ones(1), np.empty(g), np.empty(g)
-    args = (CODES["linear"], 1, zero.ctypes.data, one.ctypes.data, one.ctypes.data,
-            1.0, 1.0, 0.0, 0, 1, 1, g, words.ctypes.data, theta.ctypes.data,
-            x.ctypes.data)
-    out = np.empty((g, calls))
-    for j in range(calls):
-        x.fill(-0.0)
-        lib.driftfit_span(*args)
-        out[:, j] = x
+    one, x = np.ones(1), np.empty(1)
+    out = np.empty((len(bit_generators), calls))
+    for row, stream in zip(out, words):
+        x[0] = -0.0
+        lib.driftfit_path(CODES["linear"], 1, one.ctypes.data, one.ctypes.data, 1.0,
+                          stream.ctypes.data, calls, x.ctypes.data, row.ctypes.data)
     for bit_generator, (lo, hi, _, _) in zip(bit_generators, words.tolist()):
         state = bit_generator.state
         state["state"]["state"] = hi * WORD + lo
@@ -232,10 +290,22 @@ def reference_normals(bit_generator, n: int) -> np.ndarray:
     return np.random.Generator(bit_generator).standard_normal(n)
 
 
-def reference_steps(config, gens, theta: np.ndarray, x: np.ndarray):
-    """numpy's step loop, which defines the kernel's span."""
+def reference_seeded(seeds) -> np.ndarray:
+    """np.random.PCG64(seed)'s public state, which defines the kernel's
+    seeding, packed as `streams` packs it."""
+    return streams(np.random.PCG64(int(seed)) for seed in seeds)
+
+
+def reference_batch(config, seeds, rec_step: np.ndarray, total: int):
+    """numpy's run_batch loop, which defines the kernel's batch."""
     from . import engine
-    return engine.numpy_steps(config, gens, theta, x)
+    return engine.numpy_batch(config, seeds, rec_step, total)
+
+
+def reference_screen(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sde.diverged, which defines the kernel's screening."""
+    from . import sde
+    return sde.diverged(theta, x)
 
 
 def reference_replay(config, times: np.ndarray, xs: np.ndarray,
@@ -266,61 +336,81 @@ def check_cells():
     return np.concatenate([inside, -inside]), np.concatenate([outside, -outside])
 
 
+def check_rows():
+    """The load-time check's rows, theta (n, 2) and x (n, 1): each pair of
+    theta entries beside each x entry, of ±0, ±bound, the doubles past them,
+    ±inf, NaN and two ordinary values, at sde's bounds as they are now."""
+    from . import sde
+
+    def entries(bound):
+        return [0.0, -0.0, bound, -bound, np.nextafter(bound, np.inf),
+                np.nextafter(-bound, -np.inf), np.inf, -np.inf, np.nan, 1.5, -0.25]
+
+    t, x = entries(sde.THETA_BOUND), entries(sde.DIVERGENCE_BOUND)
+    rows = np.array([(a, b, c) for a in t for b in t for c in x])
+    return rows[:, :2].copy(), rows[:, 2:].copy()
+
+
 def check_configs() -> list:
-    """One run_batch config per body in BODIES, for the load-time check."""
+    """One run_batch config per body in BODIES, for the load-time check;
+    its checkpoints are t = 1, recorded before the burn-in, one between and
+    the horizon, and its rate C_alpha makes 3 of the CHECK_REPS replications
+    diverge (the replay runs at C_alpha = CHECK_C_ALPHA)."""
     from .engine import EngineConfig
     from .models import linear_system, mean_reversion, scalar_ou
     from .schedule import ScheduleSpec
     from .sde import IntegratorConfig
     dt = 0.01
     horizon = 1.0 + (CHECK_STEPS - CHECK_BURN_IN) * dt
-    return [EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+    return [EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(c_alpha, 1.0),
                          integrator=IntegratorConfig(dt=dt, burn_in_steps=CHECK_BURN_IN),
-                         horizon=horizon, checkpoint_times=np.array([horizon]))
-            for model, noise in (scalar_ou(0.8, 1.3), mean_reversion(1.3, -0.4, 0.7),
-                                 linear_system([[1.2, 0.3], [-0.2, 0.9]],
-                                               [[0.8, 0.0], [0.0, 1.1]]))]
+                         horizon=horizon,
+                         checkpoint_times=np.array([1.0, 1.0 + 7 * dt, horizon]))
+            for (model, noise), c_alpha in (
+                (scalar_ou(0.8, 1.3), 3200.0), (mean_reversion(1.3, -0.4, 0.7), 12.0),
+                (linear_system([[1.2, 0.3], [-0.2, 0.9]], [[0.8, 0.0], [0.0, 1.1]]),
+                 800.0))]
 
 
-def _check_span(steps, config) -> bytes:
-    """The bytes of theta and x after the check's span, run by
-    steps(config, gens, theta, x) in two calls."""
-    from .engine import seed_split
-    rng = np.random.default_rng(CHECK_SEED)
-    n, model = CHECK_REPS, config.model
-    theta = model.true_theta + rng.uniform(-0.5, 0.5, (n, model.k))
-    x = rng.standard_normal((n, model.m))
-    gens = [np.random.Generator(np.random.PCG64(seed_split(CHECK_SEED, i)))
-            for i in range(n)]
-    advance = steps(config, gens, theta, x)
-    advance(0, CHECK_STEPS // 2)
-    advance(CHECK_STEPS // 2, CHECK_STEPS)
-    return theta.tobytes() + x.tobytes()
+def _check_run(run, config) -> bytes:
+    """The bytes of run(config, seeds, rec_step, total), the recorded rows
+    and failing steps of the check's CHECK_REPS replications."""
+    from .engine import record_steps, seed_split
+    _, rec_step, total = record_steps(config)
+    out = run(config, seed_split(CHECK_SEED, np.arange(CHECK_REPS)), rec_step, total)
+    return b"".join(a.tobytes() for a in out)
 
 
 def _mismatch(lib):
     """Why the kernel differs from numpy, or None if it agrees: first its
-    normals, then the span and the replay of each body in BODIES, then its
-    CSV lines."""
+    normals, then its seeding, its screening, the run and the replay of each
+    body in BODIES, then its CSV lines."""
     from .engine import seed_split
-    ours, theirs = ([np.random.PCG64(seed_split(CHECK_SEED, i))
-                     for i in range(CHECK_GENERATORS)] for _ in range(2))
+    seeds = seed_split(CHECK_SEED, np.arange(CHECK_GENERATORS)).tolist()
+    ours, theirs = ([np.random.PCG64(seed) for seed in seeds] for _ in range(2))
     got = normals(lib, ours, CHECK_CALLS)
     want = [reference_normals(bit_generator, CHECK_CALLS) for bit_generator in theirs]
     if got.tobytes() != np.array(want).tobytes():
         return "its normal draws differ from numpy's standard_normal"
     if [b.state for b in ours] != [b.state for b in theirs]:
         return "its normal draws leave another bit-generator state than numpy's"
+    if seeded(lib, CHECK_SEEDS, 0)[0].tobytes() != reference_seeded(CHECK_SEEDS).tobytes():
+        return "its seeding differs from numpy's PCG64(seed)"
+    theta, x = check_rows()
+    if screened(lib, theta, x).tolist() != reference_screen(theta, x).tolist():
+        return "its screening differs from sde.diverged"
     rng = np.random.default_rng(CHECK_SEED)
     for config in check_configs():
         model = config.model
         body = "%s with m = %d" % (model.family, model.m)
-        kernel = _check_span(lambda *args: _bind(lib, *args), config)
-        if kernel != _check_span(reference_steps, config):
-            return "its span of body %s differs from numpy's step loop" % body
+        kernel = _check_run(lambda *args: _batch(lib, *args), config)
+        if kernel != _check_run(reference_batch, config):
+            return "its run of body %s differs from numpy's run_batch loop" % body
         times = 1.0 + np.cumsum(rng.uniform(0.005, 0.02, CHECK_ROWS))
         xs = np.cumsum(0.1 * rng.standard_normal((CHECK_ROWS, model.m)), axis=0)
         theta = model.true_theta + rng.uniform(-0.5, 0.5, model.k)
+        config = dataclasses.replace(
+            config, schedule=dataclasses.replace(config.schedule, c_alpha=CHECK_C_ALPHA))
         out = np.empty((CHECK_ROWS - 1, model.k))
         _replay(lib, config, times, xs, theta, out)
         if out.tobytes() != reference_replay(config, times, xs, theta).tobytes():
@@ -398,48 +488,52 @@ def _entry(lib, name: str, model):
     return call
 
 
-def bind(config, gens, theta: np.ndarray, x: np.ndarray):
-    """advance(lo, hi): run steps [lo, hi) of `run_batch` in the kernel,
-    updating theta and x in place; None where the numpy loop must run: a
-    model `covers` refuses, or a generator not on numpy's PCG64.
-
-    The binding takes over the generators' streams: it reads each one's
-    state once, here, and advances its own copy (`streams`), so the Generator
-    objects are not advanced, and must not be drawn from again."""
+def batch(config, seeds, rec_step: np.ndarray, total: int):
+    """(rec_theta, rec_x, fail): `run_batch`'s run of total steps in one
+    kernel call, from the seeds (`seed_words`) to the rows after each step
+    in the sorted rec_step, rec_theta (nrec, n, k) and rec_x (nrec, n, m),
+    and each replication's first step screened as diverged, fail (n,), or
+    -1; None where the numpy loop must run, a model `covers` refuses."""
     lib = _covering(config.model, config.noise)
-    return None if lib is None else _bind(lib, config, gens, theta, x)
+    return None if lib is None else _batch(lib, config, seeds, rec_step, total)
 
 
-def _bind(lib, config, gens, theta: np.ndarray, x: np.ndarray):
-    """`bind` on the library lib."""
-    model, noise = config.model, config.noise
-    span = _entry(lib, "span", model)
-    n, k, m = len(gens), model.k, model.m
-    _check(theta, (n, k))
-    _check(x, (n, m))
-    words = streams(g.bit_generator for g in gens)
-    if words is None:
-        return None
-    consts = _consts(model.true_theta, noise.sigma.T, noise.a_inv)
-    sched, integ = config.schedule, config.integrator
-    head = (*[a.ctypes.data for a in consts], integ.dt, float(sched.c_alpha),
-            float(sched.c0))
-    tail = (integ.burn_in_steps, n, words.ctypes.data, theta.ctypes.data,
-            x.ctypes.data)
-
-    # the kernel reads these through the addresses in head and tail, so
-    # advance holds them for as long as it lives
-    def advance(lo: int, hi: int, _keep=(consts, words, theta, x)):
-        span(*head, lo, hi - lo, *tail)
-
-    return advance
+def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
+    """`batch` on the library lib."""
+    from . import engine, sde
+    model, noise, sched, integ = (config.model, config.noise, config.schedule,
+                                  config.integrator)
+    run = _entry(lib, "batch", model)
+    words = seed_words(seeds)
+    n, k, m = len(words), model.k, model.m
+    rec_step = np.ascontiguousarray(rec_step, dtype=np.int64)
+    # the kernel stops at each rec_step in turn, and at total
+    if total < 0 or np.any(np.diff(rec_step, prepend=0, append=total) < 0):
+        raise ValueError("rec_step must be sorted within [0, total = %d]" % total)
+    # the kernel reads these through their addresses, so they are held here
+    consts = _consts(model.true_theta, noise.sigma.T, noise.a_inv, config.theta0_lo,
+                     config.theta0_hi, integ.initial_state(m))
+    at = [a.ctypes.data for a in consts]
+    rec_theta = np.empty((len(rec_step), n, k))
+    rec_x = np.empty((len(rec_step), n, m))
+    fail = np.empty(n, dtype=np.int64)
+    run(*at[:3], integ.dt, float(sched.c_alpha), float(sched.c0), *at[3:],
+        integ.burn_in_steps, total, engine.CHECK_EVERY, sde.THETA_BOUND,
+        sde.DIVERGENCE_BOUND, n, words.shape[1], words.ctypes.data, len(rec_step),
+        rec_step.ctypes.data, rec_theta.ctypes.data, rec_x.ctypes.data,
+        fail.ctypes.data)
+    return rec_theta, rec_x, fail
 
 
 def bind_path(model, noise, dt: float, rng, x: np.ndarray):
     """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
     kernel, drawing from rng's stream and updating x in place, with the state
-    after step j in out[j].  None where the numpy loop must run, as for
-    `bind`, which says how the binding takes over rng's stream."""
+    after step j in out[j].  None where the numpy loop must run: a model
+    `covers` refuses, or rng not on numpy's PCG64.
+
+    The binding takes over rng's stream: it reads its state once, here, and
+    advances its own copy (`streams`), so rng is not advanced, and must not
+    be drawn from again."""
     lib = _covering(model, noise)
     words = None if lib is None else streams([rng.bit_generator])
     if words is None:

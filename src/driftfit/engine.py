@@ -20,19 +20,26 @@ NOISE_BUFFER_BYTES = 8 * 2 ** 20  # standard normals drawn ahead, all replicatio
 CHECK_EVERY = 256                 # steps between divergence screenings
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 draw seeded at x (advance by the golden gamma, then mix)."""
-    z = (int(x) + _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def splitmix64(x):
+    """One splitmix64 draw seeded at x (advance by the golden gamma, then mix),
+    in uint64 arithmetic, which wraps mod 2**64 (silently, on arrays): x an
+    int below 2**64 (an int out) or a uint64 array (a uint64 array out)."""
+    z = np.array(x, dtype=np.uint64, ndmin=1) + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return int(z[0]) if np.ndim(x) == 0 else z
 
 
-def seed_split(master: int, index: int) -> int:
-    """Deterministic per-replication seed stream from a master seed."""
-    if index < 0:
+def seed_split(master: int, index):
+    """Deterministic per-replication seed stream from a master seed: the
+    splitmix64 draw seeded at master + index * golden mod 2**64, for an int
+    index (an int out) or an integer array of them (a uint64 array out)."""
+    i = np.array(index, ndmin=1)
+    if (i < 0).any():
         raise ValueError("index must be nonnegative")
-    return splitmix64((int(master) + index * _GOLDEN) & _MASK)
+    z = splitmix64(np.uint64(int(master) & _MASK) + i.astype(np.uint64) * np.uint64(_GOLDEN))
+    return int(z[0]) if np.ndim(index) == 0 else z
 
 
 def step_of(t, dt: float, what: str = "time", exact: bool = False):
@@ -182,7 +189,7 @@ def numpy_replay(config: EngineConfig, times: np.ndarray, xs: np.ndarray,
 def numpy_steps(config: EngineConfig, gens, theta: np.ndarray, x: np.ndarray):
     """advance(lo, hi): run steps [lo, hi) of `run_batch` in the numpy loop,
     which defines them, updating theta (n, k) and x (n, m) in place; replication
-    i draws from gens[i].  The counterpart of `_kernel.bind`."""
+    i draws from gens[i]."""
     model, noise, sched, integ = (config.model, config.noise,
                                   config.schedule, config.integrator)
     n, m = x.shape
@@ -211,6 +218,53 @@ def numpy_steps(config: EngineConfig, gens, theta: np.ndarray, x: np.ndarray):
     return advance
 
 
+def record_steps(config: EngineConfig):
+    """(j, rec_step, total): each checkpoint's main step j = step_of(t), the
+    step after which run_batch records it, burn_in + j, or 0 for t = 1 (j =
+    0), before the burn-in; and the run's steps, burn-in included."""
+    burn_in, dt = config.integrator.burn_in_steps, config.integrator.dt
+    j = step_of(config.checkpoint_times, dt)
+    return j, np.where(j > 0, burn_in + j, 0), burn_in + int(step_of(config.horizon, dt))
+
+
+def numpy_batch(config: EngineConfig, seeds, rec_step: np.ndarray, total: int):
+    """(rec_theta, rec_x, fail) of `run_batch` in numpy, which defines them:
+    replication i draws from Generator(PCG64(int(seeds[i]))), first theta0
+    (`draw_theta0`), then its steps (`numpy_steps`).  The rows after each
+    step in the sorted rec_step go to rec_theta (nrec, n, k) and rec_x
+    (nrec, n, m); `diverged` screens every CHECK_EVERY-th step and the last,
+    and fail (n,) holds each replication's first flagged step, or -1.  The
+    counterpart of `_kernel.batch`."""
+    model, integ = config.model, config.integrator
+    n = len(seeds)
+    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    theta = draw_theta0(config, gens)
+    x = np.tile(integ.initial_state(model.m), (n, 1))
+    rec_theta = np.empty((len(rec_step), n, model.k))
+    rec_x = np.empty((len(rec_step), n, model.m))
+    fail = np.full(n, -1, dtype=np.int64)
+    advance = numpy_steps(config, gens, theta, x)
+    # stop at each checkpoint's step (0 for t = 1, where advance runs no step)
+    # and at each screening; rec_step is sorted, so each stop records rows
+    # [lo, hi).  A set, not np.union1d, whose np.unique imports numpy.ma (10
+    # ms) in the kernel's load-time check
+    stops = sorted({total, *rec_step.tolist(), *range(CHECK_EVERY, total, CHECK_EVERY)})
+    rows = zip(np.searchsorted(rec_step, stops, "left").tolist(),
+               np.searchsorted(rec_step, stops, "right").tolist())
+    step = 0
+    # a diverging replication overflows, before its first screening and on
+    # to the end, so suppress the warnings it raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stop, (lo, hi) in zip(stops, rows):
+            advance(step, stop)
+            step = stop
+            rec_theta[lo:hi] = theta
+            rec_x[lo:hi] = x
+            if step == total or 0 < step and step % CHECK_EVERY == 0:
+                fail[(fail < 0) & diverged(theta, x)] = step
+    return rec_theta, rec_x, fail
+
+
 def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     """Advance n = len(seeds) independent replications in lock-step.
 
@@ -222,54 +276,21 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     Checkpoints at t = 1 are recorded before the burn-in: their xs hold x0,
     not the state after the burn-in.
 
-    Python draws theta0, records checkpoints and screens for divergence; a
-    failed replication runs on, booked once in `failed`, and ends as NaN rows.
-    Between two such events the steps run in one call of the compiled
-    kernel where `_kernel.bind` takes the model, else in `numpy_steps`,
-    which defines them: the two agree bitwise.  Empty seeds
-    give an empty ReplicationSet.
+    The run is one call of the compiled kernel where `_kernel.batch` takes
+    the model: it seeds each replication's PCG64 from its integer seed,
+    draws theta0, records the checkpoints and screens for divergence at
+    every CHECK_EVERY-th step and the last.  Else it runs in `numpy_batch`,
+    which defines it: the two agree bitwise.  A failed replication runs on;
+    `failed` books each one at its first flagged step, in order of step,
+    then of replication, and its rows end as NaN.  Empty seeds give an
+    empty ReplicationSet.
     """
-    model, integ = config.model, config.integrator
-    n = len(seeds)
-    k, m = model.k, model.m
-    dt = integ.dt
-
-    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
-    theta = draw_theta0(config, gens)
-    x = np.tile(integ.initial_state(m), (n, 1))
-
-    burn_in = integ.burn_in_steps
-    total = burn_in + step_of(config.horizon, dt)
-    # a checkpoint is recorded after main step j = step_of(t), i.e. after
-    # step burn_in + j; those at t = 1 (j = 0) at step 0, before the burn-in
-    j = step_of(config.checkpoint_times, dt)
-    rec_step = np.where(j > 0, burn_in + j, 0)
-    rec_t = 1.0 + j * dt
-    rec_theta = np.empty((len(j), n, k))
-    rec_x = np.empty((len(j), n, m))
-    failed: dict = {}
-
-    advance = (_kernel.bind(config, gens, theta, x)
-               or numpy_steps(config, gens, theta, x))
-    # stop at each checkpoint's step (0 for t = 1, where advance runs no step)
-    # and at each screening: every CHECK_EVERY-th step and the end; rec_step
-    # is sorted, so each stop records rows [lo, hi)
-    stops = np.union1d(np.append(rec_step, total),
-                       np.arange(CHECK_EVERY, total, CHECK_EVERY))
-    rows = zip(np.searchsorted(rec_step, stops, "left").tolist(),
-               np.searchsorted(rec_step, stops, "right").tolist())
-    step = 0
-    # a diverging replication overflows, before its first screening and on
-    # until the NaN fill below, so suppress the warnings it raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stop, (lo, hi) in zip(stops.tolist(), rows):
-            advance(step, stop)
-            step = stop
-            rec_theta[lo:hi] = theta
-            rec_x[lo:hi] = x
-            if step == total or 0 < step and step % CHECK_EVERY == 0:
-                for i in np.flatnonzero(diverged(theta, x)).tolist():
-                    failed.setdefault(i, step)
-    rec_theta[:, list(failed)] = rec_x[:, list(failed)] = np.nan
-    return ReplicationSet(rec_t, rec_theta, rec_x, failed, model.true_theta)
-
+    j, rec_step, total = record_steps(config)
+    rec_theta, rec_x, fail = (_kernel.batch(config, seeds, rec_step, total)
+                              or numpy_batch(config, seeds, rec_step, total))
+    bad = np.flatnonzero(fail >= 0)
+    bad = bad[np.argsort(fail[bad], kind="stable")]
+    rec_theta[:, bad] = rec_x[:, bad] = np.nan
+    return ReplicationSet(1.0 + j * config.integrator.dt, rec_theta, rec_x,
+                          dict(zip(bad.tolist(), fail[bad].tolist())),
+                          config.model.true_theta)

@@ -41,7 +41,7 @@ def run_replications(config: EngineConfig, n_reps: int,
     replications advance as one vectorised batch."""
     if n_reps < 2:
         raise ReplicationError("n_reps must be >= 2")
-    reps = run_batch(config, [seed_split(master_seed, i) for i in range(n_reps)])
+    reps = run_batch(config, seed_split(master_seed, np.arange(n_reps)))
     if len(reps.failed) > 0.01 * n_reps:
         raise ReplicationError(
             "%d of %d replications diverged (indices %s)"

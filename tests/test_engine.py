@@ -49,6 +49,32 @@ def test_seed_split_properties():
     assert seed_split(12345, 3) == seed_split(12345, 3)
     with pytest.raises(ValueError):
         seed_split(0, -1)
+    with pytest.raises(ValueError):
+        seed_split(0, np.array([0, -1]))
+
+
+def python_seed_split(master, index):
+    """seed_split in Python's unbounded ints, reduced mod 2**64 by hand."""
+    mask = 2 ** 64 - 1
+    z = ((master + index * 0x9E3779B97F4A7C15) + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@settings(max_examples=50, deadline=None)
+@given(master=st.integers(-2 ** 70, 2 ** 70), start=st.integers(0, 2 ** 64),
+       n=st.integers(0, 50))
+@example(master=2 ** 64 - 1, start=2 ** 64 - 3, n=5)
+def test_seed_split_of_an_index_array_is_the_seeds_of_its_indices(master, start, n):
+    # uint64 arithmetic wraps where Python's ints are reduced mod 2**64
+    index = np.arange(n, dtype=np.uint64) + np.uint64(start % 2 ** 64)
+    got = seed_split(master, index)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    want = [python_seed_split(master, i) for i in index.tolist()]
+    assert got.tolist() == want
+    assert [seed_split(master, i) for i in index.tolist()] == want
+    assert all(type(seed_split(master, i)) is int for i in index.tolist()[:2])
 
 
 def test_geometric_checkpoints():
@@ -304,18 +330,18 @@ def numpy_only(cfg):
 
 def run_and_spy(cfg, seeds):
     """run_batch's result and whether it ran the compiled kernel."""
-    bound = []
+    ran = []
 
     def spy(*args):
-        advance = real(*args)
-        bound.append(advance is not None)
-        return advance
+        out = real(*args)
+        ran.append(out is not None)
+        return out
 
-    real = _kernel.bind
+    real = _kernel.batch
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "bind", spy)
+        mp.setattr(_kernel, "batch", spy)
         res = run_batch(cfg, seeds)
-    return res, bound == [True]
+    return res, ran == [True]
 
 
 @needs_compiler
@@ -404,6 +430,125 @@ def test_an_empty_batch_gives_an_empty_set(path):
     assert res.thetas.shape == (len(res.times), 0, 1)
     assert res.xs.shape == (len(res.times), 0, 1)
     assert res.n_reps == 0 and res.failed == {}
+
+
+@needs_compiler
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), k=st.integers(0, 4))
+@example(seed=0, k=4)
+@example(seed=2 ** 32 - 1, k=4)
+@example(seed=2 ** 32, k=4)
+@example(seed=2 ** 63, k=4)
+@example(seed=2 ** 64 - 1, k=4)
+def test_the_kernel_seeds_pcg64_as_numpy_does(seed, k):
+    # the stream of Generator(PCG64(seed)) and its first k uniforms, which
+    # run_batch draws theta0 from; from a list of ints and a uint64 array
+    lib = _kernel.load()
+    generator = np.random.Generator(np.random.PCG64(seed))
+    want = _kernel.streams([generator.bit_generator]), generator.random(k)
+    for seeds in ([seed], np.array([seed], dtype=np.uint64)):
+        words, u = _kernel.seeded(lib, seeds, k)
+        assert words.tolist() == want[0].tolist()
+        assert u.tobytes() == want[1].tobytes()
+
+
+# run_batch(make_config(horizon=3.0, burn_in=20), BIG_SEEDS).digest() at the
+# commit before the kernel came to seed PCG64 itself, when every seed went
+# through Generator(PCG64(int(seed)))
+BIG_SEEDS = [2 ** 64, 2 ** 64 + 1, 2 ** 100 + 7, 2 ** 128, 2 ** 200 + 12345, 3]
+BIG_SEEDS_DIGEST = "13de42711255cb1d12a2a2ee3642c49a2c810f79e567a73ba233bed87c95dd54"
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_seeds_past_two_to_the_64_keep_their_streams(path):
+    cfg = make_config(horizon=3.0, burn_in=20)
+    assert run_on(path, cfg, BIG_SEEDS).digest() == BIG_SEEDS_DIGEST
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("seeds", [[3, -1], np.array([3, -1]), [-2 ** 70]],
+                         ids=["list", "array", "big"])
+def test_a_negative_seed_raises_numpys_error(path, seeds):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_on(path, make_config(horizon=3.0), seeds)
+
+
+def screen_entries(bound):
+    """An entry of a row to screen: an edge of the bound or an ordinary value."""
+    return st.sampled_from([0.0, -0.0, bound, -bound, np.nextafter(bound, np.inf),
+                            np.nextafter(-bound, -np.inf), np.inf, -np.inf,
+                            np.nan]) | st.floats(-2.0 * bound, 2.0 * bound)
+
+
+def screen_rows(n, width, bound):
+    return st.lists(st.lists(screen_entries(bound), min_size=width, max_size=width),
+                    min_size=n, max_size=n).map(
+        lambda rows: np.array(rows, dtype=float).reshape(n, width))
+
+
+@needs_compiler
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), k=st.integers(1, 4), m=st.integers(1, 2))
+def test_the_kernel_screens_the_rows_diverged_flags(data, n, k, m):
+    theta = data.draw(screen_rows(n, k, sde.THETA_BOUND))
+    x = data.draw(screen_rows(n, m, DIVERGENCE_BOUND))
+    got = _kernel.screened(_kernel.load(), theta, x)
+    with np.errstate(invalid="ignore"):
+        assert got.tolist() == diverged(theta, x).tolist()
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [1, 11, 2048])
+def test_failed_is_booked_in_the_same_order_on_the_kernel_and_numpy(n):
+    # 600 steps: screenings at 256, 512 and the end; with |theta| <= 1.8 as
+    # the bound, replications fail at each of them, so failed's order (step,
+    # then replication) is not the replications' order
+    model, noise = scalar_ou()
+    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                       integrator=IntegratorConfig(dt=0.01, burn_in_steps=0),
+                       horizon=7.0, checkpoint_times=geometric_checkpoints(7.0, 5))
+    seeds = seed_split(1, np.arange(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "THETA_BOUND", 1.8)
+        got, want = run_on("kernel", cfg, seeds), run_on("numpy", cfg, seeds)
+    assert list(got.failed.items()) == list(want.failed.items())
+    assert got.thetas.tobytes() == want.thetas.tobytes()
+    assert got.xs.tobytes() == want.xs.tobytes()
+    if n == 2048:
+        assert {256, 512, 600} <= set(want.failed.values())
+        assert list(want.failed) != sorted(want.failed)
+
+
+@needs_compiler
+@pytest.mark.parametrize("n", [1, 11, 64])
+def test_a_kernel_run_is_one_kernel_call_and_builds_no_generator(n):
+    lib, calls = _kernel.load(), []
+
+    class Counting:
+        """lib, counting the calls of its entry points."""
+
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call if name.startswith("driftfit_") else fn
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a Generator or a PCG64 was built")
+
+    cfg = make_config(horizon=6.0)
+    seeds = seed_split(3, np.arange(n))
+    want = run_batch(numpy_only(cfg), seeds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_lib", Counting())
+        mp.setattr(np.random, "Generator", no_generator)
+        mp.setattr(np.random, "PCG64", no_generator)
+        got = run_batch(cfg, seeds)
+    assert calls == ["driftfit_batch"]
+    assert got.digest() == want.digest()
 
 
 @st.composite
@@ -555,7 +700,7 @@ def test_a_kernel_whose_normals_differ_from_numpy_is_not_used(reference, why, tm
 
 
 def one_ulp_off_for(body, name):
-    """_kernel's reference `name` (reference_steps or reference_replay), one
+    """_kernel's reference `name` (reference_batch or reference_replay), one
     ulp off for the model of body (family, m) alone."""
     real = getattr(_kernel, name)
 
@@ -565,19 +710,15 @@ def one_ulp_off_for(body, name):
             return out
         if name == "reference_replay":
             return np.nextafter(out, np.inf)
-        x = args[2]
-
-        def advance(lo, hi):
-            out(lo, hi)
-            x[-1, -1] = np.nextafter(x[-1, -1], np.inf)
-
-        return advance
+        rec_theta, rec_x, fail = out
+        rec_x[-1, -1, -1] = np.nextafter(rec_x[-1, -1, -1], np.inf)
+        return rec_theta, rec_x, fail
 
     return reference
 
 
 @needs_compiler
-@pytest.mark.parametrize("name, what", [("reference_steps", "span"),
+@pytest.mark.parametrize("name, what", [("reference_batch", "run"),
                                         ("reference_replay", "replay")])
 @pytest.mark.parametrize("body", sorted(_kernel.BODIES))
 def test_a_kernel_whose_arithmetic_differs_from_numpy_is_not_used(body, name, what,
@@ -603,6 +744,52 @@ def test_a_kernel_whose_csv_lines_differ_from_python_is_not_used(tmp_path):
 def test_the_load_time_check_runs_every_body():
     assert {(cfg.model.family, cfg.model.m)
             for cfg in _kernel.check_configs()} == _kernel.BODIES
+
+
+@pytest.mark.parametrize("cfg", _kernel.check_configs(), ids=lambda c: c.model.name)
+def test_the_load_time_check_runs_diverging_and_sound_replications(cfg):
+    # its run checks the screening on replications past the bound beside
+    # ones inside it, and records t = 1 before the burn-in and the last step
+    seeds = seed_split(_kernel.CHECK_SEED, np.arange(_kernel.CHECK_REPS))
+    _, rec_step, total = engine.record_steps(cfg)
+    fail = _kernel.reference_batch(cfg, seeds, rec_step, total)[2]
+    assert 0 < np.count_nonzero(fail >= 0) < _kernel.CHECK_REPS
+    assert (rec_step == 0).any() and (rec_step == total).any()
+
+
+def test_the_load_time_check_screens_rows_of_every_kind():
+    theta, x = _kernel.check_rows()
+    flagged = _kernel.reference_screen(theta, x)
+    assert flagged.any() and not flagged.all()
+    for a in (theta, x):
+        assert np.isnan(a).any() and np.isinf(a).any()
+        assert np.signbit(a[a == 0]).any()
+
+
+@needs_compiler
+def test_a_kernel_whose_seeding_differs_from_numpy_is_not_used(tmp_path):
+    real = _kernel.reference_seeded
+
+    def one_off(seeds):
+        words = real(seeds)
+        words[-1, 0] ^= 1
+        return words
+
+    message = assert_falls_back_to_numpy({"reference_seeded": one_off}, tmp_path)
+    assert "its seeding differs from numpy's PCG64(seed)" in message
+
+
+@needs_compiler
+def test_a_kernel_whose_screening_differs_from_numpy_is_not_used(tmp_path):
+    real = _kernel.reference_screen
+
+    def one_row_off(theta, x):
+        flags = real(theta, x)
+        flags[0] = ~flags[0]
+        return flags
+
+    message = assert_falls_back_to_numpy({"reference_screen": one_row_off}, tmp_path)
+    assert "its screening differs from sde.diverged" in message
 
 
 @needs_compiler
@@ -761,7 +948,7 @@ def test_the_kernel_normals_keep_a_negative_zero_draw():
     assert pcg64_at(state, inc).random_raw() == word
     want = _kernel.reference_normals(pcg64_at(state, inc), 1)
     assert want[0] == 0.0 and np.signbit(want[0])
-    # 9 generators: a full block of lanes and a replication on one lane
+    # the first draw of each of 9 generators
     lib = _kernel.load()
     got = assert_normals_are_numpys(lib, [pcg64_at(state, inc) for _ in range(9)],
                                     [pcg64_at(state, inc) for _ in range(9)], 1)

@@ -298,27 +298,19 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
                                            np.random.SFC64, np.random.Philox],
                          ids=lambda b: b.__name__)
 def test_bit_generators_other_than_pcg64_run_on_numpy(bit_generator):
-    # the kernel steps numpy's PCG64 alone
+    # simulate_path's kernel steps numpy's PCG64 alone; run_batch's seeds its
+    # own PCG64 streams from the integer seeds (test_engine checks them)
     model, noise = scalar_ou()
     numpy_only = dataclasses.replace(model, family=None)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
-    batch = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
-                         integrator=cfg, horizon=3.0,
-                         checkpoint_times=geometric_checkpoints(3.0, 5))
     assert _kernel.load() is not None  # checked on PCG64, before it is swapped
-    gens = [np.random.Generator(bit_generator(i)) for i in range(3)]
-    assert _kernel.bind(batch, gens, np.zeros((3, 1)), np.zeros((3, 1))) is None
     rng = np.random.Generator(bit_generator(3))
     assert _kernel.bind_path(model, noise, 0.01, rng, np.zeros(1)) is None
-    # with PCG64 swapped for it, simulate_path and run_batch give the numpy
-    # loop's bytes
-    seeds = [seed_split(5, i) for i in range(3)]
+    # with PCG64 swapped for it, simulate_path gives the numpy loop's bytes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "PCG64", bit_generator)
         (got, got_err, compiled), (want, want_err, _) = [
             run_path(m, noise, cfg, 3, 50) for m in (model, numpy_only)]
-        assert run_batch(batch, seeds).digest() == run_batch(
-            dataclasses.replace(batch, model=numpy_only), seeds).digest()
     assert not compiled and got_err is None and want_err is None
     assert [(t.tobytes(), x.tobytes()) for t, x in got] == [
         (t.tobytes(), x.tobytes()) for t, x in want]
