@@ -1,4 +1,4 @@
-/* The compiled SGDCT kernel for the compiled model families: six entry
+/* The compiled SGDCT kernel for the compiled model families: five entry
    points, each bitwise equal to the Python code it stands for.
 
      driftfit_batch   engine.run_batch from the integer seeds to the
@@ -6,7 +6,6 @@
      driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
      driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
      driftfit_csv     sde.write_csv's '%.12g' lines of a block of cells
-     driftfit_seed    the streams and first draws of np.random.PCG64(seed)
      driftfit_screen  sde.diverged's rule on rows of theta and x
 
    The Python code is the definition; this file repeats its arithmetic
@@ -329,13 +328,13 @@ typedef struct {
 /* Runs L replications together, as L lanes, with L a constant at each call
    (B or 1), from replication i0: each lane's stream is seeded, theta0 is
    drawn from it (engine.draw_theta0: lo + (hi - lo) u, u its first k
-   draws) and x starts at x0; then the lanes go through all the steps,
-   stopping at each recorded step and each screening.  Each step first
-   draws the L lanes' normals, replication by replication, then runs the
-   arithmetic on all lanes.  Each lane does numpy's operations in numpy's
-   order and draws only from its own stream, so neither the grouping nor
-   the lanes can change a bit.  The L PCG64 recurrences are independent, so
-   the CPU overlaps them.
+   draws) and x starts at x0; then the lanes go through all the steps in
+   engine.numpy_batch's order, stopping at each recorded step and each
+   screening.  Each step first draws the L lanes' normals, replication by
+   replication, then runs the arithmetic on all lanes.  Each lane does
+   numpy's operations in numpy's order and draws only from its own stream,
+   so neither the grouping nor the lanes can change a bit.  The L PCG64
+   recurrences are independent, so the CPU overlaps them.
 
    The start and each stop go through a copy of the lane arrays th and xs,
    at, and theta0's draws through uniforms, not inlined: writing th and xs
@@ -515,24 +514,11 @@ int driftfit_batch(int family, int64_t m, const double *true_p,
 #undef BATCH
 }
 
-/* The streams of np.random.PCG64(seed) for the n seeds (n, w), as
-   driftfit_batch seeds them, into streams (n, 4), and each one's first k
-   next_double draws into u (n, k).  Returns 0. */
-int driftfit_seed(int64_t n, int64_t w, const uint64_t *seeds, int64_t k,
-                  uint64_t *streams, double *u)
-{
-    for (int64_t i = 0; i < n; i++) {
-        pcg64 g = seed_stream(seeds + i * w, w);
-        store_stream(&g, streams + 4 * i);
-        streams[4 * i + 2] = (uint64_t)g.inc;
-        streams[4 * i + 3] = (uint64_t)(g.inc >> 64);
-        uniforms(&g, k, u + i * k);
-    }
-    return 0;
-}
-
 /* Into flags[i] (n), whether driftfit_batch's screening flags the row of
-   theta (n, k) and x (n, m).  Returns 0. */
+   theta (n, k) and x (n, m).  Returns 0.  The load-time check's runs test
+   the screening only on what a run reaches; their rows never hold the
+   edges _kernel.check_rows holds (a bound itself, the double past it,
+   ±inf, NaN), which this entry screens. */
 int driftfit_screen(int64_t n, int64_t k, int64_t m, const double *theta,
                     const double *x, double theta_bound, double x_bound,
                     uint8_t *flags)

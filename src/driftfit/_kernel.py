@@ -9,8 +9,8 @@ models of `models.FAMILIES` that `covers` accepts, reading their
 parameters from `true_theta`; the others run the numpy code, which defines
 the results.  The lines cover each cell v with 10^-11 <= |v| < 2^127, ±0,
 ±inf and NaN; a block with any other cell is formatted by Python's %, which
-defines the bytes.  Two more, the seeding and the screening of `batch`,
-are there for the load-time check and the tests.
+defines the bytes.  One more, the screening of `batch`, is there for the
+load-time check and the tests.
 
 The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
 stream from its integer seed, as np.random.PCG64(seed) does by numpy's
@@ -30,14 +30,14 @@ another CPU never loads a kernel built for a level that CPU lacks.
 Each process checks it before use (`_mismatch`): CHECK_CALLS normals from
 each of CHECK_GENERATORS PCG64 generators, drawn through the path's loop
 (`normals`), must equal `Generator.standard_normal`'s bytes and leave the
-same bit-generator states; the streams it seeds from a table of edge seeds
-(`CHECK_SEEDS`) must be np.random.PCG64's, and its screening of a table of
-edge rows (`check_rows`) `sde.diverged`'s; then a small run, with diverging
-replications, and a replay of each body in BODIES must give the bytes of
-the numpy code they stand for, and the CSV lines of a table of edge cases
-(`check_cells`) those of Python's %.  Where it cannot be built or loaded,
-or fails that check, every entry point runs numpy and one RuntimeWarning
-per process says why.
+same bit-generator states, and its screening of a table of edge rows
+(`check_rows`) must be `sde.diverged`'s; then for each body in BODIES a
+small run, with diverging replications and seeded from a table of edge
+seeds (`CHECK_SEEDS`) among others, a short path and a replay must give
+the bytes of the numpy code they stand for, and the CSV lines of a table
+of edge cases (`check_cells`) those of Python's %.  Where it cannot be
+built or loaded, or fails that check, every entry point runs numpy and one
+RuntimeWarning per process says why.
 """
 from __future__ import annotations
 
@@ -69,14 +69,15 @@ CHECK_GENERATORS, CHECK_CALLS = 256, 256
 # a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi;
 # and a seed's, least significant first
 WORD = 1 << 64
-# the check's seeds: the ends of one, two and three 32-bit words of
-# SeedSequence's entropy, of one and two 64-bit words of the kernel's, and
-# past its pool of four 32-bit words
+# the first seeds of the check's runs: the ends of one, two and three 32-bit
+# words of SeedSequence's entropy, of one and two 64-bit words of the
+# kernel's, and past its pool of four 32-bit words
 CHECK_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, WORD - 1, WORD, 2 ** 96,
                2 ** 128 - 1, 2 ** 128, 2 ** 200 + 12345)
 # the check's run per body: CHECK_REPS replications, full blocks of lanes
 # (8 or 4) and a partial one, over CHECK_STEPS steps of which CHECK_BURN_IN
-# are burn-in; and its replay over CHECK_ROWS rows
+# are burn-in; its path of CHECK_STEPS steps; and its replay over CHECK_ROWS
+# rows
 CHECK_REPS, CHECK_STEPS, CHECK_BURN_IN, CHECK_ROWS = 19, 40, 5, 30
 CHECK_C_ALPHA = 4.0
 # driftfit_csv's range of nonzero |v|: the least double >= 10^-11 (the
@@ -197,8 +198,6 @@ def _open():
                                     ptr, ptr]
     lib.driftfit_csv.restype = i64
     lib.driftfit_csv.argtypes = [ptr, i64, i64, ptr]
-    lib.driftfit_seed.restype = ctypes.c_int
-    lib.driftfit_seed.argtypes = [i64, i64, ptr, i64, ptr, ptr]
     lib.driftfit_screen.restype = ctypes.c_int
     lib.driftfit_screen.argtypes = [i64, i64, i64, ptr, ptr, dbl, dbl, ptr]
     return lib
@@ -234,17 +233,6 @@ def seed_words(seeds) -> np.ndarray:
     w = max(1, (max(ints, default=0).bit_length() + 63) // 64)
     rows = [[s >> 64 * j & WORD - 1 for j in range(w)] for s in ints] if w > 1 else ints
     return np.array(rows, dtype=np.uint64).reshape(-1, w)
-
-
-def seeded(lib, seeds, k: int):
-    """(streams, u): the streams of np.random.PCG64(s) for s in seeds, as the
-    kernel seeds them, packed as `streams` packs a state, and each one's
-    first k next_double draws (n, k), which run_batch's theta0 is drawn from."""
-    words = seed_words(seeds)
-    out, u = np.empty((len(words), 4), dtype=np.uint64), np.empty((len(words), k))
-    lib.driftfit_seed(len(words), words.shape[1], words.ctypes.data, k,
-                      out.ctypes.data, u.ctypes.data)
-    return out, u
 
 
 def screened(lib, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -290,16 +278,20 @@ def reference_normals(bit_generator, n: int) -> np.ndarray:
     return np.random.Generator(bit_generator).standard_normal(n)
 
 
-def reference_seeded(seeds) -> np.ndarray:
-    """np.random.PCG64(seed)'s public state, which defines the kernel's
-    seeding, packed as `streams` packs it."""
-    return streams(np.random.PCG64(int(seed)) for seed in seeds)
-
-
 def reference_batch(config, seeds, rec_step: np.ndarray, total: int):
     """numpy's run_batch loop, which defines the kernel's batch."""
     from . import engine
     return engine.numpy_batch(config, seeds, rec_step, total)
+
+
+def reference_path(config, seed: int, steps: int) -> np.ndarray:
+    """The states after each of `steps` steps of simulate_path's euler_step
+    loop from seed, which defines the kernel's path (its model with no
+    family, so that the kernel does not run it)."""
+    from . import sde
+    model = dataclasses.replace(config.model, family=None)
+    blocks = sde.simulate_path(model, config.noise, config.integrator, seed, steps)
+    return np.concatenate([x for _, x in blocks])
 
 
 def reference_screen(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -339,7 +331,9 @@ def check_cells():
 def check_rows():
     """The load-time check's rows, theta (n, 2) and x (n, 1): each pair of
     theta entries beside each x entry, of ±0, ±bound, the doubles past them,
-    ±inf, NaN and two ordinary values, at sde's bounds as they are now."""
+    ±inf, NaN and two ordinary values, at sde's bounds as they are now.  No
+    run of the check reaches these edges, so they go through the screening
+    entry point alone."""
     from . import sde
 
     def entries(bound):
@@ -372,20 +366,30 @@ def check_configs() -> list:
                  800.0))]
 
 
+def check_seeds() -> list:
+    """The seeds of the check's run: CHECK_SEEDS, then seed_split(CHECK_SEED,
+    i) for i = 0, 1, ... up to CHECK_REPS seeds."""
+    from .engine import seed_split
+    pad = seed_split(CHECK_SEED, np.arange(CHECK_REPS - len(CHECK_SEEDS)))
+    return [*CHECK_SEEDS, *pad.tolist()]
+
+
 def _check_run(run, config) -> bytes:
     """The bytes of run(config, seeds, rec_step, total), the recorded rows
-    and failing steps of the check's CHECK_REPS replications."""
-    from .engine import record_steps, seed_split
+    and failing steps of the check's replications, seeded by check_seeds:
+    the t = 1 rows hold each stream's theta0 draw, and the later ones
+    depend on every normal it draws."""
+    from .engine import record_steps
     _, rec_step, total = record_steps(config)
-    out = run(config, seed_split(CHECK_SEED, np.arange(CHECK_REPS)), rec_step, total)
-    return b"".join(a.tobytes() for a in out)
+    return b"".join(a.tobytes() for a in run(config, check_seeds(), rec_step, total))
 
 
 def _mismatch(lib):
     """Why the kernel differs from numpy, or None if it agrees: first its
-    normals, then its seeding, its screening, the run and the replay of each
+    normals, then its screening, the run, the path and the replay of each
     body in BODIES, then its CSV lines."""
     from .engine import seed_split
+    from .sde import IntegratorConfig
     seeds = seed_split(CHECK_SEED, np.arange(CHECK_GENERATORS)).tolist()
     ours, theirs = ([np.random.PCG64(seed) for seed in seeds] for _ in range(2))
     got = normals(lib, ours, CHECK_CALLS)
@@ -394,8 +398,6 @@ def _mismatch(lib):
         return "its normal draws differ from numpy's standard_normal"
     if [b.state for b in ours] != [b.state for b in theirs]:
         return "its normal draws leave another bit-generator state than numpy's"
-    if seeded(lib, CHECK_SEEDS, 0)[0].tobytes() != reference_seeded(CHECK_SEEDS).tobytes():
-        return "its seeding differs from numpy's PCG64(seed)"
     theta, x = check_rows()
     if screened(lib, theta, x).tolist() != reference_screen(theta, x).tolist():
         return "its screening differs from sde.diverged"
@@ -406,11 +408,20 @@ def _mismatch(lib):
         kernel = _check_run(lambda *args: _batch(lib, *args), config)
         if kernel != _check_run(reference_batch, config):
             return "its run of body %s differs from numpy's run_batch loop" % body
+        # the path: CHECK_STEPS steps from an x0 off zero, with no burn-in
+        integ = IntegratorConfig(dt=config.integrator.dt, burn_in_steps=0,
+                                 x0=np.linspace(0.7, -0.4, model.m))
+        sched = dataclasses.replace(config.schedule, c_alpha=CHECK_C_ALPHA)
+        config = dataclasses.replace(config, integrator=integ, schedule=sched)
+        path = np.empty((CHECK_STEPS, model.m))
+        _bind_path(lib, model, config.noise, integ.dt,
+                   np.random.default_rng(CHECK_SEED), integ.initial_state(model.m))(path)
+        if path.tobytes() != reference_path(config, CHECK_SEED, CHECK_STEPS).tobytes():
+            return ("its path of body %s differs from simulate_path's euler_step loop"
+                    % body)
         times = 1.0 + np.cumsum(rng.uniform(0.005, 0.02, CHECK_ROWS))
         xs = np.cumsum(0.1 * rng.standard_normal((CHECK_ROWS, model.m)), axis=0)
         theta = model.true_theta + rng.uniform(-0.5, 0.5, model.k)
-        config = dataclasses.replace(
-            config, schedule=dataclasses.replace(config.schedule, c_alpha=CHECK_C_ALPHA))
         out = np.empty((CHECK_ROWS - 1, model.k))
         _replay(lib, config, times, xs, theta, out)
         if out.tobytes() != reference_replay(config, times, xs, theta).tobytes():
@@ -535,7 +546,12 @@ def bind_path(model, noise, dt: float, rng, x: np.ndarray):
     advances its own copy (`streams`), so rng is not advanced, and must not
     be drawn from again."""
     lib = _covering(model, noise)
-    words = None if lib is None else streams([rng.bit_generator])
+    return None if lib is None else _bind_path(lib, model, noise, dt, rng, x)
+
+
+def _bind_path(lib, model, noise, dt: float, rng, x: np.ndarray):
+    """`bind_path` on the library lib."""
+    words = streams([rng.bit_generator])
     if words is None:
         return None
     path = _entry(lib, "path", model)

@@ -186,38 +186,6 @@ def numpy_replay(config: EngineConfig, times: np.ndarray, xs: np.ndarray,
     return out
 
 
-def numpy_steps(config: EngineConfig, gens, theta: np.ndarray, x: np.ndarray):
-    """advance(lo, hi): run steps [lo, hi) of `run_batch` in the numpy loop,
-    which defines them, updating theta (n, k) and x (n, m) in place; replication
-    i draws from gens[i]."""
-    model, noise, sched, integ = (config.model, config.noise,
-                                  config.schedule, config.integrator)
-    n, m = x.shape
-    dt = integ.dt
-    sqdt = np.sqrt(dt)
-    sigma_t = noise.sigma.T.copy()
-    burn_in = integ.burn_in_steps
-    total = burn_in + step_of(config.horizon, dt)
-    # never larger than the run itself, so n = 1 runs allocate only what they use
-    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * max(n, 1) * m)))
-    xi = np.empty((noise_chunk, n, m))
-
-    def advance(lo, hi):
-        for step in range(lo, hi):
-            if step % noise_chunk == 0:  # xi holds the noise of this chunk's steps
-                span = min(noise_chunk, total - step)
-                for i, g in enumerate(gens):
-                    xi[:span, i, :] = g.standard_normal((span, m))
-            dx = model.true_drift_fn(x) * dt + sqdt * xi[step % noise_chunk] @ sigma_t
-            nmain = step - burn_in  # completed main steps
-            if nmain >= 0:  # in place: the screening and the checkpoints read theta
-                theta[:] = sgdct_step(model, noise, sched, 1.0 + nmain * dt,
-                                      x, theta, dx, dt)
-            np.add(x, dx, out=x)  # in place, like theta
-
-    return advance
-
-
 def record_steps(config: EngineConfig):
     """(j, rec_step, total): each checkpoint's main step j = step_of(t), the
     step after which run_batch records it, burn_in + j, or 0 for t = 1 (j =
@@ -230,38 +198,49 @@ def record_steps(config: EngineConfig):
 def numpy_batch(config: EngineConfig, seeds, rec_step: np.ndarray, total: int):
     """(rec_theta, rec_x, fail) of `run_batch` in numpy, which defines them:
     replication i draws from Generator(PCG64(int(seeds[i]))), first theta0
-    (`draw_theta0`), then its steps (`numpy_steps`).  The rows after each
-    step in the sorted rec_step go to rec_theta (nrec, n, k) and rec_x
-    (nrec, n, m); `diverged` screens every CHECK_EVERY-th step and the last,
-    and fail (n,) holds each replication's first flagged step, or -1.  The
-    counterpart of `_kernel.batch`."""
-    model, integ = config.model, config.integrator
-    n = len(seeds)
+    (`draw_theta0`), then one normal m-vector per step.  For s = 0..total in
+    order, as the kernel's `lanes` loop runs them: the rows of the sorted
+    rec_step equal to s get theta and x after s steps, in rec_theta (nrec,
+    n, k) and rec_x (nrec, n, m); `diverged` screens at each positive
+    multiple of CHECK_EVERY and at total, and fail (n,) holds each
+    replication's first flagged s, or -1; then step s + 1 runs, its noise
+    drawn ahead in chunks.  The counterpart of `_kernel.batch`."""
+    model, noise, sched, integ = (config.model, config.noise,
+                                  config.schedule, config.integrator)
+    n, m, dt, burn_in = len(seeds), model.m, integ.dt, integ.burn_in_steps
+    sqdt = np.sqrt(dt)
+    sigma_t = noise.sigma.T.copy()
     gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
     theta = draw_theta0(config, gens)
-    x = np.tile(integ.initial_state(model.m), (n, 1))
+    x = np.tile(integ.initial_state(m), (n, 1))
     rec_theta = np.empty((len(rec_step), n, model.k))
-    rec_x = np.empty((len(rec_step), n, model.m))
+    rec_x = np.empty((len(rec_step), n, m))
     fail = np.full(n, -1, dtype=np.int64)
-    advance = numpy_steps(config, gens, theta, x)
-    # stop at each checkpoint's step (0 for t = 1, where advance runs no step)
-    # and at each screening; rec_step is sorted, so each stop records rows
-    # [lo, hi).  A set, not np.union1d, whose np.unique imports numpy.ma (10
-    # ms) in the kernel's load-time check
-    stops = sorted({total, *rec_step.tolist(), *range(CHECK_EVERY, total, CHECK_EVERY)})
-    rows = zip(np.searchsorted(rec_step, stops, "left").tolist(),
-               np.searchsorted(rec_step, stops, "right").tolist())
-    step = 0
+    # never larger than the run itself, so n = 1 runs allocate only what they use
+    noise_chunk = max(1, min(total, NOISE_BUFFER_BYTES // (8 * max(n, 1) * m)))
+    xi = np.empty((noise_chunk, n, m))
+    recorded, rec = rec_step.tolist(), 0
     # a diverging replication overflows, before its first screening and on
     # to the end, so suppress the warnings it raises
     with np.errstate(over="ignore", invalid="ignore"):
-        for stop, (lo, hi) in zip(stops, rows):
-            advance(step, stop)
-            step = stop
-            rec_theta[lo:hi] = theta
-            rec_x[lo:hi] = x
+        for step in range(total + 1):
+            while rec < len(recorded) and recorded[rec] == step:
+                rec_theta[rec], rec_x[rec] = theta, x
+                rec += 1
             if step == total or 0 < step and step % CHECK_EVERY == 0:
                 fail[(fail < 0) & diverged(theta, x)] = step
+            if step == total:
+                break
+            if step % noise_chunk == 0:  # xi holds the noise of this chunk's steps
+                span = min(noise_chunk, total - step)
+                for i, g in enumerate(gens):
+                    xi[:span, i, :] = g.standard_normal((span, m))
+            dx = model.true_drift_fn(x) * dt + sqdt * xi[step % noise_chunk] @ sigma_t
+            nmain = step - burn_in  # completed main steps
+            if nmain >= 0:
+                theta = sgdct_step(model, noise, sched, 1.0 + nmain * dt, x, theta,
+                                   dx, dt)
+            x += dx
     return rec_theta, rec_x, fail
 
 

@@ -423,6 +423,23 @@ def test_adding_a_checkpoint_leaves_the_other_rows_unchanged(path, extra):
 
 
 @pytest.mark.parametrize("path", PATHS)
+def test_two_checkpoints_on_one_step_record_the_same_rows(path):
+    # 1.2345 and 1.235 both round up to main step 24, recorded after step 34
+    cfg = dataclasses.replace(
+        make_config(horizon=3.0, dt=0.01, burn_in=10),
+        checkpoint_times=np.array([1.0, 1.0, 1.2345, 1.235, 2.0, 3.0]))
+    assert engine.record_steps(cfg)[1].tolist() == [0, 0, 34, 34, 110, 210]
+    once = dataclasses.replace(cfg, checkpoint_times=np.array([1.0, 1.2345, 2.0, 3.0]))
+    seeds = seed_split(12, np.arange(9))
+    got, want = run_on(path, cfg, seeds), run_on(path, once, seeds)
+    assert got.thetas[[0, 2, 4, 5]].tobytes() == want.thetas.tobytes()
+    assert got.xs[[0, 2, 4, 5]].tobytes() == want.xs.tobytes()
+    assert got.thetas[[1, 3]].tobytes() == want.thetas[:2].tobytes()
+    assert got.xs[[1, 3]].tobytes() == want.xs[:2].tobytes()
+    assert got.digest() == run_on("numpy", cfg, seeds).digest()
+
+
+@pytest.mark.parametrize("path", PATHS)
 def test_an_empty_batch_gives_an_empty_set(path):
     cfg = make_config()
     res = run_on(path, cfg, [])
@@ -434,22 +451,21 @@ def test_an_empty_batch_gives_an_empty_set(path):
 
 @needs_compiler
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 64 - 1), k=st.integers(0, 4))
-@example(seed=0, k=4)
-@example(seed=2 ** 32 - 1, k=4)
-@example(seed=2 ** 32, k=4)
-@example(seed=2 ** 63, k=4)
-@example(seed=2 ** 64 - 1, k=4)
-def test_the_kernel_seeds_pcg64_as_numpy_does(seed, k):
-    # the stream of Generator(PCG64(seed)) and its first k uniforms, which
-    # run_batch draws theta0 from; from a list of ints and a uint64 array
-    lib = _kernel.load()
-    generator = np.random.Generator(np.random.PCG64(seed))
-    want = _kernel.streams([generator.bit_generator]), generator.random(k)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       factory=st.sampled_from([scalar_ou, mean_reversion, linear_system]))
+@example(seed=0, factory=linear_system)
+@example(seed=2 ** 32 - 1, factory=linear_system)
+@example(seed=2 ** 32, factory=linear_system)
+@example(seed=2 ** 63, factory=linear_system)
+@example(seed=2 ** 64 - 1, factory=linear_system)
+def test_the_kernel_seeds_pcg64_as_numpy_does(seed, factory):
+    # the stream of Generator(PCG64(seed)): the t = 1 row holds its theta0
+    # draw (up to 4 uniforms) and the later rows its normals; from a list of
+    # ints and a uint64 array
+    cfg = make_config(horizon=1.05, n_cp=3, burn_in=2, factory=factory)
+    want = run_on("numpy", cfg, [seed]).digest()
     for seeds in ([seed], np.array([seed], dtype=np.uint64)):
-        words, u = _kernel.seeded(lib, seeds, k)
-        assert words.tolist() == want[0].tolist()
-        assert u.tobytes() == want[1].tobytes()
+        assert run_on("kernel", cfg, seeds).digest() == want
 
 
 # run_batch(make_config(horizon=3.0, burn_in=20), BIG_SEEDS).digest() at the
@@ -700,15 +716,15 @@ def test_a_kernel_whose_normals_differ_from_numpy_is_not_used(reference, why, tm
 
 
 def one_ulp_off_for(body, name):
-    """_kernel's reference `name` (reference_batch or reference_replay), one
-    ulp off for the model of body (family, m) alone."""
+    """_kernel's reference `name` (reference_batch, reference_path or
+    reference_replay), one ulp off for the model of body (family, m) alone."""
     real = getattr(_kernel, name)
 
     def reference(config, *args):
         out = real(config, *args)
         if (config.model.family, config.model.m) != body:
             return out
-        if name == "reference_replay":
+        if name != "reference_batch":
             return np.nextafter(out, np.inf)
         rec_theta, rec_x, fail = out
         rec_x[-1, -1, -1] = np.nextafter(rec_x[-1, -1, -1], np.inf)
@@ -719,6 +735,7 @@ def one_ulp_off_for(body, name):
 
 @needs_compiler
 @pytest.mark.parametrize("name, what", [("reference_batch", "run"),
+                                        ("reference_path", "path"),
                                         ("reference_replay", "replay")])
 @pytest.mark.parametrize("body", sorted(_kernel.BODIES))
 def test_a_kernel_whose_arithmetic_differs_from_numpy_is_not_used(body, name, what,
@@ -749,8 +766,11 @@ def test_the_load_time_check_runs_every_body():
 @pytest.mark.parametrize("cfg", _kernel.check_configs(), ids=lambda c: c.model.name)
 def test_the_load_time_check_runs_diverging_and_sound_replications(cfg):
     # its run checks the screening on replications past the bound beside
-    # ones inside it, and records t = 1 before the burn-in and the last step
-    seeds = seed_split(_kernel.CHECK_SEED, np.arange(_kernel.CHECK_REPS))
+    # ones inside it, and records t = 1 before the burn-in and the last step;
+    # its first seeds are the edge seeds
+    seeds = _kernel.check_seeds()
+    assert seeds[:len(_kernel.CHECK_SEEDS)] == list(_kernel.CHECK_SEEDS)
+    assert len(seeds) == _kernel.CHECK_REPS
     _, rec_step, total = engine.record_steps(cfg)
     fail = _kernel.reference_batch(cfg, seeds, rec_step, total)[2]
     assert 0 < np.count_nonzero(fail >= 0) < _kernel.CHECK_REPS
@@ -768,15 +788,19 @@ def test_the_load_time_check_screens_rows_of_every_kind():
 
 @needs_compiler
 def test_a_kernel_whose_seeding_differs_from_numpy_is_not_used(tmp_path):
-    real = _kernel.reference_seeded
+    # the load-time check's runs read each edge seed's theta0 in their t = 1
+    # row; one bit of it off for the replication seeded 2**128
+    real = _kernel.reference_batch
 
-    def one_off(seeds):
-        words = real(seeds)
-        words[-1, 0] ^= 1
-        return words
+    def one_bit_off(config, seeds, *args):
+        rec_theta, rec_x, fail = real(config, seeds, *args)
+        assert engine.record_steps(config)[1][0] == 0  # row 0 is t = 1
+        theta0 = rec_theta[0, list(seeds).index(2 ** 128)]
+        theta0.view(np.uint64)[0] ^= np.uint64(1)
+        return rec_theta, rec_x, fail
 
-    message = assert_falls_back_to_numpy({"reference_seeded": one_off}, tmp_path)
-    assert "its seeding differs from numpy's PCG64(seed)" in message
+    message = assert_falls_back_to_numpy({"reference_batch": one_bit_off}, tmp_path)
+    assert "its run of body" in message
 
 
 @needs_compiler
@@ -805,7 +829,7 @@ def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
             for factory in (scalar_ou, mean_reversion, linear_system)]
     seeds = [seed_split(9, i) for i in range(19)]
     want = [run_batch(numpy_only(cfg), seeds).digest() for cfg in cfgs]
-    want_path = simulate_and_replay(numpy_only(cfgs[2]), 9)
+    want_paths = [simulate_and_replay(numpy_only(cfg), 9) for cfg in cfgs]
     names = set()
     for level, features in levels.items():
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
@@ -816,11 +840,11 @@ def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
             flags = _kernel.march()
             assert flags == (() if level == "baseline" else ("-march=x86-64-" + level,))
             names.add(os.path.basename(_kernel.load()._name))
-            for cfg, digest in zip(cfgs, want):
+            for cfg, digest, want_path in zip(cfgs, want, want_paths):
                 got, compiled = run_and_spy(cfg, seeds)
                 assert compiled and got.digest() == digest, (level, cfg.model.name)
-            for got, expected in zip(simulate_and_replay(cfgs[2], 9), want_path):
-                assert got.tobytes() == expected.tobytes(), level
+                for part, expected in zip(simulate_and_replay(cfg, 9), want_path):
+                    assert part.tobytes() == expected.tobytes(), (level, cfg.model.name)
     # the level is part of the kernel's cache key
     assert len(names) == len(levels)
 
