@@ -39,8 +39,6 @@ print("ratio                       : %.3f" % report.variance_ratio[0, 0])
 print("KS statistic vs normal      : %.4f  (1%% critical %.4f)"
       % (report.ks_statistic[0],
          stats.KS_CRITICAL_1PCT / np.sqrt(report.n_samples)))
-print("skewness / excess kurtosis  : %+.3f / %+.3f"
-      % (report.skewness[0], report.excess_kurtosis[0]))
 
 # coarse text histogram of the standardized sample
 z = sample[:, 0] / np.sqrt(pred.sigma_bar[0, 0])

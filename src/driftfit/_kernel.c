@@ -74,15 +74,15 @@ static inline double next_double(pcg64 *g)
     return (next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* np.random.PCG64(s) for an integer s >= 0, by numpy's public algorithm.
-   SeedSequence reads s as its 32-bit words, least significant first (one
-   word, 0, for s = 0), and hashes them into a pool of POOL words
-   (mix_entropy); generate_state(4, uint64) hashes the pool into 8 words,
-   read in (low, high) pairs as the 64-bit words v0..v3.  PCG64 then seeds
-   with initstate = v0 << 64 | v1 and initseq = v2 << 64 | v3: state = 0,
-   inc = initseq << 1 | 1, a step, state += initstate, a step.  s comes as
-   w 64-bit words, least significant first; zero words above its highest
-   nonzero one are padding, not words of s. */
+/* np.random.PCG64(s) for an integer 0 <= s < 2^64, by numpy's public
+   algorithm.  SeedSequence reads s as its 32-bit words, least significant
+   first (one for s < 2^32, else two), and hashes them into a pool of POOL
+   words, a zero for each slot past them (mix_entropy): so s's high word,
+   where it is zero, hashes as that zero would.  generate_state(4, uint64)
+   hashes the pool into 8 words, read in (low, high) pairs as the 64-bit
+   words v0..v3.  PCG64 then seeds with initstate = v0 << 64 | v1 and
+   initseq = v2 << 64 | v3: state = 0, inc = initseq << 1 | 1, a step,
+   state += initstate, a step. */
 enum { POOL = 4 };
 
 static inline uint32_t hashmix(uint32_t v, uint32_t *h)
@@ -99,28 +99,16 @@ static inline uint32_t mix(uint32_t x, uint32_t y)
     return r ^ r >> 16;
 }
 
-static inline uint32_t word32(const uint64_t *s, int64_t j)
-{
-    return (uint32_t)(s[j / 2] >> 32 * (j % 2));
-}
-
-static __attribute__((noinline)) pcg64
-seed_stream(const uint64_t *s, int64_t w)
+static __attribute__((noinline)) pcg64 seed_stream(uint64_t s)
 {
     uint32_t pool[POOL], h = 0x43b0d7e5u;
     uint64_t v[POOL];
-    int64_t len = 2 * w;
-    while (len > 1 && word32(s, len - 1) == 0)
-        len--;
     for (int i = 0; i < POOL; i++)
-        pool[i] = hashmix(i < len ? word32(s, i) : 0, &h);
+        pool[i] = hashmix(i < 2 ? (uint32_t)(s >> 32 * i) : 0, &h);
     for (int src = 0; src < POOL; src++)
         for (int dst = 0; dst < POOL; dst++)
             if (src != dst)
                 pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
-    for (int64_t src = POOL; src < len; src++)
-        for (int dst = 0; dst < POOL; dst++)
-            pool[dst] = mix(pool[dst], hashmix(word32(s, src), &h));
     h = 0x8b51f9ddu;
     for (int j = 0; j < 2 * POOL; j++) {
         uint32_t d = pool[j % POOL] ^ h;
@@ -318,7 +306,7 @@ past(int64_t c, int L, int b, const double *v, double bound)
 typedef struct {
     const double *true_p, *sigma_t, *a_inv, *lo, *hi, *x0;
     double dt, c_alpha, c0, theta_bound, x_bound;
-    int64_t burn_in, total, every, n, w, nrec;
+    int64_t burn_in, total, every, n, nrec;
     const uint64_t *seeds;
     const int64_t *rec_step;
     double *rec_theta, *rec_x;
@@ -358,7 +346,7 @@ lanes(int family, int64_t m, int L, const batch_t *r, int64_t i0)
 
     for (int b = 0; b < L; b++) {
         double u[MAX_K];
-        rng[b] = seed_stream(r->seeds + (i0 + b) * r->w, r->w);
+        rng[b] = seed_stream(r->seeds[i0 + b]);
         uniforms(&rng[b], k, u);
         fail[b] = -1;
         for (int64_t q = 0; q < k; q++) {
@@ -489,10 +477,9 @@ replay(int family, int64_t m, const double *a_inv, double c_alpha, double c0,
         return CALL(LINEAR, 2);                          \
     return -1
 
-/* engine.run_batch for the n replications seeded by seeds (n, w), each
-   seed w 64-bit words, least significant first: replication i's stream is
-   np.random.PCG64's for seed i, its theta0 lo + (hi - lo) u in the box
-   lo, hi (k,), and x0 (m,) its start.  Its rows after step rec_step[r]
+/* engine.run_batch for the n replications seeded by seeds (n): replication
+   i's stream is np.random.PCG64's for seed i, its theta0 lo + (hi - lo) u
+   in the box lo, hi (k,), and x0 (m,) its start.  Its rows after step rec_step[r]
    (nrec, sorted, within [0, total]) go to rec_theta[r, i] (nrec, n, k) and
    rec_x[r, i] (nrec, n, m); fail[i] (n) gets the first step at which it is
    screened past theta_bound or x_bound, or -1.  Steps burn_in onwards
@@ -502,12 +489,12 @@ int driftfit_batch(int family, int64_t m, const double *true_p,
                    const double *sigma_t, const double *a_inv, double dt,
                    double c_alpha, double c0, const double *lo, const double *hi,
                    const double *x0, int64_t burn_in, int64_t total, int64_t every,
-                   double theta_bound, double x_bound, int64_t n, int64_t w,
+                   double theta_bound, double x_bound, int64_t n,
                    const uint64_t *seeds, int64_t nrec, const int64_t *rec_step,
                    double *rec_theta, double *rec_x, int64_t *fail)
 {
     const batch_t r = {true_p, sigma_t, a_inv, lo, hi, x0, dt, c_alpha, c0,
-                       theta_bound, x_bound, burn_in, total, every, n, w, nrec,
+                       theta_bound, x_bound, burn_in, total, every, n, nrec,
                        seeds, rec_step, rec_theta, rec_x, fail};
 #define BATCH(FAMILY, M) (batch(FAMILY, M, &r), 0)
     DISPATCH(BATCH);

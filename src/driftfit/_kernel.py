@@ -13,8 +13,8 @@ defines the bytes.  One more, the screening of `batch`, is there for the
 load-time check and the tests.
 
 The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
-stream from its integer seed, as np.random.PCG64(seed) does by numpy's
-public SeedSequence algorithm (`seed_words` packs the seeds), so no
+stream from its integer seed, one 64-bit word (`engine.seed_array`), as
+np.random.PCG64(seed) does by numpy's public SeedSequence algorithm, so no
 Generator is built; `bind_path` reads the public `bit_generator.state` of
 simulate_path's generator once (`streams`).  It draws its normals through
 an inlined copy of numpy's ziggurat, on numpy's own tables: `objcopy` makes
@@ -66,14 +66,11 @@ BODIES = frozenset({("linear", 1), ("linear", 2), ("affine", 1)})
 CHECK_SEED = 20170907
 # the check's normals: CHECK_CALLS draws from each of CHECK_GENERATORS generators
 CHECK_GENERATORS, CHECK_CALLS = 256, 256
-# a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi;
-# and a seed's, least significant first
+# a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi
 WORD = 1 << 64
-# the first seeds of the check's runs: the ends of one, two and three 32-bit
-# words of SeedSequence's entropy, of one and two 64-bit words of the
-# kernel's, and past its pool of four 32-bit words
-CHECK_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, WORD - 1, WORD, 2 ** 96,
-               2 ** 128 - 1, 2 ** 128, 2 ** 200 + 12345)
+# the first seeds of the check's runs: the ends of one and two 32-bit words
+# of SeedSequence's entropy, the top bit and the end of the seed's one word
+CHECK_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, WORD - 1)
 # the check's run per body: CHECK_REPS replications, full blocks of lanes
 # (8 or 4) and a partial one, over CHECK_STEPS steps of which CHECK_BURN_IN
 # are burn-in; its path of CHECK_STEPS steps; and its replay over CHECK_ROWS
@@ -188,8 +185,8 @@ def _open():
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.driftfit_batch.restype = ctypes.c_int
     lib.driftfit_batch.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl,
-                                   ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, i64,
-                                   ptr, i64, ptr, ptr, ptr, ptr]
+                                   ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, ptr,
+                                   i64, ptr, ptr, ptr, ptr]
     lib.driftfit_path.restype = ctypes.c_int
     lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, ptr, i64, ptr,
                                   ptr]
@@ -216,23 +213,6 @@ def streams(bit_generators):
         pcg, inc = state["state"]["state"], state["state"]["inc"]
         words.append((pcg % WORD, pcg // WORD, inc % WORD, inc // WORD))
     return np.array(words, dtype=np.uint64).reshape(-1, 4)
-
-
-def seed_words(seeds) -> np.ndarray:
-    """The seeds as the kernel reads them: row i of an (n, w) uint64 array
-    holds int(seeds[i]) in w 64-bit words, least significant first, w the
-    most any seed needs (at least 1).  An integer array is read as it is.
-    ValueError for a negative seed, as np.random.PCG64 raises."""
-    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "ui":
-        if seeds.dtype.kind == "i" and np.any(seeds < 0):
-            raise ValueError("expected non-negative integer")
-        return seeds.astype(np.uint64).reshape(-1, 1)
-    ints = [int(s) for s in seeds]
-    if ints and min(ints) < 0:
-        raise ValueError("expected non-negative integer")
-    w = max(1, (max(ints, default=0).bit_length() + 63) // 64)
-    rows = [[s >> 64 * j & WORD - 1 for j in range(w)] for s in ints] if w > 1 else ints
-    return np.array(rows, dtype=np.uint64).reshape(-1, w)
 
 
 def screened(lib, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -348,8 +328,8 @@ def check_rows():
 def check_configs() -> list:
     """One run_batch config per body in BODIES, for the load-time check;
     its checkpoints are t = 1, recorded before the burn-in, one between and
-    the horizon, and its rate C_alpha makes 3 of the CHECK_REPS replications
-    diverge (the replay runs at C_alpha = CHECK_C_ALPHA)."""
+    the horizon, and its rate C_alpha makes 2 to 4 of the CHECK_REPS
+    replications diverge (the replay runs at C_alpha = CHECK_C_ALPHA)."""
     from .engine import EngineConfig
     from .models import linear_system, mean_reversion, scalar_ou
     from .schedule import ScheduleSpec
@@ -501,9 +481,9 @@ def _entry(lib, name: str, model):
 
 def batch(config, seeds, rec_step: np.ndarray, total: int):
     """(rec_theta, rec_x, fail): `run_batch`'s run of total steps in one
-    kernel call, from the seeds (`seed_words`) to the rows after each step
-    in the sorted rec_step, rec_theta (nrec, n, k) and rec_x (nrec, n, m),
-    and each replication's first step screened as diverged, fail (n,), or
+    kernel call, from the seeds (`engine.seed_array`) to the rows after each
+    step in the sorted rec_step, rec_theta (nrec, n, k) and rec_x (nrec, n,
+    m), and each replication's first step screened as diverged, fail (n,), or
     -1; None where the numpy loop must run, a model `covers` refuses."""
     lib = _covering(config.model, config.noise)
     return None if lib is None else _batch(lib, config, seeds, rec_step, total)
@@ -515,8 +495,8 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     model, noise, sched, integ = (config.model, config.noise, config.schedule,
                                   config.integrator)
     run = _entry(lib, "batch", model)
-    words = seed_words(seeds)
-    n, k, m = len(words), model.k, model.m
+    seeds = engine.seed_array(seeds)
+    n, k, m = len(seeds), model.k, model.m
     rec_step = np.ascontiguousarray(rec_step, dtype=np.int64)
     # the kernel stops at each rec_step in turn, and at total
     if total < 0 or np.any(np.diff(rec_step, prepend=0, append=total) < 0):
@@ -530,7 +510,7 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     fail = np.empty(n, dtype=np.int64)
     run(*at[:3], integ.dt, float(sched.c_alpha), float(sched.c0), *at[3:],
         integ.burn_in_steps, total, engine.CHECK_EVERY, sde.THETA_BOUND,
-        sde.DIVERGENCE_BOUND, n, words.shape[1], words.ctypes.data, len(rec_step),
+        sde.DIVERGENCE_BOUND, n, seeds.ctypes.data, len(rec_step),
         rec_step.ctypes.data, rec_theta.ctypes.data, rec_x.ctypes.data,
         fail.ctypes.data)
     return rec_theta, rec_x, fail

@@ -1,5 +1,5 @@
-"""Limiting CLT covariance by two independent routes, fundamental-solution
-utilities, and the approximate second-moment ODE oracle.
+"""Limiting CLT covariance by two independent routes, and the approximate
+second-moment ODE oracle.
 
 The eigen-expansion route is the reference: with Delta gbar(theta*) =
 U diag(lambda) U^T, the covariance entry couples eigenpairs through the
@@ -25,6 +25,10 @@ import numpy as np
 from .schedule import ScheduleSpec, regime_check
 
 SYMMETRY_TOL = 1e-10
+# jacobi_eigh stops once the off-diagonal norm is within JACOBI_TOL of the
+# matrix's scale (at least 1), or after JACOBI_MAX_SWEEPS sweeps
+JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-12, 60
+QUADRATURE_TOL = 1e-13  # quad_vec's absolute and relative tolerance
 
 
 class CovarianceError(ValueError):
@@ -36,12 +40,6 @@ class RegimeError(CovarianceError):
 
 
 @dataclasses.dataclass(frozen=True)
-class EigenDecomposition:
-    u: np.ndarray        # orthogonal, columns are eigenvectors
-    lam: np.ndarray      # ascending eigenvalues
-
-
-@dataclasses.dataclass(frozen=True)
 class CovariancePrediction:
     sigma_bar: np.ndarray
     hessian: np.ndarray
@@ -50,15 +48,15 @@ class CovariancePrediction:
     method: str
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi rotations; returns ascending eigenvalues and vectors."""
     a = np.array(a, dtype=float, copy=True)
     n = a.shape[0]
     v = np.eye(n)
     scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -84,16 +82,6 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     return lam[order], v[:, order]
 
 
-def symmetric_eigen(a: np.ndarray) -> EigenDecomposition:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise CovarianceError("expected a square matrix")
-    if np.abs(a - a.T).max() > SYMMETRY_TOL * max(1.0, np.abs(a).max()):
-        raise CovarianceError("matrix is not symmetric within tolerance")
-    lam, u = jacobi_eigh(a)
-    return EigenDecomposition(u=u, lam=lam)
-
-
 def positive_curvature(lam) -> float:
     """The convexity constant C, the least of lam; RegimeError unless C > 0."""
     lam_min = float(np.min(lam))
@@ -117,21 +105,27 @@ def _check_regime(lam, c_alpha, hbar):
 
 def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
                     c_alpha: float) -> CovariancePrediction:
-    """Reference route via the eigen-expansion bracket."""
+    """Reference route via the eigen-expansion bracket; CovarianceError for a
+    hessian that is not square or not symmetric within SYMMETRY_TOL."""
     hessian = np.asarray(hessian, dtype=float)
     hbar = np.asarray(hbar, dtype=float)
-    dec = symmetric_eigen(hessian)
-    _check_regime(dec.lam, c_alpha, hbar)
-    b = dec.u.T @ hbar @ dec.u
-    denom = (dec.lam[:, None] + dec.lam[None, :]) * c_alpha - 1.0
+    if hessian.ndim != 2 or hessian.shape[0] != hessian.shape[1]:
+        raise CovarianceError("expected a square matrix")
+    if (np.abs(hessian - hessian.T).max()
+            > SYMMETRY_TOL * max(1.0, np.abs(hessian).max())):
+        raise CovarianceError("matrix is not symmetric within tolerance")
+    lam, u = jacobi_eigh(hessian)
+    _check_regime(lam, c_alpha, hbar)
+    b = u.T @ hbar @ u
+    denom = (lam[:, None] + lam[None, :]) * c_alpha - 1.0
     core = c_alpha ** 2 * b / denom
-    sig = dec.u @ core @ dec.u.T
+    sig = u @ core @ u.T
     sig = 0.5 * (sig + sig.T)
     return CovariancePrediction(sig, hessian, hbar, float(c_alpha), "eigen")
 
 
-def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
-                         tol: float = 1e-10) -> CovariancePrediction:
+def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray,
+                         c_alpha: float) -> CovariancePrediction:
     """Cross-check route by adaptive quadrature of the matrix-exponential
     integral; independent of the Jacobi eigensolver."""
     from scipy.integrate import quad_vec
@@ -145,7 +139,7 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
     scale = max(np.abs(hbar).max(), 1.0) * c_alpha ** 2
     # the integrand decays like exp(-rate s): at a large rate it is a spike
     # at s = 0, which a range floored at s = 1 would step over
-    s_max = max(1.0, np.log(scale / (tol * 1e-3))) / rate
+    s_max = max(1.0, np.log(scale / QUADRATURE_TOL)) / rate
     eye = np.eye(k)
     m_left = c_alpha * hessian - 0.5 * eye
     m_right = c_alpha * hessian.T - 0.5 * eye
@@ -153,20 +147,10 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray, c_alpha: float,
     def integrand(s):
         return c_alpha ** 2 * expm(-s * m_left) @ hbar @ expm(-s * m_right)
 
-    sig, _ = quad_vec(integrand, 0.0, s_max, epsabs=tol * 1e-3, epsrel=tol * 1e-3)
+    sig, _ = quad_vec(integrand, 0.0, s_max, epsabs=QUADRATURE_TOL,
+                      epsrel=QUADRATURE_TOL)
     sig = 0.5 * (sig + sig.T)
     return CovariancePrediction(sig, hessian, hbar, float(c_alpha), "quadrature")
-
-
-def fundamental_solution(hessian: np.ndarray, schedule: ScheduleSpec,
-                         t: float, s: float) -> np.ndarray:
-    """Propagator of the linearized error dynamics for alpha = C_alpha / t:
-    U diag((s/t)^(lambda C_alpha)) U^T, identity at s = t."""
-    if not 1.0 <= s <= t:
-        raise CovarianceError("requires 1 <= s <= t, got s=%g t=%g" % (s, t))
-    dec = symmetric_eigen(np.asarray(hessian, dtype=float))
-    d = (s / t) ** (dec.lam * schedule.c_alpha)
-    return dec.u @ np.diag(d) @ dec.u.T
 
 
 def moment_ode_oracle(convexity_constant: float, hbar_trace: float,

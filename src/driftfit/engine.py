@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,24 @@ def seed_split(master: int, index):
         raise ValueError("index must be nonnegative")
     z = splitmix64(np.uint64(int(master) & _MASK) + i.astype(np.uint64) * np.uint64(_GOLDEN))
     return int(z[0]) if np.ndim(index) == 0 else z
+
+
+def seed_array(seeds) -> np.ndarray:
+    """run_batch's seeds, one per replication, as a C-contiguous uint64
+    array: each an integer in [0, 2**64), the range seed_split makes.  An
+    integer array is read as it is.  ValueError for a negative seed, as
+    np.random.PCG64 raises, or one past 2**64 - 1; TypeError for one that
+    is not an integer."""
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "ui":
+        if seeds.dtype.kind == "i" and np.any(seeds < 0):
+            raise ValueError("expected non-negative integer")
+        return np.ascontiguousarray(seeds, dtype=np.uint64)
+    ints = [operator.index(s) for s in seeds]
+    if ints and min(ints) < 0:
+        raise ValueError("expected non-negative integer")
+    if ints and max(ints) > _MASK:
+        raise ValueError("a seed must be below 2**64, not %d" % max(ints))
+    return np.array(ints, dtype=np.uint64)
 
 
 def step_of(t, dt: float, what: str = "time", exact: bool = False):
@@ -197,20 +216,22 @@ def record_steps(config: EngineConfig):
 
 def numpy_batch(config: EngineConfig, seeds, rec_step: np.ndarray, total: int):
     """(rec_theta, rec_x, fail) of `run_batch` in numpy, which defines them:
-    replication i draws from Generator(PCG64(int(seeds[i]))), first theta0
-    (`draw_theta0`), then one normal m-vector per step.  For s = 0..total in
-    order, as the kernel's `lanes` loop runs them: the rows of the sorted
-    rec_step equal to s get theta and x after s steps, in rec_theta (nrec,
-    n, k) and rec_x (nrec, n, m); `diverged` screens at each positive
-    multiple of CHECK_EVERY and at total, and fail (n,) holds each
-    replication's first flagged s, or -1; then step s + 1 runs, its noise
-    drawn ahead in chunks.  The counterpart of `_kernel.batch`."""
+    replication i draws from Generator(PCG64(seeds[i])), the seeds read by
+    `seed_array`: first theta0 (`draw_theta0`), then one normal m-vector per
+    step.  For s = 0..total in order, as the kernel's `lanes` loop runs
+    them: the rows of the sorted rec_step equal to s get theta and x after s
+    steps, in rec_theta (nrec, n, k) and rec_x (nrec, n, m); `diverged`
+    screens at each positive multiple of CHECK_EVERY and at total, and fail
+    (n,) holds each replication's first flagged s, or -1; then step s + 1
+    runs, its noise drawn ahead in chunks.  The counterpart of
+    `_kernel.batch`."""
     model, noise, sched, integ = (config.model, config.noise,
                                   config.schedule, config.integrator)
+    seeds = seed_array(seeds).tolist()
     n, m, dt, burn_in = len(seeds), model.m, integ.dt, integ.burn_in_steps
     sqdt = np.sqrt(dt)
     sigma_t = noise.sigma.T.copy()
-    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
     theta = draw_theta0(config, gens)
     x = np.tile(integ.initial_state(m), (n, 1))
     rec_theta = np.empty((len(rec_step), n, model.k))
@@ -247,10 +268,11 @@ def numpy_batch(config: EngineConfig, seeds, rec_step: np.ndarray, total: int):
 def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     """Advance n = len(seeds) independent replications in lock-step.
 
-    Replication i consumes exactly the stream of Generator(PCG64(seeds[i])):
-    first the uniform theta0 draw, then one standard-normal m-vector per
-    step (burn-in included), so results are bitwise independent of how
-    replications are grouped into batches.
+    Replication i consumes exactly the stream of Generator(PCG64(seeds[i])),
+    each seed an integer in [0, 2**64) (`seed_array`, which raises before
+    any step for another): first the uniform theta0 draw, then one
+    standard-normal m-vector per step (burn-in included), so results are
+    bitwise independent of how replications are grouped into batches.
 
     Checkpoints at t = 1 are recorded before the burn-in: their xs hold x0,
     not the state after the burn-in.

@@ -254,7 +254,7 @@ def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
     Every update runs; then the first one whose theta `diverged` flags raises
     BlowupError with the theta it started from.
     """
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     theta0 = engine.draw_theta0(engine_cfg, [rng])[0]
     model = engine_cfg.model
     thetas = np.empty((len(times) - 1, 1, model.k))

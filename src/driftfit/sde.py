@@ -99,7 +99,7 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     m, dt, burn_in = model.m, config.dt, config.burn_in_steps
     x = config.initial_state(m)
 

@@ -29,8 +29,6 @@ class CltReport:
     empirical_cov: np.ndarray
     predicted_cov: np.ndarray
     variance_ratio: np.ndarray
-    skewness: np.ndarray
-    excess_kurtosis: np.ndarray
     ks_statistic: np.ndarray
     n_samples: int
 
@@ -134,8 +132,6 @@ def clt_diagnostics(samples: np.ndarray,
         empirical_cov=emp,
         predicted_cov=pred.copy(),
         variance_ratio=ratio,
-        skewness=spstats.skew(samples, axis=0),
-        excess_kurtosis=spstats.kurtosis(samples, axis=0),
         ks_statistic=ks,
         n_samples=n,
     )

@@ -162,22 +162,6 @@ def test_subcritical_rate_degradation():
     assert -0.95 <= slope <= -0.65, "subcritical slope %.4f" % slope
 
 
-def test_fundamental_solution_decay_bound():
-    rng = np.random.default_rng(1729)
-    sched = df.ScheduleSpec(c_alpha=2.0)
-    for _ in range(100):
-        k = int(rng.integers(1, 5))
-        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-        lam = rng.uniform(0.3, 2.5, k)
-        hess = q @ np.diag(lam) @ q.T
-        c = lam.min()
-        s = float(rng.uniform(1.0, 100.0))
-        t = s + float(rng.uniform(0.0, 900.0))
-        phi = df.fundamental_solution(hess, sched, t, s)
-        bound = t ** (-2.0 * c * sched.c_alpha) * s ** (2.0 * c * sched.c_alpha)
-        assert np.linalg.norm(phi, 2) ** 2 <= bound + 1e-12
-
-
 def _report_bytes(out_dir):
     raw = json.loads((out_dir / "report.json").read_text())
     raw.pop("wall_clock")

@@ -2,10 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from driftfit.covariance import (CovarianceError, RegimeError,
-                                 fundamental_solution, jacobi_eigh,
+from driftfit.covariance import (CovarianceError, RegimeError, jacobi_eigh,
                                  moment_ode_oracle, sigma_bar_eigen,
-                                 sigma_bar_quadrature, symmetric_eigen)
+                                 sigma_bar_quadrature)
 from driftfit.schedule import ScheduleSpec
 
 
@@ -27,11 +26,11 @@ def test_jacobi_matches_lapack():
         npt.assert_allclose(v @ np.diag(lam) @ v.T, a, atol=1e-10)
 
 
-def test_symmetric_eigen_rejects_asymmetry():
-    with pytest.raises(CovarianceError):
-        symmetric_eigen(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(CovarianceError):
-        symmetric_eigen(np.ones((2, 3)))
+def test_sigma_bar_eigen_rejects_asymmetry():
+    with pytest.raises(CovarianceError, match="not symmetric"):
+        sigma_bar_eigen(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), 4.0)
+    with pytest.raises(CovarianceError, match="square"):
+        sigma_bar_eigen(np.ones((2, 3)), np.eye(2), 4.0)
 
 
 def test_sigma_bar_scalar_closed_form():
@@ -82,30 +81,6 @@ def test_sigma_bar_regime_guard():
         sigma_bar_quadrature(hess, hb, 0.9)
     with pytest.raises(RegimeError):
         sigma_bar_eigen(np.array([[-1.0]]), hb, 4.0)
-
-
-def test_fundamental_solution_scalar_power_law():
-    hess = np.array([[0.5]])
-    sched = ScheduleSpec(4.0)
-    phi = fundamental_solution(hess, sched, t=100.0, s=10.0)
-    npt.assert_allclose(phi, [[0.1 ** 2.0]], rtol=1e-12)
-    npt.assert_allclose(fundamental_solution(hess, sched, 5.0, 5.0),
-                        np.eye(1), atol=1e-14)
-    with pytest.raises(CovarianceError):
-        fundamental_solution(hess, sched, t=2.0, s=3.0)
-
-
-def test_fundamental_solution_norm_bound():
-    rng = np.random.default_rng(9)
-    sched = ScheduleSpec(2.0)
-    for _ in range(20):
-        hess = random_spd(rng, 3)
-        c = np.linalg.eigvalsh(hess).min()
-        s = rng.uniform(1.0, 50.0)
-        t = s + rng.uniform(0.0, 200.0)
-        phi = fundamental_solution(hess, sched, t, s)
-        bound = t ** (-2 * c * sched.c_alpha) * s ** (2 * c * sched.c_alpha)
-        assert np.linalg.norm(phi, 2) ** 2 <= bound + 1e-12
 
 
 def test_moment_ode_supercritical_tail():

@@ -468,17 +468,32 @@ def test_the_kernel_seeds_pcg64_as_numpy_does(seed, factory):
         assert run_on("kernel", cfg, seeds).digest() == want
 
 
-# run_batch(make_config(horizon=3.0, burn_in=20), BIG_SEEDS).digest() at the
-# commit before the kernel came to seed PCG64 itself, when every seed went
-# through Generator(PCG64(int(seed)))
-BIG_SEEDS = [2 ** 64, 2 ** 64 + 1, 2 ** 100 + 7, 2 ** 128, 2 ** 200 + 12345, 3]
-BIG_SEEDS_DIGEST = "13de42711255cb1d12a2a2ee3642c49a2c810f79e567a73ba233bed87c95dd54"
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 128, 2 ** 200 + 12345])
+def test_a_seed_past_two_to_the_64_is_refused(path, seed):
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        run_on(path, make_config(horizon=3.0), [3, seed])
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_seeds_past_two_to_the_64_keep_their_streams(path):
-    cfg = make_config(horizon=3.0, burn_in=20)
-    assert run_on(path, cfg, BIG_SEEDS).digest() == BIG_SEEDS_DIGEST
+@pytest.mark.parametrize("seeds", [[1.5, 2.9], [3, 2.0], np.array([1.0, 2.0]),
+                                   [np.float64(1)], ["1"]],
+                         ids=["fractions", "whole_float", "float_array", "numpy_float",
+                              "str"])
+def test_a_seed_that_is_not_an_integer_raises_typeerror(path, seeds):
+    with pytest.raises(TypeError):
+        run_on(path, make_config(horizon=3.0), seeds)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_seed_split_seeds_run_as_a_list_or_a_uint64_array(path):
+    # seed_split's seeds, up to 2**64 - 1: a uint64 array, a list of ints and
+    # a list of numpy integers give the same streams
+    cfg = make_config(horizon=1.5, burn_in=5)
+    seeds = np.append(seed_split(5, np.arange(6)), np.uint64(2 ** 64 - 1))
+    want = run_on("numpy", cfg, seeds.tolist()).digest()
+    for given in (seeds, seeds.tolist(), list(seeds)):
+        assert run_on(path, cfg, given).digest() == want
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -789,13 +804,13 @@ def test_the_load_time_check_screens_rows_of_every_kind():
 @needs_compiler
 def test_a_kernel_whose_seeding_differs_from_numpy_is_not_used(tmp_path):
     # the load-time check's runs read each edge seed's theta0 in their t = 1
-    # row; one bit of it off for the replication seeded 2**128
+    # row; one bit of it off for the replication seeded 2**64 - 1
     real = _kernel.reference_batch
 
     def one_bit_off(config, seeds, *args):
         rec_theta, rec_x, fail = real(config, seeds, *args)
         assert engine.record_steps(config)[1][0] == 0  # row 0 is t = 1
-        theta0 = rec_theta[0, list(seeds).index(2 ** 128)]
+        theta0 = rec_theta[0, list(seeds).index(2 ** 64 - 1)]
         theta0.view(np.uint64)[0] ^= np.uint64(1)
         return rec_theta, rec_x, fail
 

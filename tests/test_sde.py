@@ -104,6 +104,19 @@ def test_simulate_path_deterministic_and_timed():
     assert not np.allclose(xa[-1], xc[-1])
 
 
+def test_simulate_path_takes_integer_seeds_alone():
+    # a numpy integer seeds as the int does; a float raises np.random.PCG64's
+    # TypeError
+    model, noise = scalar_ou(1.0, 1.0)
+    cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
+    _, want = whole_path(model, noise, cfg, 7, 40)
+    for seed in (np.uint64(7), np.int64(7)):
+        npt.assert_array_equal(whole_path(model, noise, cfg, seed, 40)[1], want)
+    for seed in (7.0, 7.5, np.float64(7)):
+        with pytest.raises(TypeError):
+            whole_path(model, noise, cfg, seed, 40)
+
+
 @pytest.mark.parametrize("burn_in", [0, 5, 4095, 4096, 5000])
 def test_simulate_path_yields_blocks_of_path_chunk_rows(burn_in):
     # the burn-in runs in the same chunks as the path, so the first block

@@ -160,8 +160,6 @@ def test_clt_diagnostics_on_exact_normal_sample():
     assert rep.n_samples == 10000
     assert rep.variance_ratio[0, 0] == pytest.approx(1.0, abs=0.05)
     assert rep.ks_statistic[0] < KS_CRITICAL_1PCT / np.sqrt(10000)
-    assert abs(rep.skewness[0]) < 0.1
-    assert abs(rep.excess_kurtosis[0]) < 0.15
 
 
 def test_clt_diagnostics_flags_wrong_scale():

@@ -2,7 +2,7 @@
 name and reads their arguments, so a change to driftfit can break
 `bench/run.py --trace 1` without any other test noticing.  These tests
 load the tracer from its file and run it over a tiny simulate, replay and
-estimate."""
+estimate, and over a tiny verify-clt and predict-covariance."""
 import importlib.util
 from pathlib import Path
 
@@ -53,3 +53,25 @@ def test_traced_simulate_replay_estimate_count_their_steps(tracing, tmp_path):
     assert tracer.calls["engine.run_batch"] == 1
     assert tracer.calls["sde.load_path_csv"] == 1
     assert tracer.calls["experiments.run_experiment"] == 3
+
+
+def test_traced_clt_and_covariance_reach_every_analysis_wrapper(tracing, tmp_path):
+    # 100 replications (the fewest verify-clt takes) over 100 steps: its
+    # verdicts may fail at that size, but it must run to them
+    calls = [
+        ("verify-clt", {"experiment": "verify-clt", "model.name": "scalar_ou",
+                        "master_seed": "3", "horizon": "1.5", "integrator.dt": "0.005",
+                        "integrator.burn_in_steps": "10", "n_reps": "100"}),
+        ("predict-covariance", {"experiment": "predict-covariance",
+                                "model.name": "linear_system"}),
+    ]
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        for label, values in calls:
+            cfg = config.from_dict(values, source=label)
+            report, status = experiments.run_experiment(cfg, tmp_path / label)
+            assert report["error"] is None and status in (0, 1), label
+    for name in ("stats.clt_diagnostics", "covariance.sigma_bar_eigen",
+                 "covariance.jacobi_eigh", "covariance.sigma_bar_quadrature"):
+        assert tracer.calls[name] >= 1, name
+    assert tracer.calls["experiments.run_experiment"] == 2
