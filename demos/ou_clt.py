@@ -33,7 +33,7 @@ pred = df.sigma_bar_eigen(np.array([[0.5]]), np.array([[0.5]]), 4.0)
 report = stats.clt_diagnostics(sample, pred)
 
 print()
-print("predicted limiting variance : %.4f" % pred.sigma_bar[0, 0])
+print("predicted limiting variance : %.4f" % pred[0, 0])
 print("empirical variance          : %.4f" % report.empirical_cov[0, 0])
 print("ratio                       : %.3f" % report.variance_ratio[0, 0])
 print("KS statistic vs normal      : %.4f  (1%% critical %.4f)"
@@ -41,7 +41,7 @@ print("KS statistic vs normal      : %.4f  (1%% critical %.4f)"
          stats.KS_CRITICAL_1PCT / np.sqrt(report.n_samples)))
 
 # coarse text histogram of the standardized sample
-z = sample[:, 0] / np.sqrt(pred.sigma_bar[0, 0])
+z = sample[:, 0] / np.sqrt(pred[0, 0])
 edges = np.linspace(-3.5, 3.5, 15)
 counts, _ = np.histogram(z, edges)
 print()

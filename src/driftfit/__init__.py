@@ -18,8 +18,7 @@ from .engine import (EngineConfig, geometric_checkpoints, run_batch, seed_split,
                      sgdct_step, splitmix64)
 from .poisson import Grid1D, PoissonSolution, default_grid, hbar, solve, \
     stationary_density
-from .covariance import (CovariancePrediction, moment_ode_oracle, sigma_bar_eigen,
-                         sigma_bar_quadrature)
+from .covariance import moment_ode_oracle, sigma_bar_eigen, sigma_bar_quadrature
 from .stats import (CltReport, ReplicationSet, SlopeEstimate, clt_diagnostics,
                     loglog_slope, moment_curve, rescaled_sample,
                     run_replications)

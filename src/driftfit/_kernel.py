@@ -19,9 +19,10 @@ Generator is built; `bind_path` reads the public `bit_generator.state` of
 simulate_path's generator once (`streams`).  It draws its normals through
 an inlined copy of numpy's ziggurat, on numpy's own tables: `objcopy` makes
 them global in a private copy of numpy's `libnpyrandom.a`, which the kernel
-is linked against.  The kernel is compiled with the system
-C compiler at the first call that can use it, never at import, for the
-highest x86-64 level the CPU has (`march`).  The
+is linked against.  `_kernel.c` is read once, at import, so that the kernel
+built is the one whose entry points `_open` declares.  It is compiled with
+the system C compiler at the first call that can use it, never at import, for
+the highest x86-64 level the CPU has (`march`).  The
 shared library goes into a per-user cache directory, keyed by the hash of
 the source, the flags (the level among them), the numpy version and the
 platform, so a machine compiles it once, and a home directory shared with
@@ -85,6 +86,20 @@ CSV_CELL = 19  # the most bytes driftfit_csv writes for a cell and its separator
 _lib = None  # the loaded kernel library; False once loading has failed
 
 
+def _read_source():
+    """SOURCE's bytes, or the OSError that reading it raised."""
+    try:
+        with open(SOURCE, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        return exc
+
+
+# _kernel.c as it is at import, the source whose entry points _open declares:
+# a build compiles these bytes, never the file as it is on disk by then
+_source = _read_source()
+
+
 def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "driftfit")
 
@@ -140,11 +155,11 @@ def _build() -> str:
     import glob
     import sysconfig
     import tempfile
-    with open(SOURCE, "rb") as fh:
-        source = fh.read()
+    if isinstance(_source, OSError):
+        raise _source
     flags = CFLAGS + march()
     key = hashlib.sha256(b"\0".join([
-        source, " ".join(flags).encode(), np.__version__.encode(),
+        _source, " ".join(flags).encode(), np.__version__.encode(),
         sysconfig.get_platform().encode()])).hexdigest()
     directory = cache_dir()
     os.makedirs(directory, mode=0o700, exist_ok=True)
@@ -160,9 +175,12 @@ def _build() -> str:
     with tempfile.TemporaryDirectory(dir=directory) as scratch:
         tables = os.path.join(scratch, "tables.a")
         tmp = os.path.join(scratch, "span.so")
+        c_file = os.path.join(scratch, "_kernel.c")
+        with open(c_file, "wb") as fh:
+            fh.write(_source)
         _run([OBJCOPY, *["--globalize-symbol=" + name for name in TABLES],
               npyrandom, tables])
-        _run([CC, *flags, "-o", tmp, SOURCE, tables, "-lm"])
+        _run([CC, *flags, "-o", tmp, c_file, tables, "-lm"])
         os.chmod(tmp, 0o700)
         os.replace(tmp, path)
     # keeping one other kernel spares a second build to whoever alternates
@@ -203,13 +221,13 @@ def _open():
 def streams(bit_generators):
     """The kernel's streams: row i of an (n, 4) uint64 array holds the public
     state of bit generator i, read once, as [state_lo, state_hi, inc_lo,
-    inc_hi]; None if any of them is not numpy's PCG64, which the kernel steps.
-    The kernel advances the rows, not the bit generators."""
+    inc_hi]; ValueError if any of them is not numpy's PCG64, which the kernel
+    steps.  The kernel advances the rows, not the bit generators."""
     words = []
     for bit_generator in bit_generators:
         state = bit_generator.state
         if state["bit_generator"] != "PCG64":
-            return None
+            raise ValueError("the kernel draws from numpy's PCG64 alone")
         pcg, inc = state["state"]["state"], state["state"]["inc"]
         words.append((pcg % WORD, pcg // WORD, inc % WORD, inc // WORD))
     return np.array(words, dtype=np.uint64).reshape(-1, 4)
@@ -238,8 +256,6 @@ def normals(lib, bit_generators, calls: int) -> np.ndarray:
     probability 2^-53)."""
     bit_generators = list(bit_generators)
     words = streams(bit_generators)
-    if words is None:
-        raise ValueError("the kernel draws from numpy's PCG64 alone")
     one, x = np.ones(1), np.empty(1)
     out = np.empty((len(bit_generators), calls))
     for row, stream in zip(out, words):
@@ -519,8 +535,8 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
 def bind_path(model, noise, dt: float, rng, x: np.ndarray):
     """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
     kernel, drawing from rng's stream and updating x in place, with the state
-    after step j in out[j].  None where the numpy loop must run: a model
-    `covers` refuses, or rng not on numpy's PCG64.
+    after step j in out[j].  None where the numpy loop must run, a model
+    `covers` refuses; ValueError if rng is not on numpy's PCG64.
 
     The binding takes over rng's stream: it reads its state once, here, and
     advances its own copy (`streams`), so rng is not advanced, and must not
@@ -532,8 +548,6 @@ def bind_path(model, noise, dt: float, rng, x: np.ndarray):
 def _bind_path(lib, model, noise, dt: float, rng, x: np.ndarray):
     """`bind_path` on the library lib."""
     words = streams([rng.bit_generator])
-    if words is None:
-        return None
     path = _entry(lib, "path", model)
     m = model.m
     _check(x, (m,))

@@ -1,7 +1,8 @@
 """Limiting CLT covariance by two independent routes, and the approximate
 second-moment ODE oracle.
 
-The eigen-expansion route is the reference: with Delta gbar(theta*) =
+Each route takes (Delta gbar(theta*), hbar, C_alpha) and returns the limiting
+covariance sigma_bar itself, a float64 (k, k) array.  The eigen-expansion route is the reference: with Delta gbar(theta*) =
 U diag(lambda) U^T, the covariance entry couples eigenpairs through the
 bracket C_alpha^2 / ((lambda_m + lambda_m') C_alpha - 1).  The quadrature
 route integrates C_alpha^2 exp(-s(C_alpha H - I/2)) hbar exp(-s(C_alpha H^T - I/2)) ds
@@ -17,8 +18,6 @@ bytes are pinned in bench/reference.json.  The quadrature route uses
 `expm`, so the two routes stay independent either way.
 """
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -37,15 +36,6 @@ class CovarianceError(ValueError):
 
 class RegimeError(CovarianceError):
     pass
-
-
-@dataclasses.dataclass(frozen=True)
-class CovariancePrediction:
-    sigma_bar: np.ndarray
-    hessian: np.ndarray
-    hbar: np.ndarray
-    c_alpha: float
-    method: str
 
 
 def jacobi_eigh(a: np.ndarray):
@@ -104,7 +94,7 @@ def _check_regime(lam, c_alpha, hbar):
 
 
 def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
-                    c_alpha: float) -> CovariancePrediction:
+                    c_alpha: float) -> np.ndarray:
     """Reference route via the eigen-expansion bracket; CovarianceError for a
     hessian that is not square or not symmetric within SYMMETRY_TOL."""
     hessian = np.asarray(hessian, dtype=float)
@@ -120,12 +110,11 @@ def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
     denom = (lam[:, None] + lam[None, :]) * c_alpha - 1.0
     core = c_alpha ** 2 * b / denom
     sig = u @ core @ u.T
-    sig = 0.5 * (sig + sig.T)
-    return CovariancePrediction(sig, hessian, hbar, float(c_alpha), "eigen")
+    return 0.5 * (sig + sig.T)
 
 
 def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray,
-                         c_alpha: float) -> CovariancePrediction:
+                         c_alpha: float) -> np.ndarray:
     """Cross-check route by adaptive quadrature of the matrix-exponential
     integral; independent of the Jacobi eigensolver."""
     from scipy.integrate import quad_vec
@@ -149,8 +138,7 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray,
 
     sig, _ = quad_vec(integrand, 0.0, s_max, epsabs=QUADRATURE_TOL,
                       epsrel=QUADRATURE_TOL)
-    sig = 0.5 * (sig + sig.T)
-    return CovariancePrediction(sig, hessian, hbar, float(c_alpha), "quadrature")
+    return 0.5 * (sig + sig.T)
 
 
 def moment_ode_oracle(convexity_constant: float, hbar_trace: float,

@@ -114,10 +114,10 @@ def _predict_covariance(model, noise, c_alpha, out_dir, artifacts):
     hessian, hb = covariance_inputs(model, noise)
     pred = covariance.sigma_bar_eigen(hessian, hb, c_alpha)
     quad = covariance.sigma_bar_quadrature(hessian, hb, c_alpha)
-    i, j = np.indices(pred.sigma_bar.shape) + 1
+    i, j = np.indices(pred.shape) + 1
     path = out_dir / "sigma_prediction.csv"
     write_csv(path, "i,j,sigma_eigen,sigma_quadrature",
-              [i.ravel(), j.ravel(), pred.sigma_bar.ravel(), quad.sigma_bar.ravel()],
+              [i.ravel(), j.ravel(), pred.ravel(), quad.ravel()],
               fmt="%d,%d,%.8f,%.8f")
     artifacts.append(str(path))
     return pred, quad
@@ -222,7 +222,7 @@ def _run_predict_covariance(cfg, out_dir, artifacts) -> List[Verdict]:
     model, noise = build_model(cfg)
     pred, quad = _predict_covariance(model, noise, cfg["schedule.c_alpha"], out_dir,
                                      artifacts)
-    dev = float(np.abs(pred.sigma_bar - quad.sigma_bar).max())
+    dev = float(np.abs(pred - quad).max())
     return [Verdict("sigma_route_agreement", dev, (0.0, ROUTE_AGREEMENT_TOL),
                     dev < ROUTE_AGREEMENT_TOL)]
 

@@ -42,7 +42,6 @@ class Grid1D:
 
 @dataclasses.dataclass(frozen=True)
 class PoissonSolution:
-    grid: Grid1D
     v: np.ndarray
     dv_dx: np.ndarray
     residual_sup: float
@@ -135,7 +134,7 @@ def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D,
     trusted = dens > 1e-10 * dens.max()
     trusted[:2] = trusted[-2:] = False
     residual_sup = float(np.abs(resid[trusted]).max()) if trusted.any() else np.inf
-    return PoissonSolution(grid=grid, v=v, dv_dx=dv, residual_sup=residual_sup,
+    return PoissonSolution(v=v, dv_dx=dv, residual_sup=residual_sup,
                            centering_correction=mean_g)
 
 

@@ -6,7 +6,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .covariance import CovariancePrediction
 from .engine import EngineConfig, ReplicationSet, run_batch, seed_split
 
 KS_CRITICAL_1PCT = 1.628  # one-sample KS, 1% level: reject if D > 1.628 / sqrt(N)
@@ -21,13 +20,11 @@ class ReplicationError(RuntimeError):
 class SlopeEstimate:
     slope: float
     stderr: float
-    window: Tuple[float, float]
 
 
 @dataclasses.dataclass
 class CltReport:
     empirical_cov: np.ndarray
-    predicted_cov: np.ndarray
     variance_ratio: np.ndarray
     ks_statistic: np.ndarray
     n_samples: int
@@ -75,7 +72,6 @@ def loglog_slope(times: np.ndarray, values: np.ndarray,
     """Least-squares slope of log(value) against log(t) inside the window."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    t_lo, t_hi = window
     sel = in_window(times, window)
     if sel.sum() < 2:
         raise ReplicationError("need at least 2 checkpoints in the window")
@@ -90,8 +86,7 @@ def loglog_slope(times: np.ndarray, values: np.ndarray,
     intercept = ly.mean() - slope * xbar
     resid = ly - (intercept + slope * lx)
     var = float(np.sum(resid ** 2) / (n - 2)) if n > 2 else 0.0
-    return SlopeEstimate(slope=slope, stderr=float(np.sqrt(var / sxx)),
-                         window=(float(t_lo), float(t_hi)))
+    return SlopeEstimate(slope=slope, stderr=float(np.sqrt(var / sxx)))
 
 
 def rescaled_sample(rep_set: ReplicationSet, t_eval: float) -> np.ndarray:
@@ -106,9 +101,8 @@ def rescaled_sample(rep_set: ReplicationSet, t_eval: float) -> np.ndarray:
     return np.sqrt(rep_set.times[idx[0]]) * dev
 
 
-def clt_diagnostics(samples: np.ndarray,
-                    predicted: CovariancePrediction) -> CltReport:
-    """Compare a rescaled sample against the predicted normal limit.
+def clt_diagnostics(samples: np.ndarray, sigma_bar: np.ndarray) -> CltReport:
+    """Compare a rescaled sample against the predicted normal limit N(0, sigma_bar).
 
     Coordinates are standardized by the predicted covariance (not the
     empirical one) so the test also exercises the prediction itself.
@@ -119,18 +113,16 @@ def clt_diagnostics(samples: np.ndarray,
     if n < MIN_CLT_SAMPLES:
         raise ReplicationError("need at least %d samples, got %d" % (MIN_CLT_SAMPLES, n))
     emp = np.cov(samples, rowvar=False, ddof=1).reshape(k, k)
-    pred = predicted.sigma_bar
     try:
-        chol = np.linalg.cholesky(pred)
+        chol = np.linalg.cholesky(sigma_bar)
     except np.linalg.LinAlgError as exc:
         raise ReplicationError("predicted covariance is singular") from exc
     z = np.linalg.solve(chol, samples.T).T
     ks = np.array([spstats.kstest(z[:, j], "norm").statistic for j in range(k)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = emp / pred
+        ratio = emp / sigma_bar
     return CltReport(
         empirical_cov=emp,
-        predicted_cov=pred.copy(),
         variance_ratio=ratio,
         ks_statistic=ks,
         n_samples=n,

@@ -710,6 +710,27 @@ def test_run_batch_falls_back_to_numpy_without_objcopy(tmp_path):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+def test_run_batch_falls_back_to_numpy_without_the_kernel_source(tmp_path):
+    missing = FileNotFoundError(2, "No such file or directory", "_kernel.c")
+    message = assert_falls_back_to_numpy({"cache_dir": lambda: str(tmp_path / "cache"),
+                                          "_source": missing}, tmp_path)
+    assert "No such file or directory" in message
+
+
+@needs_compiler
+def test_the_kernel_built_is_the_source_read_at_import(tmp_path):
+    # an edit to _kernel.c after import is not compiled into this process,
+    # whose ctypes declarations match the source as it was at import
+    broken = tmp_path / "_kernel.c"
+    broken.write_text("this is not C\n")
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the load-time check must pass
+        mp.setattr(_kernel, "_lib", None)
+        mp.setattr(_kernel, "cache_dir", lambda: str(tmp_path / "cache"))
+        mp.setattr(_kernel, "SOURCE", str(broken))
+        assert _kernel.load() is not None
+
+
 numpy_normals = _kernel.reference_normals
 
 

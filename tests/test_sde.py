@@ -307,26 +307,13 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
 
 
 @needs_compiler
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
-                                           np.random.SFC64, np.random.Philox],
-                         ids=lambda b: b.__name__)
-def test_bit_generators_other_than_pcg64_run_on_numpy(bit_generator):
-    # simulate_path's kernel steps numpy's PCG64 alone; run_batch's seeds its
+def test_bind_path_refuses_a_bit_generator_other_than_pcg64():
+    # simulate_path hands bind_path numpy's PCG64 alone; run_batch seeds its
     # own PCG64 streams from the integer seeds (test_engine checks them)
     model, noise = scalar_ou()
-    numpy_only = dataclasses.replace(model, family=None)
-    cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
-    assert _kernel.load() is not None  # checked on PCG64, before it is swapped
-    rng = np.random.Generator(bit_generator(3))
-    assert _kernel.bind_path(model, noise, 0.01, rng, np.zeros(1)) is None
-    # with PCG64 swapped for it, simulate_path gives the numpy loop's bytes
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.random, "PCG64", bit_generator)
-        (got, got_err, compiled), (want, want_err, _) = [
-            run_path(m, noise, cfg, 3, 50) for m in (model, numpy_only)]
-    assert not compiled and got_err is None and want_err is None
-    assert [(t.tobytes(), x.tobytes()) for t, x in got] == [
-        (t.tobytes(), x.tobytes()) for t, x in want]
+    rng = np.random.Generator(np.random.MT19937(3))
+    with pytest.raises(ValueError, match="numpy's PCG64 alone"):
+        _kernel.bind_path(model, noise, 0.01, rng, np.zeros(1))
 
 
 def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():

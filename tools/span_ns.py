@@ -2,7 +2,8 @@
 replication-step per model and n.
 
     python3 tools/span_ns.py [--repeats 5] [--rep-steps 4000000]
-                             [--level {native,v4,v3,baseline}]
+                             [--level {native,v4,v3,baseline}] [--cache DIR]
+                             [--against REV [--pairs 10]]
 
 Imports driftfit from the `src/` next to this directory.  For each model the
 kernel covers (scalar_ou, mean_reversion, linear_system d=2) it runs about
@@ -21,12 +22,24 @@ alone hides that.
 CPU has (`native`, the default): in this process alone it replaces
 `_kernel.cpu_features` with a table of that level and `_kernel.cache_dir`
 with a temporary directory, which it deletes.  A level the CPU lacks is
-refused.
+refused.  --cache builds and loads the kernel in DIR instead of
+~/.cache/driftfit.
+
+--against REV compares this checkout's timings with those of the git
+revision REV.  It unpacks REV's `src/` with `git archive` into a temporary
+directory, with a copy of this script next to it, and runs --pairs pairs of
+child processes, one of each tree, alternating which of the two runs first.
+Each tree has its own temporary kernel cache, so the first child of each
+builds its kernel.  It prints, per row, model and n: the median over the
+pairs of the ratio of this checkout's median timing to REV's, the ratio's
+interquartile range, and in how many pairs this checkout was slower.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -87,6 +100,52 @@ def ns_per_rep_step(run, factory, n: int, rep_steps: int, repeats: int,
             "median": round(float(np.median(times)) * per, 2)}
 
 
+def child(script: Path, args, cache: str) -> dict:
+    """The JSON object that one run of script prints, on the kernel cache
+    cache, with args' --repeats, --rep-steps and --level."""
+    out = subprocess.run(
+        [sys.executable, str(script), "--repeats", str(args.repeats), "--rep-steps",
+         str(args.rep_steps), "--level", args.level, "--cache", cache],
+        check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def against(args) -> dict:
+    """--against: per row, model and n, the ratio of this checkout's median
+    timing to REV's over --pairs alternating pairs of child processes."""
+    here = Path(__file__).resolve()
+    with tempfile.TemporaryDirectory(prefix="span_ns-") as tmp:
+        rev = Path(tmp, "rev")
+        rev.mkdir()
+        archive = subprocess.run(["git", "-C", str(here.parent.parent), "archive",
+                                  args.against, "src"], capture_output=True)
+        if archive.returncode:
+            raise SystemExit("span_ns: " + archive.stderr.decode().strip())
+        subprocess.run(["tar", "-x", "-C", str(rev)], input=archive.stdout, check=True)
+        (rev / "tools").mkdir()
+        shutil.copy(here, rev / "tools" / here.name)
+        trees = {"change": here, "rev": rev / "tools" / here.name}
+        caches = {tree: str(Path(tmp, "cache-" + tree)) for tree in trees}
+        runs = {tree: [] for tree in trees}
+        for pair in range(args.pairs):
+            for tree in (("change", "rev") if pair % 2 == 0 else ("rev", "change")):
+                runs[tree].append(child(trees[tree], args, caches[tree]))
+    out = {"against": args.against, "pairs": args.pairs,
+           "march": runs["change"][0]["march"]}
+    for row in ("span", "run_batch"):
+        out[row] = {}
+        for name, sizes in runs["change"][0][row].items():
+            out[row][name] = {}
+            for n in sizes:
+                ratio = np.array([c[row][name][n]["median"] / r[row][name][n]["median"]
+                                  for c, r in zip(runs["change"], runs["rev"])])
+                q1, med, q3 = np.percentile(ratio, [25, 50, 75])
+                out[row][name][n] = {"ratio_median": round(float(med), 4),
+                                     "ratio_iqr": round(float(q3 - q1), 4),
+                                     "change_slower": int(np.sum(ratio > 1.0))}
+    return out
+
+
 def span(cfg, seeds) -> None:
     _, rec_step, total = engine.record_steps(cfg)
     if _kernel.batch(cfg, seeds, rec_step, total) is None:
@@ -98,10 +157,19 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--rep-steps", type=int, default=4_000_000)
     parser.add_argument("--level", choices=LEVELS, default="native")
+    parser.add_argument("--cache", help="kernel cache directory")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the git revision REV")
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.against:
+        print(json.dumps(against(args)))
+        return
     with tempfile.TemporaryDirectory(prefix="span_ns-") as cache:
+        if args.cache:
+            _kernel.cache_dir = lambda: args.cache
         if args.level != "native":
-            force_level(args.level, cache)
+            force_level(args.level, args.cache or cache)
         out = {"march": " ".join(_kernel.march()) or "baseline"}
         for row, run, sizes, checkpoints in (
                 ("span", span, SIZES, 1),
