@@ -307,11 +307,14 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
 
 
 @needs_compiler
-def test_bind_path_refuses_a_bit_generator_other_than_pcg64():
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
+                                           np.random.SFC64, np.random.Philox],
+                         ids=lambda b: b.__name__)
+def test_bind_path_refuses_a_bit_generator_other_than_pcg64(bit_generator):
     # simulate_path hands bind_path numpy's PCG64 alone; run_batch seeds its
     # own PCG64 streams from the integer seeds (test_engine checks them)
     model, noise = scalar_ou()
-    rng = np.random.Generator(np.random.MT19937(3))
+    rng = np.random.Generator(bit_generator(3))
     with pytest.raises(ValueError, match="numpy's PCG64 alone"):
         _kernel.bind_path(model, noise, 0.01, rng, np.zeros(1))
 
