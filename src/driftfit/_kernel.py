@@ -4,26 +4,29 @@ The kernel has four entry points that the program runs on: a whole
 `engine.run_batch`, from the integer seeds to the checkpoint rows and each
 replication's failing step (`batch`), the Euler steps of
 `sde.simulate_path` (`bind_path`), the CSV replay's updates (`replay`) and
-`sde.write_csv`'s '%.12g' lines (`csv_writer`).  The first three run the
-models of `models.FAMILIES` that `covers` accepts, reading their
-parameters from `true_theta`; the others run the numpy code, which defines
-the results.  The lines cover each cell v with 10^-11 <= |v| < 2^127, ±0,
-±inf and NaN; a block with any other cell is formatted by Python's %, which
-defines the bytes.  One more, the screening of `batch`, is there for the
-load-time check and the tests.
+`sde.write_csv`'s '%.12g' lines (`csv_writer`).  The first three load the
+kernel and run the models `covers` accepts, of a `models.FAMILIES` family
+with a body in BODIES, reading their parameters from `true_theta`; the
+others, `bounded_link`'s link family among them (libm's tanh and cosh round
+otherwise than numpy's), run the numpy code, which defines the results.
+The lines are written where one of the three has loaded the kernel.  They
+cover each cell v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block
+with any other cell is formatted by Python's %, which defines the bytes.
+One more, the screening of `batch`, is there for the load-time check and
+the tests.
 
 The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
 stream from its integer seed, one 64-bit word (`engine.seed_array`), as
 np.random.PCG64(seed) does by numpy's public SeedSequence algorithm, so no
-Generator is built; `bind_path` reads the public `bit_generator.state` of
-simulate_path's generator once (`streams`).  It draws its normals through
-an inlined copy of numpy's ziggurat, on numpy's own tables: `objcopy` makes
-them global in a private copy of numpy's `libnpyrandom.a`, which the kernel
-is linked against.  `_kernel.c` is read once, at import, so that the kernel
-built is the one whose entry points `_open` declares.  It is compiled with
-the system C compiler at the first call that can use it, never at import, for
-the highest x86-64 level the CPU has (`march`).  The
-shared library goes into a per-user cache directory, keyed by the hash of
+Generator is built; `bind_path` takes simulate_path's seed and reads the
+public state of np.random.PCG64(seed) once (`streams`).  It draws its
+normals through an inlined copy of numpy's ziggurat, on numpy's own tables:
+`objcopy` makes them global in a private copy of numpy's `libnpyrandom.a`,
+which the kernel is linked against.  `_kernel.c` is read once, at import,
+so that the kernel built is the one whose entry points `_open` declares.
+It is compiled with the system C compiler at the first call that can use
+it, never at import, for the highest x86-64 level the CPU has (`march`).
+The shared library goes into a per-user cache directory, keyed by the hash of
 the source, the flags (the level among them), the numpy version and the
 platform, so a machine compiles it once, and a home directory shared with
 another CPU never loads a kernel built for a level that CPU lacks.
@@ -410,8 +413,8 @@ def _mismatch(lib):
         sched = dataclasses.replace(config.schedule, c_alpha=CHECK_C_ALPHA)
         config = dataclasses.replace(config, integrator=integ, schedule=sched)
         path = np.empty((CHECK_STEPS, model.m))
-        _bind_path(lib, model, config.noise, integ.dt,
-                   np.random.default_rng(CHECK_SEED), integ.initial_state(model.m))(path)
+        _bind_path(lib, model, config.noise, integ.dt, CHECK_SEED,
+                   integ.initial_state(model.m))(path)
         if path.tobytes() != reference_path(config, CHECK_SEED, CHECK_STEPS).tobytes():
             return ("its path of body %s differs from simulate_path's euler_step loop"
                     % body)
@@ -532,22 +535,18 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     return rec_theta, rec_x, fail
 
 
-def bind_path(model, noise, dt: float, rng, x: np.ndarray):
+def bind_path(model, noise, dt: float, seed: int, x: np.ndarray):
     """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
-    kernel, drawing from rng's stream and updating x in place, with the state
-    after step j in out[j].  None where the numpy loop must run, a model
-    `covers` refuses; ValueError if rng is not on numpy's PCG64.
-
-    The binding takes over rng's stream: it reads its state once, here, and
-    advances its own copy (`streams`), so rng is not advanced, and must not
-    be drawn from again."""
+    kernel, drawing from the stream of np.random.PCG64(seed) and updating x
+    in place, with the state after step j in out[j].  None where the numpy
+    loop must run, a model `covers` refuses."""
     lib = _covering(model, noise)
-    return None if lib is None else _bind_path(lib, model, noise, dt, rng, x)
+    return None if lib is None else _bind_path(lib, model, noise, dt, seed, x)
 
 
-def _bind_path(lib, model, noise, dt: float, rng, x: np.ndarray):
+def _bind_path(lib, model, noise, dt: float, seed: int, x: np.ndarray):
     """`bind_path` on the library lib."""
-    words = streams([rng.bit_generator])
+    words = streams([np.random.PCG64(seed)])
     path = _entry(lib, "path", model)
     m = model.m
     _check(x, (m,))
@@ -590,10 +589,9 @@ def csv_writer(rows: int, cols: int):
     """lines(block): the '%.12g' CSV lines of a 2-d block of at most rows x
     cols cells (cast to float64), formatted by the kernel into one buffer
     that lines keeps; a view of it, which the next call overwrites, or None
-    where a cell lies outside CSV_RANGE.  None where the kernel is not
-    loaded."""
-    lib = load()
-    return None if lib is None else _csv_writer(lib, rows, cols)
+    where a cell lies outside CSV_RANGE.  None where no step has loaded the
+    kernel: formatting alone does not build and check it."""
+    return _csv_writer(_lib, rows, cols) if _lib else None
 
 
 def _csv_writer(lib, rows: int, cols: int):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import warnings
 from pathlib import Path
 from typing import List, NamedTuple
 
@@ -26,16 +27,10 @@ SLOPE_BAND_HALFWIDTH = 0.15
 ROUTE_AGREEMENT_TOL = 1e-8
 
 
-@dataclasses.dataclass
-class Verdict:
-    criterion: str
-    measured: float
-    band: tuple
-    passed: bool
-
-    def as_dict(self):
-        return {"criterion": self.criterion, "measured": self.measured,
-                "band": list(self.band), "passed": bool(self.passed)}
+def verdict(criterion: str, measured: float, band: tuple, passed) -> dict:
+    """One check's record, as report.json holds it."""
+    return {"criterion": criterion, "measured": measured, "band": list(band),
+            "passed": bool(passed)}
 
 
 def build_model(cfg: ExperimentConfig):
@@ -123,7 +118,7 @@ def _predict_covariance(model, noise, c_alpha, out_dir, artifacts):
     return pred, quad
 
 
-def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_verify_clt(cfg, out_dir, artifacts) -> List[dict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
     # the prediction checks the regime, so a violation fails before any replication
@@ -147,11 +142,11 @@ def _run_verify_clt(cfg, out_dir, artifacts) -> List[Verdict]:
     ks_max = float(report.ks_statistic.max())
     ks_crit = stats.KS_CRITICAL_1PCT / np.sqrt(report.n_samples)
     return [
-        Verdict("clt_variance_ratio", float(np.max(np.abs(diag_ratio - 1.0))) + 1.0,
+        verdict("clt_variance_ratio", float(np.max(np.abs(diag_ratio - 1.0))) + 1.0,
                 (1.0 - VARIANCE_BAND, 1.0 + VARIANCE_BAND),
                 bool(np.all((diag_ratio >= 1 - VARIANCE_BAND)
                             & (diag_ratio <= 1 + VARIANCE_BAND)))),
-        Verdict("clt_ks_statistic", ks_max, (0.0, ks_crit), ks_max < ks_crit),
+        verdict("clt_ks_statistic", ks_max, (0.0, ks_crit), ks_max < ks_crit),
     ]
 
 
@@ -188,7 +183,7 @@ def _rate_study(cfg, out_dir, artifacts, powers) -> _RateStudy:
                       (pred - SLOPE_BAND_HALFWIDTH, pred + SLOPE_BAND_HALFWIDTH))
 
 
-def _run_verify_rate(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_verify_rate(cfg, out_dir, artifacts) -> List[dict]:
     study = _rate_study(cfg, out_dir, artifacts, (2, 4))
     engine_cfg, band2 = study.engine_cfg, study.l2_band
     band4 = ((-2.35, -1.65) if study.regime.regime == "supercritical"
@@ -204,30 +199,30 @@ def _run_verify_rate(cfg, out_dir, artifacts) -> List[Verdict]:
     rel = np.abs(m2[tail] / np.interp(t2[tail], oracle_grid, oracle_vals) - 1.0)
     worst_rel = float(rel.max()) if tail.any() else np.nan
     return [
-        Verdict("l2_slope", s2.slope, band2, band2[0] <= s2.slope <= band2[1]),
-        Verdict("l4_slope", s4.slope, band4, band4[0] <= s4.slope <= band4[1]),
-        Verdict("moment_ode_oracle_rel_error", worst_rel, (0.0, ORACLE_BAND),
+        verdict("l2_slope", s2.slope, band2, band2[0] <= s2.slope <= band2[1]),
+        verdict("l4_slope", s4.slope, band4, band4[0] <= s4.slope <= band4[1]),
+        verdict("moment_ode_oracle_rel_error", worst_rel, (0.0, ORACLE_BAND),
                 worst_rel <= ORACLE_BAND),  # False for NaN, no checkpoint past t = 100
     ]
 
 
-def _run_regime_sweep(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_regime_sweep(cfg, out_dir, artifacts) -> List[dict]:
     study = _rate_study(cfg, out_dir, artifacts, (2,))
     cc, slope, band = study.regime.cc_alpha, study.slopes[2].slope, study.l2_band
-    return [Verdict("regime_cc_alpha", cc, (cc, cc), True),
-            Verdict("regime_l2_slope", slope, band, band[0] <= slope <= band[1])]
+    return [verdict("regime_cc_alpha", cc, (cc, cc), True),
+            verdict("regime_l2_slope", slope, band, band[0] <= slope <= band[1])]
 
 
-def _run_predict_covariance(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_predict_covariance(cfg, out_dir, artifacts) -> List[dict]:
     model, noise = build_model(cfg)
     pred, quad = _predict_covariance(model, noise, cfg["schedule.c_alpha"], out_dir,
                                      artifacts)
     dev = float(np.abs(pred - quad).max())
-    return [Verdict("sigma_route_agreement", dev, (0.0, ROUTE_AGREEMENT_TOL),
+    return [verdict("sigma_route_agreement", dev, (0.0, ROUTE_AGREEMENT_TOL),
                     dev < ROUTE_AGREEMENT_TOL)]
 
 
-def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_poisson_solve(cfg, out_dir, artifacts) -> List[dict]:
     model, noise = build_model(cfg)
     if cfg.get("grid.lo") is not None:  # config admits grid.lo only with grid.hi
         grid = poisson.Grid1D(cfg["grid.lo"], cfg["grid.hi"], cfg["grid.n"])
@@ -241,7 +236,7 @@ def _run_poisson_solve(cfg, out_dir, artifacts) -> List[Verdict]:
     out_path = out_dir / "poisson_solution.csv"
     write_csv(out_path, "x,pi,v,dv_dx", [grid.nodes, dens, sol.v, sol.dv_dx])
     artifacts.append(str(out_path))
-    return [Verdict("poisson_residual_sup", sol.residual_sup, (0.0, 1e-4),
+    return [verdict("poisson_residual_sup", sol.residual_sup, (0.0, 1e-4),
                     sol.residual_sup < 1e-4)]
 
 
@@ -285,18 +280,25 @@ def _check_replay_rows(path, times, xs) -> None:
         raise ConfigError("%s: state on data row %d is not finite" % (path, bad[0] + 1))
 
 
-def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_simulate(cfg, out_dir, artifacts) -> List[dict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
     replay = cfg.get("data.path_csv")
     if replay is not None:
-        times, xs = load_path_csv(replay)
+        try:
+            with warnings.catch_warnings():  # np.loadtxt's on a file of no rows
+                warnings.simplefilter("ignore", UserWarning)
+                times, xs = load_path_csv(replay)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("%s: cannot be read as a replay CSV, a header line "
+                              "and rows t,x_1,...,x_m of numbers (%s)"
+                              % (replay, exc)) from exc
+        if len(times) < 2:
+            raise ConfigError("%s has %d row%s; a replay needs an increment"
+                              % (replay, len(times), "" if len(times) == 1 else "s"))
         if xs.shape[1] != model.m:
             raise ConfigError("%s has %d state columns, but model %r has %d"
                               % (replay, xs.shape[1], model.name, model.m))
-        if len(times) < 2:
-            raise ConfigError("%s has %d row; a replay needs an increment"
-                              % (replay, len(times)))
         _check_replay_rows(replay, times, xs)
         if engine_cfg.schedule.c0 + times[0] <= 0:
             raise ConfigError("%s starts at t = %r, where the learning rate "
@@ -319,7 +321,7 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[Verdict]:
     return []
 
 
-def _run_estimate(cfg, out_dir, artifacts) -> List[Verdict]:
+def _run_estimate(cfg, out_dir, artifacts) -> List[dict]:
     model, noise = build_model(cfg)
     engine_cfg = build_engine_config(cfg, model, noise)
     # called through the module, so a wrapper set on engine.run_batch sees it
@@ -333,7 +335,7 @@ def _run_estimate(cfg, out_dir, artifacts) -> List[Verdict]:
     verdicts = []
     if model.true_theta is not None:
         err = float(np.linalg.norm(rep.thetas[-1, 0] - model.true_theta))
-        verdicts.append(Verdict("final_theta_error", err, (0.0, np.inf), True))
+        verdicts.append(verdict("final_theta_error", err, (0.0, np.inf), True))
     return verdicts
 
 
@@ -356,10 +358,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir):
     start = time.monotonic()
     status = 0
     error = None
-    verdicts: List[Verdict] = []
+    verdicts: List[dict] = []
     try:
         verdicts = _RUNNERS[cfg["experiment"]](cfg, out_dir, artifacts)
-        if any(not v.passed for v in verdicts):
+        if any(not v["passed"] for v in verdicts):
             status = 1
     except Exception as exc:  # structured error record, nonzero exit
         error = {"type": type(exc).__name__, "message": str(exc)}
@@ -367,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir):
     report = {
         "experiment": cfg["experiment"],
         "config": cfg.echo(),
-        "verdicts": [v.as_dict() for v in verdicts],
+        "verdicts": verdicts,
         "artifacts": sorted(artifacts),
         "error": error,
         "wall_clock": round(time.monotonic() - start, 3),

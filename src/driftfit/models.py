@@ -5,10 +5,11 @@ and (for the built-in catalog) closed-form stationary moments and the
 Hessian of the averaged objective at theta*.  All callables are vectorized:
 they accept `x` of shape (..., m) and `theta` of shape (..., k) with matching
 leading dimensions and return (..., m) drifts and (..., k, m) gradients.
-A model of a family in FAMILIES (`family_model`) takes the family's drift
-and gradient, and the family's drift at true_theta as its true drift; the
-compiled kernel runs such models (`_kernel.covers`), and the others, with
-`family` None, run on numpy.
+Every built-in model is of a family in FAMILIES (`family_model`): it takes
+the family's drift and gradient, and the family's drift at true_theta as
+its true drift.  The compiled kernel runs such models where it has a body
+for the family (`_kernel.covers`); the link family and models built by hand,
+with `family` None, run on numpy.
 """
 from __future__ import annotations
 
@@ -140,9 +141,28 @@ def affine_grad(x, theta):
     return np.stack([g1, g2], axis=-2)
 
 
+def link_eta(t):
+    """eta(theta) = theta + tanh(theta), the link's rate."""
+    return t + np.tanh(t)
+
+
+def link_eta_prime(t):
+    return 1.0 + 1.0 / np.cosh(t) ** 2
+
+
+def link_drift(x, theta):
+    """-eta(theta_1) x."""
+    return -link_eta(theta[..., 0:1]) * x
+
+
+def link_grad(x, theta):
+    return np.expand_dims(-link_eta_prime(theta[..., 0:1]) * x, -2)
+
+
 # family name -> (drift, gradient)
 FAMILIES = {"linear": (linear_drift, linear_grad),
-            "affine": (affine_drift, affine_grad)}
+            "affine": (affine_drift, affine_grad),
+            "link": (link_drift, link_grad)}
 
 
 def family_model(name: str, family: str, m: int, true_theta: np.ndarray,
@@ -173,43 +193,22 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
 
 
 def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
-    """f(x, theta) = -eta(theta) x with eta(theta) = theta + tanh(theta).
+    """The link family f(x, theta) = -eta(theta) x, eta(theta) = theta + tanh(theta).
 
     eta is monotone, so gbar has a single critical point, yet gbar is
     non-convex away from theta*.
     """
     ts = float(theta_star)
-
-    def eta(t):
-        return t + np.tanh(t)
-
-    def etap(t):
-        return 1.0 + 1.0 / np.cosh(t) ** 2
-
-    if eta(ts) <= 0:
+    if link_eta(ts) <= 0:
         raise ModelError("eta(theta_star) must be positive")
     noise = NoiseSpec(np.array([[float(sigma)]]))
     sig2 = float(noise.a[0, 0])
-    m2 = sig2 / (2.0 * eta(ts))
-    eta_star = eta(ts)
-
-    def drift(x, theta):
-        return -eta(theta[..., 0:1]) * x
-
-    def grad(x, theta):
-        return np.expand_dims(-etap(theta[..., 0:1]) * x, -2)
-
-    def true_drift(x):
-        return -eta_star * x
-
+    m2 = sig2 / (2.0 * link_eta(ts))
     # gbar(theta) = m2 (eta(theta) - eta*)^2 / (2 sig2); at theta* the
     # eta'' term of its second derivative carries the factor eta - eta* = 0
     analytic = AnalyticInfo(np.zeros(1), np.array([m2]),
-                            np.array([[m2 / sig2 * etap(ts) ** 2]]))
-    model = DriftModelSpec("bounded_link", k=1, m=1, drift_fn=drift,
-                           drift_grad_fn=grad, true_drift_fn=true_drift,
-                           true_theta=np.array([ts]), analytic=analytic)
-    return model, noise
+                            np.array([[m2 / sig2 * link_eta_prime(ts) ** 2]]))
+    return family_model("bounded_link", "link", 1, np.array([ts]), analytic), noise
 
 
 def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,

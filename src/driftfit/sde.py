@@ -91,8 +91,9 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
     the rows run t = 1 + i dt, i = 1..n_steps, with X_t in states.
 
     Deterministic given the seed.  The steps, burn-in included, run in chunks
-    of PATH_CHUNK, in the kernel where `_kernel.bind_path` takes the model,
-    else in the `euler_step` loop below, which defines them bitwise.  Then
+    of PATH_CHUNK, in the kernel where `_kernel.bind_path` takes the model and
+    seed, else in the `euler_step` loop below on np.random.PCG64(seed), which
+    defines them bitwise.  Then
     `diverged` screens each chunk: its first flagged state, burn-in included,
     raises BlowupError after the states before it, with `t` its time and
     `step` the steps since the first burn-in step, as `run_batch` counts.
@@ -107,7 +108,7 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
         for j in range(len(out)):
             out[j] = x[:] = euler_step(model, noise, x, dt, rng.standard_normal(m))
 
-    steps = _kernel.bind_path(model, noise, dt, rng, x) or _numpy_steps
+    steps = _kernel.bind_path(model, noise, dt, seed, x) or _numpy_steps
     # burn-in is the steps i = 1 - burn_in .. 0; step i ends at t = 1 + i dt
     for lo in range(1 - burn_in, n_steps + 1, PATH_CHUNK):
         out = np.empty((min(PATH_CHUNK, n_steps + 1 - lo), m))

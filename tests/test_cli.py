@@ -397,6 +397,46 @@ def test_cli_replay_rejects_a_csv_of_one_row(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("content,message", [
+    ("t,x_1\n1.0,abc\n1.01,0.4\n", "could not convert string 'abc'"),
+    ("t,x_1,x_2\n1.0,0.5,0.1\n1.01,0.4\n", "the number of columns changed"),
+    ("t,x_1\n", "has 0 rows; a replay needs an increment"),
+    ("", "has 0 rows; a replay needs an increment"),
+    (None, "not found"),
+], ids=["non_numeric", "ragged", "header_only", "empty", "missing"])
+def test_cli_replay_a_csv_that_cannot_be_read_is_a_config_error(tmp_path, content,
+                                                                 message):
+    # these used to exit with a bare ValueError or FileNotFoundError, or, for
+    # a file of no rows, warn and then report 0 state columns
+    path_csv = tmp_path / "path.csv"
+    if content is not None:
+        path_csv.write_text(content)
+    cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
+    out = tmp_path / "replay"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert seen == []
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ConfigError"
+    assert str(path_csv) in report["error"]["message"]
+    assert message in report["error"]["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_a_command_that_only_writes_csv_does_not_build_the_kernel(tmp_path):
+    # poisson-solve runs no step, so its CSV is formatted by Python's % and
+    # no kernel is built or checked for it (a gcc run on a cold cache)
+    src = os.path.dirname(os.path.dirname(driftfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src, HOME=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "driftfit.cli", "poisson-solve",
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "poisson_solution.csv").exists()
+    assert not (tmp_path / ".cache" / "driftfit").exists()
+
+
 def test_cli_simulate_rejects_a_stride_that_does_not_divide_the_steps(tmp_path, capsys):
     # 1900 steps in strides of 7 would end path.csv at t = 19.97
     cfg = write_config(tmp_path, """

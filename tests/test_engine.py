@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -797,6 +798,21 @@ def test_a_kernel_whose_csv_lines_differ_from_python_is_not_used(tmp_path):
 def test_the_load_time_check_runs_every_body():
     assert {(cfg.model.family, cfg.model.m)
             for cfg in _kernel.check_configs()} == _kernel.BODIES
+
+
+def test_bodies_and_codes_are_the_kernels_dispatch_and_family_enum():
+    # both tables copy _kernel.c by hand: a body missing from BODIES sends its
+    # models to numpy unseen, and an extra one sends a run to no body at all
+    source = _kernel._source.decode()
+    dispatch = source[source.index("#define DISPATCH"):source.index("return -1")]
+    rows = re.findall(r"if \(family == (\w+) && m == (\d+)\)\s*\\\s*"
+                      r"return CALL\((\w+), (\d+)\);", dispatch)
+    assert len(rows) == dispatch.count("CALL(")
+    assert all((f, m) == (g, n) for f, m, g, n in rows)
+    assert sorted((f.lower(), int(m)) for f, m, _, _ in rows) == sorted(_kernel.BODIES)
+    enum = re.search(r"enum \{ (LINEAR = [^}]*) \};", source).group(1)
+    assert {name.lower(): int(code) for name, code in
+            re.findall(r"(\w+) = (\d+)", enum)} == _kernel.CODES
 
 
 @pytest.mark.parametrize("cfg", _kernel.check_configs(), ids=lambda c: c.model.name)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftfit import models
+from driftfit import _kernel, models
 from driftfit.config import ConfigError, from_dict
 from driftfit.experiments import build_model, covariance_inputs
 from driftfit.models import (FAMILIES, DriftModelSpec, ModelError, NoiseSpec,
@@ -234,3 +234,28 @@ def test_the_families_give_the_closed_forms_they_replaced(data, n, d):
         assert (model.drift_fn, model.drift_grad_fn) == (drift, grad)
         assert_same(model.true_drift_fn(xm), want(xm))
         assert_same(model.true_drift_fn(xm), drift(xm, model.true_theta))
+
+
+def test_the_link_family_gives_bounded_links_eta_expressions():
+    # the closures bounded_link was built from, before it became a family;
+    # the grid runs out to where tanh saturates and 1 / cosh^2 reaches 0
+    theta, x = (a.reshape(-1, 1) for a in np.meshgrid(np.linspace(-400.0, 400.0, 321),
+                                                      np.linspace(-3.0, 3.0, 13)))
+    theta = np.concatenate([theta, np.zeros((13, 1)), np.full((13, 1), -0.0)])
+    x = np.concatenate([x, x[:26]])
+    drift, grad = FAMILIES["link"]
+    eta = theta + np.tanh(theta)
+    with np.errstate(over="ignore"):  # cosh^2 overflows past |theta| ~ 355
+        etap = 1.0 + 1.0 / np.cosh(theta) ** 2
+        assert_same(drift(x, theta), -eta * x)
+        assert_same(grad(x, theta), np.expand_dims(-etap * x, -2))
+    for ts in np.linspace(0.05, 20.0, 400).tolist():
+        model, noise = bounded_link(ts, 0.7)
+        assert model.family == "link" and not _kernel.covers(model, noise)
+        assert (model.drift_fn, model.drift_grad_fn) == (drift, grad)
+        eta_star = ts + np.tanh(ts)
+        assert_same(model.true_drift_fn(x), -eta_star * x)
+        sig2 = 0.7 * 0.7
+        m2 = sig2 / (2.0 * eta_star)
+        etap_star = 1.0 + 1.0 / np.cosh(ts) ** 2
+        assert_same(model.analytic.hessian, np.array([[m2 / sig2 * etap_star ** 2]]))

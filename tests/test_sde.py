@@ -181,6 +181,8 @@ def test_write_csv_writes_the_bytes_of_savetxt(tmp_path, fmt, block, kernel, mon
     monkeypatch.setattr(sde, "CSV_BLOCK", block)
     if not kernel:
         monkeypatch.setattr(_kernel, "_lib", False)  # as after a refused load
+    else:
+        _kernel.load()  # as a step does before a run writes its CSV
     formatted = spy_csv_writer(monkeypatch)
     write_csv(tmp_path / "ours.csv", "i,j,a,b", cols, fmt=fmt)
     np.savetxt(tmp_path / "numpy.csv", np.column_stack(cols), delimiter=",",
@@ -213,6 +215,7 @@ csv_cells = st.one_of(st.floats(), st.floats(-1e15, 1e15),
 def test_the_kernels_csv_lines_are_the_bytes_of_percent(rows):
     table = np.array(rows, dtype=np.float64)
     inside = np.vectorize(in_csv_range)(table)
+    _kernel.load()  # csv_writer formats only where a step has loaded the kernel
     lines = _kernel.csv_writer(*table.shape)
     got = lines(table)
     assert (got is not None) == inside.all()
@@ -306,17 +309,14 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
     assert not compiled and error is None and len(blocks[0][1]) == 20
 
 
-@needs_compiler
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
                                            np.random.SFC64, np.random.Philox],
                          ids=lambda b: b.__name__)
-def test_bind_path_refuses_a_bit_generator_other_than_pcg64(bit_generator):
-    # simulate_path hands bind_path numpy's PCG64 alone; run_batch seeds its
-    # own PCG64 streams from the integer seeds (test_engine checks them)
-    model, noise = scalar_ou()
-    rng = np.random.Generator(bit_generator(3))
+def test_streams_refuses_a_bit_generator_other_than_pcg64(bit_generator):
+    # bind_path and run_batch build their PCG64 streams from integer seeds;
+    # normals reads the bit generators it is given, and the kernel steps PCG64
     with pytest.raises(ValueError, match="numpy's PCG64 alone"):
-        _kernel.bind_path(model, noise, 0.01, rng, np.zeros(1))
+        _kernel.streams([np.random.PCG64(2), bit_generator(3)])
 
 
 def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():
