@@ -32,16 +32,16 @@ platform, so a machine compiles it once, and a home directory shared with
 another CPU never loads a kernel built for a level that CPU lacks.
 
 Each process checks it before use (`_mismatch`): CHECK_CALLS normals from
-each of CHECK_GENERATORS PCG64 generators, drawn through the path's loop
-(`normals`), must equal `Generator.standard_normal`'s bytes and leave the
-same bit-generator states, and its screening of a table of edge rows
-(`check_rows`) must be `sde.diverged`'s; then for each body in BODIES a
-small run, with diverging replications and seeded from a table of edge
-seeds (`CHECK_SEEDS`) among others, a short path and a replay must give
-the bytes of the numpy code they stand for, and the CSV lines of a table
-of edge cases (`check_cells`) those of Python's %.  Where it cannot be
-built or loaded, or fails that check, every entry point runs numpy and one
-RuntimeWarning per process says why.
+the streams of each of CHECK_GENERATORS PCG64 generators, drawn through the
+path's loop (`normals`), must equal `Generator.standard_normal`'s bytes from
+those generators and advance the streams to their words after it, and its
+screening of a table of edge rows (`check_rows`) must be `sde.diverged`'s;
+then for each body in BODIES a small run, with diverging replications and
+seeded from a table of edge seeds (`CHECK_SEEDS`) among others, a short
+path and a replay must give the bytes of the numpy code they stand for, and
+the CSV lines of a table of edge cases (`check_cells`) those of Python's %.
+Where it cannot be built or loaded, or fails that check, every entry point
+runs numpy and one RuntimeWarning per process says why.
 """
 from __future__ import annotations
 
@@ -248,27 +248,22 @@ def screened(lib, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return flags
 
 
-def normals(lib, bit_generators, calls: int) -> np.ndarray:
-    """(G, calls) standard normals by the kernel's ziggurat, row i from bit
-    generator i (numpy's PCG64), each advanced past them through its public
-    state: one driftfit_path call of `calls` Euler steps per generator, of
-    family linear with m = 1, p = 1, sigma = 1 and dt = 1, from x = -0.0.
-    Each step adds its draw to x + f(x) dt = x - x, which is +0.0, or -0.0
-    where x is -0.0, so that the state after step j is draw j bit for bit;
-    a -0.0 draw ends as +0.0 unless it is the first (numpy draws -0.0 with
-    probability 2^-53)."""
-    bit_generators = list(bit_generators)
-    words = streams(bit_generators)
+def normals(lib, words: np.ndarray, calls: int) -> np.ndarray:
+    """(G, calls) standard normals by the kernel's ziggurat, row i from stream
+    i of words, the C-ordered (G, 4) uint64 array `streams` packs, which it
+    advances in place past the draws: one driftfit_path call of `calls` Euler
+    steps per stream, of family linear with m = 1, p = 1, sigma = 1 and
+    dt = 1, from x = -0.0.  Each step adds its draw to x + f(x) dt = x - x,
+    which is +0.0, or -0.0 where x is -0.0, so that the state after step j is
+    draw j bit for bit; a -0.0 draw ends as +0.0 unless it is the first
+    (numpy draws -0.0 with probability 2^-53)."""
+    _check(words, (len(words), 4), np.uint64)
     one, x = np.ones(1), np.empty(1)
-    out = np.empty((len(bit_generators), calls))
+    out = np.empty((len(words), calls))
     for row, stream in zip(out, words):
         x[0] = -0.0
         lib.driftfit_path(CODES["linear"], 1, one.ctypes.data, one.ctypes.data, 1.0,
                           stream.ctypes.data, calls, x.ctypes.data, row.ctypes.data)
-    for bit_generator, (lo, hi, _, _) in zip(bit_generators, words.tolist()):
-        state = bit_generator.state
-        state["state"]["state"] = hi * WORD + lo
-        bit_generator.state = state
     return out
 
 
@@ -390,12 +385,13 @@ def _mismatch(lib):
     from .engine import seed_split
     from .sde import IntegratorConfig
     seeds = seed_split(CHECK_SEED, np.arange(CHECK_GENERATORS)).tolist()
-    ours, theirs = ([np.random.PCG64(seed) for seed in seeds] for _ in range(2))
-    got = normals(lib, ours, CHECK_CALLS)
-    want = [reference_normals(bit_generator, CHECK_CALLS) for bit_generator in theirs]
+    bit_generators = [np.random.PCG64(seed) for seed in seeds]
+    words = streams(bit_generators)
+    got = normals(lib, words, CHECK_CALLS)
+    want = [reference_normals(b, CHECK_CALLS) for b in bit_generators]
     if got.tobytes() != np.array(want).tobytes():
         return "its normal draws differ from numpy's standard_normal"
-    if [b.state for b in ours] != [b.state for b in theirs]:
+    if words.tobytes() != streams(bit_generators).tobytes():
         return "its normal draws leave another bit-generator state than numpy's"
     theta, x = check_rows()
     if screened(lib, theta, x).tolist() != reference_screen(theta, x).tolist():
@@ -474,10 +470,10 @@ def _covering(model, noise):
     return load() if covers(model, noise) else None
 
 
-def _check(a: np.ndarray, shape) -> None:
-    if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
-        raise ValueError("kernel arrays must be C-ordered float64 of shape %s"
-                         % (shape,))
+def _check(a: np.ndarray, shape, dtype=np.float64) -> None:
+    if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-ordered %s of shape %s"
+                         % (np.dtype(dtype).name, shape))
 
 
 def _consts(*arrays):

@@ -26,10 +26,12 @@ class ModelError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class NoiseSpec:
-    """Constant diffusion coefficient sigma; sigma @ sigma.T must be SPD, with
-    it and its inverse finite."""
+    """Constant diffusion coefficient sigma; a = sigma @ sigma.T must be SPD,
+    with it and its inverse a_inv finite."""
 
     sigma: np.ndarray
+    a: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    a_inv: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
@@ -47,21 +49,8 @@ class NoiseSpec:
         if not np.isfinite(a_inv).all():
             raise ModelError("(sigma @ sigma.T)^-1 overflows: sigma is too small")
         object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_a_inv", a_inv)
-
-    @property
-    def m(self) -> int:
-        return self.sigma.shape[0]
-
-    @property
-    def a(self) -> np.ndarray:
-        """sigma @ sigma.T"""
-        return self._a
-
-    @property
-    def a_inv(self) -> np.ndarray:
-        return self._a_inv
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_inv", a_inv)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,18 +234,16 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     if sigma is None:
         sigma = np.eye(d)
     noise = NoiseSpec(np.asarray(sigma, dtype=float))
-    a = noise.a
-    a_inv = noise.a_inv
     # stationary covariance S of dx = -Theta* x dt + sigma dW: Theta* S + S
     # Theta*^T = A, one d^2 x d^2 linear system in the row-major entries of S
     eye = np.eye(d)
     s_cov = np.linalg.solve(np.kron(th_star, eye) + np.kron(eye, th_star),
-                            a.ravel()).reshape(d, d)
+                            noise.a.ravel()).reshape(d, d)
     s_cov = 0.5 * (s_cov + s_cov.T)
     # gbar(theta) = tr((Theta - Theta*)^T A^-1 (Theta - Theta*) S) / 2, so
     # H[(ij),(kl)] = a_inv[i,k] s_cov[j,l]
     analytic = AnalyticInfo(np.zeros(d), np.diag(s_cov).copy(),
-                            np.kron(a_inv, s_cov))
+                            np.kron(noise.a_inv, s_cov))
     return family_model("linear_system", "linear", d, th_star.reshape(d * d).copy(),
                         analytic), noise
 

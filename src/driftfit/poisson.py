@@ -45,7 +45,6 @@ class PoissonSolution:
     v: np.ndarray
     dv_dx: np.ndarray
     residual_sup: float
-    centering_correction: float = 0.0
 
 
 def default_grid(model: DriftModelSpec, noise: NoiseSpec, n: int = 4001) -> Grid1D:
@@ -134,8 +133,7 @@ def solve(model: DriftModelSpec, noise: NoiseSpec, G, grid: Grid1D,
     trusted = dens > 1e-10 * dens.max()
     trusted[:2] = trusted[-2:] = False
     residual_sup = float(np.abs(resid[trusted]).max()) if trusted.any() else np.inf
-    return PoissonSolution(v=v, dv_dx=dv, residual_sup=residual_sup,
-                           centering_correction=mean_g)
+    return PoissonSolution(v=v, dv_dx=dv, residual_sup=residual_sup)
 
 
 def _grad_g(model: DriftModelSpec, noise: NoiseSpec, theta: np.ndarray,

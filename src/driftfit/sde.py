@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -162,6 +163,23 @@ def dump_path_csv(path, times, xs) -> None:
 
 
 def load_path_csv(path):
-    """Read a t,x_1..x_m CSV back into (times, states)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a t,x_1..x_m CSV back into (times, states); a row np.loadtxt cannot
+    read is named as data row N, counted from 1 as the rows it returns are."""
+    read = functools.partial(np.loadtxt, delimiter=",", ndmin=2)
+    try:
+        data = read(path, skiprows=1)
+    except ValueError as exc:
+        with open(path) as fh:
+            lines = fh.read().split("\n")[1:]
+        # bisect: np.loadtxt reads lines[:lo], and not lines[:hi] if hi <= len
+        lo, hi, rows = 0, len(lines) + 1, 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                lo, rows = mid, len(read(lines[:mid]))
+            except ValueError:
+                hi = mid
+        if hi > len(lines):  # every line reads: no row is at fault
+            raise
+        raise ValueError("data row %d: %s" % (rows + 1, str(exc).split(" at row")[0])) from exc
     return data[:, 0], data[:, 1:]

@@ -398,16 +398,22 @@ def test_cli_replay_rejects_a_csv_of_one_row(tmp_path):
 
 
 @pytest.mark.parametrize("content,message", [
-    ("t,x_1\n1.0,abc\n1.01,0.4\n", "could not convert string 'abc'"),
-    ("t,x_1,x_2\n1.0,0.5,0.1\n1.01,0.4\n", "the number of columns changed"),
+    ("t,x_1\n1.0,abc\n1.01,0.4\n", "data row 1: could not convert string 'abc'"),
+    ("t,x_1,x_2\n1.0,0.5,0.1\n1.01,0.4\n", "data row 2: the number of columns changed"),
+    ("t,x_1\n1.0,\n1.01,0.4\n", "data row 1: could not convert string ''"),
+    ("t,x_1\n1.0,0.5\n1.01,abc\n", "data row 2: could not convert string 'abc'"),
+    ("t,x_1\n\n# a note\n1.0,0.5\n\n1.01,abc\n", "data row 2: could not convert"),
     ("t,x_1\n", "has 0 rows; a replay needs an increment"),
     ("", "has 0 rows; a replay needs an increment"),
     (None, "not found"),
-], ids=["non_numeric", "ragged", "header_only", "empty", "missing"])
+], ids=["non_numeric", "ragged", "empty_cell_on_row_1", "non_numeric_on_row_2",
+        "non_numeric_below_blank_and_comment_lines", "header_only", "empty", "missing"])
 def test_cli_replay_a_csv_that_cannot_be_read_is_a_config_error(tmp_path, content,
                                                                  message):
     # these used to exit with a bare ValueError or FileNotFoundError, or, for
-    # a file of no rows, warn and then report 0 state columns
+    # a file of no rows, warn and then report 0 state columns; a bad row is
+    # named as data row N, counted from 1 under the header as the replay's
+    # row checks count, never by np.loadtxt's own position
     path_csv = tmp_path / "path.csv"
     if content is not None:
         path_csv.write_text(content)
@@ -421,6 +427,7 @@ def test_cli_replay_a_csv_that_cannot_be_read_is_a_config_error(tmp_path, conten
     assert report["error"]["type"] == "ConfigError"
     assert str(path_csv) in report["error"]["message"]
     assert message in report["error"]["message"]
+    assert " at row" not in report["error"]["message"]
     assert not (out / "trajectory.csv").exists()
 
 

@@ -974,14 +974,14 @@ def pcg64_at(state, inc):
     return bit_generator
 
 
-def assert_normals_are_numpys(lib, ours, theirs, calls):
-    """The kernel's (G, calls) normals from the bit generators ours are the
-    rows of Generator.standard_normal from theirs, and leave their states;
-    returns them."""
-    got = _kernel.normals(lib, ours, calls)
-    want = np.array([_kernel.reference_normals(b, calls) for b in theirs])
+def assert_normals_are_numpys(lib, words, bit_generators, calls):
+    """The kernel's (G, calls) normals from the streams words are the rows of
+    Generator.standard_normal from bit_generators, and advance words to the
+    streams of those generators after it; returns them."""
+    got = _kernel.normals(lib, words, calls)
+    want = np.array([_kernel.reference_normals(b, calls) for b in bit_generators])
     assert got.tobytes() == want.tobytes()
-    assert [b.state for b in ours] == [b.state for b in theirs]
+    assert words.tobytes() == _kernel.streams(bit_generators).tobytes()
     return got
 
 
@@ -991,11 +991,31 @@ def test_the_kernel_normals_are_numpys_standard_normal():
     lib, tail = _kernel.load(), 0
     assert lib is not None
     for seed in (0, 1, 2 ** 63 + 5):
-        ours, theirs = pcg64s(seed, 1000), pcg64s(seed, 1000)
+        bit_generators = pcg64s(seed, 1000)
+        words = _kernel.streams(bit_generators)
         for _ in range(10):
-            got = assert_normals_are_numpys(lib, ours, theirs, 1000)
+            got = assert_normals_are_numpys(lib, words, bit_generators, 1000)
             tail += np.count_nonzero(np.abs(got) > 3.6541528853610088)
     assert tail > 0
+
+
+@needs_compiler
+def test_normals_advances_the_words_it_is_given_and_no_bit_generator():
+    lib = _kernel.load()
+    assert lib is not None
+    bit_generators = pcg64s(7, 5)
+    before = [b.state for b in bit_generators]
+    words = _kernel.streams(bit_generators)
+    _kernel.normals(lib, words, 30)
+    assert [b.state for b in bit_generators] == before
+    for b in bit_generators:
+        np.random.Generator(b).standard_normal(30)
+    assert words.tobytes() == _kernel.streams(bit_generators).tobytes()
+    # the kernel writes the words back through their address, so it takes
+    # them only as streams packs them
+    for other in (words[:, :3], words.astype(np.int64), np.asfortranarray(words)):
+        with pytest.raises(ValueError, match="C-ordered uint64"):
+            _kernel.normals(lib, other, 1)
 
 
 @needs_compiler
@@ -1008,8 +1028,9 @@ def test_the_kernel_steps_pcg64_from_any_state(state, inc, calls):
     # any 128-bit state and any odd increment 2 inc + 1
     lib = _kernel.load()
     assert lib is not None
-    assert_normals_are_numpys(lib, [pcg64_at(state, 2 * inc + 1)],
-                              [pcg64_at(state, 2 * inc + 1)], calls)
+    bit_generator = pcg64_at(state, 2 * inc + 1)
+    assert_normals_are_numpys(lib, _kernel.streams([bit_generator]), [bit_generator],
+                              calls)
 
 
 @needs_compiler
@@ -1026,8 +1047,9 @@ def test_the_kernel_normals_keep_a_negative_zero_draw():
     assert want[0] == 0.0 and np.signbit(want[0])
     # the first draw of each of 9 generators
     lib = _kernel.load()
-    got = assert_normals_are_numpys(lib, [pcg64_at(state, inc) for _ in range(9)],
-                                    [pcg64_at(state, inc) for _ in range(9)], 1)
+    bit_generators = [pcg64_at(state, inc) for _ in range(9)]
+    got = assert_normals_are_numpys(lib, _kernel.streams(bit_generators),
+                                    bit_generators, 1)
     assert got.tobytes() == np.full((9, 1), want[0]).tobytes()
 
 

@@ -37,7 +37,7 @@ def check_drift_gradient(model: DriftModelSpec, n_probes: int = 100,
 
 def test_noise_spec_scalar():
     n = NoiseSpec(np.array([[2.0]]))
-    assert n.m == 1
+    assert n.sigma.shape == (1, 1)
     npt.assert_allclose(n.a, [[4.0]])
     npt.assert_allclose(n.a_inv, [[0.25]])
 

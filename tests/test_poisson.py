@@ -55,7 +55,8 @@ def test_ou_poisson_closed_form():
     npt.assert_allclose(sol.v[sel], grid.nodes[sel] ** 2 / 2.0 - 0.25,
                         atol=2e-5)
     assert sol.residual_sup < 1e-4
-    assert abs(sol.centering_correction) < 1e-8
+    dens = stationary_density(model, noise, grid)
+    assert abs(np.trapezoid((0.5 - grid.nodes ** 2) * dens, grid.nodes)) < 1e-8
 
 
 def test_ou_poisson_refinement():
