@@ -5,10 +5,12 @@ The kernel has four entry points that the program runs on: a whole
 replication's failing step (`batch`), the Euler steps of
 `sde.simulate_path` (`bind_path`), the CSV replay's updates (`replay`) and
 `sde.write_csv`'s '%.12g' lines (`csv_writer`).  The first three load the
-kernel and run the models `covers` accepts, of a `models.FAMILIES` family
-with a body in BODIES, reading their parameters from `true_theta`; the
-others, `bounded_link`'s link family among them (libm's tanh and cosh round
-otherwise than numpy's), run the numpy code, which defines the results.
+kernel and run the models `covers` accepts, those whose `models.FAMILIES`
+family and m have a body in BODIES and whose sigma is diagonal, reading
+their parameters from `true_theta`; the others, `bounded_link`'s link
+family among them (libm's tanh and cosh round otherwise than numpy's), run
+their numpy counterparts (`engine.numpy_batch`, `sde.numpy_path`,
+`engine.numpy_replay`), which define the results.
 The lines are written where one of the three has loaded the kernel.  They
 cover each cell v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block
 with any other cell is formatted by Python's %, which defines the bytes.
@@ -279,13 +281,13 @@ def reference_batch(config, seeds, rec_step: np.ndarray, total: int):
 
 
 def reference_path(config, seed: int, steps: int) -> np.ndarray:
-    """The states after each of `steps` steps of simulate_path's euler_step
-    loop from seed, which defines the kernel's path (its model with no
-    family, so that the kernel does not run it)."""
+    """The states after each of `steps` Euler steps of `sde.numpy_path` from
+    seed and the config's x0, which define the kernel's path."""
     from . import sde
-    model = dataclasses.replace(config.model, family=None)
-    blocks = sde.simulate_path(model, config.noise, config.integrator, seed, steps)
-    return np.concatenate([x for _, x in blocks])
+    model, integ = config.model, config.integrator
+    x, out = integ.initial_state(model.m), np.empty((steps, model.m))
+    sde.numpy_path(model, config.noise, integ.dt, seed, x)(out)
+    return out
 
 
 def reference_screen(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -417,8 +419,7 @@ def _mismatch(lib):
         times = 1.0 + np.cumsum(rng.uniform(0.005, 0.02, CHECK_ROWS))
         xs = np.cumsum(0.1 * rng.standard_normal((CHECK_ROWS, model.m)), axis=0)
         theta = model.true_theta + rng.uniform(-0.5, 0.5, model.k)
-        out = np.empty((CHECK_ROWS - 1, model.k))
-        _replay(lib, config, times, xs, theta, out)
+        out = _replay(lib, config, times, xs, theta)
         if out.tobytes() != reference_replay(config, times, xs, theta).tobytes():
             return "its replay of body %s differs from numpy's sgdct_step loop" % body
     inside, outside = check_cells()
@@ -451,17 +452,9 @@ def load():
 
 
 def covers(model, noise) -> bool:
-    """Whether the kernel runs this model: its drift and gradient are its
-    family's, its true drift is the family's drift at model.true_theta itself
-    (a partial, as `models.family_model` makes it), _kernel.c has a body for
-    its (family, m), and sigma is diagonal."""
-    from .models import FAMILIES
-    drift, grad = FAMILIES.get(model.family, (None, None))
-    true = model.true_drift_fn
-    return (drift is not None and (model.drift_fn, model.drift_grad_fn) == (drift, grad)
-            and getattr(true, "func", None) is drift
-            and getattr(true, "keywords", {}).get("theta") is model.true_theta
-            and (model.family, model.m) in BODIES
+    """Whether the kernel runs this model: _kernel.c has a body for its
+    (family, m), and sigma is diagonal."""
+    return ((model.family, model.m) in BODIES
             and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
 
 
@@ -556,17 +549,16 @@ def _bind_path(lib, model, noise, dt: float, seed: int, x: np.ndarray):
     return steps
 
 
-def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
-           out: np.ndarray):
-    """Run the CSV replay's SGDCT updates in the kernel, from theta: update i
-    is driven by the increments from row i to row i + 1 of (times, xs), and
-    its theta goes to out[i].  True, or None where the numpy loop must run."""
+def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
+    """The CSV replay's SGDCT updates in the kernel, from theta: row i of the
+    (rows - 1, k) result is the theta of update i, driven by the increments
+    from row i to row i + 1 of (times, xs); None where the numpy loop must
+    run, a model `covers` refuses."""
     lib = _covering(config.model, config.noise)
-    return None if lib is None else _replay(lib, config, times, xs, theta, out)
+    return None if lib is None else _replay(lib, config, times, xs, theta)
 
 
-def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
-            out: np.ndarray):
+def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
     """`replay` on the library lib."""
     model, noise, sched = config.model, config.noise, config.schedule
     run = _entry(lib, "replay", model)
@@ -575,10 +567,10 @@ def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray,
     _check(times, (rows,))
     _check(xs, (rows, m))
     _check(theta, (k,))
-    _check(out, (rows - 1, k))
+    out = np.empty((rows - 1, k))
     run(a_inv.ctypes.data, float(sched.c_alpha), float(sched.c0), rows,
         times.ctypes.data, xs.ctypes.data, theta.ctypes.data, out.ctypes.data)
-    return True
+    return out
 
 
 def csv_writer(rows: int, cols: int):

@@ -87,8 +87,8 @@ def step_of(t, dt: float, what: str = "time", exact: bool = False):
 
 def theta0_box(model: DriftModelSpec, lo=None, hi=None) -> tuple:
     """(lo, hi), each (k,), of the uniform theta0 draw; an unset side is
-    theta* -/+ 1 where theta* is known, else -/+ 1."""
-    center = model.true_theta if model.true_theta is not None else np.zeros(model.k)
+    theta* -/+ 1."""
+    center = model.true_theta
     return (np.full(model.k, center - 1.0 if lo is None else lo, dtype=float),
             np.full(model.k, center + 1.0 if hi is None else hi, dtype=float))
 
@@ -138,7 +138,7 @@ class ReplicationSet:
     thetas: np.ndarray              # (n_cp, n_reps, k); NaN rows for failed reps
     xs: np.ndarray                  # (n_cp, n_reps, m)
     failed: Dict[int, int]          # replication position -> failing step
-    theta_star: Optional[np.ndarray]
+    theta_star: np.ndarray
 
     @property
     def n_reps(self) -> int:

@@ -85,9 +85,9 @@ def covariance_inputs(model, noise):
     Poisson correction vanishes at theta* for well-specified models and
     hbar coincides with the Hessian.
     """
-    if model.true_theta is None or model.analytic is None:
-        raise ConfigError("covariance prediction needs a built-in model "
-                          "with theta* and analytic metadata")
+    if model.analytic is None:
+        raise ConfigError("covariance prediction needs a model with analytic "
+                          "metadata")
     hessian = model.analytic.hessian
     return hessian, poisson.hbar(model, noise) if model.m == 1 else hessian.copy()
 
@@ -251,18 +251,18 @@ def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     theta0 = engine.draw_theta0(engine_cfg, [rng])[0]
-    model = engine_cfg.model
-    thetas = np.empty((len(times) - 1, 1, model.k))
     # a diverging theta overflows on to the last update, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        if _kernel.replay(engine_cfg, times, xs, theta0, thetas[:, 0]) is None:
-            thetas[:, 0] = engine.numpy_replay(engine_cfg, times, xs, theta0)
-    bad = np.flatnonzero(diverged(thetas[:, 0]))
+        updates = _kernel.replay(engine_cfg, times, xs, theta0)
+        if updates is None:
+            updates = engine.numpy_replay(engine_cfg, times, xs, theta0)
+    bad = np.flatnonzero(diverged(updates))
     if bad.size:
         i = int(bad[0])
         raise BlowupError("parameter update %d diverged (t = %r)" % (i, float(times[i])),
-                          step=i, t=times[i], theta=thetas[i - 1, 0] if i else theta0)
-    return ReplicationSet(times[1:], thetas, xs[1:, None, :], {}, model.true_theta)
+                          step=i, t=times[i], theta=updates[i - 1] if i else theta0)
+    return ReplicationSet(times[1:], updates[:, None, :], xs[1:, None, :], {},
+                          engine_cfg.model.true_theta)
 
 
 def _check_replay_rows(path, times, xs) -> None:
@@ -332,11 +332,8 @@ def _run_estimate(cfg, out_dir, artifacts) -> List[dict]:
     traj_path = out_dir / "rep_0.csv"
     rep.dump_csv(traj_path)
     artifacts.append(str(traj_path))
-    verdicts = []
-    if model.true_theta is not None:
-        err = float(np.linalg.norm(rep.thetas[-1, 0] - model.true_theta))
-        verdicts.append(verdict("final_theta_error", err, (0.0, np.inf), True))
-    return verdicts
+    err = float(np.linalg.norm(rep.thetas[-1, 0] - model.true_theta))
+    return [verdict("final_theta_error", err, (0.0, np.inf), True)]
 
 
 _RUNNERS = {

@@ -1,15 +1,14 @@
 """Parametric drift families f(x, theta) and their averaged objectives.
 
-A model packages the drift family, its theta-gradient, the true drift,
-and (for the built-in catalog) closed-form stationary moments and the
-Hessian of the averaged objective at theta*.  All callables are vectorized:
-they accept `x` of shape (..., m) and `theta` of shape (..., k) with matching
-leading dimensions and return (..., m) drifts and (..., k, m) gradients.
-Every built-in model is of a family in FAMILIES (`family_model`): it takes
-the family's drift and gradient, and the family's drift at true_theta as
-its true drift.  The compiled kernel runs such models where it has a body
-for the family (`_kernel.covers`); the link family and models built by hand,
-with `family` None, run on numpy.
+A model is one row of FAMILIES, a drift and its theta-gradient, at its
+true parameter theta*: its true drift is the family's drift at theta*.
+It may carry closed-form stationary moments and the Hessian of the
+averaged objective at theta* (`AnalyticInfo`).  All callables are
+vectorized: they accept `x` of shape (..., m) and `theta` of shape (..., k)
+with matching leading dimensions and return (..., m) drifts and (..., k, m)
+gradients.  The compiled kernel runs a model where it has a body for its
+family and m (`_kernel.covers`); the link family, among others, runs on
+numpy.
 """
 from __future__ import annotations
 
@@ -70,15 +69,35 @@ class AnalyticInfo:
 
 @dataclasses.dataclass(frozen=True)
 class DriftModelSpec:
+    """The model of `family`, a key of FAMILIES, with state dimension m at
+    theta* = true_theta.  Its k = len(true_theta) parameters, drift_fn and
+    drift_grad_fn (the family's) and true_drift_fn (the family's drift at
+    true_theta) are derived from them, so dataclasses.replace derives them
+    anew."""
+
     name: str
-    k: int
+    family: str
     m: int
-    drift_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    drift_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    true_drift_fn: Callable[[np.ndarray], np.ndarray]
-    true_theta: Optional[np.ndarray] = None
+    true_theta: np.ndarray
     analytic: Optional[AnalyticInfo] = None
-    family: Optional[str] = None  # a key of FAMILIES, for the compiled kernel
+    k: int = dataclasses.field(init=False, repr=False, compare=False)
+    drift_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = dataclasses.field(
+        init=False, repr=False, compare=False)
+    drift_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = dataclasses.field(
+        init=False, repr=False, compare=False)
+    true_drift_fn: Callable[[np.ndarray], np.ndarray] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ModelError("unknown drift family %r; the families are %s"
+                             % (self.family, ", ".join(sorted(FAMILIES))))
+        drift, grad = FAMILIES[self.family]
+        object.__setattr__(self, "k", len(self.true_theta))
+        object.__setattr__(self, "drift_fn", drift)
+        object.__setattr__(self, "drift_grad_fn", grad)
+        object.__setattr__(self, "true_drift_fn",
+                           functools.partial(drift, theta=self.true_theta))
 
 
 def pointwise_objective(model: DriftModelSpec, noise: NoiseSpec,
@@ -154,16 +173,6 @@ FAMILIES = {"linear": (linear_drift, linear_grad),
             "link": (link_drift, link_grad)}
 
 
-def family_model(name: str, family: str, m: int, true_theta: np.ndarray,
-                 analytic: AnalyticInfo) -> DriftModelSpec:
-    """A model of `family`; its true drift is the family's drift at true_theta."""
-    drift, grad = FAMILIES[family]
-    return DriftModelSpec(name, k=len(true_theta), m=m, drift_fn=drift,
-                          drift_grad_fn=grad,
-                          true_drift_fn=functools.partial(drift, theta=true_theta),
-                          true_theta=true_theta, analytic=analytic, family=family)
-
-
 # ---------------------------------------------------------------------------
 # Built-in catalog.  Every model is well-specified: f(x, theta*) = f*(x).
 # ---------------------------------------------------------------------------
@@ -178,7 +187,7 @@ def scalar_ou(theta_star: float = 1.0, sigma: float = 1.0):
     m2 = sig2 / (2.0 * ts)
     # gbar(theta) = m2 (theta - theta*)^2 / (2 sig2)
     analytic = AnalyticInfo(np.zeros(1), np.array([m2]), np.array([[m2 / sig2]]))
-    return family_model("scalar_ou", "linear", 1, np.array([ts]), analytic), noise
+    return DriftModelSpec("scalar_ou", "linear", 1, np.array([ts]), analytic), noise
 
 
 def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
@@ -197,7 +206,7 @@ def bounded_link(theta_star: float = 1.0, sigma: float = 1.0):
     # eta'' term of its second derivative carries the factor eta - eta* = 0
     analytic = AnalyticInfo(np.zeros(1), np.array([m2]),
                             np.array([[m2 / sig2 * link_eta_prime(ts) ** 2]]))
-    return family_model("bounded_link", "link", 1, np.array([ts]), analytic), noise
+    return DriftModelSpec("bounded_link", "link", 1, np.array([ts]), analytic), noise
 
 
 def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
@@ -217,8 +226,8 @@ def mean_reversion(rate_star: float = 1.0, level_star: float = 0.5,
     jac = np.array([[b_star, a_star], [-1.0, 0.0]])
     analytic = AnalyticInfo(np.array([mu]), np.array([var + mu * mu]),
                             (jac.T @ mom @ jac) / sig2)
-    return family_model("mean_reversion", "affine", 1, np.array([a_star, b_star]),
-                        analytic), noise
+    return DriftModelSpec("mean_reversion", "affine", 1, np.array([a_star, b_star]),
+                          analytic), noise
 
 
 def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
@@ -244,8 +253,8 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
     # H[(ij),(kl)] = a_inv[i,k] s_cov[j,l]
     analytic = AnalyticInfo(np.zeros(d), np.diag(s_cov).copy(),
                             np.kron(noise.a_inv, s_cov))
-    return family_model("linear_system", "linear", d, th_star.reshape(d * d).copy(),
-                        analytic), noise
+    return DriftModelSpec("linear_system", "linear", d,
+                          th_star.reshape(d * d).copy(), analytic), noise
 
 
 class ModelEntry(NamedTuple):

@@ -162,11 +162,8 @@ def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None) -> np.ndarray:
     G_j = grad_j gbar - grad_j g.  For well-specified models at theta*
     the correction vanishes.
     """
-    if theta is None:
-        if model.true_theta is None:
-            raise PoissonError("theta is required when the model has no theta*")
-        theta = model.true_theta
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+    theta = np.asarray(model.true_theta if theta is None else theta,
+                       dtype=float).reshape(-1)
     grid = default_grid(model, noise)
     nodes = grid.nodes
     dens = stationary_density(model, noise, grid)
@@ -176,8 +173,7 @@ def hbar(model: DriftModelSpec, noise: NoiseSpec, theta=None) -> np.ndarray:
     thetas = np.broadcast_to(theta, (grid.n, model.k))
     grad_f = model.drift_grad_fn(nodes[:, None], thetas)[:, :, 0]  # (n, k)
 
-    if (model.true_theta is not None
-            and np.allclose(theta, model.true_theta, atol=1e-12)):
+    if np.allclose(theta, model.true_theta, atol=1e-12):
         dv = np.zeros((grid.n, model.k))
     else:
         dv = np.column_stack([sol.dv_dx

@@ -85,6 +85,21 @@ def euler_step(model: DriftModelSpec, noise: NoiseSpec, x: np.ndarray,
     return x + model.true_drift_fn(x) * dt + np.sqrt(dt) * xi @ noise.sigma.T
 
 
+def numpy_path(model: DriftModelSpec, noise: NoiseSpec, dt: float, seed: int,
+               x: np.ndarray):
+    """steps(out): run len(out) `euler_step`s in numpy on the normals of
+    np.random.PCG64(seed), updating x in place, with the state after step j
+    in out[j].  These define simulate_path's steps; the counterpart of
+    `_kernel.bind_path`."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def steps(out):
+        for j in range(len(out)):
+            out[j] = x[:] = euler_step(model, noise, x, dt, rng.standard_normal(model.m))
+
+    return steps
+
+
 def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
                   config: IntegratorConfig, seed: int,
                   n_steps: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -93,23 +108,17 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
 
     Deterministic given the seed.  The steps, burn-in included, run in chunks
     of PATH_CHUNK, in the kernel where `_kernel.bind_path` takes the model and
-    seed, else in the `euler_step` loop below on np.random.PCG64(seed), which
-    defines them bitwise.  Then
-    `diverged` screens each chunk: its first flagged state, burn-in included,
+    seed, else in `numpy_path`, which defines them bitwise.  Then `diverged`
+    screens each chunk: its first flagged state, burn-in included,
     raises BlowupError after the states before it, with `t` its time and
     `step` the steps since the first burn-in step, as `run_batch` counts.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
     m, dt, burn_in = model.m, config.dt, config.burn_in_steps
     x = config.initial_state(m)
-
-    def _numpy_steps(out):
-        for j in range(len(out)):
-            out[j] = x[:] = euler_step(model, noise, x, dt, rng.standard_normal(m))
-
-    steps = _kernel.bind_path(model, noise, dt, seed, x) or _numpy_steps
+    steps = (_kernel.bind_path(model, noise, dt, seed, x)
+             or numpy_path(model, noise, dt, seed, x))
     # burn-in is the steps i = 1 - burn_in .. 0; step i ends at t = 1 + i dt
     for lo in range(1 - burn_in, n_steps + 1, PATH_CHUNK):
         out = np.empty((min(PATH_CHUNK, n_steps + 1 - lo), m))

@@ -50,8 +50,6 @@ def moment_curve(rep_set: ReplicationSet, p: float) -> Tuple[np.ndarray, np.ndar
     Failed replications are excluded from the mean; they remain listed in
     rep_set.failed and are never silently forgotten.
     """
-    if rep_set.theta_star is None:
-        raise ReplicationError("theta* unknown; moment curve undefined")
     if p < 0:
         raise ReplicationError("p must be nonnegative")
     ok = rep_set.ok_mask()
@@ -91,8 +89,6 @@ def loglog_slope(times: np.ndarray, values: np.ndarray,
 
 def rescaled_sample(rep_set: ReplicationSet, t_eval: float) -> np.ndarray:
     """sqrt(t) (theta_t - theta*) per replication at a checkpoint time."""
-    if rep_set.theta_star is None:
-        raise ReplicationError("theta* unknown")
     idx = np.nonzero(np.isclose(rep_set.times, t_eval, rtol=1e-9, atol=1e-9))[0]
     if idx.size == 0:
         raise ReplicationError("t_eval=%g is not a checkpoint" % t_eval)

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import os
 import re
@@ -18,12 +17,12 @@ from driftfit import _kernel, engine, sde
 from driftfit.engine import (BlowupError, EngineConfig, diverged, geometric_checkpoints,
                              run_batch, seed_split, sgdct_step, splitmix64, step_of)
 from driftfit.experiments import _replay_csv
-from driftfit.models import (bounded_link, linear_system, mean_reversion,
+from driftfit.models import (FAMILIES, bounded_link, linear_system, mean_reversion,
                              objective_grad, scalar_ou)
 from driftfit.schedule import ScheduleSpec
 from driftfit.sde import DIVERGENCE_BOUND, IntegratorConfig, simulate_path
 
-from conftest import needs_compiler
+from conftest import has_compiler, needs_compiler, numpy_loop
 
 
 def make_config(horizon=20.0, dt=0.01, n_cp=10, c_alpha=4.0, c0=1.0,
@@ -324,11 +323,6 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == 1 + len(traj.times)
 
 
-def numpy_only(cfg):
-    """cfg with its model's family dropped, so run_batch runs numpy."""
-    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, family=None))
-
-
 def run_and_spy(cfg, seeds):
     """run_batch's result and whether it ran the compiled kernel."""
     ran = []
@@ -352,7 +346,7 @@ def test_a_diverged_replication_is_booked_alike_on_the_kernel_and_numpy():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, compiled = run_and_spy(cfg, seeds)
-        want = run_batch(numpy_only(cfg), seeds)
+        want = run_on("numpy", cfg, seeds)
     assert compiled and got.failed and got.failed == want.failed
     for res in (got, want):
         assert np.isnan(res.thetas[:, list(res.failed)]).all()
@@ -366,7 +360,8 @@ PATHS = [pytest.param("kernel", marks=needs_compiler), "numpy"]
 def run_on(path, cfg, seeds):
     """run_batch on the kernel (checking that it ran) or on the numpy loop."""
     if path == "numpy":
-        return run_batch(numpy_only(cfg), seeds)
+        with numpy_loop():
+            return run_batch(cfg, seeds)
     res, compiled = run_and_spy(cfg, seeds)
     assert compiled
     return res
@@ -573,7 +568,7 @@ def test_a_kernel_run_is_one_kernel_call_and_builds_no_generator(n):
 
     cfg = make_config(horizon=6.0)
     seeds = seed_split(3, np.arange(n))
-    want = run_batch(numpy_only(cfg), seeds)
+    want = run_on("numpy", cfg, seeds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "_lib", Counting())
         mp.setattr(np.random, "Generator", no_generator)
@@ -621,7 +616,7 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "THETA_BOUND", bound)
         got, compiled = run_and_spy(cfg, seeds)
-        want = run_batch(numpy_only(cfg), seeds)
+        want = run_on("numpy", cfg, seeds)
     # the kernel copies numpy's sums of at most two drift terms
     assert compiled == ((model.family, model.m) in _kernel.BODIES)
     npt.assert_array_equal(got.times, want.times)
@@ -631,33 +626,29 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
     assert got.digest() == want.digest()
 
 
-# each replacement computes what it replaces, so the numpy loop gives the
-# family model's digest; the kernel, which reads the family and true_theta
-# alone, must not run it
-REPLACEMENTS = {
-    "drift": lambda model: {"drift_fn": lambda x, theta: -theta[..., 0:1] * x},
-    "gradient": lambda model: {"drift_grad_fn": lambda x, theta: np.expand_dims(-x, -2)},
-    # a partial on the model's own true_theta: only its func tells it apart
-    "true_drift": lambda model: {"true_drift_fn": functools.partial(
-        lambda x, theta: -theta * x, theta=model.true_theta)},
-    # a copy: the true drift still reads the original array
-    "true_theta": lambda model: {"true_theta": model.true_theta.copy()},
-}
-
-
 @needs_compiler
-@pytest.mark.parametrize("replaced", sorted(REPLACEMENTS))
-def test_a_replaced_drift_runs_on_numpy(replaced):
-    cfg = make_config(horizon=6.0)
-    model = cfg.model
-    same = dataclasses.replace(model, **REPLACEMENTS[replaced](model))
+@pytest.mark.parametrize("factory, theta_star", [
+    (scalar_ou, [1.7]), (mean_reversion, [1.7, -0.3]),
+    (linear_system, [1.3, 0.2, -0.1, 0.8])],
+    ids=["scalar_ou", "mean_reversion", "linear_system_d2"])
+def test_a_model_replaced_at_another_theta_star_runs_it_on_the_kernel(factory,
+                                                                     theta_star):
+    # the true drift is derived from true_theta, so a replaced theta* is the
+    # one both the numpy loop and the kernel read
+    cfg = make_config(horizon=6.0, factory=factory)
+    theta_star = np.array(theta_star)
+    moved = dataclasses.replace(cfg.model, true_theta=theta_star)
+    x = np.linspace(-2.0, 2.0, 8 * moved.m).reshape(8, moved.m)
+    drift, _ = FAMILIES[moved.family]
+    npt.assert_array_equal(moved.true_drift_fn(x), drift(x, theta_star))
+    assert not np.array_equal(moved.true_drift_fn(x), cfg.model.true_drift_fn(x))
+    assert _kernel.covers(moved, cfg.noise)
     seeds = [seed_split(4, i) for i in range(3)]
-    want, compiled = run_and_spy(cfg, seeds)
-    assert compiled
-    assert want.digest() == run_batch(numpy_only(cfg), seeds).digest()
-    got, compiled = run_and_spy(dataclasses.replace(cfg, model=same), seeds)
-    assert not compiled
-    assert got.digest() == want.digest()
+    before = run_batch(cfg, seeds)
+    cfg = dataclasses.replace(cfg, model=moved)
+    got, compiled = run_and_spy(cfg, seeds)
+    assert compiled and got.digest() == run_on("numpy", cfg, seeds).digest()
+    assert got.digest() != before.digest()
 
 
 def simulate_and_replay(cfg, seed, steps=300):
@@ -676,8 +667,9 @@ def assert_falls_back_to_numpy(patches, tmp_path):
     one warning."""
     cfg = make_config(horizon=6.0)
     seeds = [seed_split(8, i) for i in range(3)]
-    want = run_batch(numpy_only(cfg), seeds).digest()
-    want_path = simulate_and_replay(numpy_only(cfg), 8)
+    with numpy_loop():
+        want = run_batch(cfg, seeds).digest()
+        want_path = simulate_and_replay(cfg, 8)
     table = np.random.default_rng(8).standard_normal((30, 3))
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
@@ -880,8 +872,9 @@ def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
     cfgs = [make_config(horizon=3.0, burn_in=20, factory=factory)
             for factory in (scalar_ou, mean_reversion, linear_system)]
     seeds = [seed_split(9, i) for i in range(19)]
-    want = [run_batch(numpy_only(cfg), seeds).digest() for cfg in cfgs]
-    want_paths = [simulate_and_replay(numpy_only(cfg), 9) for cfg in cfgs]
+    with numpy_loop():
+        want = [run_batch(cfg, seeds).digest() for cfg in cfgs]
+        want_paths = [simulate_and_replay(cfg, 9) for cfg in cfgs]
     names = set()
     for level, features in levels.items():
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
@@ -901,25 +894,37 @@ def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
     assert len(names) == len(levels)
 
 
-# A child process's numpy-loop digest of each catalog model, and the x86-64
-# levels its numpy dispatches to.
+# A child process's numpy-loop digest of each catalog model, the x86-64
+# levels its numpy dispatches to and the flag march() builds the kernel
+# with; given a cache directory, also the kernel's digest of each model it
+# covers, built into that cache (None if the kernel did not load).
 LEVEL_CHILD = """
-import dataclasses, json
+import json, sys
 from driftfit import _kernel
 from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
 from driftfit.models import bounded_link, linear_system, mean_reversion, scalar_ou
 from driftfit.schedule import ScheduleSpec
 from driftfit.sde import IntegratorConfig
 out = {level: bool(_kernel.cpu_features().get(level)) for level in ("X86_V3", "X86_V4")}
-for name, (model, noise) in {
-        "scalar_ou": scalar_ou(), "mean_reversion": mean_reversion(),
-        "linear_system_d2": linear_system(dim=2), "linear_system_d3": linear_system(dim=3),
-        "bounded_link": bounded_link()}.items():
-    cfg = EngineConfig(model=dataclasses.replace(model, family=None), noise=noise,
-                       schedule=ScheduleSpec(4.0, 1.0),
-                       integrator=IntegratorConfig(dt=0.01, burn_in_steps=20),
-                       horizon=5.0, checkpoint_times=geometric_checkpoints(5.0, 6))
-    out[name] = run_batch(cfg, [seed_split(11, i) for i in range(16)]).digest()
+out["march"] = " ".join(_kernel.march())
+cfgs = {name: EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                           integrator=IntegratorConfig(dt=0.01, burn_in_steps=20),
+                           horizon=5.0, checkpoint_times=geometric_checkpoints(5.0, 6))
+        for name, (model, noise) in {
+            "scalar_ou": scalar_ou(), "mean_reversion": mean_reversion(),
+            "linear_system_d2": linear_system(dim=2),
+            "linear_system_d3": linear_system(dim=3),
+            "bounded_link": bounded_link()}.items()}
+seeds = [seed_split(11, i) for i in range(16)]
+_kernel._lib = False  # the numpy loop, as where the kernel failed to load
+for name, cfg in cfgs.items():
+    out[name] = run_batch(cfg, seeds).digest()
+if sys.argv[1:]:
+    _kernel._lib = None
+    _kernel.cache_dir = lambda: sys.argv[1]
+    out["kernel"] = None if _kernel.load() is None else {
+        name: run_batch(cfg, seeds).digest() for name, cfg in cfgs.items()
+        if _kernel.covers(cfg.model, cfg.noise)}
 print(json.dumps(out))
 """
 # numpy's dispatch targets above each level, as NPY_DISABLE_CPU_FEATURES names them
@@ -927,33 +932,43 @@ ABOVE_V3 = "X86_V4 AVX512_ICL AVX512_SPR"
 FORCED_LEVELS = {"v3": ABOVE_V3, "baseline": "X86_V3 " + ABOVE_V3}
 
 
-def numpy_loop_digests(disable):
+def level_child(disable, cache=None):
     """LEVEL_CHILD's output with numpy's dispatch to `disable` (None: none)
-    turned off in the child's environment alone."""
+    turned off in the child's environment alone, and its kernel built into
+    cache where one is given."""
     env = dict(os.environ)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disable is not None:
         env["NPY_DISABLE_CPU_FEATURES"] = disable
     src = os.path.dirname(os.path.dirname(os.path.abspath(driftfit.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", LEVEL_CHILD], env=env,
-                          capture_output=True, text=True, check=True)
+    argv = [sys.executable, "-c", LEVEL_CHILD] + ([cache] if cache else [])
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_property):
+def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_property,
+                                                                  tmp_path):
     have = _kernel.cpu_features()
     if not have.get("X86_V3"):
         pytest.skip("numpy dispatches to no x86-64 level above its baseline here")
-    native = numpy_loop_digests(None)
-    forced = {level: numpy_loop_digests(off) for level, off in FORCED_LEVELS.items()
+    native = level_child(None)
+    # each forced level builds its own kernel, into a cache of its own
+    forced = {level: level_child(off, str(tmp_path / level) if has_compiler else None)
+              for level, off in FORCED_LEVELS.items()
               if level == "baseline" or have.get("X86_V4")}  # v3 is native without v4
+    covered = ("scalar_ou", "mean_reversion", "linear_system_d2")
     for level, got in forced.items():
-        # the variable took: numpy runs no target above the level
+        # the variable took: numpy runs no target above the level, and
+        # march() builds the kernel for the level numpy reports
         assert not got["X86_V4"] and got["X86_V3"] == (level == "v3"), level
-        for name in ("scalar_ou", "mean_reversion", "linear_system_d2",
-                     "linear_system_d3"):
+        assert got["march"] == ("-march=x86-64-v3" if level == "v3" else ""), level
+        for name in (*covered, "linear_system_d3"):
             assert got[name] == native[name], (level, name)
+        if has_compiler:
+            # the kernel built for the level runs the models it covers as
+            # the numpy loop does there
+            assert got["kernel"] == {name: got[name] for name in covered}, level
     # the known exception: numpy's tanh and cosh round differently per level,
     # so bounded_link's digest is a fact of the level, not of the program
     record_property("bounded_link_digest_by_level", json.dumps(
@@ -1091,7 +1106,8 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
                        integrator=IntegratorConfig(), horizon=2.0,
                        checkpoint_times=np.array([1.0]))
     got, compiled = replay_and_spy(cfg, times, xs, seed)
-    want, _ = replay_and_spy(numpy_only(cfg), times, xs, seed)
+    with numpy_loop():
+        want, _ = replay_and_spy(cfg, times, xs, seed)
     assert compiled == ((model.family, model.m) in _kernel.BODIES)
     assert type(got) is type(want)
     if isinstance(want, BlowupError):
@@ -1103,7 +1119,8 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
         # runs them alone, with no failure, and ends at the error's theta
         rows = want.step + 1
         got, _ = replay_and_spy(cfg, times[:rows], xs[:rows], seed)
-        want_rows, _ = replay_and_spy(numpy_only(cfg), times[:rows], xs[:rows], seed)
+        with numpy_loop():
+            want_rows, _ = replay_and_spy(cfg, times[:rows], xs[:rows], seed)
         assert want_rows[-1, 0].tobytes() == want.theta.tobytes()
         want = want_rows
     assert got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -163,12 +165,17 @@ def test_linear_system_stationary_covariance():
 
 
 def test_averaged_objective_requires_analytic():
-    bare = DriftModelSpec("custom", k=1, m=1,
-                          drift_fn=lambda x, th: -th[..., 0:1] * x,
-                          drift_grad_fn=lambda x, th: np.expand_dims(-x, -2),
-                          true_drift_fn=lambda x: -x, true_theta=np.array([1.0]))
+    bare = DriftModelSpec("custom", "linear", 1, np.array([1.0]))
     with pytest.raises(ConfigError, match="analytic metadata"):
         covariance_inputs(bare, NoiseSpec(np.array([[1.0]])))
+
+
+def test_a_model_of_an_unknown_family_is_a_model_error():
+    with pytest.raises(ModelError, match="unknown drift family 'quadratic'"):
+        DriftModelSpec("custom", "quadratic", 1, np.array([1.0]))
+    model, _ = scalar_ou()
+    with pytest.raises(ModelError, match="unknown drift family 'quadratic'"):
+        dataclasses.replace(model, family="quadratic")
 
 
 def test_model_constructor_validation():

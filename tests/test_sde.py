@@ -15,7 +15,7 @@ from driftfit.schedule import ScheduleSpec
 from driftfit.sde import (BlowupError, IntegratorConfig, dump_path_csv, euler_step,
                           load_path_csv, simulate_path, write_csv)
 
-from conftest import needs_compiler
+from conftest import needs_compiler, numpy_loop
 
 
 def test_euler_step_drift_only():
@@ -57,10 +57,7 @@ def test_simulate_path_divergence_records_the_step_and_time(burn_in, t_end):
     # x doubles each step from x0 = 1 and passes the 1e8 bound on step 27,
     # counted from the first burn-in step as run_batch counts, which ends at
     # t = 1 + (27 - burn_in) dt; t used to hold dt itself
-    explosive = DriftModelSpec("explosive", k=1, m=1,
-                               drift_fn=lambda x, th: th[..., 0:1] * x,
-                               drift_grad_fn=lambda x, th: np.expand_dims(x, -2),
-                               true_drift_fn=lambda x: 100.0 * x)
+    explosive = DriftModelSpec("explosive", "linear", 1, np.array([-100.0]))
     cfg = IntegratorConfig(dt=0.01, x0=[1.0], burn_in_steps=burn_in)
     with pytest.raises(BlowupError, match="at step 27 ") as info:
         for _ in simulate_path(explosive, NoiseSpec(np.array([[1e-6]])), cfg,
@@ -280,8 +277,8 @@ def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "PATH_CHUNK", chunk)
         got, got_err, compiled = run_path(model, noise, cfg, seed, n_steps)
-        want, want_err, _ = run_path(dataclasses.replace(model, family=None), noise,
-                                     cfg, seed, n_steps)
+        with numpy_loop():
+            want, want_err, _ = run_path(model, noise, cfg, seed, n_steps)
     # the kernel copies numpy's sums of at most two drift terms
     assert compiled == ((model.family, model.m) in _kernel.BODIES)
     # the same blocks, so the same rows yielded before any BlowupError
@@ -324,11 +321,11 @@ def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():
     # kernel has no affine body for m = 2, so covers() refuses it
     model, _ = mean_reversion()
     wide, noise = dataclasses.replace(model, m=2), NoiseSpec(np.eye(2))
-    numpy_only = dataclasses.replace(wide, family=None)
     assert not _kernel.covers(wide, noise)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
-    (got, got_err, compiled), (want, want_err, _) = [
-        run_path(m, noise, cfg, 3, 20) for m in (wide, numpy_only)]
+    got, got_err, compiled = run_path(wide, noise, cfg, 3, 20)
+    with numpy_loop():
+        want, want_err, _ = run_path(wide, noise, cfg, 3, 20)
     assert not compiled and got_err is None and want_err is None
     assert [(t.tobytes(), x.tobytes()) for t, x in got] == [
         (t.tobytes(), x.tobytes()) for t, x in want]
@@ -336,5 +333,6 @@ def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():
                          integrator=cfg, horizon=3.0,
                          checkpoint_times=geometric_checkpoints(3.0, 5))
     seeds = [seed_split(5, i) for i in range(3)]
-    assert run_batch(batch, seeds).digest() == run_batch(
-        dataclasses.replace(batch, model=numpy_only), seeds).digest()
+    got = run_batch(batch, seeds).digest()
+    with numpy_loop():
+        assert got == run_batch(batch, seeds).digest()

@@ -1,4 +1,4 @@
-import dataclasses
+import contextlib
 import functools
 
 import numpy as np
@@ -16,7 +16,7 @@ from driftfit.stats import (KS_CRITICAL_1PCT, ReplicationError, ReplicationSet,
                             clt_diagnostics, loglog_slope, moment_curve,
                             rescaled_sample, run_replications)
 
-from conftest import needs_compiler
+from conftest import needs_compiler, numpy_loop
 
 
 def small_config(horizon=20.0):
@@ -43,17 +43,20 @@ def hand_set():
 PARTITION_REPS, PARTITION_SEED, PARTITION_BOUND = 100, 5, 3.2
 
 
+def on(path):
+    """Where run_batch runs inside it: the kernel, or the numpy loop."""
+    return numpy_loop() if path == "numpy" else contextlib.nullcontext()
+
+
 @functools.lru_cache(maxsize=None)
 def partition_case(path):
     model, noise = scalar_ou(1.0, 1.0)
-    if path == "numpy":  # without its family the model runs numpy's loop
-        model = dataclasses.replace(model, family=None)
     cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
                        integrator=IntegratorConfig(dt=0.02, burn_in_steps=50),
                        horizon=11.0, checkpoint_times=geometric_checkpoints(11.0, 8),
                        theta0_lo=np.array([-1.0]), theta0_hi=np.array([3.0]))
     seeds = [seed_split(PARTITION_SEED, i) for i in range(PARTITION_REPS)]
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, on(path):
         mp.setattr(sde, "THETA_BOUND", PARTITION_BOUND)
         return cfg, seeds, run_batch(cfg, seeds)
 
@@ -76,7 +79,7 @@ def test_results_independent_of_grouping_and_noise_buffer(path, order, cuts,
     thetas, xs = np.empty_like(whole.thetas), np.empty_like(whole.xs)
     failed = {}
     bounds = [0, *sorted(cuts), PARTITION_REPS]
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, on(path):
         # down to one step per refill when buffer_bytes < 8 * len(part)
         mp.setattr(engine, "NOISE_BUFFER_BYTES", buffer_bytes)
         mp.setattr(sde, "THETA_BOUND", PARTITION_BOUND)
