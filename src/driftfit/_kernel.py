@@ -25,7 +25,9 @@ public state of np.random.PCG64(seed) once (`streams`).  It draws its
 normals through an inlined copy of numpy's ziggurat, on numpy's own tables:
 `objcopy` makes them global in a private copy of numpy's `libnpyrandom.a`,
 which the kernel is linked against.  `_kernel.c` is read once, at import,
-so that the kernel built is the one whose entry points `_open` declares.
+and the compiler reads those bytes on its stdin, so that the kernel built
+is the one whose entry points `_open` declares, the step ones with an
+errcheck that raises ValueError for a family and m they have no body for.
 It is compiled with the system C compiler at the first call that can use
 it, never at import, for the highest x86-64 level the CPU has (`march`).
 The shared library goes into a per-user cache directory, keyed by the hash of
@@ -116,12 +118,12 @@ def _check_private(path: str) -> None:
         raise PermissionError("%s is writable by another user" % path)
 
 
-def _run(argv) -> None:
-    """Run a build tool; OSError if it is missing or fails."""
+def _run(argv, stdin: bytes = b"") -> None:
+    """Run a build tool on stdin; OSError if it is missing or fails."""
     import subprocess
-    done = subprocess.run(argv, capture_output=True, text=True)
+    done = subprocess.run(argv, input=stdin, capture_output=True)
     if done.returncode:
-        last = (done.stderr.strip().splitlines() or [""])[-1]
+        last = (done.stderr.decode(errors="replace").strip().splitlines() or [""])[-1]
         raise OSError("%s exited with status %d: %s" % (argv[0], done.returncode, last))
 
 
@@ -180,12 +182,11 @@ def _build() -> str:
     with tempfile.TemporaryDirectory(dir=directory) as scratch:
         tables = os.path.join(scratch, "tables.a")
         tmp = os.path.join(scratch, "span.so")
-        c_file = os.path.join(scratch, "_kernel.c")
-        with open(c_file, "wb") as fh:
-            fh.write(_source)
         _run([OBJCOPY, *["--globalize-symbol=" + name for name in TABLES],
               npyrandom, tables])
-        _run([CC, *flags, "-o", tmp, c_file, tables, "-lm"])
+        # the source is C on stdin; -x none reads tables.a as the archive it is
+        _run([CC, *flags, "-o", tmp, "-x", "c", "-", "-x", "none", tables, "-lm"],
+             _source)
         os.chmod(tmp, 0o700)
         os.replace(tmp, path)
     # keeping one other kernel spares a second build to whoever alternates
@@ -199,6 +200,16 @@ def _build() -> str:
     return path
 
 
+def _no_body(result: int, fn, args) -> int:
+    """The errcheck of the step entry points, whose first two arguments are
+    a family's code (CODES) and m: ValueError where the kernel returns -1,
+    having no body for them."""
+    if result < 0:
+        raise ValueError("the kernel has no body for family code %d with m = %d"
+                         % args[:2])
+    return result
+
+
 def _open():
     """The built kernel library, its entry points declared to ctypes."""
     import ctypes
@@ -206,14 +217,14 @@ def _open():
     _check_private(path)
     lib = ctypes.CDLL(path)
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.driftfit_batch.restype = ctypes.c_int
+    for step in (lib.driftfit_batch, lib.driftfit_path, lib.driftfit_replay):
+        step.restype = ctypes.c_int
+        step.errcheck = _no_body
     lib.driftfit_batch.argtypes = [ctypes.c_int, i64, ptr, ptr, ptr, dbl, dbl, dbl,
                                    ptr, ptr, ptr, i64, i64, i64, dbl, dbl, i64, ptr,
                                    i64, ptr, ptr, ptr, ptr]
-    lib.driftfit_path.restype = ctypes.c_int
     lib.driftfit_path.argtypes = [ctypes.c_int, i64, ptr, ptr, dbl, ptr, i64, ptr,
                                   ptr]
-    lib.driftfit_replay.restype = ctypes.c_int
     lib.driftfit_replay.argtypes = [ctypes.c_int, i64, ptr, dbl, dbl, i64, ptr, ptr,
                                     ptr, ptr]
     lib.driftfit_csv.restype = i64
@@ -473,20 +484,6 @@ def _consts(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
 
 
-def _entry(lib, name: str, model):
-    """call(*args): lib's driftfit_<name> with the model's family and m as its
-    first two arguments; it raises ValueError where the kernel returns -1,
-    not covering them."""
-    fn = getattr(lib, "driftfit_" + name)
-    head = (CODES[model.family], model.m)
-
-    def call(*args):
-        if fn(*head, *args) < 0:
-            raise ValueError("the kernel does not cover model %r" % model.name)
-
-    return call
-
-
 def batch(config, seeds, rec_step: np.ndarray, total: int):
     """(rec_theta, rec_x, fail): `run_batch`'s run of total steps in one
     kernel call, from the seeds (`engine.seed_array`) to the rows after each
@@ -502,7 +499,6 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     from . import engine, sde
     model, noise, sched, integ = (config.model, config.noise, config.schedule,
                                   config.integrator)
-    run = _entry(lib, "batch", model)
     seeds = engine.seed_array(seeds)
     n, k, m = len(seeds), model.k, model.m
     rec_step = np.ascontiguousarray(rec_step, dtype=np.int64)
@@ -516,11 +512,11 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     rec_theta = np.empty((len(rec_step), n, k))
     rec_x = np.empty((len(rec_step), n, m))
     fail = np.empty(n, dtype=np.int64)
-    run(*at[:3], integ.dt, float(sched.c_alpha), float(sched.c0), *at[3:],
-        integ.burn_in_steps, total, engine.CHECK_EVERY, sde.THETA_BOUND,
-        sde.DIVERGENCE_BOUND, n, seeds.ctypes.data, len(rec_step),
-        rec_step.ctypes.data, rec_theta.ctypes.data, rec_x.ctypes.data,
-        fail.ctypes.data)
+    lib.driftfit_batch(CODES[model.family], m, *at[:3], integ.dt, float(sched.c_alpha),
+                       float(sched.c0), *at[3:], integ.burn_in_steps, total,
+                       engine.CHECK_EVERY, sde.THETA_BOUND, sde.DIVERGENCE_BOUND, n,
+                       seeds.ctypes.data, len(rec_step), rec_step.ctypes.data,
+                       rec_theta.ctypes.data, rec_x.ctypes.data, fail.ctypes.data)
     return rec_theta, rec_x, fail
 
 
@@ -536,15 +532,15 @@ def bind_path(model, noise, dt: float, seed: int, x: np.ndarray):
 def _bind_path(lib, model, noise, dt: float, seed: int, x: np.ndarray):
     """`bind_path` on the library lib."""
     words = streams([np.random.PCG64(seed)])
-    path = _entry(lib, "path", model)
     m = model.m
     _check(x, (m,))
     consts = _consts(model.true_theta, noise.sigma.T)
-    head = (*[a.ctypes.data for a in consts], dt, words.ctypes.data)
+    head = (CODES[model.family], m, *[a.ctypes.data for a in consts], dt,
+            words.ctypes.data)
 
     def steps(out, _keep=(consts, words, x)):
         _check(out, (len(out), m))
-        path(*head, len(out), x.ctypes.data, out.ctypes.data)
+        lib.driftfit_path(*head, len(out), x.ctypes.data, out.ctypes.data)
 
     return steps
 
@@ -561,15 +557,15 @@ def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
 def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
     """`replay` on the library lib."""
     model, noise, sched = config.model, config.noise, config.schedule
-    run = _entry(lib, "replay", model)
     rows, k, m = len(times), model.k, model.m
     times, xs, a_inv, theta = _consts(times, xs, noise.a_inv, theta)
     _check(times, (rows,))
     _check(xs, (rows, m))
     _check(theta, (k,))
     out = np.empty((rows - 1, k))
-    run(a_inv.ctypes.data, float(sched.c_alpha), float(sched.c0), rows,
-        times.ctypes.data, xs.ctypes.data, theta.ctypes.data, out.ctypes.data)
+    lib.driftfit_replay(CODES[model.family], m, a_inv.ctypes.data,
+                        float(sched.c_alpha), float(sched.c0), rows, times.ctypes.data,
+                        xs.ctypes.data, theta.ctypes.data, out.ctypes.data)
     return out
 
 

@@ -10,7 +10,7 @@ import dataclasses
 from typing import Any, Dict, Optional
 
 from .engine import IntegratorConfig, geometric_checkpoints, step_of
-from .models import BUILTIN_MODELS
+from .models import BUILTIN_MODELS, config_keys
 from .stats import MIN_CLT_SAMPLES, in_window
 
 EXPERIMENTS = ("simulate", "estimate", "predict-covariance", "poisson-solve",
@@ -117,7 +117,7 @@ def _check_combinations(values: Dict[str, Any], source: str) -> None:
     if name not in BUILTIN_MODELS:
         raise ConfigError("%s: unknown model %r (available: %s)"
                           % (source, name, ", ".join(sorted(BUILTIN_MODELS))))
-    reads = BUILTIN_MODELS[name].keys
+    reads = config_keys(name)
     for key, val in values.items():
         # an unread key may hold only its default, which echo() writes for it
         if (key.startswith("model.") and key not in ("model.name", "model.theta_eval")

@@ -35,8 +35,9 @@ def verdict(criterion: str, measured: float, band: tuple, passed) -> dict:
 
 def build_model(cfg: ExperimentConfig):
     """(model, noise) of the catalog entry `model.name` names."""
-    entry = models.BUILTIN_MODELS[cfg["model.name"]]
-    return entry.factory(**{k: cfg["model." + k] for k in entry.keys})
+    name = cfg["model.name"]
+    return models.BUILTIN_MODELS[name](**{k: cfg["model." + k]
+                                          for k in models.config_keys(name)})
 
 
 def _list_value(cfg: ExperimentConfig, key: str, sizes: tuple, model, what: str):

@@ -8,13 +8,16 @@ vectorized: they accept `x` of shape (..., m) and `theta` of shape (..., k)
 with matching leading dimensions and return (..., m) drifts and (..., k, m)
 gradients.  The compiled kernel runs a model where it has a body for its
 family and m (`_kernel.covers`); the link family, among others, runs on
-numpy.
+numpy.  The catalog, BUILTIN_MODELS, maps a model's name to its factory,
+whose parameter names are the `model.<key>` config keys it reads
+(`config_keys`), passed by name.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, NamedTuple, Optional, Tuple
+import inspect
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -257,21 +260,16 @@ def linear_system(theta_star_matrix=None, sigma=None, dim: int = 2):
                           th_star.reshape(d * d).copy(), analytic), noise
 
 
-class ModelEntry(NamedTuple):
-    """A catalog model: its factory and the `model.<key>` config values it
-    takes, passed as keyword arguments of the same names."""
-
-    factory: Callable[..., Tuple[DriftModelSpec, NoiseSpec]]
-    keys: Tuple[str, ...]
-
-
 BUILTIN_MODELS = {
-    "scalar_ou": ModelEntry(scalar_ou, ("theta_star", "sigma")),
-    "bounded_link": ModelEntry(bounded_link, ("theta_star", "sigma")),
-    "mean_reversion": ModelEntry(mean_reversion,
-                                 ("rate_star", "level_star", "sigma")),
+    "scalar_ou": scalar_ou,
+    "bounded_link": bounded_link,
+    "mean_reversion": mean_reversion,
     # the config's scalar sigma is the noise level on every coordinate
-    "linear_system": ModelEntry(
-        lambda dim, sigma: linear_system(dim=dim, sigma=sigma * np.eye(dim)),
-        ("dim", "sigma")),
+    "linear_system": lambda dim, sigma: linear_system(dim=dim, sigma=sigma * np.eye(dim)),
 }
+
+
+def config_keys(name: str) -> Tuple[str, ...]:
+    """The `model.<key>` config keys the catalog model `name` reads, in the
+    order of its factory's parameters."""
+    return tuple(inspect.signature(BUILTIN_MODELS[name]).parameters)

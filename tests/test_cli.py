@@ -18,7 +18,7 @@ from driftfit.cli import main
 from driftfit.config import (_SCHEMA, EXPERIMENTS, ConfigError, _float_list, from_dict,
                              parse_config)
 from driftfit.experiments import build_engine_config, build_model, run_experiment
-from driftfit.models import BUILTIN_MODELS
+from driftfit.models import BUILTIN_MODELS, config_keys
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -136,7 +136,7 @@ def raw_configs(draw):
     own = {"theta_star": finite.map(repr), "rate_star": positive.map(repr),
            "level_star": finite.map(repr), "dim": st.integers(1, 4).map(str),
            "sigma": positive.map(repr)}
-    for key in BUILTIN_MODELS[name].keys:
+    for key in config_keys(name):
         if draw(st.booleans()):
             raw["model." + key] = draw(own[key])
     optional = {"model.theta_eval": lists, "integrator.x0": lists,

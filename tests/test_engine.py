@@ -860,51 +860,22 @@ def test_a_kernel_whose_screening_differs_from_numpy_is_not_used(tmp_path):
     assert "its screening differs from sde.diverged" in message
 
 
-@needs_compiler
-def test_the_kernel_at_every_level_this_cpu_has_equals_numpy(tmp_path):
-    # each level this CPU has, forced through the feature probe and built
-    # into a cache of its own, so that the levels march() would not pick
-    # here are checked bitwise too
-    have = _kernel.cpu_features()
-    levels = {"baseline": {}}
-    levels.update({level: {"X86_" + level.upper(): True} for level in ("v3", "v4")
-                   if have.get("X86_" + level.upper())})
-    cfgs = [make_config(horizon=3.0, burn_in=20, factory=factory)
-            for factory in (scalar_ou, mean_reversion, linear_system)]
-    seeds = [seed_split(9, i) for i in range(19)]
-    with numpy_loop():
-        want = [run_batch(cfg, seeds).digest() for cfg in cfgs]
-        want_paths = [simulate_and_replay(cfg, 9) for cfg in cfgs]
-    names = set()
-    for level, features in levels.items():
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            warnings.simplefilter("error")  # the load-time check must pass
-            mp.setattr(_kernel, "_lib", None)
-            mp.setattr(_kernel, "cache_dir", lambda: str(tmp_path / level))
-            mp.setattr(_kernel, "cpu_features", lambda: features)
-            flags = _kernel.march()
-            assert flags == (() if level == "baseline" else ("-march=x86-64-" + level,))
-            names.add(os.path.basename(_kernel.load()._name))
-            for cfg, digest, want_path in zip(cfgs, want, want_paths):
-                got, compiled = run_and_spy(cfg, seeds)
-                assert compiled and got.digest() == digest, (level, cfg.model.name)
-                for part, expected in zip(simulate_and_replay(cfg, 9), want_path):
-                    assert part.tobytes() == expected.tobytes(), (level, cfg.model.name)
-    # the level is part of the kernel's cache key
-    assert len(names) == len(levels)
-
-
-# A child process's numpy-loop digest of each catalog model, the x86-64
+# A child process's numpy-loop results of each catalog model, the x86-64
 # levels its numpy dispatches to and the flag march() builds the kernel
-# with; given a cache directory, also the kernel's digest of each model it
-# covers, built into that cache (None if the kernel did not load).
+# with; given a cache directory, also the kernel's results of each model it
+# covers, whether each of its batch, bind_path and replay calls ran the
+# kernel, and the file name of the kernel, built into that cache (None if
+# the kernel did not load).  A model's results are its run_batch digest and
+# a digest of simulate_path's states and the CSV replay of them.
 LEVEL_CHILD = """
-import json, sys
+import hashlib, json, os, sys
+import numpy as np
 from driftfit import _kernel
 from driftfit.engine import EngineConfig, geometric_checkpoints, run_batch, seed_split
+from driftfit.experiments import _replay_csv
 from driftfit.models import bounded_link, linear_system, mean_reversion, scalar_ou
 from driftfit.schedule import ScheduleSpec
-from driftfit.sde import IntegratorConfig
+from driftfit.sde import IntegratorConfig, simulate_path
 out = {level: bool(_kernel.cpu_features().get(level)) for level in ("X86_V3", "X86_V4")}
 out["march"] = " ".join(_kernel.march())
 cfgs = {name: EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
@@ -916,20 +887,46 @@ cfgs = {name: EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 
             "linear_system_d3": linear_system(dim=3),
             "bounded_link": bounded_link()}.items()}
 seeds = [seed_split(11, i) for i in range(16)]
+ran = []
+
+def spy(name):
+    real = getattr(_kernel, name)
+
+    def call(*args):
+        out = real(*args)
+        ran.append(out is not None)
+        return out
+
+    setattr(_kernel, name, call)
+
+for name in ("batch", "bind_path", "replay"):
+    spy(name)
+
+def results(cfg):
+    blocks = list(simulate_path(cfg.model, cfg.noise, cfg.integrator, 9, 300))
+    times, xs = (np.concatenate(part) for part in zip(*blocks))
+    thetas = _replay_csv(cfg, times, xs, 9).thetas
+    path = hashlib.sha256(b"".join(a.tobytes() for a in (times, xs, thetas)))
+    return [run_batch(cfg, seeds).digest(), path.hexdigest()]
+
 _kernel._lib = False  # the numpy loop, as where the kernel failed to load
-for name, cfg in cfgs.items():
-    out[name] = run_batch(cfg, seeds).digest()
+out["numpy"] = {name: results(cfg) for name, cfg in cfgs.items()}
 if sys.argv[1:]:
     _kernel._lib = None
     _kernel.cache_dir = lambda: sys.argv[1]
-    out["kernel"] = None if _kernel.load() is None else {
-        name: run_batch(cfg, seeds).digest() for name, cfg in cfgs.items()
-        if _kernel.covers(cfg.model, cfg.noise)}
+    lib = _kernel.load()
+    ran.clear()
+    out["kernel"] = lib and {
+        "file": os.path.basename(lib._name),
+        "results": {name: results(cfg) for name, cfg in cfgs.items()
+                    if _kernel.covers(cfg.model, cfg.noise)},
+        "ran": ran}
 print(json.dumps(out))
 """
 # numpy's dispatch targets above each level, as NPY_DISABLE_CPU_FEATURES names them
 ABOVE_V3 = "X86_V4 AVX512_ICL AVX512_SPR"
-FORCED_LEVELS = {"v3": ABOVE_V3, "baseline": "X86_V3 " + ABOVE_V3}
+# (level, the targets above it, the feature that puts a CPU above it)
+FORCED_LEVELS = (("v3", ABOVE_V3, "X86_V4"), ("baseline", "X86_V3 " + ABOVE_V3, "X86_V3"))
 
 
 def level_child(disable, cache=None):
@@ -950,13 +947,13 @@ def level_child(disable, cache=None):
 def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_property,
                                                                   tmp_path):
     have = _kernel.cpu_features()
-    if not have.get("X86_V3"):
-        pytest.skip("numpy dispatches to no x86-64 level above its baseline here")
+    # at the native level march() builds for the highest level numpy reports
+    top = [level for level in ("v4", "v3") if have.get("X86_" + level.upper())]
+    assert _kernel.march() == tuple("-march=x86-64-" + level for level in top[:1])
     native = level_child(None)
-    # each forced level builds its own kernel, into a cache of its own
+    # each level below this CPU's builds its own kernel, into a cache of its own
     forced = {level: level_child(off, str(tmp_path / level) if has_compiler else None)
-              for level, off in FORCED_LEVELS.items()
-              if level == "baseline" or have.get("X86_V4")}  # v3 is native without v4
+              for level, off, above in FORCED_LEVELS if have.get(above)}
     covered = ("scalar_ou", "mean_reversion", "linear_system_d2")
     for level, got in forced.items():
         # the variable took: numpy runs no target above the level, and
@@ -964,16 +961,25 @@ def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_proper
         assert not got["X86_V4"] and got["X86_V3"] == (level == "v3"), level
         assert got["march"] == ("-march=x86-64-v3" if level == "v3" else ""), level
         for name in (*covered, "linear_system_d3"):
-            assert got[name] == native[name], (level, name)
+            assert got["numpy"][name] == native["numpy"][name], (level, name)
         if has_compiler:
-            # the kernel built for the level runs the models it covers as
-            # the numpy loop does there
-            assert got["kernel"] == {name: got[name] for name in covered}, level
+            # the kernel built for the level passed its load-time check, ran
+            # every call, and runs, simulates and replays the models it
+            # covers as the numpy loop does there
+            kernel = got["kernel"]
+            assert kernel and kernel["ran"] == [True] * (3 * len(covered)), level
+            want = {name: got["numpy"][name] for name in covered}
+            assert kernel["results"] == want, level
+    if has_compiler:
+        # the level is part of the kernel's cache key
+        files = [os.path.basename(_kernel.load()._name),
+                 *(got["kernel"]["file"] for got in forced.values())]
+        assert len(set(files)) == len(files)
     # the known exception: numpy's tanh and cosh round differently per level,
     # so bounded_link's digest is a fact of the level, not of the program
     record_property("bounded_link_digest_by_level", json.dumps(
-        {"native": native["bounded_link"],
-         **{level: got["bounded_link"] for level, got in forced.items()}}))
+        {"native": native["numpy"]["bounded_link"][0],
+         **{level: got["numpy"]["bounded_link"][0] for level, got in forced.items()}}))
 
 
 def pcg64s(seed, n):
@@ -1126,14 +1132,21 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
     assert got.tobytes() == want.tobytes()
 
 
+def replay_config(model_noise):
+    """An EngineConfig of the model for replay calls, which read its model,
+    noise and schedule alone."""
+    model, noise = model_noise
+    return EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
+                        integrator=IntegratorConfig(), horizon=2.0,
+                        checkpoint_times=np.array([1.0]))
+
+
 @pytest.mark.parametrize("model_noise", [bounded_link(), linear_system(dim=3),
                                          linear_system(sigma=[[1.0, 0.3], [0.0, 1.0]])],
                          ids=["bounded_link", "linear_system_d3", "full_sigma"])
 def test_models_the_kernel_does_not_cover_replay_on_numpy(model_noise):
-    model, noise = model_noise
-    cfg = EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 1.0),
-                       integrator=IntegratorConfig(), horizon=2.0,
-                       checkpoint_times=np.array([1.0]))
+    cfg = replay_config(model_noise)
+    model = cfg.model
     times = 1.0 + 0.01 * np.arange(50)
     xs = np.random.default_rng(0).standard_normal((50, model.m))
     thetas, compiled = replay_and_spy(cfg, times, xs, 3)
@@ -1173,3 +1186,89 @@ def test_a_build_keeps_only_the_most_recently_used_other_kernel(tmp_path):
     assert os.stat(path).st_mtime > 1.5e9
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         [os.path.basename(path), newer.name, "notes.txt"])
+
+
+# Each guard below stops a kernel call that would write past, or read beside,
+# a numpy buffer: the C code trusts every shape it is given.
+ARRAY_REFUSAL = "kernel arrays must be C-ordered"
+
+
+@needs_compiler
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(2, dtype=np.float32),
+                               np.zeros(4)[::2]], ids=["shape", "dtype", "order"])
+def test_bind_path_refuses_a_state_of_another_layout(x):
+    model, noise = linear_system(dim=2)
+    with pytest.raises(ValueError, match=ARRAY_REFUSAL):
+        _kernel._bind_path(_kernel.load(), model, noise, 0.01, 1, x)
+
+
+@needs_compiler
+@pytest.mark.parametrize("out", [np.empty((5, 3)), np.empty((5, 2), dtype=np.float32),
+                                 np.empty((5, 2), order="F")],
+                         ids=["shape", "dtype", "order"])
+def test_path_steps_refuse_an_output_of_another_layout(out):
+    model, noise = linear_system(dim=2)
+    x = np.zeros(2)
+    steps = _kernel._bind_path(_kernel.load(), model, noise, 0.01, 1, x)
+    with pytest.raises(ValueError, match=ARRAY_REFUSAL):
+        steps(out)
+    assert not x.any()  # no step ran
+
+
+@needs_compiler
+@pytest.mark.parametrize("xs, theta", [(np.zeros((6, 1)), np.zeros(4)),
+                                       (np.zeros((5, 2)), np.zeros(3))],
+                         ids=["xs", "theta"])
+def test_the_replay_refuses_states_or_a_theta_of_another_shape(xs, theta):
+    # it casts both to C-ordered float64 itself, so shape alone can differ
+    cfg = replay_config(linear_system(dim=2))
+    times = 1.0 + 0.01 * np.arange(5)
+    with pytest.raises(ValueError, match=ARRAY_REFUSAL):
+        _kernel._replay(_kernel.load(), cfg, times, xs, theta)
+
+
+@needs_compiler
+@pytest.mark.parametrize("words", [np.zeros((3, 3), dtype=np.uint64),
+                                   np.zeros((3, 4), dtype=np.int64),
+                                   np.zeros((3, 4), dtype=np.uint64, order="F")],
+                         ids=["shape", "dtype", "order"])
+def test_normals_refuses_words_of_another_layout(words):
+    with pytest.raises(ValueError, match=ARRAY_REFUSAL):
+        _kernel.normals(_kernel.load(), words, 4)
+
+
+@needs_compiler
+@pytest.mark.parametrize("rec_step, total", [([3, 2], 5), ([2, 6], 5), ([], -1)],
+                         ids=["unsorted", "past_total", "negative_total"])
+def test_batch_refuses_record_steps_it_would_not_reach_in_order(rec_step, total):
+    cfg = make_config(horizon=2.0, burn_in=0)
+    with pytest.raises(ValueError, match="rec_step must be sorted"):
+        _kernel._batch(_kernel.load(), cfg, [1, 2], np.array(rec_step), total)
+
+
+@needs_compiler
+@pytest.mark.parametrize("block", [np.zeros(4), np.zeros((1, 2, 2)), np.zeros((3, 3))],
+                         ids=["1-d", "3-d", "too_large"])
+def test_the_csv_writer_refuses_a_block_that_is_not_2d_or_overfills_it(block):
+    _kernel.load()  # csv_writer formats only where a step has loaded the kernel
+    lines = _kernel.csv_writer(2, 4)
+    with pytest.raises(ValueError, match="a CSV block must be 2-d, of at most 8 cells"):
+        lines(block)
+    assert bytes(lines(np.ones((2, 4)))) == sde.percent_lines(np.ones((2, 4)))
+
+
+@needs_compiler
+def test_every_step_entry_point_refuses_a_family_and_m_without_a_body():
+    # covers() keeps such models off the kernel; called anyway, the kernel
+    # returns -1 before it writes, and the errcheck raises
+    lib, cfg = _kernel.load(), replay_config(linear_system(dim=3))
+    assert (cfg.model.family, cfg.model.m) not in _kernel.BODIES
+    refusal = "no body for family code 0 with m = 3"
+    with pytest.raises(ValueError, match=refusal):
+        _kernel._batch(lib, cfg, [1, 2], np.array([0, 3]), 3)
+    with pytest.raises(ValueError, match=refusal):
+        _kernel._bind_path(lib, cfg.model, cfg.noise, 0.01, 1, np.zeros(3))(
+            np.empty((4, 3)))
+    times, xs = 1.0 + 0.01 * np.arange(5), np.zeros((5, 3))
+    with pytest.raises(ValueError, match=refusal):
+        _kernel._replay(lib, cfg, times, xs, cfg.model.true_theta)

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -190,6 +192,12 @@ def test_model_constructor_validation():
 def test_builtin_registry():
     assert set(models.BUILTIN_MODELS) == {"scalar_ou", "bounded_link",
                                           "mean_reversion", "linear_system"}
+    # a factory's parameter names are its config keys, so renaming one
+    # renames a key; their order is the order error messages list them in
+    assert {name: models.config_keys(name) for name in models.BUILTIN_MODELS} == {
+        "scalar_ou": ("theta_star", "sigma"), "bounded_link": ("theta_star", "sigma"),
+        "mean_reversion": ("rate_star", "level_star", "sigma"),
+        "linear_system": ("dim", "sigma")}
     # every entry builds from its config keys; sigma is scalar in the config
     for name in models.BUILTIN_MODELS:
         model, noise = build_model(from_dict({"experiment": "estimate",
@@ -197,6 +205,15 @@ def test_builtin_registry():
                                               "model.sigma": "0.5"}))
         assert model.name == name
         npt.assert_array_equal(noise.sigma, 0.5 * np.eye(model.m))
+
+
+def test_readme_key_table_is_the_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.search(r"^\| `model\.name` .*?\n\n", readme, re.M | re.S).group(0)
+    rows = {row[0]: tuple(row[1].split("`, `"))
+            for row in re.findall(r"^\| `(\w+)` +\| `(.*?)` +\|$", table, re.M)}
+    assert rows == {name: tuple("model." + key for key in models.config_keys(name))
+                    for name in models.BUILTIN_MODELS}
 
 
 # Nonzero factors whose products neither overflow nor underflow: at a zero
