@@ -1,21 +1,23 @@
 """Builds, caches, checks and binds the compiled SGDCT kernel `_kernel.c`.
 
-The kernel has four entry points that the program runs on: a whole
-`engine.run_batch`, from the integer seeds to the checkpoint rows and each
-replication's failing step (`batch`), the Euler steps of
-`sde.simulate_path` (`bind_path`), the CSV replay's updates (`replay`) and
-`sde.write_csv`'s '%.12g' lines (`csv_writer`).  The first three load the
-kernel and run the models `covers` accepts, those whose `models.FAMILIES`
+The kernel has four entry points that the program runs on, each bound by
+one function that takes the library first: a whole `engine.run_batch`, from
+the integer seeds to the checkpoint rows and each replication's failing
+step (`batch`), the Euler steps of `sde.simulate_path` (`bind_path`), the
+CSV replay's updates (`replay`) and `sde.write_csv`'s '%.12g' lines
+(`csv_lines`).  A caller gets the library from one of two functions, or
+None, and then runs the binding or its numpy counterpart.  `covering` loads
+the kernel for the models `covers` accepts, those whose `models.FAMILIES`
 family and m have a body in BODIES and whose sigma is diagonal, reading
 their parameters from `true_theta`; the others, `bounded_link`'s link
 family among them (libm's tanh and cosh round otherwise than numpy's), run
 their numpy counterparts (`engine.numpy_batch`, `sde.numpy_path`,
 `engine.numpy_replay`), which define the results.
-The lines are written where one of the three has loaded the kernel.  They
-cover each cell v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block
-with any other cell is formatted by Python's %, which defines the bytes.
-One more, the screening of `batch`, is there for the load-time check and
-the tests.
+`loaded` gives the library to the CSV lines where a step has loaded it.
+They cover each cell v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a
+block with any other cell is formatted by Python's %, which defines the
+bytes.  One more, the screening of `batch`, is there for the load-time
+check and the tests.
 
 The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
 stream from its integer seed, one 64-bit word (`engine.seed_array`), as
@@ -413,7 +415,7 @@ def _mismatch(lib):
     for config in check_configs():
         model = config.model
         body = "%s with m = %d" % (model.family, model.m)
-        kernel = _check_run(lambda *args: _batch(lib, *args), config)
+        kernel = _check_run(lambda *args: batch(lib, *args), config)
         if kernel != _check_run(reference_batch, config):
             return "its run of body %s differs from numpy's run_batch loop" % body
         # the path: CHECK_STEPS steps from an x0 off zero, with no burn-in
@@ -422,23 +424,23 @@ def _mismatch(lib):
         sched = dataclasses.replace(config.schedule, c_alpha=CHECK_C_ALPHA)
         config = dataclasses.replace(config, integrator=integ, schedule=sched)
         path = np.empty((CHECK_STEPS, model.m))
-        _bind_path(lib, model, config.noise, integ.dt, CHECK_SEED,
-                   integ.initial_state(model.m))(path)
+        bind_path(lib, model, config.noise, integ.dt, CHECK_SEED,
+                  integ.initial_state(model.m))(path)
         if path.tobytes() != reference_path(config, CHECK_SEED, CHECK_STEPS).tobytes():
             return ("its path of body %s differs from simulate_path's euler_step loop"
                     % body)
         times = 1.0 + np.cumsum(rng.uniform(0.005, 0.02, CHECK_ROWS))
         xs = np.cumsum(0.1 * rng.standard_normal((CHECK_ROWS, model.m)), axis=0)
         theta = model.true_theta + rng.uniform(-0.5, 0.5, model.k)
-        out = _replay(lib, config, times, xs, theta)
+        out = replay(lib, config, times, xs, theta)
         if out.tobytes() != reference_replay(config, times, xs, theta).tobytes():
             return "its replay of body %s differs from numpy's sgdct_step loop" % body
     inside, outside = check_cells()
     table = inside.reshape(-1, 2)
-    lines = _csv_writer(lib, *table.shape)
-    if bytes(lines(table)) != reference_csv(table):
+    lines = csv_lines(lib, table)
+    if lines is None or bytes(lines) != reference_csv(table):
         return "its CSV lines differ from Python's %.12g"
-    if any(lines(np.array([[v]])) is not None for v in outside):
+    if any(csv_lines(lib, np.array([[v]])) is not None for v in outside):
         return "its CSV lines cover a cell past their range"
     return None
 
@@ -469,9 +471,15 @@ def covers(model, noise) -> bool:
             and not np.count_nonzero(noise.sigma - np.diag(np.diag(noise.sigma))))
 
 
-def _covering(model, noise):
-    """The kernel library where it runs this model, else None."""
+def covering(model, noise):
+    """The kernel library, loaded, where it runs this model, else None."""
     return load() if covers(model, noise) else None
+
+
+def loaded():
+    """The kernel library where a step has loaded it, else None: formatting
+    alone does not build and check it."""
+    return _lib or None
 
 
 def _check(a: np.ndarray, shape, dtype=np.float64) -> None:
@@ -484,18 +492,12 @@ def _consts(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
 
 
-def batch(config, seeds, rec_step: np.ndarray, total: int):
+def batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     """(rec_theta, rec_x, fail): `run_batch`'s run of total steps in one
     kernel call, from the seeds (`engine.seed_array`) to the rows after each
     step in the sorted rec_step, rec_theta (nrec, n, k) and rec_x (nrec, n,
     m), and each replication's first step screened as diverged, fail (n,), or
-    -1; None where the numpy loop must run, a model `covers` refuses."""
-    lib = _covering(config.model, config.noise)
-    return None if lib is None else _batch(lib, config, seeds, rec_step, total)
-
-
-def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
-    """`batch` on the library lib."""
+    -1."""
     from . import engine, sde
     model, noise, sched, integ = (config.model, config.noise, config.schedule,
                                   config.integrator)
@@ -520,17 +522,10 @@ def _batch(lib, config, seeds, rec_step: np.ndarray, total: int):
     return rec_theta, rec_x, fail
 
 
-def bind_path(model, noise, dt: float, seed: int, x: np.ndarray):
+def bind_path(lib, model, noise, dt: float, seed: int, x: np.ndarray):
     """steps(out): run len(out) of `sde.simulate_path`'s Euler steps in the
     kernel, drawing from the stream of np.random.PCG64(seed) and updating x
-    in place, with the state after step j in out[j].  None where the numpy
-    loop must run, a model `covers` refuses."""
-    lib = _covering(model, noise)
-    return None if lib is None else _bind_path(lib, model, noise, dt, seed, x)
-
-
-def _bind_path(lib, model, noise, dt: float, seed: int, x: np.ndarray):
-    """`bind_path` on the library lib."""
+    in place, with the state after step j in out[j]."""
     words = streams([np.random.PCG64(seed)])
     m = model.m
     _check(x, (m,))
@@ -545,17 +540,10 @@ def _bind_path(lib, model, noise, dt: float, seed: int, x: np.ndarray):
     return steps
 
 
-def replay(config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
+def replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
     """The CSV replay's SGDCT updates in the kernel, from theta: row i of the
     (rows - 1, k) result is the theta of update i, driven by the increments
-    from row i to row i + 1 of (times, xs); None where the numpy loop must
-    run, a model `covers` refuses."""
-    lib = _covering(config.model, config.noise)
-    return None if lib is None else _replay(lib, config, times, xs, theta)
-
-
-def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
-    """`replay` on the library lib."""
+    from row i to row i + 1 of (times, xs)."""
     model, noise, sched = config.model, config.noise, config.schedule
     rows, k, m = len(times), model.k, model.m
     times, xs, a_inv, theta = _consts(times, xs, noise.a_inv, theta)
@@ -569,25 +557,13 @@ def _replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
     return out
 
 
-def csv_writer(rows: int, cols: int):
-    """lines(block): the '%.12g' CSV lines of a 2-d block of at most rows x
-    cols cells (cast to float64), formatted by the kernel into one buffer
-    that lines keeps; a view of it, which the next call overwrites, or None
-    where a cell lies outside CSV_RANGE.  None where no step has loaded the
-    kernel: formatting alone does not build and check it."""
-    return _csv_writer(_lib, rows, cols) if _lib else None
-
-
-def _csv_writer(lib, rows: int, cols: int):
-    """`csv_writer` on the library lib."""
-    buf = np.empty(rows * cols * CSV_CELL, dtype=np.uint8)
-
-    def lines(block):
-        block = np.ascontiguousarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.size > rows * cols:
-            raise ValueError("a CSV block must be 2-d, of at most %d cells"
-                             % (rows * cols))
-        n = lib.driftfit_csv(block.ctypes.data, *block.shape, buf.ctypes.data)
-        return None if n < 0 else buf.data[:n]
-
-    return lines
+def csv_lines(lib, block: np.ndarray):
+    """The '%.12g' CSV lines of a 2-d block (cast to float64), formatted by
+    the kernel into a buffer of CSV_CELL bytes a cell, as a view of it; None
+    where a cell lies outside CSV_RANGE."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError("a CSV block must be 2-d")
+    buf = np.empty(block.size * CSV_CELL, dtype=np.uint8)
+    n = lib.driftfit_csv(block.ctypes.data, *block.shape, buf.ctypes.data)
+    return None if n < 0 else buf.data[:n]

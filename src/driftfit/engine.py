@@ -277,18 +277,20 @@ def run_batch(config: EngineConfig, seeds: Sequence[int]) -> ReplicationSet:
     Checkpoints at t = 1 are recorded before the burn-in: their xs hold x0,
     not the state after the burn-in.
 
-    The run is one call of the compiled kernel where `_kernel.batch` takes
-    the model: it seeds each replication's PCG64 from its integer seed,
-    draws theta0, records the checkpoints and screens for divergence at
-    every CHECK_EVERY-th step and the last.  Else it runs in `numpy_batch`,
+    The run is one call of the compiled kernel, `_kernel.batch`, where
+    `_kernel.covering` gives a library for the model: it seeds each
+    replication's PCG64 from its integer seed, draws theta0, records the
+    checkpoints and screens for divergence at every CHECK_EVERY-th step and
+    the last.  Else it runs in `numpy_batch`,
     which defines it: the two agree bitwise.  A failed replication runs on;
     `failed` books each one at its first flagged step, in order of step,
     then of replication, and its rows end as NaN.  Empty seeds give an
     empty ReplicationSet.
     """
     j, rec_step, total = record_steps(config)
-    rec_theta, rec_x, fail = (_kernel.batch(config, seeds, rec_step, total)
-                              or numpy_batch(config, seeds, rec_step, total))
+    lib = _kernel.covering(config.model, config.noise)
+    rec_theta, rec_x, fail = (_kernel.batch(lib, config, seeds, rec_step, total) if lib
+                              else numpy_batch(config, seeds, rec_step, total))
     bad = np.flatnonzero(fail >= 0)
     bad = bad[np.argsort(fail[bad], kind="stable")]
     rec_theta[:, bad] = rec_x[:, bad] = np.nan

@@ -245,18 +245,19 @@ def _replay_csv(engine_cfg: EngineConfig, times, xs, seed) -> ReplicationSet:
     """Drive the parameter update with externally observed increments.
 
     Update i runs at times[i] on the increments to row i + 1.  The updates
-    run in the compiled kernel where `_kernel.replay` takes the model, else
-    in `engine.numpy_replay`, which defines them: the two agree bitwise.
-    Every update runs; then the first one whose theta `diverged` flags raises
-    BlowupError with the theta it started from.
+    run in the compiled kernel (`_kernel.replay`) where `_kernel.covering`
+    gives a library for the model, else in `engine.numpy_replay`, which
+    defines them: the two agree bitwise.  Every update runs; then the first
+    one whose theta `diverged` flags raises BlowupError with the theta it
+    started from.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     theta0 = engine.draw_theta0(engine_cfg, [rng])[0]
+    lib = _kernel.covering(engine_cfg.model, engine_cfg.noise)
     # a diverging theta overflows on to the last update, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        updates = _kernel.replay(engine_cfg, times, xs, theta0)
-        if updates is None:
-            updates = engine.numpy_replay(engine_cfg, times, xs, theta0)
+        updates = (_kernel.replay(lib, engine_cfg, times, xs, theta0) if lib
+                   else engine.numpy_replay(engine_cfg, times, xs, theta0))
     bad = np.flatnonzero(diverged(updates))
     if bad.size:
         i = int(bad[0])

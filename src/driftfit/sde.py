@@ -107,18 +107,20 @@ def simulate_path(model: DriftModelSpec, noise: NoiseSpec,
     the rows run t = 1 + i dt, i = 1..n_steps, with X_t in states.
 
     Deterministic given the seed.  The steps, burn-in included, run in chunks
-    of PATH_CHUNK, in the kernel where `_kernel.bind_path` takes the model and
-    seed, else in `numpy_path`, which defines them bitwise.  Then `diverged`
-    screens each chunk: its first flagged state, burn-in included,
-    raises BlowupError after the states before it, with `t` its time and
-    `step` the steps since the first burn-in step, as `run_batch` counts.
+    of PATH_CHUNK, in the kernel (`_kernel.bind_path`) where
+    `_kernel.covering` gives a library for the model, else in `numpy_path`,
+    which defines them bitwise.  Then `diverged` screens each chunk: its
+    first flagged state, burn-in included, raises BlowupError after the
+    states before it, with `t` its time and `step` the steps since the first
+    burn-in step, as `run_batch` counts.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     m, dt, burn_in = model.m, config.dt, config.burn_in_steps
     x = config.initial_state(m)
-    steps = (_kernel.bind_path(model, noise, dt, seed, x)
-             or numpy_path(model, noise, dt, seed, x))
+    lib = _kernel.covering(model, noise)
+    steps = (_kernel.bind_path(lib, model, noise, dt, seed, x) if lib
+             else numpy_path(model, noise, dt, seed, x))
     # burn-in is the steps i = 1 - burn_in .. 0; step i ends at t = 1 + i dt
     for lo in range(1 - burn_in, n_steps + 1, PATH_CHUNK):
         out = np.empty((min(PATH_CHUNK, n_steps + 1 - lo), m))
@@ -149,18 +151,18 @@ def percent_lines(block: np.ndarray, fmt: str = CSV_FMT) -> bytes:
 def write_csv(path, header, columns, fmt=CSV_FMT) -> None:
     """The one artifact writer: a header line, then the columns side by side,
     as `percent_lines` formats them, CSV_BLOCK rows at a time.  The default
-    fmt's lines come from the compiled kernel (`_kernel.csv_writer`) where it
-    is loaded; % formats any other fmt, every block where no kernel is
-    loaded, and each block with a cell outside the kernel's range."""
+    fmt's lines come from the compiled kernel (`_kernel.csv_lines`) where
+    `_kernel.loaded` gives a library; % formats any other fmt, every block
+    where no kernel is loaded, and each block with a cell outside the
+    kernel's range."""
     table = np.column_stack(columns)
-    lines = (_kernel.csv_writer(min(len(table), CSV_BLOCK), table.shape[1])
-             if fmt == CSV_FMT else None)
+    lib = _kernel.loaded() if fmt == CSV_FMT else None
     with open(path, "wb") as fh:
         if header:
             fh.write(header.encode() + b"\n")
         for lo in range(0, len(table), CSV_BLOCK):
             block = table[lo:lo + CSV_BLOCK]
-            text = lines(block) if lines else None
+            text = _kernel.csv_lines(lib, block) if lib else None
             fh.write(percent_lines(block, fmt) if text is None else text)
 
 

@@ -217,6 +217,63 @@ def test_cli_poisson_solve(tmp_path):
     assert header == "x,pi,v,dv_dx"
 
 
+@pytest.mark.parametrize("lo, hi, status", [(-5, 5, 0), (-3, 3, 2)])
+def test_cli_poisson_solve_on_a_grid_of_the_users(tmp_path, lo, hi, status):
+    # scalar_ou's stationary sd is 1/sqrt(2): +-3 leaves more than the
+    # density check admits of its mass outside the grid
+    cfg = write_config(tmp_path, """
+experiment = poisson-solve
+grid.lo = %d
+grid.hi = %d
+grid.n = 801
+""" % (lo, hi))
+    out = tmp_path / "out"
+    assert main(["poisson-solve", "--config", str(cfg), "--out", str(out)]) == status
+    report = json.loads((out / "report.json").read_text())
+    if status:
+        assert report["error"]["type"] == "PoissonError"
+        assert "mass outside the grid" in report["error"]["message"]
+        assert not (out / "poisson_solution.csv").exists()
+        return
+    x = np.loadtxt(out / "poisson_solution.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(x) == 801 and (x[0], x[-1]) == (-5.0, 5.0)
+
+
+def test_cli_poisson_solve_refuses_a_model_of_two_states(tmp_path):
+    cfg = write_config(tmp_path, """
+experiment = poisson-solve
+model.name = linear_system
+""")
+    out = tmp_path / "out"
+    assert main(["poisson-solve", "--config", str(cfg), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "PoissonError"
+    assert report["error"]["message"] == ("the Poisson solver is 1-D in x; "
+                                          "state dimension is 2")
+
+
+def test_cli_verify_rate_doubles_the_l2_band_for_l4_below_the_supercritical_regime(
+        tmp_path):
+    # scalar_ou at C_alpha = 0.3: C C_alpha = 0.15, subcritical, so the
+    # predicted l2 slope is -0.3 and the l4 band is twice the l2 band
+    cfg = write_config(tmp_path, """
+experiment = verify-rate
+schedule.c_alpha = 0.3
+horizon = 21
+n_reps = 20
+integrator.dt = 0.01
+integrator.burn_in_steps = 10
+""")
+    out = tmp_path / "out"
+    assert main(["verify-rate", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] is None
+    l2, l4 = report["verdicts"][:2]
+    assert (l2["criterion"], l4["criterion"]) == ("l2_slope", "l4_slope")
+    assert l2["band"] == pytest.approx([-0.45, -0.15], abs=1e-12)
+    assert l4["band"] == [2 * l2["band"][0], 2 * l2["band"][1]]
+
+
 def test_cli_estimate_writes_trajectory(tmp_path):
     cfg = write_config(tmp_path, """
 experiment = estimate

@@ -22,7 +22,7 @@ from driftfit.models import (FAMILIES, bounded_link, linear_system, mean_reversi
 from driftfit.schedule import ScheduleSpec
 from driftfit.sde import DIVERGENCE_BOUND, IntegratorConfig, simulate_path
 
-from conftest import has_compiler, needs_compiler, numpy_loop
+from conftest import has_compiler, kernel_calls, needs_compiler, numpy_loop
 
 
 def make_config(horizon=20.0, dt=0.01, n_cp=10, c_alpha=4.0, c0=1.0,
@@ -323,31 +323,15 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == 1 + len(traj.times)
 
 
-def run_and_spy(cfg, seeds):
-    """run_batch's result and whether it ran the compiled kernel."""
-    ran = []
-
-    def spy(*args):
-        out = real(*args)
-        ran.append(out is not None)
-        return out
-
-    real = _kernel.batch
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "batch", spy)
-        res = run_batch(cfg, seeds)
-    return res, ran == [True]
-
-
 @needs_compiler
 def test_a_diverged_replication_is_booked_alike_on_the_kernel_and_numpy():
     # a failed row runs on to the end, overflowing, silently on both paths
     cfg, seeds = diverging_config(), [seed_split(0, i) for i in range(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, compiled = run_and_spy(cfg, seeds)
+        got = run_on("kernel", cfg, seeds)
         want = run_on("numpy", cfg, seeds)
-    assert compiled and got.failed and got.failed == want.failed
+    assert got.failed and got.failed == want.failed
     for res in (got, want):
         assert np.isnan(res.thetas[:, list(res.failed)]).all()
         assert np.isnan(res.xs[:, list(res.failed)]).all()
@@ -357,13 +341,19 @@ def test_a_diverged_replication_is_booked_alike_on_the_kernel_and_numpy():
 PATHS = [pytest.param("kernel", marks=needs_compiler), "numpy"]
 
 
+# the kernel calls of a run_batch that runs on the kernel
+BATCH_CALL = [("driftfit_batch", 0)]
+
+
 def run_on(path, cfg, seeds):
-    """run_batch on the kernel (checking that it ran) or on the numpy loop."""
+    """run_batch on the kernel (checking that it ran, in one call) or on the
+    numpy loop."""
     if path == "numpy":
         with numpy_loop():
             return run_batch(cfg, seeds)
-    res, compiled = run_and_spy(cfg, seeds)
-    assert compiled
+    with kernel_calls() as calls:
+        res = run_batch(cfg, seeds)
+    assert calls == BATCH_CALL
     return res
 
 
@@ -549,32 +539,17 @@ def test_failed_is_booked_in_the_same_order_on_the_kernel_and_numpy(n):
 @needs_compiler
 @pytest.mark.parametrize("n", [1, 11, 64])
 def test_a_kernel_run_is_one_kernel_call_and_builds_no_generator(n):
-    lib, calls = _kernel.load(), []
-
-    class Counting:
-        """lib, counting the calls of its entry points."""
-
-        def __getattr__(self, name):
-            fn = getattr(lib, name)
-
-            def call(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return call if name.startswith("driftfit_") else fn
-
     def no_generator(*args, **kwargs):
         raise AssertionError("a Generator or a PCG64 was built")
 
     cfg = make_config(horizon=6.0)
     seeds = seed_split(3, np.arange(n))
     want = run_on("numpy", cfg, seeds)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "_lib", Counting())
+    with kernel_calls() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "Generator", no_generator)
         mp.setattr(np.random, "PCG64", no_generator)
         got = run_batch(cfg, seeds)
-    assert calls == ["driftfit_batch"]
+    assert calls == BATCH_CALL
     assert got.digest() == want.digest()
 
 
@@ -615,10 +590,11 @@ def test_kernel_is_bitwise_equal_to_the_numpy_loop(model_noise, master, n, burn_
     seeds = [seed_split(master, i) for i in range(n)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "THETA_BOUND", bound)
-        got, compiled = run_and_spy(cfg, seeds)
+        with kernel_calls() as calls:
+            got = run_batch(cfg, seeds)
         want = run_on("numpy", cfg, seeds)
     # the kernel copies numpy's sums of at most two drift terms
-    assert compiled == ((model.family, model.m) in _kernel.BODIES)
+    assert calls == (BATCH_CALL if (model.family, model.m) in _kernel.BODIES else [])
     npt.assert_array_equal(got.times, want.times)
     npt.assert_array_equal(got.thetas, want.thetas)
     npt.assert_array_equal(got.xs, want.xs)
@@ -646,8 +622,8 @@ def test_a_model_replaced_at_another_theta_star_runs_it_on_the_kernel(factory,
     seeds = [seed_split(4, i) for i in range(3)]
     before = run_batch(cfg, seeds)
     cfg = dataclasses.replace(cfg, model=moved)
-    got, compiled = run_and_spy(cfg, seeds)
-    assert compiled and got.digest() == run_on("numpy", cfg, seeds).digest()
+    got = run_on("kernel", cfg, seeds)
+    assert got.digest() == run_on("numpy", cfg, seeds).digest()
     assert got.digest() != before.digest()
 
 
@@ -787,6 +763,19 @@ def test_a_kernel_whose_csv_lines_differ_from_python_is_not_used(tmp_path):
     assert "its CSV lines differ from Python's %.12g" in message
 
 
+@needs_compiler
+@pytest.mark.parametrize("csv_range, why", [
+    ((1e-10, 1e10), "its CSV lines cover a cell past their range"),
+    ((1e-12, 1e10), "its CSV lines differ from Python's %.12g")],
+    ids=["narrower", "takes_in_1e-12"])
+def test_a_kernel_whose_csv_range_is_not_csv_range_is_not_used(csv_range, why,
+                                                                tmp_path):
+    # narrowed, CSV_RANGE leaves out cells the kernel still formats; past
+    # 1e-11 it takes in cells the kernel refuses
+    message = assert_falls_back_to_numpy({"CSV_RANGE": csv_range}, tmp_path)
+    assert why in message
+
+
 def test_the_load_time_check_runs_every_body():
     assert {(cfg.model.family, cfg.model.m)
             for cfg in _kernel.check_configs()} == _kernel.BODIES
@@ -863,10 +852,11 @@ def test_a_kernel_whose_screening_differs_from_numpy_is_not_used(tmp_path):
 # A child process's numpy-loop results of each catalog model, the x86-64
 # levels its numpy dispatches to and the flag march() builds the kernel
 # with; given a cache directory, also the kernel's results of each model it
-# covers, whether each of its batch, bind_path and replay calls ran the
-# kernel, and the file name of the kernel, built into that cache (None if
-# the kernel did not load).  A model's results are its run_batch digest and
-# a digest of simulate_path's states and the CSV replay of them.
+# covers, the kernel's calls while it ran them, each with its return value,
+# and the file name of the kernel, built into that cache (None if the
+# kernel did not load).  A model's results are its run_batch digest and a
+# digest of simulate_path's states and the CSV replay of them.  Its
+# Recording is conftest's, which a child cannot import.
 LEVEL_CHILD = """
 import hashlib, json, os, sys
 import numpy as np
@@ -887,20 +877,22 @@ cfgs = {name: EngineConfig(model=model, noise=noise, schedule=ScheduleSpec(4.0, 
             "linear_system_d3": linear_system(dim=3),
             "bounded_link": bounded_link()}.items()}
 seeds = [seed_split(11, i) for i in range(16)]
-ran = []
 
-def spy(name):
-    real = getattr(_kernel, name)
+class Recording:
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
 
-    def call(*args):
-        out = real(*args)
-        ran.append(out is not None)
-        return out
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+        if not name.startswith("driftfit_"):
+            return fn
 
-    setattr(_kernel, name, call)
+        def call(*args):
+            out = fn(*args)
+            self.calls.append((name, out))
+            return out
 
-for name in ("batch", "bind_path", "replay"):
-    spy(name)
+        return call
 
 def results(cfg):
     blocks = list(simulate_path(cfg.model, cfg.noise, cfg.integrator, 9, 300))
@@ -915,12 +907,12 @@ if sys.argv[1:]:
     _kernel._lib = None
     _kernel.cache_dir = lambda: sys.argv[1]
     lib = _kernel.load()
-    ran.clear()
+    _kernel._lib = recording = Recording(lib)
     out["kernel"] = lib and {
         "file": os.path.basename(lib._name),
         "results": {name: results(cfg) for name, cfg in cfgs.items()
                     if _kernel.covers(cfg.model, cfg.noise)},
-        "ran": ran}
+        "calls": recording.calls}
 print(json.dumps(out))
 """
 # numpy's dispatch targets above each level, as NPY_DISABLE_CPU_FEATURES names them
@@ -964,10 +956,12 @@ def test_numpy_loop_digests_do_not_depend_on_numpys_dispatch_level(record_proper
             assert got["numpy"][name] == native["numpy"][name], (level, name)
         if has_compiler:
             # the kernel built for the level passed its load-time check, ran
-            # every call, and runs, simulates and replays the models it
-            # covers as the numpy loop does there
+            # each model's path (one chunk), replay and run, and runs,
+            # simulates and replays the models it covers as the numpy loop
+            # does there
             kernel = got["kernel"]
-            assert kernel and kernel["ran"] == [True] * (3 * len(covered)), level
+            each = [["driftfit_path", 0], ["driftfit_replay", 0], ["driftfit_batch", 0]]
+            assert kernel and kernel["calls"] == each * len(covered), level
             want = {name: got["numpy"][name] for name in covered}
             assert kernel["results"] == want, level
     if has_compiler:
@@ -1074,24 +1068,13 @@ def test_the_kernel_normals_keep_a_negative_zero_draw():
     assert got.tobytes() == np.full((9, 1), want[0]).tobytes()
 
 
-def replay_and_spy(cfg, times, xs, seed):
-    """The replay's thetas or BlowupError, and whether the kernel ran it."""
-    ran = []
-
-    def spy(*args):
-        done = real(*args)
-        ran.append(done is not None)
-        return done
-
-    real = _kernel.replay
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore",
-                                                          invalid="ignore"):
-        mp.setattr(_kernel, "replay", spy)
+def replayed(cfg, times, xs, seed):
+    """The replay's thetas, or the BlowupError it raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            out = _replay_csv(cfg, times, xs, seed).thetas
+            return _replay_csv(cfg, times, xs, seed).thetas
         except BlowupError as exc:
-            out = exc
-    return out, ran == [True]
+            return exc
 
 
 @needs_compiler
@@ -1111,10 +1094,12 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
                        schedule=ScheduleSpec(10.0 ** log_c_alpha, c0),
                        integrator=IntegratorConfig(), horizon=2.0,
                        checkpoint_times=np.array([1.0]))
-    got, compiled = replay_and_spy(cfg, times, xs, seed)
+    with kernel_calls() as calls:
+        got = replayed(cfg, times, xs, seed)
     with numpy_loop():
-        want, _ = replay_and_spy(cfg, times, xs, seed)
-    assert compiled == ((model.family, model.m) in _kernel.BODIES)
+        want = replayed(cfg, times, xs, seed)
+    covered = (model.family, model.m) in _kernel.BODIES
+    assert calls == ([("driftfit_replay", 0)] if covered else [])
     assert type(got) is type(want)
     if isinstance(want, BlowupError):
         assert (got.step, got.t) == (want.step, want.t) and want.t == times[want.step]
@@ -1124,9 +1109,9 @@ def test_the_replay_on_the_kernel_equals_the_sgdct_step_loop(
         # the updates before the failure: the replay of the rows they read
         # runs them alone, with no failure, and ends at the error's theta
         rows = want.step + 1
-        got, _ = replay_and_spy(cfg, times[:rows], xs[:rows], seed)
+        got = replayed(cfg, times[:rows], xs[:rows], seed)
         with numpy_loop():
-            want_rows, _ = replay_and_spy(cfg, times[:rows], xs[:rows], seed)
+            want_rows = replayed(cfg, times[:rows], xs[:rows], seed)
         assert want_rows[-1, 0].tobytes() == want.theta.tobytes()
         want = want_rows
     assert got.tobytes() == want.tobytes()
@@ -1149,8 +1134,9 @@ def test_models_the_kernel_does_not_cover_replay_on_numpy(model_noise):
     model = cfg.model
     times = 1.0 + 0.01 * np.arange(50)
     xs = np.random.default_rng(0).standard_normal((50, model.m))
-    thetas, compiled = replay_and_spy(cfg, times, xs, 3)
-    assert not compiled and thetas.shape == (49, 1, model.k)
+    with kernel_calls() as calls:
+        thetas = replayed(cfg, times, xs, 3)
+    assert calls == [] and thetas.shape == (49, 1, model.k)
 
 
 def test_the_kernel_is_never_loaded_from_a_directory_others_can_write(tmp_path):
@@ -1199,7 +1185,7 @@ ARRAY_REFUSAL = "kernel arrays must be C-ordered"
 def test_bind_path_refuses_a_state_of_another_layout(x):
     model, noise = linear_system(dim=2)
     with pytest.raises(ValueError, match=ARRAY_REFUSAL):
-        _kernel._bind_path(_kernel.load(), model, noise, 0.01, 1, x)
+        _kernel.bind_path(_kernel.load(), model, noise, 0.01, 1, x)
 
 
 @needs_compiler
@@ -1209,7 +1195,7 @@ def test_bind_path_refuses_a_state_of_another_layout(x):
 def test_path_steps_refuse_an_output_of_another_layout(out):
     model, noise = linear_system(dim=2)
     x = np.zeros(2)
-    steps = _kernel._bind_path(_kernel.load(), model, noise, 0.01, 1, x)
+    steps = _kernel.bind_path(_kernel.load(), model, noise, 0.01, 1, x)
     with pytest.raises(ValueError, match=ARRAY_REFUSAL):
         steps(out)
     assert not x.any()  # no step ran
@@ -1224,7 +1210,7 @@ def test_the_replay_refuses_states_or_a_theta_of_another_shape(xs, theta):
     cfg = replay_config(linear_system(dim=2))
     times = 1.0 + 0.01 * np.arange(5)
     with pytest.raises(ValueError, match=ARRAY_REFUSAL):
-        _kernel._replay(_kernel.load(), cfg, times, xs, theta)
+        _kernel.replay(_kernel.load(), cfg, times, xs, theta)
 
 
 @needs_compiler
@@ -1243,18 +1229,17 @@ def test_normals_refuses_words_of_another_layout(words):
 def test_batch_refuses_record_steps_it_would_not_reach_in_order(rec_step, total):
     cfg = make_config(horizon=2.0, burn_in=0)
     with pytest.raises(ValueError, match="rec_step must be sorted"):
-        _kernel._batch(_kernel.load(), cfg, [1, 2], np.array(rec_step), total)
+        _kernel.batch(_kernel.load(), cfg, [1, 2], np.array(rec_step), total)
 
 
 @needs_compiler
-@pytest.mark.parametrize("block", [np.zeros(4), np.zeros((1, 2, 2)), np.zeros((3, 3))],
-                         ids=["1-d", "3-d", "too_large"])
-def test_the_csv_writer_refuses_a_block_that_is_not_2d_or_overfills_it(block):
-    _kernel.load()  # csv_writer formats only where a step has loaded the kernel
-    lines = _kernel.csv_writer(2, 4)
-    with pytest.raises(ValueError, match="a CSV block must be 2-d, of at most 8 cells"):
-        lines(block)
-    assert bytes(lines(np.ones((2, 4)))) == sde.percent_lines(np.ones((2, 4)))
+@pytest.mark.parametrize("block", [np.zeros(4), np.zeros((1, 2, 2))], ids=["1-d", "3-d"])
+def test_csv_lines_refuses_a_block_that_is_not_2d(block):
+    lib = _kernel.load()
+    with pytest.raises(ValueError, match="a CSV block must be 2-d"):
+        _kernel.csv_lines(lib, block)
+    ones = np.ones((2, 4))
+    assert bytes(_kernel.csv_lines(lib, ones)) == sde.percent_lines(ones)
 
 
 @needs_compiler
@@ -1265,10 +1250,10 @@ def test_every_step_entry_point_refuses_a_family_and_m_without_a_body():
     assert (cfg.model.family, cfg.model.m) not in _kernel.BODIES
     refusal = "no body for family code 0 with m = 3"
     with pytest.raises(ValueError, match=refusal):
-        _kernel._batch(lib, cfg, [1, 2], np.array([0, 3]), 3)
+        _kernel.batch(lib, cfg, [1, 2], np.array([0, 3]), 3)
     with pytest.raises(ValueError, match=refusal):
-        _kernel._bind_path(lib, cfg.model, cfg.noise, 0.01, 1, np.zeros(3))(
+        _kernel.bind_path(lib, cfg.model, cfg.noise, 0.01, 1, np.zeros(3))(
             np.empty((4, 3)))
     times, xs = 1.0 + 0.01 * np.arange(5), np.zeros((5, 3))
     with pytest.raises(ValueError, match=refusal):
-        _kernel._replay(lib, cfg, times, xs, cfg.model.true_theta)
+        _kernel.replay(lib, cfg, times, xs, cfg.model.true_theta)

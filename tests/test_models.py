@@ -187,6 +187,11 @@ def test_model_constructor_validation():
         mean_reversion(0.0, 0.5)
     with pytest.raises(ModelError):
         linear_system(theta_star_matrix=-np.eye(2))
+    with pytest.raises(ModelError, match="theta_star_matrix must be square"):
+        linear_system(theta_star_matrix=np.ones((2, 3)))
+    # eta(theta) = theta + tanh(theta) is positive for theta > 0 alone
+    with pytest.raises(ModelError, match=r"eta\(theta_star\) must be positive"):
+        bounded_link(0.0)
 
 
 def test_builtin_registry():

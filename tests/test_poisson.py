@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from driftfit.models import bounded_link, mean_reversion, scalar_ou
+from driftfit.models import (DriftModelSpec, NoiseSpec, bounded_link, mean_reversion,
+                             scalar_ou)
 from driftfit.poisson import (Grid1D, PoissonError, default_grid, hbar, solve,
                               stationary_density)
 
@@ -76,6 +77,21 @@ def test_poisson_centering_violation():
     grid = default_grid(model, noise)
     with pytest.raises(PoissonError):
         solve(model, noise, np.ones(grid.n), grid)
+
+
+def test_solve_refuses_a_g_that_is_not_one_value_per_node():
+    model, noise = scalar_ou(1.0, 1.0)
+    grid = default_grid(model, noise, 101)
+    with pytest.raises(PoissonError, match=r"G has shape \(100,\), not one value per"):
+        solve(model, noise, np.zeros(100), grid)
+
+
+def test_default_grid_without_analytic_moments_centres_six_noise_scales_on_zero():
+    # with no stationary moments to read, the grid takes mean 0 and the
+    # variance sigma^2
+    bare = DriftModelSpec("custom", "linear", 1, np.array([1.0]))
+    grid = default_grid(bare, NoiseSpec(np.array([[2.0]])), 101)
+    assert (grid.lo, grid.hi, grid.n) == (-12.0, 12.0, 101)
 
 
 def test_hbar_ou_at_truth():

@@ -15,7 +15,7 @@ from driftfit.schedule import ScheduleSpec
 from driftfit.sde import (BlowupError, IntegratorConfig, dump_path_csv, euler_step,
                           load_path_csv, simulate_path, write_csv)
 
-from conftest import needs_compiler, numpy_loop
+from conftest import kernel_calls, needs_compiler, numpy_loop
 
 
 def test_euler_step_drift_only():
@@ -101,6 +101,12 @@ def test_simulate_path_deterministic_and_timed():
     assert not np.allclose(xa[-1], xc[-1])
 
 
+def test_simulate_path_refuses_zero_steps():
+    model, noise = scalar_ou()
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        list(simulate_path(model, noise, IntegratorConfig(), 1, 0))
+
+
 def test_simulate_path_takes_integer_seeds_alone():
     # a numpy integer seeds as the int does; a float raises np.random.PCG64's
     # TypeError
@@ -149,25 +155,6 @@ def test_path_csv_roundtrip(tmp_path):
     npt.assert_allclose(x2, xs, atol=1e-12)
 
 
-def spy_csv_writer(monkeypatch) -> list:
-    """Per block write_csv gives the kernel, in order: True where the kernel
-    formatted it, False where it left it to %."""
-    real, formatted = _kernel.csv_writer, []
-
-    def writer(rows, cols):
-        lines = real(rows, cols)
-
-        def spied(block):
-            text = lines(block)
-            formatted.append(text is not None)
-            return text
-
-        return lines and spied
-
-    monkeypatch.setattr(_kernel, "csv_writer", writer)
-    return formatted
-
-
 @pytest.mark.parametrize("kernel", [pytest.param(True, marks=needs_compiler), False],
                          ids=["kernel", "percent"])
 @pytest.mark.parametrize("block", [3, sde.CSV_BLOCK])
@@ -178,20 +165,21 @@ def test_write_csv_writes_the_bytes_of_savetxt(tmp_path, fmt, block, kernel, mon
     monkeypatch.setattr(sde, "CSV_BLOCK", block)
     if not kernel:
         monkeypatch.setattr(_kernel, "_lib", False)  # as after a refused load
-    else:
-        _kernel.load()  # as a step does before a run writes its CSV
-    formatted = spy_csv_writer(monkeypatch)
-    write_csv(tmp_path / "ours.csv", "i,j,a,b", cols, fmt=fmt)
+    # kernel_calls loads the kernel, as a step does before a run writes its CSV
+    with kernel_calls() as calls:
+        write_csv(tmp_path / "ours.csv", "i,j,a,b", cols, fmt=fmt)
     np.savetxt(tmp_path / "numpy.csv", np.column_stack(cols), delimiter=",",
                header="i,j,a,b", comments="", fmt=fmt)
     ours = (tmp_path / "ours.csv").read_bytes()
     assert ours == (tmp_path / "numpy.csv").read_bytes()
     assert b"nan" in ours and b"-inf" in ours
-    # the kernel takes the default fmt alone; the blocks of 3 rows that hold
-    # 1e-300 or -1.5e300 (rows 0-2 and 6-7) fall back to %
+    # the kernel takes the default fmt alone, one call a block, which returns
+    # -1 where the block falls back to %: the blocks of 3 rows that hold
+    # 1e-300 or -1.5e300 (rows 0-2 and 6-7)
     expected = [] if not kernel or fmt != sde.CSV_FMT else (
         [False, True, False] if block == 3 else [False])
-    assert formatted == expected
+    assert [(name, n >= 0) for name, n in calls] == [("driftfit_csv", ok)
+                                                     for ok in expected]
 
 
 def in_csv_range(v: float) -> bool:
@@ -212,14 +200,12 @@ csv_cells = st.one_of(st.floats(), st.floats(-1e15, 1e15),
 def test_the_kernels_csv_lines_are_the_bytes_of_percent(rows):
     table = np.array(rows, dtype=np.float64)
     inside = np.vectorize(in_csv_range)(table)
-    _kernel.load()  # csv_writer formats only where a step has loaded the kernel
-    lines = _kernel.csv_writer(*table.shape)
-    got = lines(table)
-    assert (got is not None) == inside.all()
+    lib = _kernel.load()
+    assert (_kernel.csv_lines(lib, table) is not None) == inside.all()
     # the rows the kernel covers, as one block of their own
     covered = table[inside.all(axis=1)]
     if len(covered):
-        assert bytes(lines(covered)) == sde.percent_lines(covered)
+        assert bytes(_kernel.csv_lines(lib, covered)) == sde.percent_lines(covered)
 
 
 @st.composite
@@ -245,24 +231,14 @@ def path_models(draw):
 
 
 def run_path(model, noise, cfg, seed, n_steps):
-    """simulate_path's yielded blocks, its BlowupError (or None) and whether
-    the kernel ran the steps."""
-    bound = []
-
-    def spy(*args):
-        steps = real(*args)
-        bound.append(steps is not None)
-        return steps
-
-    real, blocks, error = _kernel.bind_path, [], None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "bind_path", spy)
-        try:
-            for block in simulate_path(model, noise, cfg, seed, n_steps):
-                blocks.append(block)
-        except BlowupError as exc:
-            error = exc
-    return blocks, error, bound == [True]
+    """simulate_path's yielded blocks and its BlowupError (or None)."""
+    blocks, error = [], None
+    try:
+        for block in simulate_path(model, noise, cfg, seed, n_steps):
+            blocks.append(block)
+    except BlowupError as exc:
+        error = exc
+    return blocks, error
 
 
 @needs_compiler
@@ -276,11 +252,13 @@ def test_simulate_path_on_the_kernel_equals_the_numpy_path(case, seed, burn_in,
     cfg = IntegratorConfig(dt=dt, x0=np.full(model.m, x0), burn_in_steps=burn_in)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "PATH_CHUNK", chunk)
-        got, got_err, compiled = run_path(model, noise, cfg, seed, n_steps)
+        with kernel_calls() as calls:
+            got, got_err = run_path(model, noise, cfg, seed, n_steps)
         with numpy_loop():
-            want, want_err, _ = run_path(model, noise, cfg, seed, n_steps)
+            want, want_err = run_path(model, noise, cfg, seed, n_steps)
     # the kernel copies numpy's sums of at most two drift terms
-    assert compiled == ((model.family, model.m) in _kernel.BODIES)
+    covered = (model.family, model.m) in _kernel.BODIES
+    assert set(calls) == ({("driftfit_path", 0)} if covered else set())
     # the same blocks, so the same rows yielded before any BlowupError
     assert [len(t) for t, _ in got] == [len(t) for t, _ in want]
     for (tg, xg), (tw, xw) in zip(got, want):
@@ -302,8 +280,9 @@ def test_models_the_kernel_does_not_cover_simulate_on_numpy(model_noise):
     model, noise = model_noise
     assert not _kernel.covers(model, noise)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
-    blocks, error, compiled = run_path(model, noise, cfg, 3, 20)
-    assert not compiled and error is None and len(blocks[0][1]) == 20
+    with kernel_calls() as calls:
+        blocks, error = run_path(model, noise, cfg, 3, 20)
+    assert calls == [] and error is None and len(blocks[0][1]) == 20
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
@@ -323,10 +302,11 @@ def test_a_family_the_kernel_has_no_body_for_runs_on_numpy():
     wide, noise = dataclasses.replace(model, m=2), NoiseSpec(np.eye(2))
     assert not _kernel.covers(wide, noise)
     cfg = IntegratorConfig(dt=0.01, burn_in_steps=5)
-    got, got_err, compiled = run_path(wide, noise, cfg, 3, 20)
+    with kernel_calls() as calls:
+        got, got_err = run_path(wide, noise, cfg, 3, 20)
     with numpy_loop():
-        want, want_err, _ = run_path(wide, noise, cfg, 3, 20)
-    assert not compiled and got_err is None and want_err is None
+        want, want_err = run_path(wide, noise, cfg, 3, 20)
+    assert calls == [] and got_err is None and want_err is None
     assert [(t.tobytes(), x.tobytes()) for t, x in got] == [
         (t.tobytes(), x.tobytes()) for t, x in want]
     batch = EngineConfig(model=wide, noise=noise, schedule=ScheduleSpec(4.0, 1.0),

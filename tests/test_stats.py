@@ -172,3 +172,9 @@ def test_clt_diagnostics_flags_wrong_scale():
 def test_clt_diagnostics_needs_samples():
     with pytest.raises(ReplicationError):
         clt_diagnostics(np.zeros((50, 1)), np.eye(1))
+
+
+def test_clt_diagnostics_refuses_a_singular_prediction():
+    samples = np.random.default_rng(3).standard_normal((200, 2))
+    with pytest.raises(ReplicationError, match="predicted covariance is singular"):
+        clt_diagnostics(samples, np.ones((2, 2)))

@@ -30,9 +30,13 @@ revision REV.  It unpacks REV's `src/` with `git archive` into a temporary
 directory, with a copy of this script next to it, and runs --pairs pairs of
 child processes, one of each tree, alternating which of the two runs first.
 Each tree has its own temporary kernel cache, so the first child of each
-builds its kernel.  It prints, per row, model and n: the median over the
-pairs of the ratio of this checkout's median timing to REV's, the ratio's
-interquartile range, and in how many pairs this checkout was slower.
+builds its kernel.  REV's tree runs this copy of the script, which calls
+`_kernel.batch(lib, ...)` with the library first, so REV can only be a
+revision whose `_kernel.batch` takes it so: the one that made the bindings
+library-first or a later one.  It prints, per row, model and n: the median
+over the pairs of the ratio of this checkout's median timing to REV's, the
+ratio's interquartile range, and in how many pairs this checkout was
+slower.
 """
 from __future__ import annotations
 
@@ -147,9 +151,11 @@ def against(args) -> dict:
 
 
 def span(cfg, seeds) -> None:
-    _, rec_step, total = engine.record_steps(cfg)
-    if _kernel.batch(cfg, seeds, rec_step, total) is None:
+    lib = _kernel.load()
+    if lib is None:
         raise SystemExit("span_ns: the compiled kernel is unavailable")
+    _, rec_step, total = engine.record_steps(cfg)
+    _kernel.batch(lib, cfg, seeds, rec_step, total)
 
 
 def main(argv=None) -> None:
