@@ -5,10 +5,13 @@ Each route takes (Delta gbar(theta*), hbar, C_alpha) and returns the limiting
 covariance sigma_bar itself, a float64 (k, k) array.  The eigen-expansion route is the reference: with Delta gbar(theta*) =
 U diag(lambda) U^T, the covariance entry couples eigenpairs through the
 bracket C_alpha^2 / ((lambda_m + lambda_m') C_alpha - 1).  The quadrature
-route integrates C_alpha^2 exp(-s(C_alpha H - I/2)) hbar exp(-s(C_alpha H^T - I/2)) ds
-so that both routes agree; the two printed forms of this object differ by
-whether the identity shift is split across the exponents, and the
-eigen-expansion is taken as authoritative.
+route integrates C_alpha^2 e(s) hbar e(s) ds with e(s) = exp(-s M) and
+M = C_alpha H_s - I/2, where H_s = (H + H^T)/2, so that both routes agree;
+the two printed forms of this object differ by whether the identity shift is
+split across the exponents, and the eigen-expansion is taken as
+authoritative.  M is symmetric, so one `expm` serves both sides of each
+quadrature node; every catalog Hessian is exactly symmetric, so H_s is H
+bit for bit.
 
 The eigen route keeps its own Jacobi solver rather than LAPACK's `eigh`:
 its matrices are k x k (k <= 4 in the catalog), so speed cannot matter,
@@ -93,17 +96,24 @@ def _check_regime(lam, c_alpha, hbar):
     return lam_min
 
 
-def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
-                    c_alpha: float) -> np.ndarray:
-    """Reference route via the eigen-expansion bracket; CovarianceError for a
-    hessian that is not square or not symmetric within SYMMETRY_TOL."""
+def _symmetric(hessian) -> np.ndarray:
+    """hessian as a float array; CovarianceError where it is not square or
+    not symmetric within SYMMETRY_TOL."""
     hessian = np.asarray(hessian, dtype=float)
-    hbar = np.asarray(hbar, dtype=float)
     if hessian.ndim != 2 or hessian.shape[0] != hessian.shape[1]:
         raise CovarianceError("expected a square matrix")
     if (np.abs(hessian - hessian.T).max()
             > SYMMETRY_TOL * max(1.0, np.abs(hessian).max())):
         raise CovarianceError("matrix is not symmetric within tolerance")
+    return hessian
+
+
+def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
+                    c_alpha: float) -> np.ndarray:
+    """Reference route via the eigen-expansion bracket; CovarianceError for a
+    hessian that is not square or not symmetric within SYMMETRY_TOL."""
+    hessian = _symmetric(hessian)
+    hbar = np.asarray(hbar, dtype=float)
     lam, u = jacobi_eigh(hessian)
     _check_regime(lam, c_alpha, hbar)
     b = u.T @ hbar @ u
@@ -116,25 +126,26 @@ def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
 def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray,
                          c_alpha: float) -> np.ndarray:
     """Cross-check route by adaptive quadrature of the matrix-exponential
-    integral; independent of the Jacobi eigensolver."""
+    integral, over the symmetric part H_s of hessian; independent of the
+    Jacobi eigensolver.  It refuses the hessians sigma_bar_eigen refuses."""
     from scipy.integrate import quad_vec
     from scipy.linalg import expm
-    hessian = np.asarray(hessian, dtype=float)
+    hessian = _symmetric(hessian)
     hbar = np.asarray(hbar, dtype=float)
     k = hessian.shape[0]
-    lam = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))
+    h_sym = 0.5 * (hessian + hessian.T)
+    lam = np.linalg.eigvalsh(h_sym)
     lam_min = _check_regime(lam, c_alpha, hbar)
     rate = 2.0 * lam_min * c_alpha - 1.0
     scale = max(np.abs(hbar).max(), 1.0) * c_alpha ** 2
     # the integrand decays like exp(-rate s): at a large rate it is a spike
     # at s = 0, which a range floored at s = 1 would step over
     s_max = max(1.0, np.log(scale / QUADRATURE_TOL)) / rate
-    eye = np.eye(k)
-    m_left = c_alpha * hessian - 0.5 * eye
-    m_right = c_alpha * hessian.T - 0.5 * eye
+    exponent = c_alpha * h_sym - 0.5 * np.eye(k)
 
     def integrand(s):
-        return c_alpha ** 2 * expm(-s * m_left) @ hbar @ expm(-s * m_right)
+        e = expm(-s * exponent)
+        return c_alpha ** 2 * e @ hbar @ e
 
     sig, _ = quad_vec(integrand, 0.0, s_max, epsabs=QUADRATURE_TOL,
                       epsrel=QUADRATURE_TOL)

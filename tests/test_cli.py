@@ -726,6 +726,28 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert done.stdout.strip() == ""
 
 
+def test_verify_clt_does_not_import_scipy_stats(tmp_path):
+    # the KS statistic used to come from scipy.stats.kstest, about 20 MiB and
+    # 0.35 s of a fresh verify-clt; 100 replications are the fewest it takes
+    script = """
+import sys
+from driftfit.config import from_dict
+from driftfit.experiments import run_experiment
+cfg = from_dict({"experiment": "verify-clt", "model.name": "scalar_ou",
+                 "master_seed": "3", "horizon": "1.5", "integrator.dt": "0.005",
+                 "integrator.burn_in_steps": "10", "n_reps": "100"})
+report, status = run_experiment(cfg, sys.argv[1])
+assert report["error"] is None and status in (0, 1), report
+print(",".join(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
+"""
+    src = os.path.dirname(os.path.dirname(driftfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
 def test_building_any_model_and_its_engine_config_does_not_import_scipy():
     # linear_system used to load scipy.linalg for its Lyapunov solve, about
     # 0.2 s of every run on it

@@ -2,9 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from driftfit.covariance import (CovarianceError, RegimeError, jacobi_eigh,
-                                 moment_ode_oracle, sigma_bar_eigen,
+from driftfit.config import from_dict
+from driftfit.covariance import (QUADRATURE_TOL, CovarianceError, RegimeError,
+                                 jacobi_eigh, moment_ode_oracle, sigma_bar_eigen,
                                  sigma_bar_quadrature)
+from driftfit.experiments import build_model, covariance_inputs
+from driftfit.models import BUILTIN_MODELS
 from driftfit.schedule import ScheduleSpec
 
 
@@ -26,11 +29,14 @@ def test_jacobi_matches_lapack():
         npt.assert_allclose(v @ np.diag(lam) @ v.T, a, atol=1e-10)
 
 
-def test_sigma_bar_eigen_rejects_asymmetry():
+@pytest.mark.parametrize("route", [sigma_bar_eigen, sigma_bar_quadrature])
+def test_sigma_bar_routes_reject_asymmetry(route):
+    # the quadrature used to integrate an asymmetric hessian's own exponents,
+    # and it raised numpy's broadcast error for a non-square one
     with pytest.raises(CovarianceError, match="not symmetric"):
-        sigma_bar_eigen(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), 4.0)
+        route(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), 4.0)
     with pytest.raises(CovarianceError, match="square"):
-        sigma_bar_eigen(np.ones((2, 3)), np.eye(2), 4.0)
+        route(np.ones((2, 3)), np.eye(2), 4.0)
 
 
 def test_sigma_bar_scalar_closed_form():
@@ -70,6 +76,29 @@ def test_sigma_bar_routes_agree():
         e = sigma_bar_eigen(hess, hb, c_alpha)
         q = sigma_bar_quadrature(hess, hb, c_alpha)
         npt.assert_allclose(e, q, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_sigma_bar_quadrature_equals_its_two_exponent_integrand(name):
+    # the route used to take one expm for each side of every node; on a
+    # catalog Hessian, which is exactly symmetric, the one shared expm
+    # gives the same bits
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
+    cfg = from_dict({"experiment": "predict-covariance", "model.name": name})
+    hessian, hbar = covariance_inputs(*build_model(cfg))
+    c_alpha = cfg["schedule.c_alpha"]
+    npt.assert_array_equal(hessian, hessian.T)
+    lam_min = np.linalg.eigvalsh(0.5 * (hessian + hessian.T)).min()
+    scale = max(np.abs(hbar).max(), 1.0) * c_alpha ** 2
+    s_max = max(1.0, np.log(scale / QUADRATURE_TOL)) / (2.0 * lam_min * c_alpha - 1.0)
+    eye = np.eye(hessian.shape[0])
+    m_left = c_alpha * hessian - 0.5 * eye
+    m_right = c_alpha * hessian.T - 0.5 * eye
+    old, _ = quad_vec(lambda s: c_alpha ** 2 * expm(-s * m_left) @ hbar @ expm(-s * m_right),
+                      0.0, s_max, epsabs=QUADRATURE_TOL, epsrel=QUADRATURE_TOL)
+    npt.assert_array_equal(sigma_bar_quadrature(hessian, hbar, c_alpha),
+                           0.5 * (old + old.T))
 
 
 def test_sigma_bar_regime_guard():

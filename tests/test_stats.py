@@ -169,6 +169,26 @@ def test_clt_diagnostics_flags_wrong_scale():
     assert rep.ks_statistic[0] > KS_CRITICAL_1PCT / np.sqrt(10000)
 
 
+def ks_cases():
+    rng = np.random.default_rng(33)
+    cov2 = np.array([[2.0, 0.6], [0.6, 1.0]])
+    cases = {"n%d" % n: (rng.standard_normal((n, 1)), np.eye(1))
+             for n in (100, 2048, 4000)}
+    cases["ties"] = (np.round(rng.standard_normal((2048, 1)), 1), np.eye(1))
+    cases["shifted_scaled"] = (0.3 + 1.7 * rng.standard_normal((1000, 1)), np.eye(1))
+    cases["k2"] = (rng.standard_normal((1500, 2)) @ np.linalg.cholesky(cov2).T, cov2)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(ks_cases()))
+def test_clt_diagnostics_ks_is_scipys_kstest_statistic_bit_for_bit(case):
+    from scipy import stats as spstats
+    samples, sigma_bar = ks_cases()[case]
+    z = np.linalg.solve(np.linalg.cholesky(sigma_bar), samples.T).T
+    expected = [spstats.kstest(z[:, j], "norm").statistic for j in range(z.shape[1])]
+    npt.assert_array_equal(clt_diagnostics(samples, sigma_bar).ks_statistic, expected)
+
+
 def test_clt_diagnostics_needs_samples():
     with pytest.raises(ReplicationError):
         clt_diagnostics(np.zeros((50, 1)), np.eye(1))
