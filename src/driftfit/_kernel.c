@@ -1,12 +1,14 @@
-/* The compiled SGDCT kernel for the compiled model families: five entry
+/* The compiled SGDCT kernel for the compiled model families: six entry
    points, each bitwise equal to the Python code it stands for.
 
-     driftfit_batch   engine.run_batch from the integer seeds to the
-                      checkpoint rows and each replication's failing step
-     driftfit_path    Euler steps of sde.simulate_path (sde.euler_step)
-     driftfit_replay  the CSV replay's SGDCT updates (engine.sgdct_step)
-     driftfit_csv     sde.write_csv's '%.12g' lines of a block of cells
-     driftfit_screen  sde.diverged's rule on rows of theta and x
+     driftfit_batch    engine.run_batch from the integer seeds to the
+                       checkpoint rows and each replication's failing step
+     driftfit_path     Euler steps of sde.simulate_path (sde.euler_step)
+     driftfit_replay   the CSV replay's SGDCT updates (engine.sgdct_step)
+     driftfit_csv      sde.write_csv's '%.12g' lines of a block of cells
+     driftfit_screen   sde.diverged's rule on rows of theta and x
+     driftfit_normals  Generator.standard_normal's draws from many streams,
+                       drawn as the batch draws them
 
    The Python code is the definition; this file repeats its arithmetic
    operation for operation, so that the results are bitwise equal, and
@@ -24,10 +26,14 @@
 
    The batch runs its replications in blocks of B, as the lanes of vector
    instructions: all of a block's replications one step, then the next
-   step, from the seeding to the last step.  Each replication does its own
-   arithmetic in numpy's order and draws only from its own stream, so the
-   order across replications cannot change a bit.  Vector arithmetic rounds
-   each lane as the scalar instruction would, so the CPU level the kernel is
+   step, from the seeding to the last step.  Built for AVX-512 (B = 8), a
+   block also draws as lanes: its 8 streams step together in vector
+   registers, and the first ziggurat box of each draw is formed in vector
+   (normals8); elsewhere, and for a lone replication, each stream draws on
+   its own (normal).  Each replication does its own arithmetic in numpy's
+   order and draws only from its own stream, in numpy's order, so the order
+   across replications cannot change a bit.  Vector arithmetic rounds each
+   lane as the scalar instruction would, so the CPU level the kernel is
    built for cannot either.
 
    Families, for a state of dimension m and parameters p:
@@ -44,7 +50,7 @@ typedef unsigned __int128 u128;
    s = s M + inc mod 2^128, then returns hi ^ lo of the new s rotated right
    by its top 6 bits.  A stream is four words, state_lo, state_hi, inc_lo and
    inc_hi, as _kernel.streams packs the public PCG64.state; driftfit_path
-   copies it into a pcg64 and writes it back when it returns. */
+   and driftfit_normals copy it in and write it back when they return. */
 typedef struct { u128 state, inc; } pcg64;
 static const u128 PCG64_M = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
 
@@ -58,6 +64,8 @@ static inline void store_stream(const pcg64 *g, uint64_t *w)
 {
     w[0] = (uint64_t)g->state;
     w[1] = (uint64_t)(g->state >> 64);
+    w[2] = (uint64_t)g->inc;
+    w[3] = (uint64_t)(g->inc >> 64);
 }
 
 static inline uint64_t next_uint64(pcg64 *g)
@@ -139,12 +147,12 @@ extern const double wi_double[256], fi_double[256];
 static const double ZIGGURAT_NOR_R = 3.6541528853610088;
 static const double ZIGGURAT_NOR_INV_R = 0.27366123732975828;
 
-/* One ziggurat box from r = next_uint64: idx = r & 0xff, then the sign bit,
-   then the 52-bit rabs; x = rabs wi[idx], its sign bit flipped by the sign
-   (numpy's x = -x, without the branch). */
-static inline int box(pcg64 *g, uint64_t *rabs, double *x)
+/* One ziggurat box from a word r of next_uint64: idx = r & 0xff, then the
+   sign bit, then the 52-bit rabs; x = rabs wi[idx], its sign bit flipped by
+   the sign (numpy's x = -x, without the branch). */
+static inline int box(uint64_t r, uint64_t *rabs, double *x)
 {
-    uint64_t r = next_uint64(g), bits;
+    uint64_t bits;
     int idx = r & 0xff;
     r >>= 8;
     *rabs = (r >> 1) & 0x000fffffffffffff;
@@ -173,7 +181,7 @@ rejected(pcg64 *g, int idx, uint64_t rabs, double x)
         if ((fi_double[idx - 1] - fi_double[idx]) * next_double(g)
                 + fi_double[idx] < exp(-0.5 * x * x))
             return x;
-        idx = box(g, &rabs, &x);
+        idx = box(next_uint64(g), &rabs, &x);
         if (rabs < ki_double[idx])
             return x;
     }
@@ -184,11 +192,131 @@ static inline double normal(pcg64 *g)
 {
     uint64_t rabs;
     double x;
-    int idx = box(g, &rabs, &x);
+    int idx = box(next_uint64(g), &rabs, &x);
     if (__builtin_expect(rabs < ki_double[idx], 1))
         return x;
     return rejected(g, idx, rabs, x);
 }
+
+#define LANES __attribute__((aligned(64)))
+
+/* The vector draw, where the kernel is built for AVX-512: 8 streams as the
+   lanes of four vectors (the states' low and high words, the increments'
+   low and high words), stepped together.  s M mod 2^128 is formed from
+   32-bit products (vpmuludq): the full product of the low words, and the
+   low words of the two cross products, the only parts that reach the high
+   word.  Each lane's first box is formed in vector, the tables gathered; a
+   lane whose box rejects (1.49 % of boxes) goes on in rejects, by
+   rejected() on its own stream.  So each lane draws from its stream what
+   normal() would, word for word.  Intrinsics, because GCC turns a product
+   of 64-bit lanes, from vector extensions or lane loops alike, into
+   vpmullq, with which the vector draw was slower than normal(). */
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+#define VECTOR_DRAW
+typedef struct { __m512i lo, hi, inc_lo, inc_hi; } pcg64x8;
+
+/* the 8 streams at w, four words each (state_lo, state_hi, inc_lo, inc_hi,
+   as _kernel.streams packs them), as lanes; scatter(w, v) writes their
+   states back */
+static const __m512i STREAM_WORDS = {0, 4, 8, 12, 16, 20, 24, 28};
+
+static inline pcg64x8 gather(const uint64_t *w)
+{
+    pcg64x8 v = {_mm512_i64gather_epi64(STREAM_WORDS, w, 8),
+                 _mm512_i64gather_epi64(STREAM_WORDS, w + 1, 8),
+                 _mm512_i64gather_epi64(STREAM_WORDS, w + 2, 8),
+                 _mm512_i64gather_epi64(STREAM_WORDS, w + 3, 8)};
+    return v;
+}
+
+static inline void scatter(uint64_t *w, const pcg64x8 *v)
+{
+    _mm512_i64scatter_epi64(w, STREAM_WORDS, v->lo, 8);
+    _mm512_i64scatter_epi64(w + 1, STREAM_WORDS, v->hi, 8);
+}
+
+/* next_uint64 at each lane */
+static inline __attribute__((always_inline)) __m512i next_uint64x8(pcg64x8 *g)
+{
+    /* _mm512_mul_epu32 multiplies the low 32 bits of each lane */
+    const __m512i m0 = _mm512_set1_epi64(0x4385DF649FCCF645ULL),
+                  m1 = _mm512_set1_epi64(0x4385DF649FCCF645ULL >> 32),
+                  m2 = _mm512_set1_epi64(0x2360ED051FC65DA4ULL),
+                  m3 = _mm512_set1_epi64(0x2360ED051FC65DA4ULL >> 32),
+                  low = _mm512_set1_epi64(0xffffffff);
+    __m512i s0 = g->lo, s1 = _mm512_srli_epi64(s0, 32), s2 = g->hi,
+            s3 = _mm512_srli_epi64(s2, 32);
+    __m512i p00 = _mm512_mul_epu32(s0, m0), p01 = _mm512_mul_epu32(s0, m1),
+            p10 = _mm512_mul_epu32(s1, m0), p11 = _mm512_mul_epu32(s1, m1);
+    __m512i mid = _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(p00, 32),
+                                                    _mm512_and_si512(p01, low)),
+                                   _mm512_and_si512(p10, low));
+    __m512i lo = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low));
+    __m512i hi = _mm512_add_epi64(
+        _mm512_add_epi64(p11, _mm512_srli_epi64(p01, 32)),
+        _mm512_add_epi64(_mm512_srli_epi64(p10, 32), _mm512_srli_epi64(mid, 32)));
+    /* + the low words of s_lo M_hi and s_hi M_lo */
+    hi = _mm512_add_epi64(hi, _mm512_add_epi64(_mm512_mul_epu32(s0, m2),
+                                               _mm512_mul_epu32(s2, m0)));
+    hi = _mm512_add_epi64(hi, _mm512_slli_epi64(_mm512_add_epi64(
+        _mm512_add_epi64(_mm512_mul_epu32(s0, m3), _mm512_mul_epu32(s1, m2)),
+        _mm512_add_epi64(_mm512_mul_epu32(s2, m1), _mm512_mul_epu32(s3, m0))), 32));
+    /* + inc, with the low word's carry */
+    lo = _mm512_add_epi64(lo, g->inc_lo);
+    hi = _mm512_add_epi64(hi, g->inc_hi);
+    hi = _mm512_mask_sub_epi64(hi, _mm512_cmplt_epu64_mask(lo, g->inc_lo), hi,
+                               _mm512_set1_epi64(-1));
+    g->lo = lo;
+    g->hi = hi;
+    return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+}
+
+/* The lanes of mask whose first box rejected, from w: the vector draw's
+   state and inc words, low and high (w[0..3]), then each lane's word r
+   (w[4]).  Each lane goes on by rejected() on its own stream, from the box
+   box() forms of r, into x[b], and its state goes back into w.  Not
+   inlined, so that the draw keeps the streams in registers. */
+static __attribute__((noinline, cold)) void
+rejects(unsigned mask, uint64_t (*w)[8], double *x)
+{
+    uint64_t rabs;
+    for (; mask; mask &= mask - 1) {
+        int b = __builtin_ctz(mask);
+        pcg64 g = {(u128)w[1][b] << 64 | w[0][b], (u128)w[3][b] << 64 | w[2][b]};
+        int idx = box(w[4][b], &rabs, &x[b]);
+        x[b] = rejected(&g, idx, rabs, x[b]);
+        w[0][b] = (uint64_t)g.state;
+        w[1][b] = (uint64_t)(g.state >> 64);
+    }
+}
+
+/* normal() at each lane, into x (8, 64-byte aligned) */
+static inline __attribute__((always_inline)) void normals8(pcg64x8 *g, double *x)
+{
+    __m512i r = next_uint64x8(g),
+            idx = _mm512_and_si512(r, _mm512_set1_epi64(0xff)),
+            rabs = _mm512_and_si512(_mm512_srli_epi64(r, 9),
+                                    _mm512_set1_epi64(0x000fffffffffffff)),
+            sign = _mm512_slli_epi64(_mm512_srli_epi64(r, 8), 63);
+    __m512d v = _mm512_mul_pd(_mm512_cvtepu64_pd(rabs),
+                              _mm512_i64gather_pd(idx, wi_double, 8));
+    _mm512_store_pd(x, _mm512_xor_pd(v, _mm512_castsi512_pd(sign)));
+    __mmask8 reject = _mm512_cmpge_epu64_mask(
+        rabs, _mm512_i64gather_epi64(idx, ki_double, 8));
+    if (__builtin_expect(reject != 0, 0)) {
+        uint64_t w[5][8] LANES;
+        _mm512_store_si512(w[0], g->lo);
+        _mm512_store_si512(w[1], g->hi);
+        _mm512_store_si512(w[2], g->inc_lo);
+        _mm512_store_si512(w[3], g->inc_hi);
+        _mm512_store_si512(w[4], r);
+        rejects(reject, w, x);
+        g->lo = _mm512_load_si512(w[0]);
+        g->hi = _mm512_load_si512(w[1]);
+    }
+}
+#endif
 
 enum { LINEAR = 0, AFFINE = 1 };
 enum { MAX_M = 2, MAX_K = MAX_M * MAX_M };  /* the largest m in DISPATCH, and _kernel.BODIES */
@@ -209,7 +337,6 @@ enum { B = 8 };
 #else
 enum { B = 4 };
 #endif
-#define LANES __attribute__((aligned(64)))
 
 /* f(x, p) at L lanes of parameters p (k, L) and states x (m, L) */
 static inline __attribute__((always_inline)) void
@@ -318,11 +445,12 @@ typedef struct {
    drawn from it (engine.draw_theta0: lo + (hi - lo) u, u its first k
    draws) and x starts at x0; then the lanes go through all the steps in
    engine.numpy_batch's order, stopping at each recorded step and each
-   screening.  Each step first draws the L lanes' normals, replication by
-   replication, then runs the arithmetic on all lanes.  Each lane does
-   numpy's operations in numpy's order and draws only from its own stream,
-   so neither the grouping nor the lanes can change a bit.  The L PCG64
-   recurrences are independent, so the CPU overlaps them.
+   screening.  Each step first draws the L lanes' normals, then runs the
+   arithmetic on all lanes.  A full block of B = 8 draws on the vector draw,
+   its streams held in four vector registers from the seeding to the last
+   step; otherwise lane by lane, by normal().  Each lane does numpy's
+   operations in numpy's order and draws only from its own stream, so
+   neither the grouping nor the lanes can change a bit.
 
    The start and each stop go through a copy of the lane arrays th and xs,
    at, and theta0's draws through uniforms, not inlined: writing th and xs
@@ -356,6 +484,15 @@ lanes(int family, int64_t m, int L, const batch_t *r, int64_t i0)
         for (int64_t c = 0; c < m; c++)
             xs_at[c * L + b] = r->x0[c];
     }
+#ifdef VECTOR_DRAW
+    pcg64x8 rng8;
+    if (L == B) {
+        uint64_t w[4 * B];
+        for (int b = 0; b < B; b++)
+            store_stream(&rng[b], w + 4 * b);
+        rng8 = gather(w);
+    }
+#endif
     for (int64_t c = 0; c < k * L; c++)
         th[c] = th_at[c];
     for (int64_t c = 0; c < m * L; c++)
@@ -391,6 +528,12 @@ lanes(int family, int64_t m, int L, const batch_t *r, int64_t i0)
             int64_t nmain = s - burn_in;
             /* at t = 1 + nmain dt */
             double alpha = c_alpha / (c0 + (1.0 + (double)nmain * dt));
+#ifdef VECTOR_DRAW
+            if (L == B)
+                for (int64_t c = 0; c < m; c++)
+                    normals8(&rng8, xi + c * L);
+            else
+#endif
             for (int b = 0; b < L; b++)
                 for (int64_t c = 0; c < m; c++)
                     xi[c * L + b] = normal(&rng[b]);
@@ -513,6 +656,34 @@ int driftfit_screen(int64_t n, int64_t k, int64_t m, const double *theta,
     for (int64_t i = 0; i < n; i++)
         flags[i] = past(k, 1, 0, theta + i * k, theta_bound)
                    || past(m, 1, 0, x + i * m, x_bound);
+    return 0;
+}
+
+/* calls standard normals from each of the n streams words (n, 4), which
+   it advances in place, into out (n, calls), row i from stream i: as the
+   batch draws, full blocks of B streams on the vector draw where the kernel
+   has it, and the rest one by one.  Returns 0. */
+int driftfit_normals(int64_t n, uint64_t *words, int64_t calls, double *out)
+{
+    int64_t i = 0;
+#ifdef VECTOR_DRAW
+    for (; i + B <= n; i += B) {
+        double x[B] LANES;
+        pcg64x8 v = gather(words + 4 * i);
+        for (int64_t s = 0; s < calls; s++) {
+            normals8(&v, x);
+            for (int b = 0; b < B; b++)
+                out[(i + b) * calls + s] = x[b];
+        }
+        scatter(words + 4 * i, &v);
+    }
+#endif
+    for (; i < n; i++) {
+        pcg64 g = load_stream(words + 4 * i);
+        for (int64_t s = 0; s < calls; s++)
+            out[i * calls + s] = normal(&g);
+        store_stream(&g, words + 4 * i);
+    }
     return 0;
 }
 

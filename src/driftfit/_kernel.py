@@ -16,8 +16,8 @@ their numpy counterparts (`engine.numpy_batch`, `sde.numpy_path`,
 `loaded` gives the library to the CSV lines where a step has loaded it.
 They cover each cell v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a
 block with any other cell is formatted by Python's %, which defines the
-bytes.  One more, the screening of `batch`, is there for the load-time
-check and the tests.
+bytes.  Two more, the screening of `batch` and its normals (`normals`),
+are there for the load-time check, the tests and tools/span_ns.py.
 
 The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
 stream from its integer seed, one 64-bit word (`engine.seed_array`), as
@@ -38,8 +38,8 @@ platform, so a machine compiles it once, and a home directory shared with
 another CPU never loads a kernel built for a level that CPU lacks.
 
 Each process checks it before use (`_mismatch`): CHECK_CALLS normals from
-the streams of each of CHECK_GENERATORS PCG64 generators, drawn through the
-path's loop (`normals`), must equal `Generator.standard_normal`'s bytes from
+the streams of each of CHECK_GENERATORS PCG64 generators, drawn as the batch
+draws them (`normals`), must equal `Generator.standard_normal`'s bytes from
 those generators and advance the streams to their words after it, and its
 screening of a table of edge rows (`check_rows`) must be `sde.diverged`'s;
 then for each body in BODIES a small run, with diverging replications and
@@ -74,8 +74,10 @@ CODES = {"linear": 0, "affine": 1}  # _kernel.c's family enum
 # larger linear systems stay on the numpy loop
 BODIES = frozenset({("linear", 1), ("linear", 2), ("affine", 1)})
 CHECK_SEED = 20170907
-# the check's normals: CHECK_CALLS draws from each of CHECK_GENERATORS generators
-CHECK_GENERATORS, CHECK_CALLS = 256, 256
+# the check's normals: CHECK_CALLS draws from each of CHECK_GENERATORS
+# generators, 3 past a multiple of 8, so that full blocks of lanes (8 or 4)
+# and leftover streams both draw
+CHECK_GENERATORS, CHECK_CALLS = 259, 253
 # a stream's words, as _kernel.c reads them: state_lo, state_hi, inc_lo, inc_hi
 WORD = 1 << 64
 # the first seeds of the check's runs: the ends of one and two 32-bit words
@@ -233,6 +235,8 @@ def _open():
     lib.driftfit_csv.argtypes = [ptr, i64, i64, ptr]
     lib.driftfit_screen.restype = ctypes.c_int
     lib.driftfit_screen.argtypes = [i64, i64, i64, ptr, ptr, dbl, dbl, ptr]
+    lib.driftfit_normals.restype = ctypes.c_int
+    lib.driftfit_normals.argtypes = [i64, ptr, i64, ptr]
     return lib
 
 
@@ -266,19 +270,12 @@ def screened(lib, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 def normals(lib, words: np.ndarray, calls: int) -> np.ndarray:
     """(G, calls) standard normals by the kernel's ziggurat, row i from stream
     i of words, the C-ordered (G, 4) uint64 array `streams` packs, which it
-    advances in place past the draws: one driftfit_path call of `calls` Euler
-    steps per stream, of family linear with m = 1, p = 1, sigma = 1 and
-    dt = 1, from x = -0.0.  Each step adds its draw to x + f(x) dt = x - x,
-    which is +0.0, or -0.0 where x is -0.0, so that the state after step j is
-    draw j bit for bit; a -0.0 draw ends as +0.0 unless it is the first
-    (numpy draws -0.0 with probability 2^-53)."""
+    advances in place past the draws: one driftfit_normals call, which draws
+    as the batch does, full blocks of lanes on the batch's draw and the rest
+    one stream at a time."""
     _check(words, (len(words), 4), np.uint64)
-    one, x = np.ones(1), np.empty(1)
     out = np.empty((len(words), calls))
-    for row, stream in zip(out, words):
-        x[0] = -0.0
-        lib.driftfit_path(CODES["linear"], 1, one.ctypes.data, one.ctypes.data, 1.0,
-                          stream.ctypes.data, calls, x.ctypes.data, row.ctypes.data)
+    lib.driftfit_normals(len(words), words.ctypes.data, calls, out.ctypes.data)
     return out
 
 

@@ -981,6 +981,10 @@ def pcg64s(seed, n):
     return [np.random.PCG64(seed_split(seed, i)) for i in range(n)]
 
 
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+ZIGGURAT_NOR_R = 3.6541528853610088  # a draw beyond it comes from the tail
+
+
 def pcg64_at(state, inc):
     """A PCG64 set to (state, inc) through its public state."""
     bit_generator = np.random.PCG64(0)
@@ -1010,8 +1014,46 @@ def test_the_kernel_normals_are_numpys_standard_normal():
         words = _kernel.streams(bit_generators)
         for _ in range(10):
             got = assert_normals_are_numpys(lib, words, bit_generators, 1000)
-            tail += np.count_nonzero(np.abs(got) > 3.6541528853610088)
+            tail += np.count_nonzero(np.abs(got) > ZIGGURAT_NOR_R)
     assert tail > 0
+
+
+def first_boxes_rejected(bit_generator, draws):
+    """(normals, rejected): `draws` of Generator.standard_normal from
+    bit_generator, one at a time, and whether each rejected its first
+    ziggurat box: an accepted box takes one word of the stream, a rejected
+    one more."""
+    generator, normals = np.random.Generator(bit_generator), np.empty(draws)
+    rejected = np.empty(draws, dtype=bool)
+    state = bit_generator.state["state"]
+    s, inc = state["state"], state["inc"]
+    for j in range(draws):
+        normals[j] = generator.standard_normal()
+        after = bit_generator.state["state"]["state"]
+        rejected[j] = after != (s * PCG64_MULT + inc) % 2 ** 128
+        s = after
+    return normals, rejected
+
+
+@needs_compiler
+def test_the_kernel_normals_reach_the_rare_paths_of_a_full_block():
+    # 4 full blocks of 8 lanes (8 of 4 where the kernel is built without
+    # AVX-512) and 3 streams past them.  The sample holds a step at which 2
+    # or more lanes of a block reject their first box, and a draw of a block
+    # from the tail beyond r, and every draw is numpy's
+    lib = _kernel.load()
+    assert lib is not None
+    blocks, calls = 4, 1000
+    bit_generators = pcg64s(11, 8 * blocks + 3)
+    words = _kernel.streams(bit_generators)
+    got = _kernel.normals(lib, words, calls)
+    want, rejected = zip(*(first_boxes_rejected(b, calls) for b in bit_generators))
+    assert got.tobytes() == np.array(want).tobytes()
+    assert words.tobytes() == _kernel.streams(bit_generators).tobytes()
+    in_blocks = slice(0, 8 * blocks)
+    per_step = np.array(rejected)[in_blocks].reshape(blocks, 8, calls).sum(axis=1)
+    assert per_step.max() >= 2
+    assert np.any(np.abs(got[in_blocks]) > ZIGGURAT_NOR_R)
 
 
 @needs_compiler
@@ -1055,12 +1097,13 @@ def test_the_kernel_normals_keep_a_negative_zero_draw():
     # -0.0; a draw that started from +0.0 would lose it.  The word is the
     # post-step state N = 0x102: its top 6 bits are 0, so no rotation, and
     # hi ^ lo = N.  Then the state before the step is (N - inc) M^-1.
-    mult, inc, word = 0x2360ED051FC65DA44385DF649FCCF645, 0xDA3E39CB94B95BDB, 1 << 8 | 2
-    state = (word - inc) * pow(mult, -1, 2 ** 128) % 2 ** 128
+    inc, word = 0xDA3E39CB94B95BDB, 1 << 8 | 2
+    state = (word - inc) * pow(PCG64_MULT, -1, 2 ** 128) % 2 ** 128
     assert pcg64_at(state, inc).random_raw() == word
     want = _kernel.reference_normals(pcg64_at(state, inc), 1)
     assert want[0] == 0.0 and np.signbit(want[0])
-    # the first draw of each of 9 generators
+    # the first draw of each of 9 generators: a full block of lanes and one
+    # stream past it, so both of the kernel's draws
     lib = _kernel.load()
     bit_generators = [pcg64_at(state, inc) for _ in range(9)]
     got = assert_normals_are_numpys(lib, _kernel.streams(bit_generators),

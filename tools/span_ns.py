@@ -1,5 +1,5 @@
 """Time the compiled kernel's batch and all of run_batch: ns per
-replication-step per model and n.
+replication-step per model and n; and the kernel's normal draws: ns per draw.
 
     python3 tools/span_ns.py [--repeats 5] [--rep-steps 4000000]
                              [--level {native,v4,v3,baseline}] [--cache DIR]
@@ -11,10 +11,14 @@ kernel covers (scalar_ou, mean_reversion, linear_system d=2) it runs about
 Euler/SGDCT step.  "span" times the one kernel call `_kernel.batch`, with
 the t = 1 checkpoint alone, at each batch size n in 1, 256, 512 and 2048.
 "run_batch" times all of `engine.run_batch` on the seeds `seed_split`
-gives, with 60 geometric checkpoints, at n = 1 and 2048.  It prints one
-JSON object: the -march flag the timed kernel was built with ("baseline"
-for none, see `_kernel.march`) and, per row, model and n, the best and the
-median of --repeats timings, in ns per replication-step.  The median is
+gives, with 60 geometric checkpoints, at n = 1 and 2048.  "normals" times
+about --rep-steps draws of `_kernel.normals` from G = 1 and G = 2048
+streams, in calls of 2^16 draws (so that the output stays in cache): the
+batch's RNG fill, one stream at a time at G = 1 and in full blocks of lanes
+at G = 2048.  It prints one JSON object: the -march flag the timed kernel
+was built with ("baseline" for none, see `_kernel.march`) and, per row,
+model (or "standard_normal") and n (or G), the best and the median of
+--repeats timings, in ns per replication-step (or per draw).  The median is
 there because a shared machine's speed drifts between timings; the best
 alone hides that.
 
@@ -33,10 +37,12 @@ Each tree has its own temporary kernel cache, so the first child of each
 builds its kernel.  REV's tree runs this copy of the script, which calls
 `_kernel.batch(lib, ...)` with the library first, so REV can only be a
 revision whose `_kernel.batch` takes it so: the one that made the bindings
-library-first or a later one.  It prints, per row, model and n: the median
-over the pairs of the ratio of this checkout's median timing to REV's, the
-ratio's interquartile range, and in how many pairs this checkout was
-slower.
+library-first or a later one.  Before `driftfit_normals`, `_kernel.normals`
+ran the path's Euler loop one stream at a time, so the "normals" ratio
+against such a REV is not that of the draw alone.  It prints, per row,
+model and n: the median over the pairs of the ratio of this checkout's
+median timing to REV's, the ratio's interquartile range, and in how many
+pairs this checkout was slower.
 """
 from __future__ import annotations
 
@@ -63,6 +69,8 @@ MODELS = {"scalar_ou": scalar_ou, "mean_reversion": mean_reversion,
           "linear_system_d2": lambda: linear_system(dim=2)}
 SIZES = (1, 256, 512, 2048)
 RUN_BATCH_SIZES = (1, 2048)
+STREAMS = (1, 2048)
+DRAWS_PER_CALL = 2 ** 16
 DT = 0.005
 # the feature table that makes _kernel.march pick each level
 LEVELS = {"native": None, "v4": {"X86_V4": True}, "v3": {"X86_V3": True},
@@ -99,9 +107,28 @@ def ns_per_rep_step(run, factory, n: int, rep_steps: int, repeats: int,
         start = time.perf_counter()
         run(cfg, seeds)
         times.append(time.perf_counter() - start)
-    per = 1e9 / (n * steps)
+    return best_and_median(times, 1e9 / (n * steps))
+
+
+def best_and_median(times, per: float) -> dict:
+    """The best and the median of times, each times per."""
     return {"best": round(min(times) * per, 2),
             "median": round(float(np.median(times)) * per, 2)}
+
+
+def ns_per_draw(g: int, draws: int, repeats: int) -> dict:
+    """The best and median of `repeats` timings of about `draws` normals from
+    g streams, in calls of DRAWS_PER_CALL draws, in ns per draw."""
+    lib, calls = _kernel.loaded(), DRAWS_PER_CALL // g
+    chunks = max(1, draws // DRAWS_PER_CALL)
+    words = _kernel.streams([np.random.PCG64(seed) for seed in range(g)])
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(chunks):
+            _kernel.normals(lib, words, calls)
+        times.append(time.perf_counter() - start)
+    return best_and_median(times, 1e9 / (g * calls * chunks))
 
 
 def child(script: Path, args, cache: str) -> dict:
@@ -136,7 +163,7 @@ def against(args) -> dict:
                 runs[tree].append(child(trees[tree], args, caches[tree]))
     out = {"against": args.against, "pairs": args.pairs,
            "march": runs["change"][0]["march"]}
-    for row in ("span", "run_batch"):
+    for row in ("span", "run_batch", "normals"):
         out[row] = {}
         for name, sizes in runs["change"][0][row].items():
             out[row][name] = {}
@@ -183,6 +210,8 @@ def main(argv=None) -> None:
             out[row] = {name: {"n_%d" % n: ns_per_rep_step(
                 run, factory, n, args.rep_steps, args.repeats, checkpoints)
                 for n in sizes} for name, factory in MODELS.items()}
+        out["normals"] = {"standard_normal": {
+            "G_%d" % g: ns_per_draw(g, args.rep_steps, args.repeats) for g in STREAMS}}
     print(json.dumps(out))
 
 
