@@ -13,6 +13,15 @@ authoritative.  M is symmetric, so one `expm` serves both sides of each
 quadrature node; every catalog Hessian is exactly symmetric, so H_s is H
 bit for bit.
 
+The integral is adaptive Gauss-Kronrod quadrature in QUADPACK's style
+(Piessens & de Doncker, 1983): `_quad_gk21` writes out, operation for
+operation, the finite-interval path of scipy's BSD-licensed
+`scipy.integrate.quad_vec`, so sigma_bar no longer depends on the installed
+scipy's `quad_vec`, and nothing loads `scipy.integrate`.  A GK21 call takes
+its 21 nodes' `expm` on one (21, k, k) stack, which keeps each node's bits
+(scipy's `expm` picks its 1 x 1, diagonal or Pade branch slice by slice);
+the sums over the nodes stay sequential adds, since a reduce moves bits.
+
 The eigen route keeps its own Jacobi solver rather than LAPACK's `eigh`:
 its matrices are k x k (k <= 4 in the catalog), so speed cannot matter,
 but `eigh` moves predict-covariance's route agreement on linear_system
@@ -22,6 +31,8 @@ bytes are pinned in bench/reference.json.  The quadrature route uses
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .schedule import ScheduleSpec, regime_check
@@ -30,7 +41,25 @@ SYMMETRY_TOL = 1e-10
 # jacobi_eigh stops once the off-diagonal norm is within JACOBI_TOL of the
 # matrix's scale (at least 1), or after JACOBI_MAX_SWEEPS sweeps
 JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-12, 60
-QUADRATURE_TOL = 1e-13  # quad_vec's absolute and relative tolerance
+QUADRATURE_TOL = 1e-13  # the quadrature's absolute and relative tolerance
+# quad_vec's most intervals halved in one round, and its interval limit
+QUADRATURE_ROUND, QUADRATURE_LIMIT = 128, 10_000
+# quad_vec's GK21 rule, as the doubles its literals round to: the Kronrod
+# nodes on [-1, 1] from 1 down, their weights, and the Gauss weights of the
+# odd-indexed nodes (the rule is symmetric, so half of each is written)
+_NODES = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                   0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                   0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                   0.14887433898163122])
+_KRONROD = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                     0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                     0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                     0.14773910490133849, 0.1494455540029169])
+_GAUSS = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                   0.26926671930999635, 0.29552422471475287])
+GK21_NODES = np.concatenate([_NODES, [0.0], -_NODES[::-1]])
+GK21_KRONROD = np.concatenate([_KRONROD, _KRONROD[-2::-1]])[:, None, None]
+GK21_GAUSS = np.concatenate([_GAUSS, _GAUSS[::-1]])[:, None, None]
 
 
 class CovarianceError(ValueError):
@@ -123,12 +152,73 @@ def sigma_bar_eigen(hessian: np.ndarray, hbar: np.ndarray,
     return 0.5 * (sig + sig.T)
 
 
+def _node_sum(terms):
+    """quad_vec's sum over the nodes: one in-place add each, from 0.0."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _gk21(f, a, b):
+    """quad_vec's GK21 rule on [a, b] for f, which takes the 21 nodes at once:
+    the integral, its error estimate and its rounding error."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fv = f(c + h * GK21_NODES)
+    s_k = _node_sum(GK21_KRONROD * fv)
+    s_g = _node_sum(GK21_GAUSS * fv[1::2])
+    s_k_abs = _node_sum(GK21_KRONROD * np.abs(fv))
+    s_k_dabs = _node_sum(GK21_KRONROD * np.abs(fv - s_k / 2.0))
+    err = float(np.linalg.norm((s_k - s_g) * h))
+    dabs = float(np.linalg.norm(s_k_dabs * h))
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = float(np.linalg.norm(50 * sys.float_info.epsilon * h * s_k_abs))
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
+
+
+def _quad_gk21(f, a: float, b: float, tol: float) -> np.ndarray:
+    """quad_vec(f, a, b, epsabs=tol, epsrel=tol)'s integral, bit for bit, for
+    an f that takes the 21 nodes of a GK21 call at once."""
+    import heapq
+    total, error, rounding = _gk21(f, a, b)
+    integrals = {(a, b): total.copy()}
+    heap = [(-error, a, b)]
+    while len(heap) < QUADRATURE_LIMIT:
+        # halve the intervals of largest error: as many as carry all of the
+        # error but goal, and at most QUADRATURE_ROUND of them
+        goal = max(tol, tol * np.linalg.norm(total)) / 8
+        split, err_sum = [], 0
+        while heap and len(split) < QUADRATURE_ROUND:
+            if split and err_sum > error - goal:
+                break
+            split.append(heapq.heappop(heap))
+            err_sum -= split[-1][0]
+        for neg_err, lo, hi in split:
+            mid = 0.5 * (lo + hi)
+            s1, err1, round1 = _gk21(f, lo, mid)
+            s2, err2, round2 = _gk21(f, mid, hi)
+            total += s1 + s2 - integrals[lo, hi]
+            error += err1 + err2 + neg_err
+            rounding += round1 + round2
+            integrals[lo, mid], integrals[mid, hi] = s1, s2
+            heapq.heappush(heap, (-err1, lo, mid))
+            heapq.heappush(heap, (-err2, mid, hi))
+        if len(heap) >= 2 and (error < max(tol, tol * np.linalg.norm(total)) / 8
+                               or error < rounding):
+            break
+        if not (np.isfinite(error) and np.isfinite(rounding)):
+            break
+    return total
+
+
 def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray,
                          c_alpha: float) -> np.ndarray:
     """Cross-check route by adaptive quadrature of the matrix-exponential
     integral, over the symmetric part H_s of hessian; independent of the
     Jacobi eigensolver.  It refuses the hessians sigma_bar_eigen refuses."""
-    from scipy.integrate import quad_vec
     from scipy.linalg import expm
     hessian = _symmetric(hessian)
     hbar = np.asarray(hbar, dtype=float)
@@ -143,12 +233,11 @@ def sigma_bar_quadrature(hessian: np.ndarray, hbar: np.ndarray,
     s_max = max(1.0, np.log(scale / QUADRATURE_TOL)) / rate
     exponent = c_alpha * h_sym - 0.5 * np.eye(k)
 
-    def integrand(s):
-        e = expm(-s * exponent)
+    def integrand(nodes):
+        e = expm(-nodes[:, None, None] * exponent)
         return c_alpha ** 2 * e @ hbar @ e
 
-    sig, _ = quad_vec(integrand, 0.0, s_max, epsabs=QUADRATURE_TOL,
-                      epsrel=QUADRATURE_TOL)
+    sig = _quad_gk21(integrand, 0.0, s_max, QUADRATURE_TOL)
     return 0.5 * (sig + sig.T)
 
 

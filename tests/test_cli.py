@@ -748,6 +748,31 @@ print(",".join(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
     assert done.stdout.strip() == ""
 
 
+def test_the_covariance_routes_do_not_import_scipy_integrate(tmp_path):
+    # the quadrature route used to call scipy.integrate.quad_vec, which loads
+    # 355 scipy modules and about 23 MiB
+    script = """
+import sys
+from driftfit.config import from_dict
+from driftfit.experiments import run_experiment
+from driftfit.models import BUILTIN_MODELS
+runs = [{"experiment": "predict-covariance", "model.name": name} for name in BUILTIN_MODELS]
+runs.append({"experiment": "verify-clt", "model.name": "scalar_ou", "master_seed": "3",
+             "horizon": "1.5", "integrator.dt": "0.005",
+             "integrator.burn_in_steps": "10", "n_reps": "100"})
+for i, raw in enumerate(runs):
+    report, status = run_experiment(from_dict(raw), "%s/%d" % (sys.argv[1], i))
+    assert report["error"] is None and status in (0, 1), report
+print(",".join(sorted(m for m in sys.modules if m.startswith("scipy.integrate"))))
+"""
+    src = os.path.dirname(os.path.dirname(driftfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
 def test_building_any_model_and_its_engine_config_does_not_import_scipy():
     # linear_system used to load scipy.linalg for its Lyapunov solve, about
     # 0.2 s of every run on it

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftfit.config import from_dict
 from driftfit.covariance import (QUADRATURE_TOL, CovarianceError, RegimeError,
@@ -99,6 +101,60 @@ def test_sigma_bar_quadrature_equals_its_two_exponent_integrand(name):
                       0.0, s_max, epsabs=QUADRATURE_TOL, epsrel=QUADRATURE_TOL)
     npt.assert_array_equal(sigma_bar_quadrature(hessian, hbar, c_alpha),
                            0.5 * (old + old.T))
+
+
+def quad_vec_sigma_bar(hessian, hbar, c_alpha):
+    """sigma_bar_quadrature as it was: scipy's quad_vec over a per-node expm."""
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
+    lam_min = float(np.linalg.eigvalsh(hessian).min())
+    scale = max(np.abs(hbar).max(), 1.0) * c_alpha ** 2
+    s_max = max(1.0, np.log(scale / QUADRATURE_TOL)) / (2.0 * lam_min * c_alpha - 1.0)
+    exponent = c_alpha * hessian - 0.5 * np.eye(hessian.shape[0])
+
+    def integrand(s):
+        e = expm(-s * exponent)
+        return c_alpha ** 2 * e @ hbar @ e
+
+    sig, _ = quad_vec(integrand, 0.0, s_max, epsabs=QUADRATURE_TOL, epsrel=QUADRATURE_TOL)
+    return 0.5 * (sig + sig.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), split=st.integers(0, 3),
+       diagonal=st.booleans(), zero_rows=st.integers(0, 3), excess=st.floats(1e-4, 4.5))
+# two cases nearer the regime bound, which split up to 3 and up to 6 intervals
+# in one round; both end on the rounding-error exit, as many drawn cases do
+@example(k=3, seed=3021493085, split=1, diagonal=False, zero_rows=3,
+         excess=3.371000511183689e-06)
+@example(k=4, seed=2077868015, split=1, diagonal=False, zero_rows=3,
+         excess=1.5977051125461432e-06)
+def test_sigma_bar_quadrature_is_quad_vecs_bit_for_bit(k, seed, split, diagonal,
+                                                        zero_rows, excess):
+    # the route used to call scipy.integrate.quad_vec with one expm a node;
+    # H = Q diag(lam) Q^T, with Q orthogonal in two blocks split at `split`
+    # (so H has exact zeros) or the identity (expm's diagonal branch); hbar =
+    # G G^T with `zero_rows` rows of G zeroed; C_alpha = (1/2 + excess) /
+    # lambda_min, from just above the regime bound to 5 / lambda_min.  Much
+    # nearer the bound the quadrature runs to its 10 000-interval limit.
+    rng = np.random.default_rng(seed)
+    split = min(split, k - 1)
+    q = np.eye(k)
+    if not diagonal:
+        for block in (slice(0, split), slice(split, k)):
+            n = block.stop - block.start
+            q[block, block] = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = rng.uniform(0.05, 5.0, k)
+    hessian = q @ np.diag(lam) @ q.T
+    hessian = 0.5 * (hessian + hessian.T)
+    g = rng.standard_normal((k, k))
+    g[:min(zero_rows, k - 1)] = 0.0
+    hbar = g @ g.T
+    c_alpha = (0.5 + excess) / float(np.linalg.eigvalsh(hessian).min())
+    ref = quad_vec_sigma_bar(hessian, hbar, c_alpha)
+    got = sigma_bar_quadrature(hessian, hbar, c_alpha)
+    npt.assert_array_equal(got, ref)
+    npt.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_sigma_bar_regime_guard():

@@ -10,7 +10,9 @@ the imports), then --repeats times more, timing each call from its config
 parse to its report.json as `bench/run.py` times a whole repetition.  The
 calls run in the workload's order each time, since a replay reads the path
 its simulate call wrote.  It prints one JSON object: per call label the
-median and the best ms, and the median of the repetitions' totals.  A
+median and the best ms, and the median of the repetitions' totals, and the
+process's peak RSS (`ru_maxrss`, MiB) after each call of the warm-up, so
+that the call which sets the peak is named.  A
 shared machine's speed drifts between repetitions, so the median is the
 figure to compare; the best shows the floor.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -33,8 +36,10 @@ import workloads as wl  # noqa: E402
 from driftfit import config, experiments  # noqa: E402
 
 
-def run_calls(calls) -> dict:
-    """Seconds per call label, running calls in order; exits on status 2."""
+def run_calls(calls, peak_rss=None) -> dict:
+    """Seconds per call label, running calls in order; exits on status 2.
+    Into a dict peak_rss it also puts the process's peak RSS in MiB after
+    each call, per call label."""
     seconds = {}
     for call in calls:
         start = time.perf_counter()
@@ -42,6 +47,9 @@ def run_calls(calls) -> dict:
         seconds[call.label] = time.perf_counter() - start
         if status == 2:
             raise SystemExit("call_ms: %s exited with status 2" % call.label)
+        if peak_rss is not None:
+            peak_rss[call.label] = round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
     return seconds
 
 
@@ -52,12 +60,12 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=wl.DEFAULT_SEED)
     args = parser.parse_args(argv)
     calls = wl.generate(args.workload, args.seed)
-    here = os.getcwd()
+    here, peak_rss = os.getcwd(), {}
     with tempfile.TemporaryDirectory(prefix="call_ms-") as work:
         os.chdir(work)
         try:
             wl.write(calls)
-            run_calls(calls)
+            run_calls(calls, peak_rss)
             runs = [run_calls(calls) for _ in range(args.repeats)]
         finally:
             os.chdir(here)
@@ -65,7 +73,8 @@ def main(argv=None) -> None:
                      "best_ms": round(1e3 * min(r[c.label] for r in runs), 2)}
            for c in calls}
     out["total_median_ms"] = round(1e3 * statistics.median(sum(r.values()) for r in runs), 2)
-    print(json.dumps({"workload": args.workload, "repeats": args.repeats, "calls": out}))
+    print(json.dumps({"workload": args.workload, "repeats": args.repeats, "calls": out,
+                      "warmup_peak_rss_mb": peak_rss}))
 
 
 if __name__ == "__main__":
