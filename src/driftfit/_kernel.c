@@ -1,4 +1,4 @@
-/* The compiled SGDCT kernel for the compiled model families: six entry
+/* The compiled SGDCT kernel for the compiled model families: seven entry
    points, each bitwise equal to the Python code it stands for.
 
      driftfit_batch    engine.run_batch from the integer seeds to the
@@ -6,13 +6,15 @@
      driftfit_path     Euler steps of sde.simulate_path (sde.euler_step)
      driftfit_replay   the CSV replay's SGDCT updates (engine.sgdct_step)
      driftfit_csv      sde.write_csv's '%.12g' lines of a block of cells
+     driftfit_parse    sde.load_path_csv's np.loadtxt of such lines
      driftfit_screen   sde.diverged's rule on rows of theta and x
      driftfit_normals  Generator.standard_normal's draws from many streams,
                        drawn as the batch draws them
 
    The Python code is the definition; this file repeats its arithmetic
    operation for operation, so that the results are bitwise equal, and
-   driftfit_csv repeats the rounding of Python's % (see there).  Noise
+   driftfit_csv repeats the rounding of Python's % and driftfit_parse
+   the correct rounding of np.loadtxt (see there).  Noise
    comes from numpy's PCG64, seeded here from an integer as numpy seeds it
    (driftfit_batch) or stepped from a generator's public state (a stream,
    below), through an inlined copy of numpy's ziggurat
@@ -721,18 +723,25 @@ int driftfit_replay(int family, int64_t m, const double *a_inv, double c_alpha,
    10^-11 <= |v| < 2^127: there m 2^e 10^s, for the s that leaves 12 digits
    before the point, fits an unsigned 128-bit integer.  ±0, ±inf and every
    NaN ("nan", its sign dropped, as % drops it) are covered too. */
-enum { CSV_DIGITS = 12, MAX_POW10 = 27 };
+enum { CSV_DIGITS = 12, MAX_POW10 = 27, CSV_SLACK = 16 };
 static const uint64_t LOW = 100000000000ULL, HIGH = 1000000000000ULL;
+static const char PAIRS[200] =  /* the two digits of 0..99 */
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
 
 /* floor(m 2^e 10^s) for the s at hand, and into *up whether the rest rounds
    it up, half to even.  For s >= 0 the estimated exponent is at most 11, so
-   |v| < 2^40 and e < 0: m 10^s is shifted by -e.  For s < 0 the one
-   division: m 2^e over 10^-s. */
+   |v| < 2^40 and e < 0: m 10^s is shifted by -e, and for s <= 19, where
+   10^s fits a word, m 10^s is one 64 x 64 -> 128-bit product.  For s < 0
+   the one division: m 2^e over 10^-s. */
 static uint64_t scaled(uint64_t m, int e, int s, const u128 *pow10, int *up)
 {
     u128 q, rest, half;
     if (s >= 0) {
-        u128 n = (u128)m * pow10[s];
+        u128 n = s <= 19 ? (u128)m * (uint64_t)pow10[s] : (u128)m * pow10[s];
         q = n >> -e;
         rest = n & (((u128)1 << -e) - 1);
         half = (u128)1 << (-e - 1);
@@ -747,7 +756,17 @@ static uint64_t scaled(uint64_t m, int e, int s, const u128 *pow10, int *up)
     return (uint64_t)q;
 }
 
-/* Writes v's '%.12g' at o; returns the end, or NULL outside the range. */
+/* h < 10^6 as six digits at o, two at a time */
+static inline void six(uint32_t h, char *o)
+{
+    memcpy(o, PAIRS + 2 * (h / 10000), 2);
+    memcpy(o + 2, PAIRS + 2 * (h / 100 % 100), 2);
+    memcpy(o + 4, PAIRS + 2 * (h % 100), 2);
+}
+
+/* Writes v's '%.12g' at o; returns the end, or NULL outside the range.  Its
+   copies are of fixed size, so it writes up to CSV_SLACK - 1 bytes past the
+   end, which the next cell or the caller's slack takes. */
 static char *cell(double v, const u128 *pow10, char *o)
 {
     uint64_t bits, frac;
@@ -793,47 +812,47 @@ static char *cell(double v, const u128 *pow10, char *o)
         d = LOW;
         x++;
     }
-    char dig[CSV_DIGITS];
-    for (int i = CSV_DIGITS - 1; i >= 0; i--, d /= 10)
-        dig[i] = '0' + d % 10;
-    int nd = CSV_DIGITS;
-    while (dig[nd - 1] == '0')
-        nd--;
+    /* the 12 digits, then zeros, which the fixed copies below read */
+    char dig[32];
+    uint64_t w[2];
+    six(d / 1000000, dig);
+    six(d % 1000000, dig + 6);
+    memset(dig + CSV_DIGITS, '0', sizeof dig - CSV_DIGITS);
+    /* nd digits up to the last nonzero one: the highest byte of the digits
+       (little-endian words) that differs from '0'; dig[0] does */
+    memcpy(w, dig, sizeof w);
+    w[0] ^= 0x3030303030303030ULL;
+    w[1] ^= 0x3030303030303030ULL;
+    int nd = w[1] ? 16 - __builtin_clzll(w[1]) / 8 : 8 - __builtin_clzll(w[0]) / 8;
     if (x < -4 || x >= CSV_DIGITS) {  /* d.ddde±xx: |x| <= 38 has two digits */
-        *o++ = dig[0];
-        if (nd > 1) {
-            *o++ = '.';
-            memcpy(o, dig + 1, nd - 1);
-            o += nd - 1;
-        }
-        *o++ = 'e';
-        *o++ = x < 0 ? '-' : '+';
-        x = x < 0 ? -x : x;
-        *o++ = '0' + x / 10;
-        *o++ = '0' + x % 10;
-    } else if (x >= 0) {  /* ddd.ddd: 12 digits hold the integer part */
-        memcpy(o, dig, x + 1);
-        o += x + 1;
-        if (nd > x + 1) {
-            *o++ = '.';
-            memcpy(o, dig + x + 1, nd - x - 1);
-            o += nd - x - 1;
-        }
-    } else {  /* 0.000ddd */
-        *o++ = '0';
-        *o++ = '.';
-        memset(o, '0', -x - 1);
-        o += -x - 1;
-        memcpy(o, dig, nd);
-        o += nd;
+        int ax = x < 0 ? -x : x;
+        char tail[4] = {'e', x < 0 ? '-' : '+', '0' + ax / 10, '0' + ax % 10};
+        o[0] = dig[0];
+        o[1] = '.';
+        memcpy(o + 2, dig + 1, 16);
+        o += nd > 1 ? nd + 1 : 1;
+        memcpy(o, tail, 4);
+        return o + 4;
     }
-    return o;
+    if (x >= 0) {  /* ddd.ddd: 12 digits hold the integer part */
+        memcpy(o, dig, 16);
+        if (nd <= x + 1)
+            return o + x + 1;
+        o[x + 1] = '.';
+        memcpy(o + x + 2, dig + x + 1, 16);
+        return o + nd + 1;
+    }
+    memcpy(o, "0.000", 5);  /* 0.000ddd */
+    memcpy(o + 1 - x, dig, 16);
+    return o + 1 - x + nd;
 }
 
 /* The rows (rows, cols) of cells, C order, as CSV lines in out: each cell's
    '%.12g', commas between them, a newline after each row.  A cell takes at
-   most 18 bytes and its separator one.  Returns the bytes written, or -1
-   where a cell lies outside the range above, and Python formats the block. */
+   most 18 bytes and its separator one; out holds 19 bytes a cell and
+   CSV_SLACK more, and the call writes nothing at or past the end it returns
+   plus CSV_SLACK.  Returns the bytes written, or -1 where a cell lies
+   outside the range above, and Python formats the block. */
 int64_t driftfit_csv(const double *cells, int64_t rows, int64_t cols, char *out)
 {
     u128 pow10[MAX_POW10 + 1];
@@ -849,4 +868,84 @@ int64_t driftfit_csv(const double *cells, int64_t rows, int64_t cols, char *out)
             *o++ = c + 1 < cols ? ',' : '\n';
         }
     return o - out;
+}
+
+/* The lines of cells that driftfit_csv writes, read back as np.loadtxt
+   reads them, in a strict grammar: a line is cols cells, commas between
+   them and a newline after the last; a cell is an optional '-', digits,
+   optionally '.' and digits, optionally 'e', a sign and 1 to 3 digits, with
+   at most 15 significant digits D and a decimal exponent p within ±22.
+   Then D and 10^|p| are exact doubles, and D 10^p, or D / 10^-p, is one
+   correctly rounded operation (Clinger 1990): np.loadtxt's correctly
+   rounded value.  The len bytes of text hold the lines alone, and out
+   room for cols cells a newline in text, which a call with out NULL
+   returns.  Returns the rows, or -1 where text holds none, or any byte
+   lies outside the grammar, and np.loadtxt reads it. */
+static const double EXACT[23] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
+    1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20,
+    1e21, 1e22};
+#define DIGIT(c) ((unsigned char)((c) - '0') < 10)
+
+/* the newlines in s, 8 bytes at a time: in w, a word xor 0a0a.., the zero
+   bytes, the ones whose high bit ((w & 7f7f..) + 7f7f..) | w leaves clear */
+static int64_t newlines(const char *s, int64_t len)
+{
+    const uint64_t low7 = 0x7f7f7f7f7f7f7f7fULL;
+    int64_t n = 0, i = 0;
+    for (; i + 8 <= len; i += 8) {
+        uint64_t w;
+        memcpy(&w, s + i, 8);
+        w ^= 0x0a0a0a0a0a0a0a0aULL;
+        n += 8 - __builtin_popcountll((((w & low7) + low7) | w) & ~low7);
+    }
+    for (; i < len; i++)
+        n += s[i] == '\n';
+    return n;
+}
+
+int64_t driftfit_parse(const char *text, int64_t len, int64_t cols, double *out)
+{
+    const char *s = text, *end = text + len;
+    int64_t rows = 0;
+    if (out == NULL)
+        return newlines(text, len);
+    /* the last byte a newline, no read below passes it, and no row starts
+       after the last newline, so out has room for each row */
+    if (len == 0 || end[-1] != '\n' || cols < 1)
+        return -1;
+    for (; s < end; rows++)
+        for (int64_t c = 0; c < cols; c++) {
+            int neg = *s == '-';
+            uint64_t d = 0;
+            int64_t sig = 0, p = 0, e = 0;
+            const char *at = (s += neg);
+            for (; DIGIT(*s); s++)
+                sig += (d = d * 10 + (*s - '0')) != 0;
+            if (s == at)
+                return -1;
+            if (*s == '.') {
+                for (at = ++s; DIGIT(*s); s++)
+                    sig += (d = d * 10 + (*s - '0')) != 0;
+                if (s == at)
+                    return -1;
+                p = at - s;
+            }
+            if (*s == 'e') {
+                int sign = s[1] == '-' ? -1 : s[1] == '+' ? 1 : 0;
+                if (!sign)
+                    return -1;
+                for (at = s += 2; DIGIT(*s) && s - at < 3; s++)
+                    e = e * 10 + (*s - '0');
+                if (s == at || DIGIT(*s))
+                    return -1;
+                p += sign * e;
+            }
+            if (sig > 15 || p < -22 || p > 22)
+                return -1;
+            double v = p < 0 ? (double)d / EXACT[-p] : (double)d * EXACT[p];
+            out[rows * cols + c] = neg ? -v : v;
+            if (*s++ != (c + 1 < cols ? ',' : '\n'))
+                return -1;
+        }
+    return rows;
 }

@@ -1,23 +1,26 @@
 """Builds, caches, checks and binds the compiled SGDCT kernel `_kernel.c`.
 
-The kernel has four entry points that the program runs on, each bound by
+The kernel has five entry points that the program runs on, each bound by
 one function that takes the library first: a whole `engine.run_batch`, from
 the integer seeds to the checkpoint rows and each replication's failing
 step (`batch`), the Euler steps of `sde.simulate_path` (`bind_path`), the
-CSV replay's updates (`replay`) and `sde.write_csv`'s '%.12g' lines
-(`csv_lines`).  A caller gets the library from one of two functions, or
-None, and then runs the binding or its numpy counterpart.  `covering` loads
-the kernel for the models `covers` accepts, those whose `models.FAMILIES`
-family and m have a body in BODIES and whose sigma is diagonal, reading
-their parameters from `true_theta`; the others, `bounded_link`'s link
-family among them (libm's tanh and cosh round otherwise than numpy's), run
-their numpy counterparts (`engine.numpy_batch`, `sde.numpy_path`,
-`engine.numpy_replay`), which define the results.
-`loaded` gives the library to the CSV lines where a step has loaded it.
-They cover each cell v with 10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a
-block with any other cell is formatted by Python's %, which defines the
-bytes.  Two more, the screening of `batch` and its normals (`normals`),
-are there for the load-time check, the tests and tools/span_ns.py.
+CSV replay's updates (`replay`), `sde.write_csv`'s '%.12g' lines
+(`csv_lines`) and `sde.load_path_csv`'s rows (`csv_rows`).  A caller gets
+the library from one of two functions, or None, and then runs the binding
+or its numpy counterpart.  `covering` loads the kernel for the models
+`covers` accepts, those whose `models.FAMILIES` family and m have a body in
+BODIES and whose sigma is diagonal, reading their parameters from
+`true_theta`; the others, `bounded_link`'s link family among them (libm's
+tanh and cosh round otherwise than numpy's), run their numpy counterparts
+(`engine.numpy_batch`, `sde.numpy_path`, `engine.numpy_replay`), which
+define the results.  `loaded` gives the library to the CSV lines and rows
+where a step has loaded it.  The lines cover each cell v with
+10^-11 <= |v| < 2^127, ±0, ±inf and NaN; a block with any other cell is
+formatted by Python's %, which defines the bytes.  The rows cover text in
+driftfit_parse's grammar, which holds the kernel's lines of finite cells
+below 10^22; np.loadtxt, which defines the values, reads any other.  Two
+more, the screening of `batch` and its normals (`normals`), are there for
+the load-time check, the tests and tools/span_ns.py.
 
 The kernel steps numpy's PCG64 itself.  `batch` seeds each replication's
 stream from its integer seed, one 64-bit word (`engine.seed_array`), as
@@ -45,9 +48,10 @@ screening of a table of edge rows (`check_rows`) must be `sde.diverged`'s;
 then for each body in BODIES a small run, with diverging replications and
 seeded from a table of edge seeds (`CHECK_SEEDS`) among others, a short
 path and a replay must give the bytes of the numpy code they stand for, and
-the CSV lines of a table of edge cases (`check_cells`) those of Python's %.
-Where it cannot be built or loaded, or fails that check, every entry point
-runs numpy and one RuntimeWarning per process says why.
+the CSV lines of a table of edge cases (`check_cells`) those of Python's %
+and, read back, float's values, np.loadtxt's parse of a cell.  Where it
+cannot be built or loaded, or fails that check, every entry point runs
+numpy and one RuntimeWarning per process says why.
 """
 from __future__ import annotations
 
@@ -93,6 +97,7 @@ CHECK_C_ALPHA = 4.0
 # double 1e-11 lies just below) up to the greatest below 2^127
 CSV_RANGE = (float(np.nextafter(1e-11, 1.0)), float(np.nextafter(2.0 ** 127, 0.0)))
 CSV_CELL = 19  # the most bytes driftfit_csv writes for a cell and its separator
+CSV_SLACK = 16  # the bytes past its lines that driftfit_csv may write into
 
 _lib = None  # the loaded kernel library; False once loading has failed
 
@@ -233,6 +238,8 @@ def _open():
                                     ptr, ptr]
     lib.driftfit_csv.restype = i64
     lib.driftfit_csv.argtypes = [ptr, i64, i64, ptr]
+    lib.driftfit_parse.restype = i64
+    lib.driftfit_parse.argtypes = [ptr, i64, i64, ptr]
     lib.driftfit_screen.restype = ctypes.c_int
     lib.driftfit_screen.argtypes = [i64, i64, i64, ptr, ptr, dbl, dbl, ptr]
     lib.driftfit_normals.restype = ctypes.c_int
@@ -439,6 +446,12 @@ def _mismatch(lib):
         return "its CSV lines differ from Python's %.12g"
     if any(csv_lines(lib, np.array([[v]])) is not None for v in outside):
         return "its CSV lines cover a cell past their range"
+    lines = bytes(csv_lines(lib, table[(np.abs(table) < 1e22).all(axis=1)]))
+    rows = csv_rows(lib, lines)
+    # float, np.loadtxt's parse of a cell (a first np.loadtxt costs 144 KiB)
+    want = np.array([[float(c) for c in line.split(b",")] for line in lines.splitlines()])
+    if rows is None or rows.tobytes() != want.tobytes():
+        return "its CSV rows differ from np.loadtxt's"
     return None
 
 
@@ -556,11 +569,22 @@ def replay(lib, config, times: np.ndarray, xs: np.ndarray, theta: np.ndarray):
 
 def csv_lines(lib, block: np.ndarray):
     """The '%.12g' CSV lines of a 2-d block (cast to float64), formatted by
-    the kernel into a buffer of CSV_CELL bytes a cell, as a view of it; None
-    where a cell lies outside CSV_RANGE."""
+    the kernel into a buffer of CSV_CELL bytes a cell and CSV_SLACK more, as
+    a view of it; None where a cell lies outside CSV_RANGE."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     if block.ndim != 2:
         raise ValueError("a CSV block must be 2-d")
-    buf = np.empty(block.size * CSV_CELL, dtype=np.uint8)
+    buf = np.empty(block.size * CSV_CELL + CSV_SLACK, dtype=np.uint8)
     n = lib.driftfit_csv(block.ctypes.data, *block.shape, buf.ctypes.data)
     return None if n < 0 else buf.data[:n]
+
+
+def csv_rows(lib, text: bytes, start: int = 0):
+    """The float64 rows of the CSV lines text[start:], read by the kernel,
+    as many columns as the first line has cells; None where the lines lie
+    outside driftfit_parse's grammar."""
+    body = np.frombuffer(text, dtype=np.uint8)[start:]
+    cols = text.count(b",", start, text.find(b"\n", start)) + 1
+    at, size = body.ctypes.data, len(body)
+    out = np.empty((lib.driftfit_parse(at, size, cols, None), cols))  # a row a newline
+    return None if lib.driftfit_parse(at, size, cols, out.ctypes.data) < 0 else out

@@ -251,6 +251,10 @@ def moment_ode_oracle(convexity_constant: float, hbar_trace: float,
     coupling, so it carries a stated 15% acceptance band rather than
     being ground truth.  Supercritical tails satisfy
     t m(t) -> C_alpha^2 tr(hbar) / (2 C C_alpha - 1).
+
+    An interval's substeps get u, t and alpha as arrays (np.add.accumulate
+    adds in a loop's order; array np.exp rounds as scalar np.exp, math.exp
+    does not), then RK4 runs on Python floats: one scalar loop's bits.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(np.diff(t_grid) <= 0):
@@ -260,8 +264,7 @@ def moment_ode_oracle(convexity_constant: float, hbar_trace: float,
     c = float(convexity_constant)
     htr = float(hbar_trace)
 
-    def rhs(t, m):
-        a = schedule.alpha(t)
+    def rhs(a, m):  # at alpha_t = a
         return -2.0 * a * c * m + a * a * htr
 
     out = np.empty_like(t_grid)
@@ -271,22 +274,21 @@ def moment_ode_oracle(convexity_constant: float, hbar_trace: float,
     for idx in range(1, len(t_grid)):
         u0, u1 = np.log(t), np.log(t_grid[idx])
         nsub = max(1, int(np.ceil((u1 - u0) / du_max)))
-        du = (u1 - u0) / nsub
-        u = u0
-        for _ in range(nsub):
+        du = float((u1 - u0) / nsub)
+        u = np.add.accumulate(np.r_[u0, np.full(nsub, du)])
+        ts, th = np.exp(u), np.exp(u[:-1] + 0.5 * du)
+        ts, at, th, ah = (v.tolist() for v in (ts, schedule.alpha(ts), th,
+                                               schedule.alpha(th)))
+        for j in range(nsub):
             # RK4 in u = log t: dm/du = t rhs(t, m)
-            t0 = np.exp(u)
-            th = np.exp(u + 0.5 * du)
-            t1 = np.exp(u + du)
-            k1 = t0 * rhs(t0, m)
-            k2 = th * rhs(th, m + 0.5 * du * k1)
-            k3 = th * rhs(th, m + 0.5 * du * k2)
-            k4 = t1 * rhs(t1, m + du * k3)
+            k1 = ts[j] * rhs(at[j], m)
+            k2 = th[j] * rhs(ah[j], m + 0.5 * du * k1)
+            k3 = th[j] * rhs(ah[j], m + 0.5 * du * k2)
+            k4 = ts[j + 1] * rhs(at[j + 1], m + du * k3)
             m += du / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            u += du
         if not np.isfinite(m):
             raise CovarianceError("moment ODE integration failed near t=%g"
-                                  % np.exp(u))
+                                  % np.exp(u[-1]))
         t = t_grid[idx]
         out[idx] = m
     return out

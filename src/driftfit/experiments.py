@@ -287,6 +287,7 @@ def _run_simulate(cfg, out_dir, artifacts) -> List[dict]:
     engine_cfg = build_engine_config(cfg, model, noise)
     replay = cfg.get("data.path_csv")
     if replay is not None:
+        _kernel.covering(model, noise)  # a covered model: the kernel reads the CSV too
         try:
             with warnings.catch_warnings():  # np.loadtxt's on a file of no rows
                 warnings.simplefilter("ignore", UserWarning)

@@ -174,11 +174,24 @@ def dump_path_csv(path, times, xs) -> None:
 
 
 def load_path_csv(path):
-    """Read a t,x_1..x_m CSV back into (times, states); a row np.loadtxt cannot
-    read is named as data row N, counted from 1 as the rows it returns are."""
+    """Read a t,x_1..x_m CSV back into (times, states) as np.loadtxt reads
+    it: by `_kernel.csv_rows` where `_kernel.loaded` gives a library and the
+    file lies in its grammar; a row np.loadtxt cannot read is named as data
+    row N, counted from 1 as the rows it returns are."""
     read = functools.partial(np.loadtxt, delimiter=",", ndmin=2)
+    lib, data, text = _kernel.loaded(), None, b""
+    if lib:
+        try:
+            with open(path, "rb") as fh:
+                text = fh.read()
+        except OSError:  # np.loadtxt raises it, or reads what open cannot
+            pass
+    head = text.find(b"\n") + 1
+    if head and text[:head].isascii() and b"\r" not in text[:head]:
+        data = _kernel.csv_rows(lib, text, head)
     try:
-        data = read(path, skiprows=1)
+        if data is None:
+            data = read(path, skiprows=1)
     except ValueError as exc:
         with open(path) as fh:
             lines = fh.read().split("\n")[1:]

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftfit
-from driftfit import stats
+from driftfit import _kernel, stats
 from driftfit.cli import main
 from driftfit.config import (_SCHEMA, EXPERIMENTS, ConfigError, _float_list, from_dict,
                              parse_config)
 from driftfit.experiments import build_engine_config, build_model, run_experiment
 from driftfit.models import BUILTIN_MODELS, config_keys
+
+from conftest import kernel_calls, needs_compiler
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -476,7 +478,7 @@ def test_cli_replay_a_csv_that_cannot_be_read_is_a_config_error(tmp_path, conten
         path_csv.write_text(content)
     cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
     out = tmp_path / "replay"
-    with warnings.catch_warnings(record=True) as seen:
+    with kernel_calls() as calls, warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert seen == []
@@ -486,6 +488,32 @@ def test_cli_replay_a_csv_that_cannot_be_read_is_a_config_error(tmp_path, conten
     assert message in report["error"]["message"]
     assert " at row" not in report["error"]["message"]
     assert not (out / "trajectory.csv").exists()
+    # the kernel's reader, where it loads, counts the rows of each file with
+    # a header line, then refuses it to np.loadtxt, which names the fault as
+    # before
+    parses = [n for name, n in calls if name == "driftfit_parse"]
+    offered = content and _kernel.load() is not None
+    assert parses == ([content.count("\n") - 1, -1] if offered else [])
+
+
+@needs_compiler
+def test_a_covered_replay_in_a_fresh_process_reads_its_csv_on_the_kernel(tmp_path,
+                                                                          monkeypatch):
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text("t,x_1\n1.01,0.1\n1.02,0.15\n1.03,0.2\n")
+    cfg = write_config(tmp_path, "experiment = simulate\ndata.path_csv = %s\n" % path_csv)
+    monkeypatch.setattr(_kernel, "_lib", None)  # no step has loaded the kernel
+    read = []
+
+    def csv_rows(*args, _rows=_kernel.csv_rows):
+        read.append(_rows(*args))
+        return read[-1]
+
+    monkeypatch.setattr(_kernel, "csv_rows", csv_rows)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # the load-time check reads its own lines first, then the replay its CSV
+    assert _kernel._lib and len(read) == 2
+    assert read[1].tolist() == [[1.01, 0.1], [1.02, 0.15], [1.03, 0.2]]
 
 
 def test_a_command_that_only_writes_csv_does_not_build_the_kernel(tmp_path):

@@ -189,6 +189,49 @@ def test_moment_ode_subcritical_slope():
     assert slope == pytest.approx(-0.8, abs=0.02)
 
 
+def loop_moment_ode_oracle(c, htr, schedule, m0, t_grid):
+    """moment_ode_oracle as one scalar loop over the RK4 substeps: the
+    reference its precomputed substeps must equal bit for bit."""
+    def rhs(t, m):
+        a = schedule.alpha(t)
+        return -2.0 * a * c * m + a * a * htr
+
+    out = np.empty_like(t_grid)
+    out[0] = m = float(m0)
+    t = t_grid[0]
+    for idx in range(1, len(t_grid)):
+        u0, u1 = np.log(t), np.log(t_grid[idx])
+        nsub = max(1, int(np.ceil((u1 - u0) / 0.002)))
+        du = (u1 - u0) / nsub
+        u = u0
+        for _ in range(nsub):
+            t0 = np.exp(u)
+            th = np.exp(u + 0.5 * du)
+            t1 = np.exp(u + du)
+            k1 = t0 * rhs(t0, m)
+            k2 = th * rhs(th, m + 0.5 * du * k1)
+            k3 = th * rhs(th, m + 0.5 * du * k2)
+            k4 = t1 * rhs(t1, m + du * k3)
+            m += du / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            u += du
+        t = t_grid[idx]
+        out[idx] = m
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.01, 5.0), htr=st.floats(0.0, 10.0), c_alpha=st.floats(0.05, 20.0),
+       c0=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), m0=st.floats(0.0, 5.0),
+       gaps=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=8))
+@example(c=0.5, htr=0.5, c_alpha=4.0, c0=1.0, m0=1.0 / 3.0, gaps=[0.5, 9.0, 100.0])
+def test_moment_ode_oracle_keeps_the_bits_of_the_scalar_loop(c, htr, c_alpha, c0, m0,
+                                                             gaps):
+    grid = 1.0 + np.cumsum([0.0, *gaps])
+    sched = ScheduleSpec(c_alpha, c0)
+    got = moment_ode_oracle(c, htr, sched, m0, grid)
+    assert got.tobytes() == loop_moment_ode_oracle(c, htr, sched, m0, grid).tobytes()
+
+
 def test_moment_ode_grid_validation():
     sched = ScheduleSpec(4.0)
     with pytest.raises(CovarianceError):

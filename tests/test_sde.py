@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftfit import _kernel, sde
@@ -206,6 +207,129 @@ def test_the_kernels_csv_lines_are_the_bytes_of_percent(rows):
     covered = table[inside.all(axis=1)]
     if len(covered):
         assert bytes(_kernel.csv_lines(lib, covered)) == sde.percent_lines(covered)
+
+
+def twelve_digit_cut_cells() -> np.ndarray:
+    """Cells where '%.12g' cuts 13 digits to 12 (ties to even, down and up
+    into the next power of ten) and the powers of ten, each beside the
+    doubles one ulp away, positive and negative, within CSV_RANGE."""
+    lo, hi = _kernel.CSV_RANGE
+    texts = ["%s%se%d" % (head, tail, k) for k in range(-11, 39)
+             for head, tail in (("1", ""), ("1.23456789012", "5"), ("1.23456789013", "5"),
+                                ("9.99999999999", "5"), ("1.00000000000", "5"))]
+    cells = np.array([float(t) for t in texts])
+    cells = np.concatenate([cells, np.nextafter(cells, 0.0), np.nextafter(cells, np.inf)])
+    cells = cells[(cells >= lo) & (cells <= hi)]
+    return np.concatenate([cells, -cells])
+
+
+@needs_compiler
+def test_the_kernels_csv_cells_at_the_digit_cut_write_nothing_past_their_slack():
+    lib = _kernel.load()
+    for v in twelve_digit_cut_cells():
+        block = np.array([[v]])
+        # a canary past what one cell may take, and its slack
+        buf = np.full(_kernel.CSV_CELL + _kernel.CSV_SLACK + 32, 0xA5, dtype=np.uint8)
+        n = lib.driftfit_csv(block.ctypes.data, 1, 1, buf.ctypes.data)
+        assert buf[:n].tobytes() == sde.percent_lines(block), v
+        assert (buf[n + _kernel.CSV_SLACK:] == 0xA5).all(), v
+
+
+def loadtxt_rows(text: bytes) -> np.ndarray:
+    return np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
+
+
+def short_decimal(sign: str, digits: int, point: int, exp) -> str:
+    """sign, then digits with `point` of them after a decimal point, then
+    e±exp unless exp is None: at most 15 significant digits."""
+    text = str(digits).rjust(point + 1, "0")
+    text = sign + (text[:-point] + "." + text[-point:] if point else text)
+    return text if exp is None else text + "e%+03d" % exp
+
+
+short_decimals = st.builds(short_decimal, st.sampled_from(["", "-"]),
+                           st.integers(0, 10 ** 15 - 1), st.integers(0, 7),
+                           st.one_of(st.none(), st.integers(-15, 7)))
+range_cells = st.builds(lambda v, neg: -v if neg else v,
+                        st.floats(*_kernel.CSV_RANGE), st.booleans())
+
+
+@needs_compiler
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: st.one_of(
+    st.lists(st.lists(st.one_of(range_cells, st.sampled_from([0.0, -0.0])),
+                      min_size=cols, max_size=cols), min_size=1, max_size=6).map(
+        lambda rows: sde.percent_lines(np.array(rows))),
+    st.lists(st.lists(short_decimals, min_size=cols, max_size=cols),
+             min_size=1, max_size=6).map(
+        lambda rows: "".join(",".join(r) + "\n" for r in rows).encode()))))
+@example(b"-0,0\n-0.000,-0e-05\n1e+22,1.5e-22\n")
+def test_the_kernels_csv_rows_are_the_bits_of_loadtxt(text):
+    lib = _kernel.load()
+    want = loadtxt_rows(text)
+    got = _kernel.csv_rows(lib, text)
+    # '%.12g' of a cell below 10^22 has a decimal exponent within ±22
+    if (np.abs(want) < 1e22).all():
+        assert got is not None
+    if got is not None:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, signbit too
+
+
+@needs_compiler
+@pytest.mark.parametrize("body", [
+    b"1.0000000000000002,0.3333333333333333\n",  # %.17g and repr: past 15 digits
+    b"1,1e+23\n", b"1,1e-23\n", b"1,1.5e-22\n", b"1,2e+0001\n",  # past 10^±22
+    b"1,2\n# a note\n3,4\n", b"1,2\n\n3,4\n", b"1,2\r\n3,4\r\n", b"+1,2\n",
+    b"1,2 \n", b"1,nan\n2,inf\n", b"1,2\n3\n", b"1,2,3\n4,5\n", b"1,abc\n",
+    b"", b"1,2\n3,4", b"1,1e5\n", b"1.,2\n", b".5,2\n", b"1,-\n", b"1,2e\n",
+], ids=["digits", "exp23", "exp-23", "p-23", "exp4", "comment", "blank", "crlf", "plus",
+        "space", "nan", "ragged", "ragged_longer", "word", "header_only",
+        "no_final_newline", "unsigned_exp", "bare_point", "leading_point", "bare_minus",
+        "bare_e"])
+def test_csv_outside_the_kernels_grammar_reads_as_loadtxt_reads_it(tmp_path, body):
+    lib = _kernel.load()
+    assert _kernel.csv_rows(lib, body) is None
+    path = tmp_path / "path.csv"
+    path.write_bytes(b"t,x_1\n" + body)
+
+    def load():
+        try:
+            with warnings.catch_warnings():  # np.loadtxt's on a file of no rows
+                warnings.simplefilter("ignore", UserWarning)
+                return [(a.shape, a.tobytes()) for a in load_path_csv(path)]
+        except ValueError as exc:
+            return str(exc)
+
+    got = load()
+    with numpy_loop():
+        assert got == load()
+
+
+@needs_compiler
+@pytest.mark.parametrize("header,kernel", [
+    (b"t,x_1\n", True), (b"\n", True), (b"# t x_1\n", True), (b"t,x_1\r\n", False),
+    (b"\xef\xbb\xbft,x_1\n", False), (b"t,x\xe2\x82\x81\n", False)],
+    ids=["plain", "empty", "comment", "crlf", "bom", "utf8"])
+def test_the_header_line_is_skipped_as_loadtxt_skips_it(tmp_path, header, kernel):
+    # np.loadtxt reads the file as text, so a CR splits the header in two
+    path = tmp_path / "path.csv"
+    path.write_bytes(header + b"1.01,0.5\n1.02,-0\n")
+    with kernel_calls() as calls:
+        got = load_path_csv(path)
+    with numpy_loop():
+        want = load_path_csv(path)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert any(name == "driftfit_parse" for name, _ in calls) == kernel
+
+
+def test_a_csv_read_alone_does_not_load_the_kernel(tmp_path, monkeypatch):
+    path = tmp_path / "path.csv"
+    path.write_bytes(b"t,x_1\n1.01,0.5\n1.02,0.25\n")
+    monkeypatch.setattr(_kernel, "_lib", None)  # as in a fresh process
+    times, xs = load_path_csv(path)
+    assert _kernel._lib is None
+    assert times.tolist() == [1.01, 1.02] and xs.tolist() == [[0.5], [0.25]]
 
 
 @st.composite

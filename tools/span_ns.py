@@ -1,5 +1,6 @@
 """Time the compiled kernel's batch and all of run_batch: ns per
-replication-step per model and n; and the kernel's normal draws: ns per draw.
+replication-step per model and n; the kernel's normal draws: ns per draw;
+and its CSV writer and reader: ns per cell.
 
     python3 tools/span_ns.py [--repeats 5] [--rep-steps 4000000]
                              [--level {native,v4,v3,baseline}] [--cache DIR]
@@ -15,12 +16,15 @@ gives, with 60 geometric checkpoints, at n = 1 and 2048.  "normals" times
 about --rep-steps draws of `_kernel.normals` from G = 1 and G = 2048
 streams, in calls of 2^16 draws (so that the output stays in cache): the
 batch's RNG fill, one stream at a time at G = 1 and in full blocks of lanes
-at G = 2048.  It prints one JSON object: the -march flag the timed kernel
-was built with ("baseline" for none, see `_kernel.march`) and, per row,
-model (or "standard_normal") and n (or G), the best and the median of
---repeats timings, in ns per replication-step (or per draw).  The median is
-there because a shared machine's speed drifts between timings; the best
-alone hides that.
+at G = 2048.  "csv" times `_kernel.csv_lines` on a CSV_ROWS x CSV_COLS
+block of a replay's trajectory (times on a grid of dt, then normals), and
+`_kernel.csv_rows` reading those lines back, CSV_CALLS calls a timing.  It
+prints one JSON object: the -march flag the timed kernel was built with
+("baseline" for none, see `_kernel.march`) and, per row, model (or
+"standard_normal", or the CSV binding) and n (or G, or the cells), the best
+and the median of --repeats timings, in ns per replication-step (or per
+draw, or per cell).  The median is there because a shared machine's speed
+drifts between timings; the best alone hides that.
 
 --level builds the kernel for an x86-64 level other than the highest this
 CPU has (`native`, the default): in this process alone it replaces
@@ -39,10 +43,11 @@ builds its kernel.  REV's tree runs this copy of the script, which calls
 revision whose `_kernel.batch` takes it so: the one that made the bindings
 library-first or a later one.  Before `driftfit_normals`, `_kernel.normals`
 ran the path's Euler loop one stream at a time, so the "normals" ratio
-against such a REV is not that of the draw alone.  It prints, per row,
-model and n: the median over the pairs of the ratio of this checkout's
-median timing to REV's, the ratio's interquartile range, and in how many
-pairs this checkout was slower.
+against such a REV is not that of the draw alone, and a REV before
+`_kernel.csv_rows` times no reader, so its "csv" row pairs the writer
+alone.  It prints, per row, model and n: the median over the pairs of the
+ratio of this checkout's median timing to REV's, the ratio's interquartile
+range, and in how many pairs this checkout was slower.
 """
 from __future__ import annotations
 
@@ -71,6 +76,7 @@ SIZES = (1, 256, 512, 2048)
 RUN_BATCH_SIZES = (1, 2048)
 STREAMS = (1, 2048)
 DRAWS_PER_CALL = 2 ** 16
+CSV_ROWS, CSV_COLS, CSV_CALLS = 4096, 4, 50
 DT = 0.005
 # the feature table that makes _kernel.march pick each level
 LEVELS = {"native": None, "v4": {"X86_V4": True}, "v3": {"X86_V3": True},
@@ -131,6 +137,29 @@ def ns_per_draw(g: int, draws: int, repeats: int) -> dict:
     return best_and_median(times, 1e9 / (g * calls * chunks))
 
 
+def ns_per_cell(repeats: int) -> dict:
+    """Per CSV binding, the best and median of `repeats` timings of
+    CSV_CALLS calls on the block (or its lines), in ns per cell."""
+    lib, rng = _kernel.loaded(), np.random.default_rng(0)
+    block = np.column_stack([1.0 + DT * np.arange(1, CSV_ROWS + 1),
+                             rng.standard_normal((CSV_ROWS, CSV_COLS - 1))])
+    lines = bytes(_kernel.csv_lines(lib, block))
+    runs = {"csv_lines": lambda: _kernel.csv_lines(lib, block)}
+    if hasattr(_kernel, "csv_rows"):
+        runs["csv_rows"] = lambda: _kernel.csv_rows(lib, lines)
+    out = {}
+    for name, run in runs.items():
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(CSV_CALLS):
+                run()
+            times.append(time.perf_counter() - start)
+        out[name] = {"cells_%d" % block.size: best_and_median(
+            times, 1e9 / (CSV_CALLS * block.size))}
+    return out
+
+
 def child(script: Path, args, cache: str) -> dict:
     """The JSON object that one run of script prints, on the kernel cache
     cache, with args' --repeats, --rep-steps and --level."""
@@ -163,9 +192,11 @@ def against(args) -> dict:
                 runs[tree].append(child(trees[tree], args, caches[tree]))
     out = {"against": args.against, "pairs": args.pairs,
            "march": runs["change"][0]["march"]}
-    for row in ("span", "run_batch", "normals"):
+    for row in ("span", "run_batch", "normals", "csv"):
         out[row] = {}
         for name, sizes in runs["change"][0][row].items():
+            if name not in runs["rev"][0][row]:  # the reader, at a REV without it
+                continue
             out[row][name] = {}
             for n in sizes:
                 ratio = np.array([c[row][name][n]["median"] / r[row][name][n]["median"]
@@ -212,6 +243,7 @@ def main(argv=None) -> None:
                 for n in sizes} for name, factory in MODELS.items()}
         out["normals"] = {"standard_normal": {
             "G_%d" % g: ns_per_draw(g, args.rep_steps, args.repeats) for g in STREAMS}}
+        out["csv"] = ns_per_cell(args.repeats)
     print(json.dumps(out))
 
 
